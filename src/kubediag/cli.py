@@ -324,11 +324,18 @@ def ingest(inputs, graph_path, docs_out, as_json) -> None:
 @click.option("--no-memory", is_flag=True, help="disable the memory system")
 @click.option("--ablation", is_flag=True, help="run paired with/without-memory engines")
 @click.option("--csv", "csv_path", type=click.Path(), help="write the learning-curve CSV")
+@click.option("--traces", "traces_path", type=click.Path(),
+              help="write one session trace per line (JSONL)")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--json", "as_json", is_flag=True)
 def simulate(sessions, recurrence, window, seed, corpus, no_memory, ablation,
-             csv_path, config_path, as_json) -> None:
-    """Stream generated fault scenarios through a fresh engine."""
+             csv_path, traces_path, config_path, as_json) -> None:
+    """Stream generated fault scenarios through a fresh engine.
+
+    With ``--ablation`` the identical stream also runs through a
+    memory-disabled twin; ``--csv`` and ``--traces`` then describe the
+    memory-enabled engine.
+    """
 
     def run() -> None:
         cfg = _load_config(config_path)
@@ -363,13 +370,21 @@ def simulate(sessions, recurrence, window, seed, corpus, no_memory, ablation,
                 "per_category": {k: list(v) for k, v in sorted(res.per_category.items())},
             }
 
+        def write_outputs(engine: Engine, res) -> None:
+            if csv_path:
+                write_curve_csv(res, csv_path)
+            if traces_path:
+                with open(traces_path, "w", encoding="utf-8") as fh:
+                    for session in engine.sessions.values():
+                        fh.write(json.dumps(session.to_trace(), sort_keys=True) + "\n")
+
         if ablation:
-            with_memory = run_stream(fresh(True), stream, sim.window)
+            engine = fresh(True)
+            with_memory = run_stream(engine, stream, sim.window)
             without = run_stream(fresh(False), stream, sim.window)
             base = without.accuracy
             gain = (with_memory.accuracy - base) / base if base else float("inf")
-            if csv_path:
-                write_curve_csv(with_memory, csv_path)
+            write_outputs(engine, with_memory)
             if as_json:
                 click.echo(json.dumps(
                     {"with_memory": as_dict(with_memory), "without_memory": as_dict(without),
@@ -388,9 +403,9 @@ def simulate(sessions, recurrence, window, seed, corpus, no_memory, ablation,
                 )
             return
 
-        res = run_stream(fresh(not no_memory), stream, sim.window)
-        if csv_path:
-            write_curve_csv(res, csv_path)
+        engine = fresh(not no_memory)
+        res = run_stream(engine, stream, sim.window)
+        write_outputs(engine, res)
         if as_json:
             click.echo(json.dumps(as_dict(res), sort_keys=True))
         else:

@@ -9,6 +9,7 @@ its history, and confirmed causal relations strengthen the graph.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -50,6 +51,7 @@ from .text import token_overlap
 
 MATCH_THRESHOLD = 0.6  # token overlap treated as "same root cause"
 TRACE_SCHEMA_VERSION = 1
+_EPISODE_ID = re.compile(r"ep-(\d+)")
 
 
 @dataclass
@@ -70,7 +72,6 @@ class DiagnosisSession:
     solution: Solution
     context: PromptContext
     latency_units: float
-    wall_latency_s: float
     created: float
     query_embedding: object = None     # reused by feedback; not serialized
 
@@ -136,6 +137,13 @@ class LearningReport:
     history_len: int
 
 
+def _last_episode_seq(pool: MemoryPool) -> int:
+    """Highest ``ep-NNNNNN`` number among the pool's episodes and its patterns'
+    members (which may name evicted episodes), so new ids never collide."""
+    ids = set(pool.episodes).union(*(p.member_ids for p in pool.patterns.values()))
+    return max((int(m[1]) for m in map(_EPISODE_ID.fullmatch, ids) if m), default=0)
+
+
 class Engine:
     """Owns the stores and runs the diagnose/feedback cycle."""
 
@@ -167,7 +175,7 @@ class Engine:
         self.sessions: dict[str, DiagnosisSession] = {}
         self._fed: set[str] = set()
         self._session_seq = 0
-        self._episode_seq = 0
+        self._episode_seq = _last_episode_seq(self.pool)
 
     # -- diagnosis ----------------------------------------------------------
 
@@ -232,7 +240,6 @@ class Engine:
         ``force_pathway`` bypasses routing (used by invariant tests); normal
         callers leave it unset.
         """
-        t0 = time.perf_counter()
         now = self.clock()
         weights = self.controller.factor_weights
 
@@ -273,9 +280,7 @@ class Engine:
             )
         else:
             def _explore() -> list[CausalChain]:
-                hint_nodes: set[str] = set()
-                if self.memory_enabled and len(self.pool):
-                    hint_nodes = self.pool.hints(q, weights, now)
+                hint_nodes = self.pool.hints(result) if self.memory_enabled else set()
                 return explore(
                     self.graph, q.embedding, self.pool.memory_paths(result),
                     self.search_config, self.embedder, extra_seeds=hint_nodes,
@@ -316,7 +321,6 @@ class Engine:
             solution=solution,
             context=ctx,
             latency_units=1.0 if decision.pathway is Pathway.INTUITIVE else opt.analytic_cost,
-            wall_latency_s=time.perf_counter() - t0,
             created=now,
             query_embedding=q.embedding,
         )

@@ -4,23 +4,24 @@ The pool stores concrete diagnostic trajectories (episodes) and abstracted
 recurring structures (patterns).  Retrieval blends embedding similarity with
 recency, splits attention between the two tiers with a novelty/complexity
 mixing weight, and attaches a multi-factor confidence to every returned
-memory.  A two-tier index (pattern tier first, episodes restricted to the
-most promising clusters plus all unclustered ones) keeps retrieval cheap on
-well-clustered pools while remaining exactly equivalent to a full linear
-scan; an exhaustive mode is kept for oracle tests.
+memory.  Retrieval is one exact linear scan: every memory is scored, and the
+confidence, which only breaks ties, is computed for the rows at or above the
+k-th best score alone.
 
 Scalar math along the scoring path deliberately avoids vectorized shortcuts:
-reference implementations and the index must order candidates identically,
+reference implementations and the scan must order candidates identically,
 so both use the same per-candidate arithmetic.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import json
 import math
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -62,7 +63,6 @@ class MemoryConfig:
     embedding_dim: int = DEFAULT_DIM
     capacity: int = 5000
     outcome_delta: float = 0.1            # memory value multiplier step on feedback
-    index_probe_patterns: int = 8         # clusters opened eagerly per retrieval
 
     def validate(self) -> None:
         if not 0.0 < self.pattern_sim_threshold < 1.0:
@@ -75,6 +75,9 @@ class MemoryConfig:
             raise InvalidArgument("time constants and sim_scale must be positive")
         if self.retrieval_k < 1 or self.hint_k < 1 or self.capacity < 1:
             raise InvalidArgument("retrieval_k, hint_k and capacity must be >= 1")
+        if self.hint_k > self.retrieval_k:
+            # hints are read off the diagnosis's own retrieval
+            raise InvalidArgument("hint_k must be <= retrieval_k")
         if not 0.0 <= self.hint_min_confidence <= 1.0:
             raise InvalidArgument("hint_min_confidence must be in [0, 1]")
 
@@ -146,7 +149,6 @@ class Pattern:
 
     id: str
     centroid: np.ndarray
-    spread: np.ndarray              # per-dimension variance of member embeddings
     strategy: Strategy
     reliability: float              # member success fraction
     member_count: int
@@ -155,9 +157,6 @@ class Pattern:
     seed_id: str                    # episode whose neighborhood formed the pattern
     symptom_tokens: frozenset[str] = frozenset()
     context_labels: frozenset[str] = frozenset()
-    # conservative per-cluster bounds used by the retrieval index
-    max_member_angle: float = 0.0
-    max_member_ts: float = 0.0
     success_members: int = 0
 
 
@@ -296,11 +295,11 @@ def compute_factors(
 
 
 class MemoryPool:
-    """Bounded store of episodes and patterns with indexed retrieval.
+    """Bounded store of episodes and patterns with exact retrieval.
 
-    Writers take an internal lock; readers work off immutable id tuples that
-    are swapped atomically, so concurrent lookups never see a half-applied
-    mutation.
+    Single writer: mutations take an internal lock, but reads iterate the
+    live dicts without it, so readers must not run concurrently with a
+    writer.  Episodes iterate in insertion order.
     """
 
     def __init__(self, config: MemoryConfig | None = None) -> None:
@@ -309,8 +308,6 @@ class MemoryPool:
         self._episodes: dict[str, Episode] = {}
         self._patterns: dict[str, Pattern] = {}
         self._tombstones: dict[str, Outcome] = {}  # evicted id -> final outcome
-        self._order: tuple[str, ...] = ()          # episode insertion order
-        self._unclustered: tuple[str, ...] | None = None
         self._pattern_seq = 0
         self._lock = threading.RLock()
 
@@ -353,8 +350,6 @@ class MemoryPool:
                     f" != {self.config.embedding_dim}"
                 )
             self._episodes[episode.id] = episode
-            self._order = self._order + (episode.id,)
-            self._unclustered = None
             while len(self._episodes) > self.config.capacity:
                 self._evict_one()
 
@@ -364,8 +359,6 @@ class MemoryPool:
         )
         self._tombstones[victim.id] = victim.outcome
         del self._episodes[victim.id]
-        self._order = tuple(i for i in self._order if i != victim.id)
-        self._unclustered = None
 
     def update_outcome(self, episode_id: str, outcome: Outcome, success: bool) -> None:
         """Record a feedback trial and scale the episode's retention value."""
@@ -435,7 +428,6 @@ class MemoryPool:
                 target = Pattern(
                     id=f"pat-{self._pattern_seq:06d}",
                     centroid=np.zeros(self.config.embedding_dim),
-                    spread=np.zeros(self.config.embedding_dim),
                     strategy=Strategy([], [], ""),
                     reliability=0.0,
                     member_count=0,
@@ -450,7 +442,6 @@ class MemoryPool:
             if changed:
                 self._refresh_pattern(target, members, sid)
                 touched[target.id] = None
-                self._unclustered = None
         return list(touched)
 
     def _best_overlap(self, members: set[str]) -> Pattern | None:
@@ -470,11 +461,9 @@ class MemoryPool:
             centroid = rows[0].copy()
             norm = 1.0
         centroid = centroid / norm
-        cosines = np.clip(rows @ centroid, -1.0, 1.0)
         eps = [self._episodes[m] for m in sorted(members)]
         donor = max(eps, key=lambda e: (e.memory_value, e.id))
         pat.centroid = centroid
-        pat.spread = rows.var(axis=0)
         pat.strategy = Strategy(
             actions=list(donor.actions),
             resolution_path=list(donor.resolution_path),
@@ -484,8 +473,6 @@ class MemoryPool:
         pat.member_count = len(members)
         pat.seed_id = seed_id
         pat.last_updated = max(e.timestamp for e in eps)
-        pat.max_member_ts = pat.last_updated
-        pat.max_member_angle = float(np.max(np.arccos(cosines)))
         pat.symptom_tokens = frozenset().union(*(e.symptom_tokens for e in eps))
         ctx_sets = [set(e.context) for e in eps]
         pat.context_labels = frozenset(set.intersection(*ctx_sets)) if ctx_sets else frozenset()
@@ -515,145 +502,78 @@ class MemoryPool:
         psi = _sigmoid(w1 * nov + w2 * comp + self.config.mix_bias)
         return psi, nov, comp
 
-    def _scored(self, ref: str, kind: str, mem: Episode | Pattern, scale: float,
-                q: Query, now: float, weights: Sequence[float]) -> ScoredMemory:
-        if isinstance(mem, Episode):
-            s = raw_score(mem.embedding, mem.timestamp, q, now, self.config)
-            toks = mem.symptom_tokens
-        else:
-            s = raw_score(mem.centroid, mem.last_updated, q, now, self.config)
-            toks = mem.symptom_tokens
+    def _scored(self, mem: Episode | Pattern, score: float, q: Query, now: float,
+                weights: Sequence[float]) -> ScoredMemory:
         factors = compute_factors(mem, q, now, self.config)
         return ScoredMemory(
-            ref=ref,
-            kind=kind,
-            score=scale * s,
+            ref=mem.id,
+            kind="episode" if isinstance(mem, Episode) else "pattern",
+            score=score,
             confidence=confidence_value(factors, weights),
             factors=factors,
-            symptom_tokens=toks,
+            symptom_tokens=mem.symptom_tokens,
         )
 
     def retrieve(
-        self,
-        q: Query,
-        weights: Sequence[float],
-        now: float,
-        k: int | None = None,
-        exhaustive: bool = False,
+        self, q: Query, weights: Sequence[float], now: float, k: int | None = None
     ) -> RetrievalResult:
-        """Top-k memories by tier-scaled score; ties by confidence, then id."""
+        """Top-k memories by tier-scaled score; ties by confidence, then id.
+
+        Scores every memory, then computes confidences only for rows scoring
+        at least the k-th best score.  That is exact: confidence only breaks
+        ties, and every tie at the cutoff is kept.
+        """
         k = self.config.retrieval_k if k is None else k
         if k < 1:
             raise InvalidArgument(f"k must be >= 1, got {k}")
         psi, nov, comp = self.mixing(q)
         ep_scale, pat_scale = (1.0 - psi), psi
-
-        candidates: list[ScoredMemory] = [
-            self._scored(pid, "pattern", pat, pat_scale, q, now, weights)
-            for pid, pat in sorted(self._patterns.items())
+        cfg = self.config
+        rows: list[tuple[float, Episode | Pattern]] = [
+            (ep_scale * raw_score(ep.embedding, ep.timestamp, q, now, cfg), ep)
+            for ep in self._episodes.values()
         ]
-        if exhaustive or not self._patterns:
-            for eid in self._order:
-                candidates.append(
-                    self._scored(eid, "episode", self._episodes[eid], ep_scale, q, now, weights)
-                )
-        else:
-            candidates.extend(self._indexed_episode_candidates(q, now, weights, ep_scale, k))
-
-        candidates.sort(key=lambda m: (-m.score, -m.confidence, m.ref))
-        top = candidates[:k]
+        rows += [
+            (pat_scale * raw_score(pat.centroid, pat.last_updated, q, now, cfg), pat)
+            for pat in self._patterns.values()
+        ]
+        cutoff = min(heapq.nlargest(k, (s for s, _ in rows)), default=0.0)
+        top = sorted(
+            (self._scored(mem, s, q, now, weights) for s, mem in rows if s >= cutoff),
+            key=lambda m: (-m.score, -m.confidence, m.ref),
+        )[:k]
         c_max = max((m.confidence for m in top), default=0.0)
         return RetrievalResult(memories=top, c_max=c_max, psi=psi, novelty=nov, complexity=comp)
 
-    def _unclustered_ids(self) -> tuple[str, ...]:
-        if self._unclustered is None:
-            clustered: set[str] = set()
-            for pat in self._patterns.values():
-                clustered |= pat.member_ids
-            self._unclustered = tuple(i for i in self._order if i not in clustered)
-        return self._unclustered
-
-    def _cluster_bound(self, pat: Pattern, q: Query, now: float, ep_scale: float) -> float:
-        """Sound upper bound on any live member's scaled score (with float slack)."""
-        cos_qc = max(-1.0, min(1.0, _cos(pat.centroid, q.embedding)))
-        theta_q = math.acos(cos_qc)
-        cos_ub = 1.0 if theta_q <= pat.max_member_angle else math.cos(theta_q - pat.max_member_angle)
-        rec_ub = math.exp(-max(0.0, now - pat.max_member_ts) / self.config.recency_tau_s)
-        lam = self.config.similarity_weight
-        return ep_scale * (lam * min(1.0, cos_ub) + (1.0 - lam) * rec_ub) + 1e-6
-
-    def _indexed_episode_candidates(
-        self, q: Query, now: float, weights: Sequence[float], ep_scale: float, k: int
-    ) -> list[ScoredMemory]:
-        pats = sorted(self._patterns.values(), key=lambda p: p.id)
-        bounds = {p.id: self._cluster_bound(p, q, now, ep_scale) for p in pats}
-        by_promise = sorted(pats, key=lambda p: (-bounds[p.id], p.id))
-
-        chosen: set[str] = set(self._unclustered_ids())
-        opened = 0
-        for pat in by_promise[: self.config.index_probe_patterns]:
-            chosen |= {m for m in pat.member_ids if m in self._episodes}
-            opened += 1
-
-        scored: dict[str, ScoredMemory] = {
-            eid: self._scored(eid, "episode", self._episodes[eid], ep_scale, q, now, weights)
-            for eid in chosen
-        }
-
-        def kth_score() -> float:
-            if len(scored) < k:
-                return -math.inf
-            vals = sorted((m.score for m in scored.values()), reverse=True)
-            return vals[k - 1]
-
-        # open further clusters only while they could still beat the current top-k
-        cutoff = kth_score()
-        for pat in by_promise[opened:]:
-            if bounds[pat.id] < cutoff - 1e-9:
-                break
-            for m in pat.member_ids:
-                if m in self._episodes and m not in scored:
-                    scored[m] = self._scored(m, "episode", self._episodes[m], ep_scale, q, now, weights)
-            cutoff = kth_score()
-        return list(scored.values())
-
-    def hints(self, q: Query, weights: Sequence[float], now: float) -> set[str]:
-        """Union of resolution-path node ids over the top hint_k retrieved
-        memories.
-
-        Hits below ``hint_min_confidence`` contribute nothing: an off-topic
-        memory (zero context overlap in particular) must not steer graph
-        exploration just because the pool holds nothing better.  Set the gate
-        to 0 to recover the ungated union.
-        """
-        result = self.retrieve(q, weights, now, k=self.config.hint_k)
-        nodes: set[str] = set()
-        for m in result.memories:
+    def _gated_paths(self, memories: Iterable[ScoredMemory]) -> Iterable[list[str]]:
+        # an off-topic memory (zero context overlap in particular) must not
+        # steer graph exploration just because the pool holds nothing better
+        for m in memories:
             if m.confidence < self.config.hint_min_confidence:
                 continue
             mem = self.get_memory(m.ref)
-            path = mem.resolution_path if isinstance(mem, Episode) else mem.strategy.resolution_path
-            nodes.update(path)
-        return nodes
+            yield mem.resolution_path if isinstance(mem, Episode) else mem.strategy.resolution_path
+
+    def hints(self, result: RetrievalResult) -> set[str]:
+        """Union of resolution-path node ids over the top ``hint_k`` memories
+        of ``result``.
+
+        Hits below ``hint_min_confidence`` contribute nothing; set the gate
+        to 0 to recover the ungated union.
+        """
+        return {n for path in self._gated_paths(result.memories[: self.config.hint_k]) for n in path}
 
     def memory_paths(self, result: RetrievalResult) -> list[list[str]]:
         """Resolution paths of confidently retrieved memories, in retrieval
         order; gated like :meth:`hints` so weak hits cannot bias search."""
-        paths = []
-        for m in result.memories:
-            if m.confidence < self.config.hint_min_confidence:
-                continue
-            mem = self.get_memory(m.ref)
-            path = mem.resolution_path if isinstance(mem, Episode) else mem.strategy.resolution_path
-            paths.append(list(path))
-        return paths
+        return [list(path) for path in self._gated_paths(result.memories)]
 
     # -- persistence --------------------------------------------------------
 
     def save_episodes(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for eid in self._order:
-                fh.write(json.dumps(_episode_to_dict(self._episodes[eid]), sort_keys=True) + "\n")
+            for ep in self._episodes.values():
+                fh.write(json.dumps(_episode_to_dict(ep), sort_keys=True) + "\n")
 
     def load_episodes(self, path: str) -> int:
         """Load an episode JSONL file; raises on the first invalid line."""
@@ -672,7 +592,7 @@ class MemoryPool:
     def save_pattern_snapshot(self, path: str) -> None:
         payload = {
             "patterns": [_pattern_to_dict(p) for _, p in sorted(self._patterns.items())],
-            "config": _config_to_dict(self.config),
+            "config": dataclasses.asdict(self.config),
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
@@ -688,7 +608,6 @@ class MemoryPool:
                 self._pattern_seq = max(self._pattern_seq, seq)
         except (ValueError, KeyError, TypeError) as exc:
             raise SchemaViolation(f"bad pattern snapshot: {exc}") from exc
-        self._unclustered = None
         return len(payload["patterns"])
 
 
@@ -732,7 +651,6 @@ def _pattern_to_dict(p: Pattern) -> dict:
     return {
         "id": p.id,
         "centroid": [float(x) for x in p.centroid],
-        "spread": [float(x) for x in p.spread],
         "strategy": {
             "actions": list(p.strategy.actions),
             "resolution_path": list(p.strategy.resolution_path),
@@ -745,8 +663,6 @@ def _pattern_to_dict(p: Pattern) -> dict:
         "seed_id": p.seed_id,
         "symptom_tokens": sorted(p.symptom_tokens),
         "context_labels": sorted(p.context_labels),
-        "max_member_angle": p.max_member_angle,
-        "max_member_ts": p.max_member_ts,
         "success_members": p.success_members,
     }
 
@@ -755,7 +671,6 @@ def _pattern_from_dict(raw: dict) -> Pattern:
     return Pattern(
         id=str(raw["id"]),
         centroid=np.asarray(raw["centroid"], dtype=np.float64),
-        spread=np.asarray(raw["spread"], dtype=np.float64),
         strategy=Strategy(
             actions=[str(a) for a in raw["strategy"]["actions"]],
             resolution_path=[str(p) for p in raw["strategy"]["resolution_path"]],
@@ -768,26 +683,6 @@ def _pattern_from_dict(raw: dict) -> Pattern:
         seed_id=str(raw["seed_id"]),
         symptom_tokens=frozenset(raw.get("symptom_tokens", ())),
         context_labels=frozenset(raw.get("context_labels", ())),
-        max_member_angle=float(raw.get("max_member_angle", math.pi)),
-        max_member_ts=float(raw.get("max_member_ts", raw["last_updated"])),
         success_members=int(raw.get("success_members", 0)),
     )
 
-
-def _config_to_dict(cfg: MemoryConfig) -> dict:
-    return {
-        "pattern_sim_threshold": cfg.pattern_sim_threshold,
-        "pattern_min_members": cfg.pattern_min_members,
-        "retrieval_k": cfg.retrieval_k,
-        "similarity_weight": cfg.similarity_weight,
-        "recency_tau_s": cfg.recency_tau_s,
-        "sim_scale": cfg.sim_scale,
-        "temporal_tau_s": cfg.temporal_tau_s,
-        "hint_k": cfg.hint_k,
-        "mix_weights": list(cfg.mix_weights),
-        "mix_bias": cfg.mix_bias,
-        "embedding_dim": cfg.embedding_dim,
-        "capacity": cfg.capacity,
-        "outcome_delta": cfg.outcome_delta,
-        "index_probe_patterns": cfg.index_probe_patterns,
-    }

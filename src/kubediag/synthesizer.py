@@ -20,7 +20,6 @@ from .errors import InvalidContext, NoEvidence, SynthesisError
 class SynthConfig:
     token_budget: int = 4096   # whitespace tokens of the rendered context
     max_retries: int = 2
-    timeout_s: float = 30.0    # honored by remote clients; the stub ignores it
 
 
 @dataclass(eq=False)

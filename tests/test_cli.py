@@ -109,6 +109,18 @@ def test_diagnose_feedback_learn_persists_episode(runner, stores):
     assert pool.episode("e1").memory_value == pytest.approx(1.1)
 
 
+def test_learn_loop_adds_one_episode_per_run(runner, stores):
+    # each process continues the episode numbering of the stores it loads
+    for run in range(1, 4):
+        result = runner.invoke(
+            main, seeded_diagnose_args(stores, "--feedback", "success", "--learn")
+        )
+        assert result.exit_code == 0, result.output
+        assert f"recorded    success as ep-{run:06d}" in result.output
+        pool = MemoryPool(MemoryConfig())
+        assert pool.load_episodes(stores["memory"]) == run + 1
+
+
 def test_learn_requires_feedback(runner, stores):
     result = runner.invoke(main, seeded_diagnose_args(stores, "--learn"))
     assert result.exit_code == 1
@@ -264,6 +276,20 @@ def test_simulate_csv_reruns_identically(runner, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
     header = paths[0].read_text().splitlines()[0]
     assert header.startswith("window_index,sessions,accuracy")
+
+
+def test_simulate_traces_one_line_per_session(runner, tmp_path):
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for p in paths:
+        result = runner.invoke(main, [*SIM_ARGS, "--traces", str(p), "--json"])
+        assert result.exit_code == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    report = json.loads(result.output)
+    traces = [json.loads(line) for line in paths[0].read_text().splitlines()]
+    # a no-evidence query leaves no session behind
+    assert len(traces) == report["sessions"] - report["no_evidence"]
+    assert [t["session_id"] for t in traces] == [f"s{i:06d}" for i in range(1, len(traces) + 1)]
+    assert all(t["schema_version"] == 1 for t in traces)
 
 
 def test_simulate_no_memory_never_goes_intuitive(runner):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -36,6 +37,13 @@ def test_recency_at_time_constant():
 @pytest.mark.parametrize("dt,tau", [(1.0, 5.0), (60.0, 60.0), (7 * DAY, 30 * DAY), (900.0, 0.5), (1e6, 1e3)])
 def test_recency_matches_formula(dt, tau):
     assert recency(dt, tau) == pytest.approx(math.exp(-dt / tau), abs=1e-12)
+
+
+def test_config_rejects_hint_k_above_retrieval_k():
+    # hints are read off the diagnosis's own top-k, so they cannot reach further
+    with pytest.raises(InvalidArgument):
+        MemoryConfig(retrieval_k=4, hint_k=5).validate()
+    MemoryConfig(retrieval_k=4, hint_k=4).validate()
 
 
 def test_recency_negative_dt_rejected():
@@ -304,15 +312,33 @@ def test_retrieve_mixed_tiers_match_oracle(rng):
         assert [(m.ref, m.kind) for m in result.memories] == [(r[0], r[1]) for r in want]
 
 
-def test_retrieve_exhaustive_flag_equals_indexed(rng):
+def test_retrieve_clustered_pool_matches_oracle(rng):
     pool = small_pool(16)
     for i in range(80):
         pool.insert_episode(mk_episode(f"e{i:03d}", rand_unit(rng, 16)))
     pool.form_patterns(now=NOW)
     q = mk_query(rand_unit(rng, 16))
     a = pool.retrieve(q, W1, NOW)
-    b = pool.retrieve(q, W1, NOW, exhaustive=True)
-    assert [m.ref for m in a.memories] == [m.ref for m in b.memories]
+    want = scan_oracle(pool, q, W1, NOW, pool.config.retrieval_k)
+    assert [m.ref for m in a.memories] == [r[0] for r in want]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12])
+def test_retrieve_ties_at_cutoff_rank_as_oracle(k):
+    # identical embedding and timestamp: every score ties, so the ranking is
+    # decided by confidence (trials/successes) and then by id
+    pool = small_pool(8, retrieval_k=12)
+    v = unit(8)
+    for i, (trials, successes) in enumerate(
+        [(0, 0), (3, 3), (3, 0), (1, 1), (5, 2), (3, 3), (0, 0), (2, 1), (4, 4), (1, 0)]
+    ):
+        pool.insert_episode(mk_episode(f"e{9 - i:02d}", v, trials=trials, successes=successes))
+    q = mk_query(unit(8))
+    got = pool.retrieve(q, W1, NOW, k=k)
+    want = scan_oracle(pool, q, W1, NOW, k)
+    assert [(m.ref, m.score, m.confidence) for m in got.memories] == [
+        (r[0], r[2], r[3]) for r in want
+    ]
 
 
 def test_retrieve_c_max_is_max_confidence(rng):
@@ -337,7 +363,7 @@ def test_retrieve_deterministic(rng):
 
 def test_psi_extremes_flip_tier_preference(rng):
     def build(bias):
-        pool = small_pool(16, mix_bias=bias, retrieval_k=4)
+        pool = small_pool(16, mix_bias=bias, retrieval_k=4, hint_k=4)
         base = rand_unit(rng, 16)
         for i in range(3):
             pool.insert_episode(mk_episode(f"c{i}", jitter_unit(rng, base, 0.04)))
@@ -522,13 +548,14 @@ def test_update_outcome_refreshes_pattern_reliability():
 
 
 def test_hints_empty_pool():
-    assert small_pool(8).hints(mk_query(unit(8)), W1, NOW) == set()
+    pool = small_pool(8)
+    assert pool.hints(pool.retrieve(mk_query(unit(8)), W1, NOW)) == set()
 
 
 def test_hints_single_episode_path():
     pool = small_pool(8)
     pool.insert_episode(mk_episode("e1", unit(8), path=["n1", "n2"]))
-    assert pool.hints(mk_query(unit(8)), W1, NOW) == {"n1", "n2"}
+    assert pool.hints(pool.retrieve(mk_query(unit(8)), W1, NOW)) == {"n1", "n2"}
 
 
 def test_hints_union_of_top_k_by_score(rng):
@@ -546,7 +573,7 @@ def test_hints_union_of_top_k_by_score(rng):
     want = set()
     for ref, _, _, _ in top5:
         want.update(pool.episode(ref).resolution_path)
-    assert pool.hints(q, W1, NOW) == want
+    assert pool.hints(pool.retrieve(q, W1, NOW)) == want
 
 
 def test_hints_gate_drops_irrelevant_memories():
@@ -556,10 +583,10 @@ def test_hints_gate_drops_irrelevant_memories():
         mk_episode("e1", unit(8, 1), ts=NOW - 300 * DAY, path=["n1"], context={"ns:other"})
     )
     q = mk_query(unit(8, 0), context={"ns:mine"})
-    assert pool.hints(q, W1, NOW) == set()
+    assert pool.hints(pool.retrieve(q, W1, NOW)) == set()
     # the ungated view still surfaces it
     pool.config.hint_min_confidence = 0.0
-    assert pool.hints(q, W1, NOW) == {"n1"}
+    assert pool.hints(pool.retrieve(q, W1, NOW)) == {"n1"}
 
 
 def test_memory_paths_follow_retrieval(rng):
@@ -638,14 +665,42 @@ def test_pattern_snapshot_roundtrip(tmp_path, rng):
         assert other.reliability == pytest.approx(pat.reliability)
         np.testing.assert_allclose(other.centroid, pat.centroid, atol=1e-12)
     data = json.loads(path.read_text())
-    assert "config" in data  # snapshot records the producing configuration
+    # the snapshot records every field of the producing configuration
+    assert set(data["config"]) == {f.name for f in dataclasses.fields(MemoryConfig)}
+
+
+def test_pattern_snapshot_ignores_retired_keys(tmp_path, rng):
+    # snapshots written before the exact scan carry per-pattern ``spread`` and
+    # the old index bounds; they still load, and the extra keys are dropped
+    pool = small_pool(16)
+    base = rand_unit(rng, 16)
+    for i in range(4):
+        pool.insert_episode(mk_episode(f"e{i}", jitter_unit(rng, base, 0.05)))
+    pool.form_patterns(now=NOW)
+    path = tmp_path / "patterns.json"
+    pool.save_pattern_snapshot(str(path))
+    data = json.loads(path.read_text())
+    for raw in data["patterns"]:
+        raw["spread"] = [0.0] * 16
+        raw["max_member_angle"] = 0.25
+        raw["max_member_ts"] = raw["last_updated"]
+    data["config"]["index_probe_patterns"] = 8
+    path.write_text(json.dumps(data))
+    fresh = small_pool(16)
+    for i in range(4):
+        fresh.insert_episode(mk_episode(f"e{i}", pool.episode(f"e{i}").embedding))
+    assert fresh.load_pattern_snapshot(str(path)) == len(pool.patterns)
+    q = mk_query(base)
+    assert [(m.ref, m.score) for m in fresh.retrieve(q, W1, NOW).memories] == [
+        (m.ref, m.score) for m in pool.retrieve(q, W1, NOW).memories
+    ]
 
 
 # ---------------------------------------------------------------------------
 # index consistency under interleaving
 
 
-def test_index_matches_full_scan_after_interleaving(rng):
+def test_retrieval_matches_oracle_after_interleaving(rng):
     pool = small_pool(16)
     n = 0
     for round_ in range(6):
@@ -658,11 +713,9 @@ def test_index_matches_full_scan_after_interleaving(rng):
         if victim in pool.episodes:
             pool.update_outcome(victim, Outcome.FAILURE, success=False)
         q = mk_query(rand_unit(rng, 16))
-        indexed = pool.retrieve(q, W1, NOW)
-        full = pool.retrieve(q, W1, NOW, exhaustive=True)
-        assert [(m.ref, m.kind) for m in indexed.memories] == [
-            (m.ref, m.kind) for m in full.memories
-        ]
+        got = pool.retrieve(q, W1, NOW)
+        want = scan_oracle(pool, q, W1, NOW, pool.config.retrieval_k)
+        assert [(m.ref, m.kind) for m in got.memories] == [(r[0], r[1]) for r in want]
 
 
 def test_make_query_embeds_symptoms():
