@@ -250,9 +250,9 @@ class MetaController:
 
     @classmethod
     def load(cls, path: str) -> "MetaController":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
         try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
             opt = OptParams(**payload["opt_params"])
             state = ControllerState(
                 tau=float(payload["tau"]),

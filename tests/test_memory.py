@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import DAY, NOW, jitter_unit, mk_episode, mk_query, rand_unit, small_pool, unit
+from kubediag import memory as memory_mod
 from kubediag.embedding import HashingEmbedder
-from kubediag.errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound
+from kubediag.errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound, SchemaViolation
 from kubediag.memory import (
     MemoryConfig,
     MemoryPool,
     Outcome,
+    _cos,
     complexity,
     compute_factors,
     confidence_value,
@@ -466,6 +468,129 @@ def test_pattern_members_similar_to_seed(rng):
 
 
 # ---------------------------------------------------------------------------
+# neighbour sets
+
+
+def neighborhood_oracle(pool, seed):
+    """Per-seed rescan of the pool: the scalar set comprehension the kept
+    neighbour sets replace."""
+    th = pool.config.pattern_sim_threshold
+    return {
+        other.id
+        for other in pool.episodes.values()
+        if _cos(seed.embedding, other.embedding) > th
+    }
+
+
+def interleave(pool, seed, check=lambda: None):
+    """Seeded clustered inserts mixed with incremental and full formation,
+    outcome updates and evictions (capacity 20 < 70 inserts; the first
+    formation comes after the first evictions).  Returns what each formation
+    call reported, and calls ``check`` after every step."""
+    rng = np.random.default_rng(seed)
+    bases = [rand_unit(rng, 16) for _ in range(4)]
+    reported = []
+    for i in range(70):
+        emb = jitter_unit(rng, bases[int(rng.integers(4))], float(rng.choice([0.02, 0.08, 0.15])))
+        eid = f"e{i:03d}"
+        pool.insert_episode(mk_episode(eid, emb, ts=NOW + i, value=float(rng.uniform(0.5, 1.5))))
+        check()
+        if rng.random() < 0.3:
+            target = sorted(pool.episodes)[int(rng.integers(len(pool.episodes)))]
+            pool.update_outcome(target, Outcome.FAILURE, success=False)
+        if i < 25:
+            continue
+        r = rng.random()
+        if r < 0.6 and eid in pool.episodes:
+            reported.append(pool.form_patterns_incremental(eid, now=NOW + i))
+        elif r < 0.75:
+            reported.append(pool.form_patterns(now=NOW + i))
+        check()
+    return reported
+
+
+def pattern_state(pool):
+    return {
+        pid: (sorted(p.member_ids), p.seed_id, p.centroid.tolist(),
+              p.strategy.source_episode_id, p.reliability)
+        for pid, p in pool.patterns.items()
+    }
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_neighbour_sets_match_rescan_under_interleaving(seed, monkeypatch):
+    pool = small_pool(16, capacity=20)
+    first_formation_done = []
+
+    def check():
+        if pool._neighbours is None:
+            # inserts and evictions alone never build the sets
+            assert not first_formation_done
+            return
+        first_formation_done.append(True)
+        assert set(pool._neighbours) == set(pool.episodes)
+        for ep in pool.episodes.values():
+            assert pool._neighborhood(ep) == neighborhood_oracle(pool, ep)
+
+    got = interleave(pool, seed, check)
+    assert first_formation_done and len(pool.episodes) == 20
+
+    rescan = small_pool(16, capacity=20)
+    monkeypatch.setattr(rescan, "_neighborhood", lambda ep: neighborhood_oracle(rescan, ep))
+    want = interleave(rescan, seed)
+    assert rescan._neighbours is None
+    assert got == want
+    assert pool.patterns and pattern_state(pool) == pattern_state(rescan)
+
+
+def test_feedback_computes_one_cosine_per_stored_episode(monkeypatch):
+    # Once the neighbour sets exist, a feedback (insert plus incremental
+    # formation) scans the pool once; a rescan per neighbour fails this on a
+    # recurring stream, where neighbourhoods grow with the pool.
+    from kubediag.scenarios import build_world
+    from kubediag.simulate import SimulationConfig, build_stream, make_engine, run_stream
+
+    cfg = SimulationConfig(total_sessions=120, recurrence=0.5, seed=3, corpus_size=40)
+    scenarios, graph = build_world(cfg.seed, cfg.corpus_size)
+    engine = make_engine(graph)
+    pool = engine.pool
+    counter = {"on": False, "n": 0}
+
+    def counting_cos(a, b):
+        counter["n"] += counter["on"]
+        return _cos(a, b)
+
+    def counted(method):
+        def run(*args, **kwargs):
+            counter["on"] = True
+            try:
+                return method(*args, **kwargs)
+            finally:
+                counter["on"] = False
+        return run
+
+    feedbacks = []
+
+    def feedback(fb, _inner=engine.feedback):
+        built, counter["n"] = pool._neighbours is not None, 0
+        report = _inner(fb)
+        if built:
+            feedbacks.append((counter["n"], len(pool.episodes), report.episode_id))
+        return report
+
+    monkeypatch.setattr(memory_mod, "_cos", counting_cos)
+    monkeypatch.setattr(pool, "insert_episode", counted(pool.insert_episode))
+    monkeypatch.setattr(pool, "form_patterns_incremental", counted(pool.form_patterns_incremental))
+    monkeypatch.setattr(engine, "feedback", feedback)
+    run_stream(engine, build_stream(scenarios, cfg), cfg.window)
+
+    assert len(feedbacks) > 100
+    assert all(n <= stored for n, stored, _ in feedbacks), feedbacks
+    # the guard has teeth: recurring faults give neighbourhoods of many episodes
+    assert max(len(pool._neighborhood(pool.episode(eid))) for _, _, eid in feedbacks) >= 5
+
+
+# ---------------------------------------------------------------------------
 # insertion / eviction / outcome updates
 
 
@@ -694,6 +819,47 @@ def test_pattern_snapshot_ignores_retired_keys(tmp_path, rng):
     assert [(m.ref, m.score) for m in fresh.retrieve(q, W1, NOW).memories] == [
         (m.ref, m.score) for m in pool.retrieve(q, W1, NOW).memories
     ]
+
+
+def _snapshot_with(tmp_path, rng, edit):
+    pool = small_pool(16)
+    base = rand_unit(rng, 16)
+    for i in range(4):
+        pool.insert_episode(mk_episode(f"e{i}", jitter_unit(rng, base, 0.05)))
+    pool.form_patterns(now=NOW)
+    path = tmp_path / "patterns.json"
+    pool.save_pattern_snapshot(str(path))
+    data = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(data)))
+    fresh = small_pool(16)
+    for i in range(4):
+        fresh.insert_episode(mk_episode(f"e{i}", pool.episode(f"e{i}").embedding))
+    return fresh, path
+
+
+def _set_centroid(data, centroid):
+    data["patterns"][0]["centroid"] = centroid
+    return data
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["patterns"],                              # not an object
+        lambda d: {"patterns": 7},
+        lambda d: _set_centroid(d, [0.6, 0.8]),               # unit, but 2-dim
+        lambda d: _set_centroid(d, [0.5] + [0.0] * 15),       # 16-dim, norm 0.5
+        lambda d: _set_centroid(d, [float("nan")] * 16),
+        lambda d: {"patterns": [dict(d["patterns"][0], id="pat-x")]},
+    ],
+    ids=["list-root", "patterns-not-list", "short-centroid", "non-unit-centroid", "nan-centroid",
+         "bad-id-number"],
+)
+def test_pattern_snapshot_rejects_bad_payload(tmp_path, rng, edit):
+    fresh, path = _snapshot_with(tmp_path, rng, edit)
+    with pytest.raises(SchemaViolation):
+        fresh.load_pattern_snapshot(str(path))
+    assert fresh.patterns == {}
 
 
 # ---------------------------------------------------------------------------
