@@ -1,8 +1,8 @@
 """Command line entry points: one-shot diagnosis, document ingest, simulation.
 
-Exit codes: 0 on success, 1 on any diagnostic/configuration error, 2 when a
-query yields no usable evidence.  All options can also be supplied through
-``KUBEDIAG_*`` environment variables.
+Exit codes: 0 on success, 1 on any diagnostic, configuration or file error,
+2 when a query yields no usable evidence.  All options can also be supplied
+through ``KUBEDIAG_*`` environment variables.
 """
 
 from __future__ import annotations
@@ -79,14 +79,20 @@ def _load_config(path: str | None) -> dict:
     return {"memory": memory, "search": search, "synth": synth, "tau": tau}
 
 
+def _echo(message: str, err: bool = False) -> None:
+    # The stream is passed explicitly: click's default-stream cache keeps
+    # every ``sys.stdout`` it has seen alive, one per in-process call.
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _guard(fn):
     try:
         fn()
     except NoEvidence as exc:
-        click.echo(f"no evidence: {exc}", err=True)
+        _echo(f"no evidence: {exc}", err=True)
         sys.exit(2)
-    except KubeDiagError as exc:
-        click.echo(f"error: {exc}", err=True)
+    except (KubeDiagError, OSError) as exc:
+        _echo(f"error: {exc}", err=True)
         sys.exit(1)
 
 
@@ -165,24 +171,24 @@ def diagnose(symptoms, contexts, logs_path, memory_path, graph_path, controller_
                 encoding="utf-8",
             )
         if as_json:
-            click.echo(json.dumps(session.to_trace(), sort_keys=True))
+            _echo(json.dumps(session.to_trace(), sort_keys=True))
         else:
             sol = session.solution
-            click.echo(f"pathway     {session.decision.pathway.value}")
-            click.echo(
+            _echo(f"pathway     {session.decision.pathway.value}")
+            _echo(
                 f"confidence  {sol.confidence:.4f}  "
                 f"(c_max {session.decision.c_max:.4f}, tau {session.decision.tau_snapshot:.4f})"
             )
-            click.echo(f"root cause  {sol.root_cause}")
-            click.echo("steps:")
+            _echo(f"root cause  {sol.root_cause}")
+            _echo("steps:")
             for i, step in enumerate(sol.steps, 1):
-                click.echo(f"  {i}. {step}")
+                _echo(f"  {i}. {step}")
             if sol.reasoning:
-                click.echo("reasoning:")
+                _echo("reasoning:")
                 for line in sol.reasoning:
-                    click.echo(f"  - {line}")
+                    _echo(f"  - {line}")
             if sol.sources:
-                click.echo(f"sources     {', '.join(sol.sources)}")
+                _echo(f"sources     {', '.join(sol.sources)}")
 
         if feedback_outcome:
             report = engine.feedback(
@@ -196,7 +202,7 @@ def diagnose(symptoms, contexts, logs_path, memory_path, graph_path, controller_
                 if graph_path:
                     engine.graph.save(graph_path)
             if not as_json:
-                click.echo(
+                _echo(
                     f"recorded    {feedback_outcome} as {report.episode_id or 'no episode'}"
                     f" (tau {report.tau_before:.4f} -> {report.tau_after:.4f})"
                 )
@@ -246,7 +252,7 @@ def ingest(inputs, graph_path, docs_out, as_json) -> None:
                     triples_added += 1
             except (KubeDiagError, KeyError, TypeError, ValueError) as exc:
                 failures += 1
-                click.echo(f"skipped {doc_id!r}: {exc}", err=True)
+                _echo(f"skipped {doc_id!r}: {exc}", err=True)
                 return
             counts[doc.category.value] += 1
             docs.append(doc)
@@ -272,7 +278,7 @@ def ingest(inputs, graph_path, docs_out, as_json) -> None:
                         text = str(raw["text"])
                     except (json.JSONDecodeError, KeyError, TypeError) as exc:
                         failures += 1
-                        click.echo(f"skipped {p.name}:{line_no}: {exc}", err=True)
+                        _echo(f"skipped {p.name}:{line_no}: {exc}", err=True)
                         continue
                     one(doc_id, text, f"{p.name}:{line_no}", list(raw.get("triples", [])))
             else:
@@ -297,17 +303,17 @@ def ingest(inputs, graph_path, docs_out, as_json) -> None:
             graph.save(graph_path)
 
         if as_json:
-            click.echo(json.dumps(
+            _echo(json.dumps(
                 {"documents": len(docs), "failures": failures, "triples": triples_added,
                  "by_category": counts},
                 sort_keys=True,
             ))
         else:
-            click.echo(f"documents   {len(docs)} ingested, {failures} skipped")
-            click.echo(f"triples     {triples_added}")
+            _echo(f"documents   {len(docs)} ingested, {failures} skipped")
+            _echo(f"triples     {triples_added}")
             for name in sorted(counts):
                 if counts[name]:
-                    click.echo(f"  {name:<22} {counts[name]}")
+                    _echo(f"  {name:<22} {counts[name]}")
         if not docs and not explicit_dir:
             raise ConfigError("no documents ingested")
 
@@ -354,11 +360,11 @@ def simulate(sessions, recurrence, window, seed, corpus, no_memory, ablation,
             )
 
         def summary(tag: str, res) -> None:
-            click.echo(f"{tag}sessions      {res.sessions}")
-            click.echo(f"{tag}accuracy      {res.accuracy:.4f}")
-            click.echo(f"{tag}intuitive     {res.intuitive_rate:.4f}")
-            click.echo(f"{tag}mean latency  {res.mean_latency_units:.4f}")
-            click.echo(f"{tag}no evidence   {res.no_evidence}")
+            _echo(f"{tag}sessions      {res.sessions}")
+            _echo(f"{tag}accuracy      {res.accuracy:.4f}")
+            _echo(f"{tag}intuitive     {res.intuitive_rate:.4f}")
+            _echo(f"{tag}mean latency  {res.mean_latency_units:.4f}")
+            _echo(f"{tag}no evidence   {res.no_evidence}")
 
         def as_dict(res) -> dict:
             return {
@@ -386,18 +392,18 @@ def simulate(sessions, recurrence, window, seed, corpus, no_memory, ablation,
             gain = (with_memory.accuracy - base) / base if base else float("inf")
             write_outputs(engine, with_memory)
             if as_json:
-                click.echo(json.dumps(
+                _echo(json.dumps(
                     {"with_memory": as_dict(with_memory), "without_memory": as_dict(without),
                      "relative_accuracy_gain": round(gain, 6)},
                     sort_keys=True,
                 ))
             else:
-                click.echo("with memory:")
+                _echo("with memory:")
                 summary("  ", with_memory)
-                click.echo("without memory:")
+                _echo("without memory:")
                 summary("  ", without)
-                click.echo(f"relative accuracy gain  {gain:.4f}")
-                click.echo(
+                _echo(f"relative accuracy gain  {gain:.4f}")
+                _echo(
                     "latency delta           "
                     f"{with_memory.mean_latency_units - without.mean_latency_units:+.4f}"
                 )
@@ -407,12 +413,12 @@ def simulate(sessions, recurrence, window, seed, corpus, no_memory, ablation,
         res = run_stream(engine, stream, sim.window)
         write_outputs(engine, res)
         if as_json:
-            click.echo(json.dumps(as_dict(res), sort_keys=True))
+            _echo(json.dumps(as_dict(res), sort_keys=True))
         else:
             summary("", res)
-            click.echo("per category:")
+            _echo("per category:")
             for name, (correct, seen) in sorted(res.per_category.items()):
-                click.echo(f"  {name:<22} {correct}/{seen}")
+                _echo(f"  {name:<22} {correct}/{seen}")
 
     _guard(run)
 

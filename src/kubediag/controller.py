@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import EmptyHistory, InvalidArgument, SchemaViolation
+from .files import write_atomic
 from .memory import FACTOR_NAMES, Query, RetrievalResult, _FACTOR_FLOOR
 from .text import tokenize
 
@@ -245,8 +246,7 @@ class MetaController:
                 for r in st.history
             ],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+        write_atomic(path, lambda fh: json.dump(payload, fh, sort_keys=True, indent=2))
 
     @classmethod
     def load(cls, path: str) -> "MetaController":

@@ -27,6 +27,7 @@ from .errors import (
     NotFound,
     SchemaViolation,
 )
+from .files import write_atomic
 
 
 class NodeType(str, Enum):
@@ -357,8 +358,7 @@ class KnowledgeGraph:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
+        write_atomic(path, lambda fh: json.dump(self.to_dict(), fh, sort_keys=True, indent=2))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "KnowledgeGraph":

@@ -18,6 +18,13 @@ rescan per neighbour.
 Scalar math along the scoring path deliberately avoids vectorized shortcuts:
 reference implementations and the scan must order candidates identically,
 so both use the same per-candidate arithmetic.
+
+Episodes persist as JSONL, one object per line; patterns as one JSON
+snapshot.  Each embedding and centroid is stored sparse, as
+``{"dim": D, "index": [...], "value": [...]}`` listing every entry that is
+not ``+0.0`` (a hashing embedding has about 14 of 2048), and is rebuilt bit
+for bit on load.  The dense lists of older stores still load; the next save
+rewrites them sparse.  Every save replaces its file atomically.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import numpy as np
 
 from .embedding import DEFAULT_DIM, Embedder
 from .errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound, SchemaViolation
+from .files import write_atomic
 from .text import tokenize
 
 SECONDS_PER_DAY = 86_400.0
@@ -129,7 +137,7 @@ class Episode:
         if not self.id:
             raise InvalidArgument("episode id must be non-empty")
         norm = float(np.linalg.norm(self.embedding))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
             raise InvalidArgument(f"episode {self.id}: embedding norm {norm:.8f} != 1")
         if self.memory_value < 0:
             raise InvalidArgument(f"episode {self.id}: memory_value must be >= 0")
@@ -605,19 +613,21 @@ class MemoryPool:
     # -- persistence --------------------------------------------------------
 
     def save_episodes(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for ep in self._episodes.values():
-                fh.write(json.dumps(_episode_to_dict(ep), sort_keys=True) + "\n")
+        write_atomic(path, lambda fh: fh.writelines(
+            json.dumps(_episode_to_dict(ep), sort_keys=True) + "\n"
+            for ep in self._episodes.values()
+        ))
 
     def load_episodes(self, path: str) -> int:
         """Load an episode JSONL file; raises on the first invalid line."""
         n = 0
+        dim = self.config.embedding_dim
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    self.insert_episode(episode_from_dict(json.loads(line)))
+                    self.insert_episode(episode_from_dict(json.loads(line), dim))
                 except (ValueError, KeyError, TypeError, InvalidArgument) as exc:
                     raise SchemaViolation(f"line {line_no}: {exc}") from exc
                 n += 1
@@ -628,8 +638,7 @@ class MemoryPool:
             "patterns": [_pattern_to_dict(p) for _, p in sorted(self._patterns.items())],
             "config": dataclasses.asdict(self.config),
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+        write_atomic(path, lambda fh: json.dump(payload, fh, sort_keys=True, indent=2))
 
     def load_pattern_snapshot(self, path: str) -> int:
         """Load a pattern snapshot; a malformed file raises ``SchemaViolation``
@@ -640,11 +649,9 @@ class MemoryPool:
                 payload = json.load(fh)
             if not isinstance(payload, dict) or not isinstance(payload["patterns"], list):
                 raise TypeError("payload must be an object with a 'patterns' list")
-            loaded = [_pattern_from_dict(raw) for raw in payload["patterns"]]
+            loaded = [_pattern_from_dict(raw, dim) for raw in payload["patterns"]]
             seq = self._pattern_seq
             for pat in loaded:
-                if pat.centroid.shape != (dim,):
-                    raise ValueError(f"{pat.id}: centroid dim {pat.centroid.size} != {dim}")
                 norm = float(np.linalg.norm(pat.centroid))
                 if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
                     raise ValueError(f"{pat.id}: centroid norm {norm:.8f} != 1")
@@ -661,6 +668,48 @@ class MemoryPool:
 # serialization helpers
 
 
+def _vector_to_json(v: np.ndarray) -> dict:
+    """Sparse form of a dense vector: every entry that is not ``+0.0``.
+
+    ``-0.0`` is kept, so :func:`_vector_from_json` rebuilds the array bit for
+    bit.
+    """
+    index = np.flatnonzero(np.signbit(v) | (v != 0))
+    return {"dim": int(v.size), "index": index.tolist(), "value": v[index].tolist()}
+
+
+def _vector_from_json(raw: object, dim: int) -> np.ndarray:
+    """Dense float64 array of length ``dim`` from :func:`_vector_to_json`'s
+    form, or from the dense list that older stores hold.
+
+    The sparse form is checked in full before the array is allocated, so a
+    bogus ``dim`` or index costs nothing.
+    """
+    if isinstance(raw, list):
+        out = np.asarray(raw, dtype=np.float64)
+        if out.shape != (dim,):
+            raise ValueError(f"vector shape {out.shape} != ({dim},)")
+        return out
+    if not isinstance(raw, dict):
+        raise TypeError(f"vector must be an object or a list, got {type(raw).__name__}")
+    size, index, value = raw["dim"], raw["index"], raw["value"]
+    if type(size) is not int or size != dim:
+        raise ValueError(f"vector dim {size!r} != {dim}")
+    if not isinstance(index, list) or not isinstance(value, list) or len(index) != len(value):
+        raise ValueError("vector index and value must be lists of equal length")
+    prev = -1
+    for i, x in zip(index, value):
+        # bool is an int subclass, and numpy would cast 1.5 or True to an index
+        if type(i) is not int or not prev < i < dim:
+            raise ValueError(f"vector index {i!r} not an increasing int in [0, {dim})")
+        if type(x) is not float:
+            raise ValueError(f"vector value {x!r} is not a float")
+        prev = i
+    out = np.zeros(dim, dtype=np.float64)
+    out[np.asarray(index, dtype=np.intp)] = value
+    return out
+
+
 def _episode_to_dict(ep: Episode) -> dict:
     return {
         "id": ep.id,
@@ -670,14 +719,14 @@ def _episode_to_dict(ep: Episode) -> dict:
         "outcome": ep.outcome.value,
         "timestamp": ep.timestamp,
         "memory_value": ep.memory_value,
-        "embedding": [float(x) for x in ep.embedding],
+        "embedding": _vector_to_json(ep.embedding),
         "resolution_path": list(ep.resolution_path),
         "trials": ep.trials,
         "successes": ep.successes,
     }
 
 
-def episode_from_dict(raw: dict) -> Episode:
+def episode_from_dict(raw: dict, dim: int) -> Episode:
     return Episode(
         id=str(raw["id"]),
         symptoms=[str(s) for s in raw["symptoms"]],
@@ -686,7 +735,7 @@ def episode_from_dict(raw: dict) -> Episode:
         outcome=Outcome(raw["outcome"]),
         timestamp=float(raw["timestamp"]),
         memory_value=float(raw["memory_value"]),
-        embedding=np.asarray(raw["embedding"], dtype=np.float64),
+        embedding=_vector_from_json(raw["embedding"], dim),
         resolution_path=[str(p) for p in raw["resolution_path"]],
         trials=int(raw.get("trials", 0)),
         successes=int(raw.get("successes", 0)),
@@ -696,7 +745,7 @@ def episode_from_dict(raw: dict) -> Episode:
 def _pattern_to_dict(p: Pattern) -> dict:
     return {
         "id": p.id,
-        "centroid": [float(x) for x in p.centroid],
+        "centroid": _vector_to_json(p.centroid),
         "strategy": {
             "actions": list(p.strategy.actions),
             "resolution_path": list(p.strategy.resolution_path),
@@ -713,10 +762,10 @@ def _pattern_to_dict(p: Pattern) -> dict:
     }
 
 
-def _pattern_from_dict(raw: dict) -> Pattern:
+def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
     return Pattern(
         id=str(raw["id"]),
-        centroid=np.asarray(raw["centroid"], dtype=np.float64),
+        centroid=_vector_from_json(raw["centroid"], dim),
         strategy=Strategy(
             actions=[str(a) for a in raw["strategy"]["actions"]],
             resolution_path=[str(p) for p in raw["strategy"]["resolution_path"]],

@@ -1,4 +1,8 @@
+import gc
+import io
 import json
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
@@ -163,6 +167,31 @@ def test_diagnose_with_truncated_store_reports_error(runner, learned_stores, sto
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("option", ["--graph", "--memory", "--controller"])
+def test_diagnose_with_directory_store_reports_error(runner, tmp_path, option):
+    result = runner.invoke(main, ["diagnose", SYMPTOM, option, str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_in_process_calls_release_their_streams(stores):
+    # click's default-stream cache would keep every redirected stream alive
+    refs = []
+    for i in range(50):
+        # alternate a diagnosis on stdout with a no-evidence report on stderr
+        args = seeded_diagnose_args(stores, "--json") if i % 2 else ["diagnose", "zzz qqq"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit):
+            main(args=args, prog_name="kubediag")
+        assert out.getvalue() if i % 2 else err.getvalue().startswith("no evidence: ")
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 def test_learn_requires_feedback(runner, stores):

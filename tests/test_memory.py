@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from helpers import DAY, NOW, jitter_unit, mk_episode, mk_query, rand_unit, small_pool, unit
 from kubediag import memory as memory_mod
@@ -14,6 +15,8 @@ from kubediag.memory import (
     MemoryConfig,
     MemoryPool,
     Outcome,
+    Pattern,
+    Strategy,
     _cos,
     complexity,
     compute_factors,
@@ -607,6 +610,13 @@ def test_insert_wrong_dim_rejected():
         pool.insert_episode(mk_episode("e1", unit(16)))
 
 
+def test_insert_nan_embedding_rejected():
+    pool = small_pool(8)
+    with pytest.raises(InvalidArgument):
+        pool.insert_episode(mk_episode("e1", [float("nan")] * 8))
+    assert pool.episodes == {}
+
+
 def test_eviction_lowest_value_first():
     pool = small_pool(8, capacity=3)
     pool.insert_episode(mk_episode("keep-a", unit(8, 0), value=1.0))
@@ -860,6 +870,217 @@ def test_pattern_snapshot_rejects_bad_payload(tmp_path, rng, edit):
     with pytest.raises(SchemaViolation):
         fresh.load_pattern_snapshot(str(path))
     assert fresh.patterns == {}
+
+
+# -- store format: sparse vectors ---------------------------------------------
+
+
+def pool_of_vectors(vectors, dim):
+    """One episode and one pattern per vector, the pattern's centroid being
+    the vector itself."""
+    pool = small_pool(dim)
+    for i, vec in enumerate(vectors):
+        pool.insert_episode(mk_episode(f"ep-{i:06d}", vec, ts=NOW - i * DAY))
+        pool.patterns[f"pat-{i + 1:06d}"] = Pattern(
+            id=f"pat-{i + 1:06d}",
+            centroid=np.asarray(vec, dtype=np.float64),
+            strategy=Strategy(["restart the pod"], [f"n{i}"], f"ep-{i:06d}"),
+            reliability=1.0,
+            member_count=1,
+            member_ids={f"ep-{i:06d}"},
+            last_updated=NOW,
+            seed_id=f"ep-{i:06d}",
+        )
+    return pool
+
+
+def save_and_reload(pool, tmp_path):
+    memory = tmp_path / "episodes.jsonl"
+    snapshot = tmp_path / "episodes.jsonl.patterns.json"
+    pool.save_episodes(str(memory))
+    pool.save_pattern_snapshot(str(snapshot))
+    fresh = small_pool(pool.config.embedding_dim)
+    fresh.load_episodes(str(memory))
+    fresh.load_pattern_snapshot(str(snapshot))
+    return fresh, memory, snapshot
+
+
+def assert_same_bits(fresh, pool):
+    assert list(fresh.episodes) == list(pool.episodes)
+    for eid, ep in pool.episodes.items():
+        assert fresh.episode(eid).embedding.tobytes() == ep.embedding.tobytes()
+    assert set(fresh.patterns) == set(pool.patterns)
+    for pid, pat in pool.patterns.items():
+        assert fresh.patterns[pid].centroid.tobytes() == pat.centroid.tobytes()
+
+
+ENTRY = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@st.composite
+def unit_vectors_with_zeros(draw, dim=16):
+    v = np.array(draw(st.lists(ENTRY, min_size=dim, max_size=dim)), dtype=np.float64)
+    norm = float(np.linalg.norm(v))
+    assume(norm > 1e-3)
+    return v / norm
+
+
+@given(st.lists(unit_vectors_with_zeros(), min_size=1, max_size=4))
+def test_store_roundtrip_is_bit_exact(tmp_path_factory, vectors):
+    pool = pool_of_vectors(vectors, 16)
+    fresh, _, _ = save_and_reload(pool, tmp_path_factory.mktemp("store"))
+    assert_same_bits(fresh, pool)
+
+
+def test_store_roundtrip_keeps_negative_zero(tmp_path):
+    vec = np.zeros(16)
+    vec[3], vec[7], vec[11] = 0.6, -0.0, -0.8
+    pool = pool_of_vectors([vec], 16)
+    fresh, memory, snapshot = save_and_reload(pool, tmp_path)
+    assert_same_bits(fresh, pool)
+    assert np.signbit(fresh.episode("ep-000000").embedding[7])
+    stored = json.loads(memory.read_text())["embedding"]
+    assert stored == {"dim": 16, "index": [3, 7, 11], "value": [0.6, -0.0, -0.8]}
+    assert json.loads(snapshot.read_text())["patterns"][0]["centroid"] == stored
+
+
+WORDS = ("pod", "oomkilled", "crashloop", "node", "disk", "pressure", "dns", "timeout",
+         "image", "pull", "backoff", "evicted", "cache-worker", "ingress", "502", "quota")
+
+
+@given(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=12), min_size=1,
+                max_size=3))
+def test_store_roundtrip_hashing_embeddings(tmp_path_factory, texts):
+    emb = HashingEmbedder(MemoryConfig().embedding_dim)
+    pool = pool_of_vectors([emb.embed(" ".join(t)) for t in texts], emb.dim)
+    fresh, _, _ = save_and_reload(pool, tmp_path_factory.mktemp("store"))
+    assert_same_bits(fresh, pool)
+
+
+def densify(path, key):
+    """Rewrite a store's vectors as the dense lists of the older format."""
+    def dense(vec):
+        out = [0.0] * vec["dim"]
+        for i, x in zip(vec["index"], vec["value"]):
+            out[i] = x
+        return out
+
+    if key == "embedding":
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        for raw in lines:
+            raw[key] = dense(raw[key])
+        path.write_text("".join(json.dumps(raw, sort_keys=True) + "\n" for raw in lines))
+    else:
+        data = json.loads(path.read_text())
+        for raw in data["patterns"]:
+            raw[key] = dense(raw[key])
+        path.write_text(json.dumps(data, sort_keys=True, indent=2))
+
+
+def test_dense_store_loads_and_is_rewritten_sparse(tmp_path, rng):
+    pool = small_pool(16)
+    n = 0
+    for _ in range(3):
+        base = rand_unit(rng, 16)
+        for _ in range(4):
+            pool.insert_episode(mk_episode(f"ep-{n:06d}", jitter_unit(rng, base, 0.05),
+                                           ts=NOW - n * DAY, context={f"ns:{n % 2}"}))
+            n += 1
+    pool.form_patterns(now=NOW)
+    assert pool.patterns
+    sparse, memory, snapshot = save_and_reload(pool, tmp_path)
+    densify(memory, "embedding")
+    densify(snapshot, "centroid")
+    assert isinstance(json.loads(memory.read_text().splitlines()[0])["embedding"], list)
+    dense = small_pool(16)
+    dense.load_episodes(str(memory))
+    dense.load_pattern_snapshot(str(snapshot))
+    assert_same_bits(dense, sparse)
+    for _ in range(5):
+        q = mk_query(rand_unit(rng, 16), context={"ns:0"})
+        want = sparse.retrieve(q, W1, NOW)
+        got = dense.retrieve(q, W1, NOW)
+        assert [(m.ref, m.kind, m.score, m.confidence) for m in got.memories] == [
+            (m.ref, m.kind, m.score, m.confidence) for m in want.memories
+        ]
+    dense.save_episodes(str(memory))
+    dense.save_pattern_snapshot(str(snapshot))
+    assert all(isinstance(json.loads(line)["embedding"], dict)
+               for line in memory.read_text().splitlines())
+    assert all(isinstance(raw["centroid"], dict)
+               for raw in json.loads(snapshot.read_text())["patterns"])
+
+
+BAD_VECTORS = {
+    "index-out-of-range": lambda v: dict(v, index=v["index"][:-1] + [16]),
+    "negative-index": lambda v: dict(v, index=[-1] + v["index"][1:]),
+    # an entry repeated with its own value: the same vector, were it accepted
+    "duplicate-index": lambda v: dict(v, index=v["index"][:2] + v["index"][1:],
+                                      value=v["value"][:2] + v["value"][1:]),
+    "unsorted-index": lambda v: dict(v, index=v["index"][::-1]),
+    "float-index": lambda v: dict(v, index=[float(v["index"][0])] + v["index"][1:]),
+    "fractional-index": lambda v: dict(v, index=[v["index"][0] + 0.5] + v["index"][1:]),
+    "bool-index": lambda v: dict(v, index=[v["index"][0], True] + v["index"][2:]),
+    "length-mismatch": lambda v: dict(v, value=v["value"][:-1]),
+    "string-value": lambda v: dict(v, value=[str(v["value"][0])] + v["value"][1:]),
+    "wrong-dim": lambda v: dict(v, dim=32),
+    "bool-dim": lambda v: dict(v, dim=True),
+    "huge-dim": lambda v: dict(v, dim=10**12),
+    "not-an-object": lambda v: "sparse",
+    "missing-key": lambda v: {"dim": v["dim"], "index": v["index"]},
+}
+
+
+def vector_with_nonzeros(rng):
+    # entries 0 and 1 set, so every edit above changes a real index
+    vec = np.zeros(16)
+    vec[[0, 1, 5, 9]] = rng.standard_normal(4)
+    return vec / np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VECTORS))
+def test_corrupt_sparse_vector_rejected(tmp_path, rng, case):
+    pool = pool_of_vectors([vector_with_nonzeros(rng) for _ in range(2)], 16)
+    memory, snapshot = tmp_path / "episodes.jsonl", tmp_path / "patterns.json"
+    pool.save_episodes(str(memory))
+    pool.save_pattern_snapshot(str(snapshot))
+
+    lines = [json.loads(line) for line in memory.read_text().splitlines()]
+    lines[0]["embedding"] = BAD_VECTORS[case](lines[0]["embedding"])
+    memory.write_text("".join(json.dumps(raw) + "\n" for raw in lines))
+    data = json.loads(snapshot.read_text())
+    data["patterns"][-1]["centroid"] = BAD_VECTORS[case](data["patterns"][-1]["centroid"])
+    snapshot.write_text(json.dumps(data))
+
+    fresh = small_pool(16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaViolation):
+            fresh.load_episodes(str(memory))
+        with pytest.raises(SchemaViolation):
+            fresh.load_pattern_snapshot(str(snapshot))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7  # nothing of the claimed dimension was allocated
+    assert fresh.episodes == {} and fresh.patterns == {}
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_load_rejects_nan_embedding(tmp_path, sparse):
+    nan = [float("nan")] * 16
+    embedding = {"dim": 16, "index": list(range(16)), "value": nan} if sparse else nan
+    raw = {
+        "id": "ep-000001", "symptoms": ["pod crashlooping"], "context": [], "actions": [],
+        "outcome": "success", "timestamp": NOW, "memory_value": 1.0,
+        "embedding": embedding, "resolution_path": [],
+    }
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(json.dumps(raw) + "\n")
+    fresh = small_pool(16)
+    with pytest.raises(SchemaViolation):
+        fresh.load_episodes(str(path))
+    assert fresh.episodes == {}
 
 
 # ---------------------------------------------------------------------------
