@@ -1,4 +1,5 @@
-"""Command line entry points: one-shot diagnosis, document ingest, simulation.
+"""Command line entry points: one-shot diagnosis, document ingest, simulation,
+corpus generation.
 
 Exit codes: 0 on success, 1 on any diagnostic, configuration or file error,
 2 when a query yields no usable evidence.  All options can also be supplied
@@ -12,6 +13,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -31,7 +33,7 @@ from .graph import (
     classify_document,
 )
 from .memory import MemoryConfig, MemoryPool, Outcome
-from .scenarios import build_world
+from .scenarios import DEFAULT_MIX, FAULT_CATEGORIES, build_world, save_scenarios
 from .simulate import (
     SimulationConfig,
     TickClock,
@@ -419,6 +421,33 @@ def simulate(sessions, recurrence, window, seed, corpus, no_memory, ablation,
             _echo("per category:")
             for name, (correct, seen) in sorted(res.per_category.items()):
                 _echo(f"  {name:<22} {correct}/{seen}")
+
+    _guard(run)
+
+
+@main.command()
+@click.option("--total", default=120, show_default=True, help="number of scenarios")
+@click.option("--seed", default=0, show_default=True)
+@click.option("--mix", type=float, nargs=len(DEFAULT_MIX), default=DEFAULT_MIX,
+              show_default=True, metavar="SHARE...",
+              help="per-category shares (resource network scheduling image configuration system)")
+@click.option("--scenarios-out", default="corpus.jsonl", show_default=True,
+              type=click.Path(), help="scenario JSONL, reloadable with load_scenarios")
+@click.option("--graph-out", type=click.Path(), help="also write the curated causal graph")
+def corpus(total, seed, mix, scenarios_out, graph_out) -> None:
+    """Generate a fault-scenario corpus and its curated causal graph."""
+
+    def run() -> None:
+        scenarios, graph = build_world(seed=seed, total=total, mix=tuple(mix))
+        save_scenarios(scenarios_out, scenarios)
+        _echo(f"wrote {len(scenarios)} scenarios to {scenarios_out}")
+        if graph_out:
+            graph.save(graph_out)
+            _echo(f"wrote graph ({len(graph.nodes)} nodes, {len(graph.edges)} edges)"
+                  f" to {graph_out}")
+        counts = Counter(sc.category for sc in scenarios)
+        for category in FAULT_CATEGORIES:
+            _echo(f"  {category.value:<22} {counts[category]}")
 
     _guard(run)
 

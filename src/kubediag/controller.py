@@ -40,21 +40,11 @@ class OptParams:
 
 @dataclass
 class SessionRecord:
-    query_id: str
+    """What the threshold replay and the weight fit read of one session."""
+
     c_max: float
-    factors: tuple[float, float, float, float]  # of the best-scoring memory
-    pathway: Pathway
+    factors: tuple[float, float, float, float]  # of the most confident memory
     fast_sufficient: bool
-    latency_units: float
-    outcome: str
-
-
-@dataclass
-class MetaSignal:
-    c_max: float
-    c_avg: float
-    c_std: float
-    coverage: float
 
 
 @dataclass
@@ -62,7 +52,7 @@ class RoutingDecision:
     pathway: Pathway
     c_max: float
     tau_snapshot: float
-    signal: MetaSignal
+    coverage: float  # share of query tokens some retrieved memory shares
 
 
 @dataclass
@@ -81,29 +71,14 @@ class ControllerState:
             raise InvalidArgument("factor_weights must be >= 0")
 
 
-def aggregate_confidence(result: RetrievalResult) -> float:
-    """Overall retrieval confidence: the best per-memory confidence, 0 when empty."""
-    return max((m.confidence for m in result.memories), default=0.0)
-
-
-def meta_signal(result: RetrievalResult, q: Query) -> MetaSignal:
-    confs = [m.confidence for m in result.memories]
-    if confs:
-        avg = sum(confs) / len(confs)
-        std = math.sqrt(sum((c - avg) ** 2 for c in confs) / len(confs))
-    else:
-        avg = std = 0.0
+def coverage(result: RetrievalResult, q: Query) -> float:
+    """Share of the query's symptom tokens found in some retrieved memory; 0
+    for a query without tokens."""
     q_tokens = {t for s in q.symptoms for t in tokenize(s)}
-    if q_tokens:
-        covered = sum(
-            1 for t in q_tokens if any(t in m.symptom_tokens for m in result.memories)
-        )
-        coverage = covered / len(q_tokens)
-    else:
-        coverage = 0.0
-    return MetaSignal(
-        c_max=max(confs, default=0.0), c_avg=avg, c_std=std, coverage=coverage
-    )
+    if not q_tokens:
+        return 0.0
+    covered = sum(1 for t in q_tokens if any(t in m.symptom_tokens for m in result.memories))
+    return covered / len(q_tokens)
 
 
 def replay_loss(tau_candidate: float, history: Sequence[SessionRecord], opt: OptParams) -> float:
@@ -168,13 +143,11 @@ class MetaController:
     def factor_weights(self) -> tuple[float, float, float, float]:
         return self.state.factor_weights
 
-    def route(self, c_max: float, signal: MetaSignal | None = None) -> RoutingDecision:
+    def route(self, c_max: float, coverage: float = 0.0) -> RoutingDecision:
         """Fast path iff confidence strictly clears the threshold."""
-        if signal is None:
-            signal = MetaSignal(c_max=c_max, c_avg=c_max, c_std=0.0, coverage=0.0)
         pathway = Pathway.INTUITIVE if c_max > self.state.tau else Pathway.ANALYTICAL
         return RoutingDecision(
-            pathway=pathway, c_max=c_max, tau_snapshot=self.state.tau, signal=signal
+            pathway=pathway, c_max=c_max, tau_snapshot=self.state.tau, coverage=coverage
         )
 
     def record(self, rec: SessionRecord) -> None:
@@ -234,15 +207,7 @@ class MetaController:
                 "weight_lr": st.opt.weight_lr,
             },
             "history": [
-                {
-                    "query_id": r.query_id,
-                    "c_max": r.c_max,
-                    "factors": list(r.factors),
-                    "pathway": r.pathway.value,
-                    "fast_sufficient": r.fast_sufficient,
-                    "latency_units": r.latency_units,
-                    "outcome": r.outcome,
-                }
+                {"c_max": r.c_max, "factors": list(r.factors), "fast_sufficient": r.fast_sufficient}
                 for r in st.history
             ],
         }
@@ -250,6 +215,12 @@ class MetaController:
 
     @classmethod
     def load(cls, path: str) -> "MetaController":
+        """Load a checkpoint; a malformed one raises ``SchemaViolation``.
+
+        Records of older checkpoints also carry ``query_id``, ``pathway``,
+        ``latency_units`` and ``outcome``; nothing reads them, so they are
+        skipped and dropped by the next save.
+        """
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -259,18 +230,24 @@ class MetaController:
                 factor_weights=tuple(float(w) for w in payload["factor_weights"]),
                 opt=opt,
             )
-            for raw in payload["history"]:
-                state.history.append(
-                    SessionRecord(
-                        query_id=str(raw["query_id"]),
-                        c_max=float(raw["c_max"]),
-                        factors=tuple(float(f) for f in raw["factors"]),
-                        pathway=Pathway(raw["pathway"]),
-                        fast_sufficient=bool(raw["fast_sufficient"]),
-                        latency_units=float(raw["latency_units"]),
-                        outcome=str(raw["outcome"]),
-                    )
-                )
+            state.history.extend(map(_record_from_json, payload["history"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation(f"bad controller checkpoint: {exc}") from exc
         return cls(state)
+
+
+def _finite(x: object) -> bool:
+    # bool is an int subclass; a JSON true is not a number here
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _record_from_json(raw: dict) -> SessionRecord:
+    c_max, factors, fast = raw["c_max"], raw["factors"], raw["fast_sufficient"]
+    if not _finite(c_max):
+        raise ValueError(f"record c_max {c_max!r} is not a finite number")
+    if not (isinstance(factors, list) and len(factors) == len(FACTOR_NAMES)
+            and all(map(_finite, factors))):
+        raise ValueError(f"record factors {factors!r} are not {len(FACTOR_NAMES)} finite numbers")
+    if type(fast) is not bool:
+        raise ValueError(f"record fast_sufficient {fast!r} is not a boolean")
+    return SessionRecord(float(c_max), tuple(float(f) for f in factors), fast)

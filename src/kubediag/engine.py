@@ -14,14 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .controller import (
-    MetaController,
-    Pathway,
-    RoutingDecision,
-    SessionRecord,
-    aggregate_confidence,
-    meta_signal,
-)
+from .controller import MetaController, Pathway, RoutingDecision, SessionRecord, coverage
 from .embedding import Embedder, HashingEmbedder
 from .errors import AlreadyRecorded, KubeDiagError, NoEvidence, NotFound, StageFailure
 from .graph import CausalChain, GraphNode, KnowledgeGraph, Relation, SearchConfig, explore
@@ -30,9 +23,9 @@ from .memory import (
     MemoryConfig,
     MemoryPool,
     Outcome,
-    Pattern,
     Query,
     RetrievalResult,
+    _FACTOR_FLOOR,
     complexity,
     make_query,
 )
@@ -98,7 +91,7 @@ class DiagnosisSession:
                 "pathway": self.decision.pathway.value,
                 "c_max": self.decision.c_max,
                 "tau_snapshot": self.decision.tau_snapshot,
-                "coverage": self.decision.signal.coverage,
+                "coverage": self.decision.coverage,
             },
             "chains": None
             if self.chains is None
@@ -193,10 +186,7 @@ class Engine:
         cards = []
         for m in result.memories:
             mem = self.pool.get_memory(m.ref)
-            if isinstance(mem, Episode):
-                actions, path = mem.actions, mem.resolution_path
-            else:
-                actions, path = mem.strategy.actions, mem.strategy.resolution_path
+            path = mem.resolution_path
             hint = ""
             if path and path[-1] in self.graph.nodes:
                 hint = self.graph.nodes[path[-1]].label
@@ -205,7 +195,7 @@ class Engine:
                     id=m.ref,
                     score=m.score,
                     confidence=m.confidence,
-                    actions=list(actions),
+                    actions=list(mem.actions),
                     resolution_path=list(path),
                     root_cause_hint=hint,
                 )
@@ -255,13 +245,13 @@ class Engine:
         q, result = self._stage("retrieve", _retrieve)
 
         def _route() -> RoutingDecision:
-            decision = self.controller.route(aggregate_confidence(result), meta_signal(result, q))
+            decision = self.controller.route(result.c_max, coverage(result, q))
             if force_pathway is not None and force_pathway is not decision.pathway:
                 decision = RoutingDecision(
                     pathway=force_pathway,
                     c_max=decision.c_max,
                     tau_snapshot=decision.tau_snapshot,
-                    signal=decision.signal,
+                    coverage=decision.coverage,
                 )
             return decision
 
@@ -339,9 +329,7 @@ class Engine:
                 mem = self.pool.get_memory(ref)
             except NotFound:
                 continue
-            return list(
-                mem.resolution_path if isinstance(mem, Episode) else mem.strategy.resolution_path
-            )
+            return list(mem.resolution_path)
         return []
 
     def _fast_sufficient(self, session: DiagnosisSession, outcome: Outcome) -> bool:
@@ -350,8 +338,7 @@ class Engine:
         if not session.retrieval.memories:
             return False
         top = max(session.retrieval.memories, key=lambda m: (m.confidence, m.score, m.ref))
-        mem = self.pool.get_memory(top.ref)
-        path = mem.resolution_path if isinstance(mem, Episode) else mem.strategy.resolution_path
+        path = self.pool.get_memory(top.ref).resolution_path
         if not path or path[-1] not in self.graph.nodes:
             return False
         hint = self.graph.nodes[path[-1]].label
@@ -399,7 +386,7 @@ class Engine:
                     mem = self.pool.get_memory(ref)
                 except NotFound:
                     continue
-                target = mem.id if isinstance(mem, Episode) else mem.strategy.source_episode_id
+                target = mem.id if isinstance(mem, Episode) else mem.source_episode_id
                 try:
                     self.pool.update_outcome(target, fb.outcome, success)
                     value_updates[target] = self.pool.episode(target).memory_value
@@ -411,16 +398,11 @@ class Engine:
         best = max(
             session.retrieval.memories, key=lambda m: m.confidence, default=None
         )
-        record = SessionRecord(
-            query_id=session.query.id or session.id,
+        self.controller.record(SessionRecord(
             c_max=session.decision.c_max,
-            factors=best.factors if best else (1e-7, 1e-7, 1e-7, 1e-7),
-            pathway=session.decision.pathway,
+            factors=best.factors if best else (_FACTOR_FLOOR,) * 4,
             fast_sufficient=self._fast_sufficient(session, fb.outcome),
-            latency_units=session.latency_units,
-            outcome=fb.outcome.value,
-        )
-        self.controller.record(record)
+        ))
         tau_before, tau_after = self.controller.adapt_threshold()
         weights_before, weights_after = self.controller.update_factor_weights()
 

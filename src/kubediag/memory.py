@@ -139,8 +139,13 @@ class Episode:
         norm = float(np.linalg.norm(self.embedding))
         if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
             raise InvalidArgument(f"episode {self.id}: embedding norm {norm:.8f} != 1")
-        if self.memory_value < 0:
-            raise InvalidArgument(f"episode {self.id}: memory_value must be >= 0")
+        if not 0.0 <= self.memory_value < math.inf:  # NaN fails too
+            raise InvalidArgument(f"episode {self.id}: memory_value must be finite and >= 0")
+        if not 0 <= self.successes <= self.trials:
+            raise InvalidArgument(
+                f"episode {self.id}: need 0 <= successes <= trials,"
+                f" got {self.successes} of {self.trials}"
+            )
         if not math.isfinite(self.timestamp) or self.timestamp < 0:
             raise InvalidArgument(f"episode {self.id}: timestamp must be finite and >= 0")
 
@@ -149,22 +154,19 @@ class Episode:
         return frozenset(t for s in self.symptoms for t in tokenize(s))
 
 
-@dataclass
-class Strategy:
-    """Resolution recipe carried by a pattern (donated by its best member)."""
-
-    actions: list[str]
-    resolution_path: list[str]
-    source_episode_id: str
-
-
 @dataclass(eq=False)
 class Pattern:
-    """Abstraction over a neighborhood of mutually similar episodes."""
+    """Abstraction over a neighborhood of mutually similar episodes.
+
+    ``actions`` and ``resolution_path`` are copied from the member with the
+    highest memory value, ``source_episode_id``.
+    """
 
     id: str
     centroid: np.ndarray
-    strategy: Strategy
+    actions: list[str]
+    resolution_path: list[str]
+    source_episode_id: str
     reliability: float              # member success fraction
     member_count: int
     member_ids: set[str]
@@ -470,7 +472,9 @@ class MemoryPool:
                 target = Pattern(
                     id=f"pat-{self._pattern_seq:06d}",
                     centroid=np.zeros(self.config.embedding_dim),
-                    strategy=Strategy([], [], ""),
+                    actions=[],
+                    resolution_path=[],
+                    source_episode_id="",
                     reliability=0.0,
                     member_count=0,
                     member_ids=set(),
@@ -506,11 +510,9 @@ class MemoryPool:
         eps = [self._episodes[m] for m in sorted(members)]
         donor = max(eps, key=lambda e: (e.memory_value, e.id))
         pat.centroid = centroid
-        pat.strategy = Strategy(
-            actions=list(donor.actions),
-            resolution_path=list(donor.resolution_path),
-            source_episode_id=donor.id,
-        )
+        pat.actions = list(donor.actions)
+        pat.resolution_path = list(donor.resolution_path)
+        pat.source_episode_id = donor.id
         pat.member_ids = set(members)
         pat.member_count = len(members)
         pat.seed_id = seed_id
@@ -593,8 +595,7 @@ class MemoryPool:
         for m in memories:
             if m.confidence < self.config.hint_min_confidence:
                 continue
-            mem = self.get_memory(m.ref)
-            yield mem.resolution_path if isinstance(mem, Episode) else mem.strategy.resolution_path
+            yield self.get_memory(m.ref).resolution_path
 
     def hints(self, result: RetrievalResult) -> set[str]:
         """Union of resolution-path node ids over the top ``hint_k`` memories
@@ -746,10 +747,11 @@ def _pattern_to_dict(p: Pattern) -> dict:
     return {
         "id": p.id,
         "centroid": _vector_to_json(p.centroid),
+        # grouped on disk as before, so older and newer snapshots read alike
         "strategy": {
-            "actions": list(p.strategy.actions),
-            "resolution_path": list(p.strategy.resolution_path),
-            "source_episode_id": p.strategy.source_episode_id,
+            "actions": list(p.actions),
+            "resolution_path": list(p.resolution_path),
+            "source_episode_id": p.source_episode_id,
         },
         "reliability": p.reliability,
         "member_count": p.member_count,
@@ -763,14 +765,13 @@ def _pattern_to_dict(p: Pattern) -> dict:
 
 
 def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
+    strategy = raw["strategy"]
     return Pattern(
         id=str(raw["id"]),
         centroid=_vector_from_json(raw["centroid"], dim),
-        strategy=Strategy(
-            actions=[str(a) for a in raw["strategy"]["actions"]],
-            resolution_path=[str(p) for p in raw["strategy"]["resolution_path"]],
-            source_episode_id=str(raw["strategy"]["source_episode_id"]),
-        ),
+        actions=[str(a) for a in strategy["actions"]],
+        resolution_path=[str(p) for p in strategy["resolution_path"]],
+        source_episode_id=str(strategy["source_episode_id"]),
         reliability=float(raw["reliability"]),
         member_count=int(raw["member_count"]),
         member_ids=set(str(m) for m in raw["member_ids"]),

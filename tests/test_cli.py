@@ -14,6 +14,7 @@ from kubediag.embedding import HashingEmbedder
 from kubediag.errors import SchemaViolation
 from kubediag.graph import GraphEdge, GraphNode, KnowledgeGraph, NodeType, Relation
 from kubediag.memory import MemoryConfig, MemoryPool
+from kubediag.scenarios import FAULT_CATEGORIES, build_world, load_scenarios, scenario_to_dict
 
 SYMPTOM = "pod oomkilled repeatedly"
 EMB = HashingEmbedder(MemoryConfig().embedding_dim)
@@ -394,3 +395,34 @@ def test_simulate_env_var_overrides_option(runner):
 
 def test_simulate_rejects_invalid_settings(runner):
     assert runner.invoke(main, ["simulate", "--sessions", "-5"]).exit_code == 1
+
+
+# ---------------------------------------------------------------------------
+# corpus
+
+
+def test_corpus_writes_reloadable_files_and_prints_counts(runner, tmp_path):
+    mix = (0.3, 0.2, 0.1, 0.1, 0.2, 0.1)
+    scenarios_out, graph_out = tmp_path / "corpus.jsonl", tmp_path / "graph.json"
+    res = runner.invoke(main, [
+        "corpus", "--total", "50", "--seed", "4", "--mix", *map(str, mix),
+        "--scenarios-out", str(scenarios_out), "--graph-out", str(graph_out),
+    ])
+    assert res.exit_code == 0, res.output
+    want, graph = build_world(seed=4, total=50, mix=mix)
+    loaded, errors = load_scenarios(str(scenarios_out))
+    assert errors == []
+    assert list(map(scenario_to_dict, loaded)) == list(map(scenario_to_dict, want))
+    reloaded = KnowledgeGraph.load(str(graph_out))
+    assert (len(reloaded.nodes), len(reloaded.edges)) == (len(graph.nodes), len(graph.edges))
+    printed = dict(line.split() for line in res.output.splitlines() if line.startswith("  "))
+    assert printed == {
+        c.value: str(sum(sc.category is c for sc in want)) for c in FAULT_CATEGORIES
+    }
+
+
+def test_corpus_rejects_a_bad_mix(runner, tmp_path):
+    res = runner.invoke(main, ["corpus", "--mix", "1", "1", "1", "1", "1", "1",
+                               "--scenarios-out", str(tmp_path / "c.jsonl")])
+    assert res.exit_code == 1
+    assert not (tmp_path / "c.jsonl").exists()

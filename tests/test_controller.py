@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -5,21 +7,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import NOW, jitter_unit, mk_episode, mk_query, rand_unit, small_pool
 from kubediag.controller import (
     ControllerState,
     MetaController,
-    MetaSignal,
     OptParams,
     Pathway,
     SessionRecord,
-    aggregate_confidence,
     calibration_loss,
+    coverage,
     mean_calibration_loss,
-    meta_signal,
     replay_loss,
 )
 from kubediag.errors import EmptyHistory, SchemaViolation
-from kubediag.memory import Query, RetrievalResult, ScoredMemory
+from kubediag.memory import (
+    Query,
+    RetrievalResult,
+    ScoredMemory,
+    compute_factors,
+    confidence_value,
+)
 
 W1 = (1.0, 1.0, 1.0, 1.0)
 
@@ -42,16 +49,8 @@ def result(*confs, tokens=()):
     )
 
 
-def rec(c_max, fast_sufficient, factors=(0.8, 0.9, 0.7, 1.0), pathway=Pathway.INTUITIVE):
-    return SessionRecord(
-        query_id="q",
-        c_max=c_max,
-        factors=factors,
-        pathway=pathway,
-        fast_sufficient=fast_sufficient,
-        latency_units=1.0,
-        outcome="success" if fast_sufficient else "failure",
-    )
+def rec(c_max, fast_sufficient, factors=(0.8, 0.9, 0.7, 1.0)):
+    return SessionRecord(c_max=c_max, factors=factors, fast_sufficient=fast_sufficient)
 
 
 def controller_with(records, tau=0.75, weights=W1):
@@ -62,20 +61,33 @@ def controller_with(records, tau=0.75, weights=W1):
 
 
 # ---------------------------------------------------------------------------
-# aggregation and routing
+# aggregation (RetrievalResult.c_max) and routing
 
 
-def test_aggregate_is_max_confidence():
-    assert aggregate_confidence(result(0.3, 0.9, 0.6)) == 0.9
+def test_aggregate_is_max_confidence(rng):
+    pool = small_pool(16)
+    base = rand_unit(rng, 16)
+    for i in range(6):
+        pool.insert_episode(mk_episode(f"e{i}", jitter_unit(rng, base, 0.3), context={f"c{i % 2}"}))
+    r = pool.retrieve(mk_query(base, context=["c0"]), W1, NOW, k=3)
+    assert len({m.confidence for m in r.memories}) > 1
+    assert r.c_max == max(m.confidence for m in r.memories)
 
 
 def test_aggregate_empty_pool():
-    assert aggregate_confidence(result()) == 0.0
+    assert small_pool(16).retrieve(mk_query(rand_unit(np.random.default_rng(0), 16)),
+                                   W1, NOW).c_max == 0.0
 
 
 def test_aggregate_matches_linear_scan(rng):
-    confs = rng.uniform(0, 1, size=40).tolist()
-    assert aggregate_confidence(result(*confs)) == max(confs)
+    pool = small_pool(16)
+    for i in range(40):
+        pool.insert_episode(mk_episode(f"e{i:02d}", rand_unit(rng, 16), trials=i % 3,
+                                       successes=min(i % 2, i % 3)))
+    q = mk_query(rand_unit(rng, 16))
+    want = max(confidence_value(compute_factors(ep, q, NOW, pool.config), W1)
+               for ep in pool.episodes.values())
+    assert pool.retrieve(q, W1, NOW, k=40).c_max == want
 
 
 def test_route_above_threshold_goes_intuitive():
@@ -96,16 +108,15 @@ def test_route_zero_confidence():
 
 def test_route_default_signal_mirrors_c_max():
     d = MetaController().route(0.9)
-    assert d.signal == MetaSignal(c_max=0.9, c_avg=0.9, c_std=0.0, coverage=0.0)
+    assert (d.c_max, d.coverage) == (0.9, 0.0)
 
 
 def test_route_keeps_explicit_signal():
-    sig = MetaSignal(c_max=0.9, c_avg=0.6, c_std=0.2, coverage=0.75)
-    assert MetaController().route(0.9, sig).signal is sig
+    assert MetaController().route(0.9, 0.75).coverage == 0.75
 
 
 # ---------------------------------------------------------------------------
-# meta signal
+# meta signal: the share of query tokens the retrieval covers
 
 
 def q_of(*symptoms):
@@ -113,25 +124,23 @@ def q_of(*symptoms):
 
 
 def test_meta_signal_empty_retrieval():
-    sig = meta_signal(result(), q_of("pod oomkilled"))
-    assert (sig.c_max, sig.c_avg, sig.c_std, sig.coverage) == (0.0, 0.0, 0.0, 0.0)
+    assert coverage(result(), q_of("pod oomkilled")) == 0.0
+
+
+def test_meta_signal_query_without_tokens():
+    assert coverage(result(0.7, tokens=("pod",)), q_of("")) == 0.0
 
 
 def test_meta_signal_singleton():
-    sig = meta_signal(result(0.7, tokens=("pod", "oomkilled")), q_of("pod oomkilled"))
-    assert (sig.c_max, sig.c_avg, sig.c_std, sig.coverage) == (0.7, 0.7, 0.0, 1.0)
+    assert coverage(result(0.7, tokens=("pod", "oomkilled")), q_of("pod oomkilled")) == 1.0
 
 
-def test_meta_signal_population_std():
-    sig = meta_signal(result(0.4, 0.8), q_of("x"))
-    assert sig.c_max == 0.8
-    assert sig.c_avg == pytest.approx(0.6)
-    assert sig.c_std == pytest.approx(0.2)
+def test_meta_signal_without_shared_tokens():
+    assert coverage(result(0.4, 0.8), q_of("x")) == 0.0
 
 
 def test_meta_signal_partial_coverage():
-    sig = meta_signal(result(0.5, tokens=("oom",)), q_of("oom killed"))
-    assert sig.coverage == 0.5
+    assert coverage(result(0.5, tokens=("oom",)), q_of("oom killed")) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -328,26 +337,78 @@ def test_history_is_bounded_fifo():
     assert c.state.history[0].c_max == pytest.approx(5 / 2000)
 
 
-def test_save_load_roundtrip(tmp_path):
-    c = controller_with(spread_history(True), tau=0.6, weights=(1.2, 0.8, 1.0, 0.5))
+RECORD_KEYS = ["c_max", "factors", "fast_sufficient"]
+
+
+def assert_same_state(got, want):
+    assert got.state.tau == want.state.tau
+    assert got.state.factor_weights == want.state.factor_weights
+    assert got.state.opt == want.state.opt
+    assert list(got.state.history) == list(want.state.history)
+
+
+def test_session_record_has_three_fields():
+    assert [f.name for f in dataclasses.fields(SessionRecord)] == RECORD_KEYS
+
+
+def test_save_load_roundtrip(tmp_path, rng):
+    hist = [rec(float(rng.uniform(0, 1)), bool(rng.random() < 0.5),
+                factors=tuple(float(f) for f in rng.uniform(0, 1, size=4)))
+            for _ in range(30)]
+    c = controller_with(hist, tau=0.6, weights=(1.2, 0.8, 1.0, 0.5))
     c.adapt_threshold()
     path = tmp_path / "controller.json"
     c.save(str(path))
-    c2 = MetaController.load(str(path))
-    assert c2.state.tau == c.state.tau
-    assert c2.state.factor_weights == c.state.factor_weights
-    assert c2.state.opt == c.state.opt
-    assert len(c2.state.history) == len(c.state.history)
-    first, again = c.state.history[0], c2.state.history[0]
-    assert (first.c_max, first.fast_sufficient, first.outcome) == (
-        again.c_max,
-        again.fast_sufficient,
-        again.outcome,
-    )
+    assert [sorted(r) for r in json.loads(path.read_text())["history"]] == [RECORD_KEYS] * 30
+    assert_same_state(MetaController.load(str(path)), c)
+
+
+def test_load_reads_seven_key_records_and_resaves_three(tmp_path):
+    path = tmp_path / "controller.json"
+    path.write_text(json.dumps({
+        "tau": 0.7,
+        "factor_weights": [1.1, 0.9, 1.0, 0.4],
+        "opt_params": {"eta_meta": 0.02, "xi": 0.5, "delta_probe": 0.01,
+                       "analytic_cost": 8.0, "weight_lr": 0.1},
+        "history": [
+            {"query_id": "q1", "c_max": 0.8125, "factors": [0.9, 0.5, 0.75, 1.0],
+             "pathway": "intuitive", "fast_sufficient": True, "latency_units": 1.0,
+             "outcome": "success"},
+            {"query_id": "q2", "c_max": 0.25, "factors": [0.3, 1, 0.5, 0.0],
+             "pathway": "analytical", "fast_sufficient": False, "latency_units": 8.0,
+             "outcome": "failure"},
+        ],
+    }))
+    c = MetaController.load(str(path))
+    assert c.state.tau == 0.7
+    assert c.state.factor_weights == (1.1, 0.9, 1.0, 0.4)
+    assert c.state.opt == OptParams(0.02, 0.5, 0.01, 8.0, 0.1)
+    assert list(c.state.history) == [rec(0.8125, True, factors=(0.9, 0.5, 0.75, 1.0)),
+                                     rec(0.25, False, factors=(0.3, 1.0, 0.5, 0.0))]
+    c.save(str(path))
+    assert [sorted(r) for r in json.loads(path.read_text())["history"]] == [RECORD_KEYS] * 2
+    assert_same_state(MetaController.load(str(path)), c)
 
 
 def test_load_rejects_corrupt_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"tau": "not-a-number"}')
+    with pytest.raises(SchemaViolation):
+        MetaController.load(str(path))
+
+
+@pytest.mark.parametrize("bad", [
+    {"factors": [0.9, 0.5, 0.75]},
+    {"factors": [0.9, float("nan"), 0.75, 1.0]},
+    {"fast_sufficient": "false"},
+    {"c_max": None},
+], ids=["three-factors", "nan-factor", "string-fast-sufficient", "missing-c-max"])
+def test_load_rejects_corrupt_record(tmp_path, bad):
+    path = tmp_path / "controller.json"
+    controller_with([rec(0.5, True)] * 3).save(str(path))
+    payload = json.loads(path.read_text())
+    payload["history"][1].update(bad)
+    payload["history"][1] = {k: v for k, v in payload["history"][1].items() if v is not None}
+    path.write_text(json.dumps(payload))
     with pytest.raises(SchemaViolation):
         MetaController.load(str(path))

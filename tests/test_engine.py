@@ -228,9 +228,18 @@ def test_feedback_records_controller_history():
     report = eng.feedback(Feedback(session_id=session.id, outcome=Outcome.SUCCESS))
     assert report.history_len == len(eng.controller.state.history) == 1
     record = eng.controller.state.history[0]
-    assert record.pathway is Pathway.INTUITIVE
+    assert session.decision.pathway is Pathway.INTUITIVE
+    assert record.c_max == session.decision.c_max == session.retrieval.c_max
+    assert record.factors == session.retrieval.memories[0].factors
     assert record.fast_sufficient is True
-    assert record.outcome == "success"
+
+
+def test_feedback_without_memories_records_floor_factors():
+    eng = fresh_engine(memory_enabled=False)
+    session = ask(eng)
+    eng.feedback(Feedback(session_id=session.id, outcome=Outcome.SUCCESS))
+    record = eng.controller.state.history[0]
+    assert (record.c_max, record.factors, record.fast_sufficient) == (0.0, (1e-7,) * 4, False)
 
 
 def test_repeated_failures_raise_threshold():

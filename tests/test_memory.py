@@ -16,7 +16,6 @@ from kubediag.memory import (
     MemoryPool,
     Outcome,
     Pattern,
-    Strategy,
     _cos,
     complexity,
     compute_factors,
@@ -411,10 +410,10 @@ def test_form_patterns_degenerate_cluster():
     assert pat.member_count == 3
     np.testing.assert_allclose(pat.centroid, v, atol=1e-9)
     assert pat.reliability == pytest.approx(2 / 3)
-    # strategy donated by the highest-value member
-    assert pat.strategy.source_episode_id == "e1"
-    assert pat.strategy.actions == ["scale up"]
-    assert pat.strategy.resolution_path == ["n1", "n2"]
+    # actions and path donated by the highest-value member
+    assert pat.source_episode_id == "e1"
+    assert pat.actions == ["scale up"]
+    assert pat.resolution_path == ["n1", "n2"]
 
 
 def test_form_patterns_recovers_generating_clusters(rng):
@@ -515,7 +514,7 @@ def interleave(pool, seed, check=lambda: None):
 def pattern_state(pool):
     return {
         pid: (sorted(p.member_ids), p.seed_id, p.centroid.tolist(),
-              p.strategy.source_episode_id, p.reliability)
+              p.source_episode_id, p.reliability)
         for pid, p in pool.patterns.items()
     }
 
@@ -884,7 +883,9 @@ def pool_of_vectors(vectors, dim):
         pool.patterns[f"pat-{i + 1:06d}"] = Pattern(
             id=f"pat-{i + 1:06d}",
             centroid=np.asarray(vec, dtype=np.float64),
-            strategy=Strategy(["restart the pod"], [f"n{i}"], f"ep-{i:06d}"),
+            actions=["restart the pod"],
+            resolution_path=[f"n{i}"],
+            source_episode_id=f"ep-{i:06d}",
             reliability=1.0,
             member_count=1,
             member_ids={f"ep-{i:06d}"},
@@ -1081,6 +1082,27 @@ def test_load_rejects_nan_embedding(tmp_path, sparse):
     with pytest.raises(SchemaViolation):
         fresh.load_episodes(str(path))
     assert fresh.episodes == {}
+
+
+@pytest.mark.parametrize("bad", [
+    {"trials": -1, "successes": 0},
+    {"trials": 2, "successes": -1},
+    {"trials": 1, "successes": 9},
+    {"memory_value": float("nan")},
+    {"memory_value": float("inf")},
+], ids=["negative-trials", "negative-successes", "successes-above-trials",
+        "nan-value", "infinite-value"])
+def test_load_rejects_impossible_counts_and_values(tmp_path, bad):
+    pool = small_pool(16)
+    pool.insert_episode(mk_episode("ep-000001", unit(16), trials=2, successes=1))
+    path = tmp_path / "episodes.jsonl"
+    pool.save_episodes(str(path))
+    raw = json.loads(path.read_text())
+    raw.update(id="ep-000002", **bad)
+    with path.open("a") as fh:
+        fh.write(json.dumps(raw) + "\n")
+    with pytest.raises(SchemaViolation, match="line 2"):
+        small_pool(16).load_episodes(str(path))
 
 
 # ---------------------------------------------------------------------------
