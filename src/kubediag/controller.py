@@ -9,6 +9,7 @@ whether the fast path would have sufficed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections import deque
@@ -36,6 +37,18 @@ class OptParams:
     delta_probe: float = 0.02   # finite-difference half-width
     analytic_cost: float = 10.0  # deliberate-path latency in fast-path units
     weight_lr: float = 0.05
+
+    def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _finite(value):
+                raise InvalidArgument(f"{f.name} must be a finite number, got {value!r}")
+        if self.delta_probe <= 0 or self.analytic_cost <= 0:
+            raise InvalidArgument("delta_probe and analytic_cost must be > 0")
+        if not 0.0 <= self.xi <= 1.0:
+            raise InvalidArgument(f"xi must be in [0, 1], got {self.xi}")
+        if self.eta_meta < 0 or self.weight_lr < 0:
+            raise InvalidArgument("eta_meta and weight_lr must be >= 0")
 
 
 @dataclass
@@ -67,8 +80,11 @@ class ControllerState:
             raise InvalidArgument(f"tau must be in [0, 1], got {self.tau}")
         if len(self.factor_weights) != len(FACTOR_NAMES):
             raise InvalidArgument("factor_weights must match the factor count")
-        if any(w < 0 for w in self.factor_weights):
-            raise InvalidArgument("factor_weights must be >= 0")
+        if not all(_finite(w) and w >= 0 for w in self.factor_weights):
+            raise InvalidArgument(
+                f"factor_weights must be finite and >= 0, got {self.factor_weights}"
+            )
+        self.opt.validate()
 
 
 def coverage(result: RetrievalResult, q: Query) -> float:
@@ -231,14 +247,14 @@ class MetaController:
                 opt=opt,
             )
             state.history.extend(map(_record_from_json, payload["history"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(state)
+        except (KeyError, TypeError, ValueError, InvalidArgument) as exc:
             raise SchemaViolation(f"bad controller checkpoint: {exc}") from exc
-        return cls(state)
 
 
 def _finite(x: object) -> bool:
     # bool is an int subclass; a JSON true is not a number here
-    return type(x) in (int, float) and math.isfinite(x)
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _record_from_json(raw: dict) -> SessionRecord:

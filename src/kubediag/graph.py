@@ -6,6 +6,15 @@ relations.  Documents are sorted into seven troubleshooting categories by a
 rule-based keyword classifier before their triples enter the graph.  Search is
 best-first over simple paths from query-matched seed nodes, ranked by a blend
 of memory prior, edge strength and per-path node freshness.
+
+Seeding is exact but does not scan dense vectors.  Each node's label
+embedding is kept sparse, as the ``(index, value)`` of every entry that is
+not ``+0.0`` (a hashing label has about 3 of 2048), and one flat index over
+all of them scores every node against the query with two ``np.bincount``
+calls.  That sum can differ from ``np.dot``'s in its last bits, so it only
+picks candidates, with a margin wider than any rounding difference; each
+candidate is rebuilt dense, bit for bit, and rescored with ``np.dot``.  A
+label is embedded once and re-embedded only when it changes.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +37,11 @@ from .errors import (
     SchemaViolation,
 )
 from .files import write_atomic
+
+# labels embedded per stacked block on the first index build
+_EMBED_CHUNK = 256
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
+_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
 class NodeType(str, Enum):
@@ -233,6 +247,16 @@ def classify_document(
 # the graph store
 
 
+class _LabelIndex(NamedTuple):
+    """Every node's sparse label entries as one triplet, in node order."""
+
+    ids: list[str]     # row -> node id
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    dim: int
+
+
 class KnowledgeGraph:
     """Directed typed multigraph keyed by (src, relation, dst) with max-weight dedup."""
 
@@ -240,7 +264,11 @@ class KnowledgeGraph:
         self.nodes: dict[str, GraphNode] = {}
         self.edges: dict[tuple[str, str, str], GraphEdge] = {}  # (src, relation, dst)
         self._out: dict[str, list[tuple[str, str]]] = {}        # src -> [(relation, dst)]
-        self._label_vecs: dict[str, np.ndarray] = {}
+        # node id -> (index, value) of its label embedding, every entry not +0.0
+        self._label_vecs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # built by seed_nodes, shared by copies, never mutated in place;
+        # dropped when a node is added or a node's label changes
+        self._label_index: _LabelIndex | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -261,6 +289,7 @@ class KnowledgeGraph:
         }
         g._out = {k: list(v) for k, v in self._out.items()}
         g._label_vecs = dict(self._label_vecs)
+        g._label_index = self._label_index
         return g
 
     def upsert_node(self, node: GraphNode) -> None:
@@ -271,13 +300,17 @@ class KnowledgeGraph:
                     f"node {node.id!r} redefined from {existing.node_type.value}"
                     f" to {node.node_type.value}"
                 )
-            existing.label = node.label or existing.label
+            label = node.label or existing.label
+            if (label or node.id) != (existing.label or node.id):
+                self._label_vecs.pop(node.id, None)
+                self._label_index = None
+            existing.label = label
             existing.attributes.update(node.attributes)
             if node.category is not None:
                 existing.category = node.category
-            self._label_vecs.pop(node.id, None)
         else:
             self.nodes[node.id] = node
+            self._label_index = None
 
     def add_triple(self, src: GraphNode, edge: GraphEdge, dst: GraphNode) -> None:
         """Upsert both endpoints and the edge; duplicate triples keep the max weight."""
@@ -319,20 +352,72 @@ class KnowledgeGraph:
         out.sort(key=lambda t: (t[0].value, t[1]))
         return out
 
-    def _label_vec(self, node_id: str, embedder: Embedder) -> np.ndarray:
-        vec = self._label_vecs.get(node_id)
-        if vec is None:
-            label = self.nodes[node_id].label or node_id
-            vec = embedder.embed(label)
-            self._label_vecs[node_id] = vec
-        return vec
+    def _build_label_index(self, embedder: Embedder) -> _LabelIndex:
+        """Embed the labels not yet embedded, then flatten every node's entries."""
+        missing = [nid for nid in self.nodes if nid not in self._label_vecs]
+        dim = embedder.dim
+        for start in range(0, len(missing), _EMBED_CHUNK):
+            part = missing[start:start + _EMBED_CHUNK]
+            dense = np.array([embedder.embed(self.nodes[nid].label or nid) for nid in part])
+            dim = dense.shape[1]
+            # the rule of memory._vector_to_json: keep -0.0 so rebuilds are bit for bit
+            flat = np.flatnonzero(np.signbit(dense) | (dense != 0))
+            rows, cols = np.divmod(flat, dim)
+            vals = dense.ravel()[flat]
+            bounds = np.searchsorted(rows, np.arange(len(part) + 1)).tolist()
+            for i, nid in enumerate(part):
+                a, b = bounds[i], bounds[i + 1]
+                self._label_vecs[nid] = (cols[a:b], vals[a:b])
+        ids = list(self.nodes)
+        entries = [self._label_vecs[nid] for nid in ids]
+        sizes = [c.size for c, _ in entries]
+        return _LabelIndex(
+            ids=ids,
+            row=np.repeat(np.arange(len(ids)), sizes),
+            col=np.concatenate([c for c, _ in entries]),
+            val=np.concatenate([v for _, v in entries]),
+            dim=dim,
+        )
 
     def seed_nodes(self, q_embedding: np.ndarray, embedder: Embedder,
                    threshold: float = 0.5) -> list[str]:
-        """Nodes whose label embedding is close to the query, best first."""
+        """Nodes whose label embedding has ``np.dot(label, q) >= threshold``,
+        best first, ties by id.
+
+        Exact for any threshold and embedder.  ``approx`` sums each row's
+        shared products ``p`` with ``np.bincount``; ``np.dot`` sums the same
+        products plus exact zeros in another order, perhaps with FMA.  Two
+        summation orders of n terms each lie within ``gamma_n * sum|p|`` of
+        the true sum (``gamma_n = n*u / (1 - n*u)``, u the unit roundoff),
+        so they differ by at most ``2 * gamma_n * sum|p|``, plus under one
+        smallest subnormal per term if products underflow.  The margin
+        doubles that to cover the rounding of ``absum`` and of the
+        comparison.  A row sharing no coordinate with the query is exactly 0
+        both ways.  Every row that can reach the threshold is therefore a
+        candidate, and candidates are rescored with ``np.dot`` on the dense
+        label rebuilt bit for bit.
+        """
+        if not self.nodes:
+            return []
+        index = self._label_index
+        if index is None:
+            index = self._label_index = self._build_label_index(embedder)
+        q = np.asarray(q_embedding)
+        if q.shape != (index.dim,):
+            raise ValueError(f"query shape {q.shape} != label shape ({index.dim},)")
+        n = len(index.ids)
+        p = index.val * q[index.col]
+        approx = np.bincount(index.row, p, n)
+        absum = np.bincount(index.row, np.abs(p), n)
+        gamma = index.dim * _UNIT_ROUNDOFF / (1.0 - index.dim * _UNIT_ROUNDOFF)
+        margin = 4.0 * gamma * absum + index.dim * _SUBNORMAL
         hits = []
-        for nid in self.nodes:
-            sim = float(np.dot(self._label_vec(nid, embedder), q_embedding))
+        for r in np.flatnonzero(approx + margin >= threshold).tolist():
+            nid = index.ids[r]
+            cols, vals = self._label_vecs[nid]
+            dense = np.zeros(index.dim, dtype=vals.dtype)
+            dense[cols] = vals
+            sim = float(np.dot(dense, q))
             if sim >= threshold:
                 hits.append((-sim, nid))
         return [nid for _, nid in sorted(hits)]
@@ -365,22 +450,31 @@ class KnowledgeGraph:
         g = cls()
         try:
             for raw in payload["nodes"]:
+                label = raw.get("label", "")
+                if not isinstance(label, str):
+                    raise SchemaViolation(f"node {raw['id']!r}: label {label!r} is not a string")
                 g.upsert_node(
                     GraphNode(
                         id=str(raw["id"]),
                         node_type=NodeType(raw["node_type"]),
-                        label=str(raw.get("label", "")),
+                        label=label,
                         attributes=dict(raw.get("attributes", {})),
                         category=Category(raw["category"]) if raw.get("category") else None,
                     )
                 )
             for raw in payload["edges"]:
                 src, dst = g.nodes[str(raw["src"])], g.nodes[str(raw["dst"])]
-                g.add_triple(
-                    src,
-                    GraphEdge(src.id, dst.id, Relation(raw["relation"]), float(raw["weight"])),
-                    dst,
-                )
+                name = f"edge {src.id!r} -{raw['relation']}-> {dst.id!r}"
+                weight = raw["weight"]
+                # bool is an int subclass, and float() would parse a string
+                if type(weight) not in (int, float):
+                    raise SchemaViolation(f"{name}: weight {weight!r} is not a number")
+                edge = GraphEdge(src.id, dst.id, Relation(raw["relation"]), float(weight))
+                try:
+                    edge.validate()
+                except InvalidArgument as exc:
+                    raise SchemaViolation(f"{name}: {exc}") from exc
+                g.add_triple(src, edge, dst)
         except (KeyError, TypeError) as exc:
             raise SchemaViolation(f"bad graph payload: {exc}") from exc
         except ValueError as exc:

@@ -33,7 +33,6 @@ import dataclasses
 import heapq
 import json
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -314,9 +313,9 @@ def compute_factors(
 class MemoryPool:
     """Bounded store of episodes and patterns with exact retrieval.
 
-    Single writer: mutations take an internal lock, but reads iterate the
-    live dicts without it, so readers must not run concurrently with a
-    writer.  Episodes iterate in insertion order.
+    Single writer: nothing is locked, and reads iterate the live dicts, so
+    readers must not run concurrently with a writer.  Episodes iterate in
+    insertion order.
 
     ``_neighbours`` maps every stored episode id to the ids whose scalar
     ``_cos`` with it exceeds ``pattern_sim_threshold``, itself included: one
@@ -335,7 +334,6 @@ class MemoryPool:
         self._tombstones: dict[str, Outcome] = {}  # evicted id -> final outcome
         self._pattern_seq = 0
         self._neighbours: dict[str, set[str]] | None = None  # built on first formation
-        self._lock = threading.RLock()
 
     # -- basic introspection ------------------------------------------------
 
@@ -366,20 +364,19 @@ class MemoryPool:
     # -- mutation -----------------------------------------------------------
 
     def insert_episode(self, episode: Episode) -> None:
-        with self._lock:
-            if episode.id in self._episodes or episode.id in self._tombstones:
-                raise DuplicateId(f"episode id {episode.id!r} already used")
-            episode.validate()
-            if len(episode.embedding) != self.config.embedding_dim:
-                raise InvalidArgument(
-                    f"episode {episode.id}: embedding dim {len(episode.embedding)}"
-                    f" != {self.config.embedding_dim}"
-                )
-            self._episodes[episode.id] = episode
-            while len(self._episodes) > self.config.capacity:
-                self._evict_one()
-            if self._neighbours is not None and episode.id in self._episodes:
-                self._link(episode)
+        if episode.id in self._episodes or episode.id in self._tombstones:
+            raise DuplicateId(f"episode id {episode.id!r} already used")
+        episode.validate()
+        if len(episode.embedding) != self.config.embedding_dim:
+            raise InvalidArgument(
+                f"episode {episode.id}: embedding dim {len(episode.embedding)}"
+                f" != {self.config.embedding_dim}"
+            )
+        self._episodes[episode.id] = episode
+        while len(self._episodes) > self.config.capacity:
+            self._evict_one()
+        if self._neighbours is not None and episode.id in self._episodes:
+            self._link(episode)
 
     def _evict_one(self) -> None:
         victim = min(
@@ -395,17 +392,16 @@ class MemoryPool:
 
     def update_outcome(self, episode_id: str, outcome: Outcome, success: bool) -> None:
         """Record a feedback trial and scale the episode's retention value."""
-        with self._lock:
-            ep = self.episode(episode_id)
-            ep.outcome = outcome
-            ep.trials += 1
-            ep.successes += int(success)
-            delta = self.config.outcome_delta
-            factor = (1.0 + delta) if success else (1.0 - delta)
-            ep.memory_value = max(0.0, ep.memory_value * factor)
-            for pat in self._patterns.values():
-                if episode_id in pat.member_ids:
-                    self._recount_reliability(pat)
+        ep = self.episode(episode_id)
+        ep.outcome = outcome
+        ep.trials += 1
+        ep.successes += int(success)
+        delta = self.config.outcome_delta
+        factor = (1.0 + delta) if success else (1.0 - delta)
+        ep.memory_value = max(0.0, ep.memory_value * factor)
+        for pat in self._patterns.values():
+            if episode_id in pat.member_ids:
+                self._recount_reliability(pat)
 
     def _recount_reliability(self, pat: Pattern) -> None:
         wins = 0
@@ -425,8 +421,7 @@ class MemoryPool:
         Re-running on an unchanged pool is a no-op apart from refreshing the
         same pattern contents (idempotent end state).
         """
-        with self._lock:
-            return self._form_for_seeds(sorted(self._episodes), now)
+        return self._form_for_seeds(sorted(self._episodes), now)
 
     def form_patterns_incremental(self, new_episode_id: str, now: float | None = None) -> list[str]:
         """Re-cluster only the neighborhoods affected by one new episode.
@@ -435,9 +430,8 @@ class MemoryPool:
         neighbour sets (built here on the first formation, kept current by
         ``insert_episode`` afterwards), so no cosine is computed here.
         """
-        with self._lock:
-            ep = self.episode(new_episode_id)
-            return self._form_for_seeds(sorted(self._neighborhood(ep) | {ep.id}), now)
+        ep = self.episode(new_episode_id)
+        return self._form_for_seeds(sorted(self._neighborhood(ep) | {ep.id}), now)
 
     def _neighborhood(self, seed: Episode) -> set[str]:
         """The live neighbour set of ``seed``; callers must not keep or mutate it."""

@@ -170,6 +170,21 @@ def test_diagnose_with_truncated_store_reports_error(runner, learned_stores, sto
     assert result.stderr.startswith("error: ")
 
 
+def test_feedback_with_zero_delta_probe_reports_error(runner, learned_stores):
+    # a checkpoint that would divide by zero in adapt_threshold fails at load
+    path = learned_stores["dir"] / "controller.json"
+    payload = json.loads(path.read_text())
+    payload["opt_params"]["delta_probe"] = 0.0
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(main, seeded_diagnose_args(
+        learned_stores, "--controller", str(path), "--feedback", "success"))
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+    assert "delta_probe" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("option", ["--graph", "--memory", "--controller"])
 def test_diagnose_with_directory_store_reports_error(runner, tmp_path, option):
     result = runner.invoke(main, ["diagnose", SYMPTOM, option, str(tmp_path)])

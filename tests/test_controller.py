@@ -19,7 +19,7 @@ from kubediag.controller import (
     mean_calibration_loss,
     replay_loss,
 )
-from kubediag.errors import EmptyHistory, SchemaViolation
+from kubediag.errors import EmptyHistory, InvalidArgument, SchemaViolation
 from kubediag.memory import (
     Query,
     RetrievalResult,
@@ -412,3 +412,37 @@ def test_load_rejects_corrupt_record(tmp_path, bad):
     path.write_text(json.dumps(payload))
     with pytest.raises(SchemaViolation):
         MetaController.load(str(path))
+
+
+@pytest.mark.parametrize("bad", [
+    {"factor_weights": [float("nan"), 1.0, 1.0, 1.0]},
+    {"factor_weights": [1.0, float("inf"), 1.0, 1.0]},
+    {"tau": 1.5},
+    {"opt_params": {"delta_probe": 0.0}},
+    {"opt_params": {"analytic_cost": 0.0}},
+    {"opt_params": {"xi": 1.5}},
+    {"opt_params": {"eta_meta": -0.01}},
+    {"opt_params": {"weight_lr": float("nan")}},
+    {"opt_params": {"delta_probe": "0.02"}},
+], ids=["nan-weight", "inf-weight", "tau-above-one", "zero-delta-probe",
+        "zero-analytic-cost", "xi-above-one", "negative-eta", "nan-weight-lr",
+        "string-delta-probe"])
+def test_load_rejects_out_of_range_state(tmp_path, bad):
+    path = tmp_path / "controller.json"
+    controller_with([rec(0.5, True)] * 3).save(str(path))
+    MetaController.load(str(path))  # loads intact
+    payload = json.loads(path.read_text())
+    for key, value in bad.items():
+        if key == "opt_params":
+            payload[key].update(value)
+        else:
+            payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaViolation):
+        MetaController.load(str(path))
+
+
+def test_state_rejects_unusable_opt_params():
+    with pytest.raises(InvalidArgument):
+        MetaController(ControllerState(opt=OptParams(delta_probe=0.0)))
+    MetaController(ControllerState(opt=OptParams(eta_meta=0.0, xi=1.0, weight_lr=0.0)))

@@ -1,7 +1,12 @@
+import copy
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import rand_unit
 from kubediag.embedding import HashingEmbedder
@@ -194,10 +199,154 @@ def test_load_rejects_unknown_enum(tmp_path):
         KnowledgeGraph.load(str(path))
 
 
+GOOD_GRAPH = {
+    "nodes": [
+        {"id": "a", "node_type": "Pod", "label": "pod a", "attributes": {}, "category": None},
+        {"id": "b", "node_type": "RootCause", "label": "b", "attributes": {}, "category": None},
+    ],
+    "edges": [{"src": "a", "dst": "b", "relation": "causes", "weight": 0.5}],
+}
+
+
+@pytest.mark.parametrize("table,bad", [
+    ("edges", {"weight": 2.0}),
+    ("edges", {"weight": float("nan")}),
+    ("edges", {"dst": "a"}),
+    ("edges", {"weight": "0.5"}),
+    ("edges", {"weight": True}),
+    ("nodes", {"label": None}),
+], ids=["weight-above-one", "nan-weight", "self-loop", "string-weight", "bool-weight",
+        "null-label"])
+def test_load_rejects_bad_field_naming_it(tmp_path, table, bad):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(GOOD_GRAPH))
+    assert KnowledgeGraph.load(str(path)).edges[("a", "causes", "b")].weight == 0.5
+    payload = copy.deepcopy(GOOD_GRAPH)
+    payload[table][0].update(bad)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaViolation, match="'a'"):
+        KnowledgeGraph.load(str(path))
+
+
 def test_schema_enums_are_closed():
     assert len(NodeType) == 12
     assert len(Relation) == 8
     assert NodeType.ROOT_CAUSE.value == "RootCause"
+
+
+# ---------------------------------------------------------------------------
+# seeding through the sparse label index
+
+
+class DenseEmbedder:
+    """A unit vector with every entry non-zero, seeded by the text."""
+
+    dim = 16
+
+    def embed(self, text):
+        seed = int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big")
+        v = np.random.default_rng(seed).standard_normal(self.dim)
+        return v / np.linalg.norm(v)
+
+
+class CountingEmbedder(HashingEmbedder):
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.texts = []
+
+    def embed(self, text):
+        self.texts.append(text)
+        return super().embed(text)
+
+
+SEED_EMBEDDERS = {"hashing": HashingEmbedder(64), "dense": DenseEmbedder()}
+VOCAB = ["pod", "oom", "dns", "node", "disk", "pressure", "image", "pull", "kubelet"]
+
+labels = st.lists(st.sampled_from(VOCAB), max_size=4).map(" ".join)
+
+
+def scan_seeds(g, q, embedder, threshold):
+    """The per-node scan the index replaced: one dense np.dot per label."""
+    hits = []
+    for nid in g.nodes:
+        sim = float(np.dot(embedder.embed(g.nodes[nid].label or nid), q))
+        if sim >= threshold:
+            hits.append((-sim, nid))
+    return [nid for _, nid in sorted(hits)]
+
+
+def labelled_graph(names):
+    g = KnowledgeGraph()
+    for i, label in enumerate(names):
+        g.upsert_node(GraphNode(f"n{i}", NodeType.EVENT, label))
+    return g
+
+
+@st.composite
+def seed_cases(draw):
+    """(embedder, graph, query, threshold), the threshold often an exact
+    similarity or its neighbouring float, where rounding would show."""
+    embedder = SEED_EMBEDDERS[draw(st.sampled_from(sorted(SEED_EMBEDDERS)))]
+    g = labelled_graph(draw(st.lists(labels, min_size=1, max_size=12)))
+    if draw(st.booleans()):
+        q = embedder.embed(draw(labels.filter(bool)))
+    else:
+        q = rand_unit(np.random.default_rng(draw(st.integers(0, 2**32))), embedder.dim)
+    sims = [float(np.dot(embedder.embed(n.label or n.id), q)) for n in g.nodes.values()]
+    threshold = draw(st.one_of(
+        st.sampled_from([-1.0, -0.25, 0.0, 0.5, 1.0]),
+        st.floats(-1.0, 1.0),
+        st.sampled_from(sims),
+        st.sampled_from(sims).map(lambda x: float(np.nextafter(x, 2.0))),
+    ))
+    return embedder, g, q, threshold
+
+
+@given(seed_cases())
+def test_seed_nodes_equal_the_dense_scan(case):
+    embedder, g, q, threshold = case
+    assert g.seed_nodes(q, embedder, threshold) == scan_seeds(g, q, embedder, threshold)
+
+
+@given(seed_cases(), st.data())
+def test_seed_nodes_stay_exact_after_relabel_new_node_and_copy(case, data):
+    embedder, g, q, threshold = case
+
+    def check(graph):
+        assert graph.seed_nodes(q, embedder, threshold) == scan_seeds(graph, q, embedder,
+                                                                      threshold)
+
+    check(g)
+    relabelled = data.draw(st.sampled_from(sorted(g.nodes)))
+    g.upsert_node(GraphNode(relabelled, NodeType.EVENT, data.draw(labels) + " pod"))
+    check(g)
+    g.upsert_node(GraphNode("fresh", NodeType.POD, data.draw(labels)))
+    check(g)
+    before = g.seed_nodes(q, embedder, threshold)
+    g2 = g.copy()
+    g2.upsert_node(GraphNode(relabelled, NodeType.EVENT, data.draw(labels) + " dns"))
+    g2.upsert_node(GraphNode("fresher", NodeType.POD, data.draw(labels)))
+    check(g2)
+    assert g.seed_nodes(q, embedder, threshold) == before
+    check(g)
+
+
+def test_upsert_reembeds_only_a_changed_label():
+    embedder = CountingEmbedder(64)
+    g = labelled_graph(["pod oom", "dns", ""])
+    q = embedder.embed("pod oom")
+    g.seed_nodes(q, embedder)
+    assert embedder.texts == ["pod oom", "pod oom", "dns", "n2"]
+    g.upsert_node(GraphNode("n0", NodeType.EVENT, "pod oom", {"seen": 1}))
+    g.upsert_node(GraphNode("n1", NodeType.EVENT, ""))  # keeps its label
+    g.upsert_node(GraphNode("n2", NodeType.EVENT, "n2"))  # its id was already the label
+    g.confirm_relation(g.nodes["n0"], Relation.CAUSES, g.nodes["n1"])
+    g.copy().seed_nodes(q, embedder)
+    assert g.seed_nodes(q, embedder) == ["n0"]
+    assert len(embedder.texts) == 4
+    g.upsert_node(GraphNode("n1", NodeType.EVENT, "pod oom"))
+    assert g.seed_nodes(q, embedder) == ["n0", "n1"]
+    assert embedder.texts[4:] == ["pod oom"]
 
 
 # ---------------------------------------------------------------------------
