@@ -34,14 +34,7 @@ from .graph import (
 )
 from .memory import MemoryConfig, MemoryPool, Outcome
 from .scenarios import DEFAULT_MIX, FAULT_CATEGORIES, build_world, save_scenarios
-from .simulate import (
-    SimulationConfig,
-    TickClock,
-    build_stream,
-    make_engine,
-    run_stream,
-    write_curve_csv,
-)
+from .simulate import SimulationConfig, evaluate_ablation, run_continuous, write_curve_csv
 from .synthesizer import SynthConfig, TemplateStubClient
 
 
@@ -347,19 +340,14 @@ def simulate(sessions, recurrence, window, seed, corpus, no_memory, ablation,
 
     def run() -> None:
         cfg = _load_config(config_path)
+        ignored = [k for k, default in (("tau", None), ("synth", SynthConfig()))
+                   if cfg[k] != default]
+        if ignored:
+            raise ConfigError(f"simulate does not read config sections: {', '.join(ignored)}")
         sim = SimulationConfig(
             total_sessions=sessions, recurrence=recurrence, window=window,
             seed=seed, corpus_size=corpus, memory_enabled=not no_memory,
         )
-        sim.validate()
-        scenarios, graph = build_world(sim.seed, sim.corpus_size)
-        stream = build_stream(scenarios, sim)
-
-        def fresh(memory_enabled: bool) -> Engine:
-            return make_engine(
-                graph, clock=TickClock(), memory_enabled=memory_enabled,
-                memory_config=cfg["memory"], search_config=cfg["search"],
-            )
 
         def summary(tag: str, res) -> None:
             _echo(f"{tag}sessions      {res.sessions}")
@@ -387,32 +375,25 @@ def simulate(sessions, recurrence, window, seed, corpus, no_memory, ablation,
                         fh.write(json.dumps(session.to_trace(), sort_keys=True) + "\n")
 
         if ablation:
-            engine = fresh(True)
-            with_memory = run_stream(engine, stream, sim.window)
-            without = run_stream(fresh(False), stream, sim.window)
-            base = without.accuracy
-            gain = (with_memory.accuracy - base) / base if base else float("inf")
-            write_outputs(engine, with_memory)
+            ab = evaluate_ablation(sim, cfg["memory"], cfg["search"])
+            write_outputs(ab.engine, ab.with_memory)
             if as_json:
                 _echo(json.dumps(
-                    {"with_memory": as_dict(with_memory), "without_memory": as_dict(without),
-                     "relative_accuracy_gain": round(gain, 6)},
+                    {"with_memory": as_dict(ab.with_memory),
+                     "without_memory": as_dict(ab.without_memory),
+                     "relative_accuracy_gain": round(ab.relative_accuracy_gain, 6)},
                     sort_keys=True,
                 ))
             else:
                 _echo("with memory:")
-                summary("  ", with_memory)
+                summary("  ", ab.with_memory)
                 _echo("without memory:")
-                summary("  ", without)
-                _echo(f"relative accuracy gain  {gain:.4f}")
-                _echo(
-                    "latency delta           "
-                    f"{with_memory.mean_latency_units - without.mean_latency_units:+.4f}"
-                )
+                summary("  ", ab.without_memory)
+                _echo(f"relative accuracy gain  {ab.relative_accuracy_gain:.4f}")
+                _echo(f"latency delta           {ab.latency_delta:+.4f}")
             return
 
-        engine = fresh(not no_memory)
-        res = run_stream(engine, stream, sim.window)
+        res, engine = run_continuous(sim, cfg["memory"], cfg["search"])
         write_outputs(engine, res)
         if as_json:
             _echo(json.dumps(as_dict(res), sort_keys=True))

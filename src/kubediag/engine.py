@@ -258,17 +258,9 @@ class Engine:
         decision = self._stage("route", _route)
         cards = self._stage("context", lambda: self._memory_cards(result))
 
-        chains: list[CausalChain] | None
-        if decision.pathway is Pathway.INTUITIVE:
-            chains = None
-            ctx = self._stage(
-                "context",
-                lambda: build_context(
-                    query.symptoms, sorted(query.context), query.logs,
-                    cards, [], "intuitive", self.synth_config.token_budget,
-                ),
-            )
-        else:
+        chains: list[CausalChain] | None = None
+        chain_cards: list[ChainCard] = []
+        if decision.pathway is Pathway.ANALYTICAL:
             def _explore() -> list[CausalChain]:
                 hint_nodes = self.pool.hints(result) if self.memory_enabled else set()
                 return explore(
@@ -280,14 +272,15 @@ class Engine:
             if not chains and not cards:
                 raise NoEvidence(f"no memories and no causal chains for query {query.id!r}")
             chain_cards = self._chain_cards(chains)
-            mode = "analytical" if chains else "intuitive"  # degraded: memory-only evidence
-            ctx = self._stage(
-                "context",
-                lambda: build_context(
-                    query.symptoms, sorted(query.context), query.logs,
-                    cards, chain_cards, mode, self.synth_config.token_budget,
-                ),
-            )
+        # an analytical diagnosis without chains degrades to memory-only evidence
+        mode = "analytical" if chain_cards else "intuitive"
+        ctx = self._stage(
+            "context",
+            lambda: build_context(
+                query.symptoms, sorted(query.context), query.logs,
+                cards, chain_cards, mode, self.synth_config.token_budget,
+            ),
+        )
 
         solution = self._stage(
             "synthesize", lambda: synthesize(ctx, self.client, self.synth_config.max_retries)

@@ -273,10 +273,6 @@ class KnowledgeGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def copy(self) -> "KnowledgeGraph":
         """Independent copy: mutating it never touches this graph's records."""
         g = KnowledgeGraph()

@@ -196,26 +196,6 @@ class RetrievalResult:
     novelty: float
     complexity: float
 
-    def to_json(self) -> str:
-        payload = {
-            "memories": [
-                {
-                    "ref": m.ref,
-                    "kind": m.kind,
-                    "score": m.score,
-                    "confidence": m.confidence,
-                    "factors": list(m.factors),
-                    "symptom_tokens": sorted(m.symptom_tokens),
-                }
-                for m in self.memories
-            ],
-            "c_max": self.c_max,
-            "psi": self.psi,
-            "novelty": self.novelty,
-            "complexity": self.complexity,
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # scoring primitives
@@ -650,6 +630,14 @@ class MemoryPool:
                 norm = float(np.linalg.norm(pat.centroid))
                 if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
                     raise ValueError(f"{pat.id}: centroid norm {norm:.8f} != 1")
+                if pat.member_count != len(pat.member_ids):
+                    raise ValueError(f"{pat.id}: member_count {pat.member_count} != "
+                                     f"{len(pat.member_ids)} member ids")
+                if not 0 <= pat.success_members <= pat.member_count:
+                    raise ValueError(f"{pat.id}: success_members {pat.success_members} "
+                                     f"outside [0, {pat.member_count}]")
+                if not 0.0 <= pat.reliability <= 1.0:  # NaN fails too
+                    raise ValueError(f"{pat.id}: reliability {pat.reliability} outside [0, 1]")
                 if pat.id.startswith("pat-"):
                     seq = max(seq, int(pat.id.rsplit("-", 1)[-1]))
         except (ValueError, KeyError, TypeError) as exc:

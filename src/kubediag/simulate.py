@@ -5,13 +5,19 @@ already-seen incidents; every completed diagnosis is auto-scored against the
 scenario's ground-truth root cause and fed straight back into the engine, so
 learning happens online.  The ablation runner plays the identical stream
 through a memory-enabled and a memory-disabled engine.
+
+``kubediag simulate`` prints what :func:`run_continuous` and
+:func:`evaluate_ablation` return.  Of a ``--config`` file it reads the
+``memory`` and ``search`` sections; every engine starts from the default
+controller and synthesis settings, so a ``tau`` or ``synth`` section is
+rejected there.
 """
 
 from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .controller import MetaController, Pathway
@@ -194,12 +200,19 @@ def run_stream(
     return result
 
 
-def run_continuous(cfg: SimulationConfig | None = None) -> tuple[SimulationResult, Engine]:
+def run_continuous(
+    cfg: SimulationConfig | None = None,
+    memory_config: MemoryConfig | None = None,
+    search_config: SearchConfig | None = None,
+) -> tuple[SimulationResult, Engine]:
     """Generate a world, stream it through a fresh engine, return both."""
     cfg = cfg or SimulationConfig()
     cfg.validate()
     scenarios, graph = build_world(cfg.seed, cfg.corpus_size)
-    engine = make_engine(graph, memory_enabled=cfg.memory_enabled)
+    engine = make_engine(
+        graph, memory_enabled=cfg.memory_enabled,
+        memory_config=memory_config, search_config=search_config,
+    )
     stream = build_stream(scenarios, cfg)
     return run_stream(engine, stream, cfg.window), engine
 
@@ -208,6 +221,7 @@ def run_continuous(cfg: SimulationConfig | None = None) -> tuple[SimulationResul
 class AblationResult:
     with_memory: SimulationResult
     without_memory: SimulationResult
+    engine: Engine  # the memory-enabled arm's
 
     @property
     def relative_accuracy_gain(self) -> float:
@@ -219,15 +233,22 @@ class AblationResult:
         return self.with_memory.mean_latency_units - self.without_memory.mean_latency_units
 
 
-def evaluate_ablation(cfg: SimulationConfig | None = None) -> AblationResult:
-    """Identical stream through memory-enabled and memory-disabled engines."""
+def evaluate_ablation(
+    cfg: SimulationConfig | None = None,
+    memory_config: MemoryConfig | None = None,
+    search_config: SearchConfig | None = None,
+) -> AblationResult:
+    """Identical stream through memory-enabled and memory-disabled engines.
+
+    Each arm builds its own world; ``build_world`` is deterministic per seed,
+    so both see the same graph and stream.
+    """
     cfg = cfg or SimulationConfig(recurrence=0.5)
-    cfg.validate()
-    scenarios, graph = build_world(cfg.seed, cfg.corpus_size)
-    stream = build_stream(scenarios, cfg)
-    with_memory = run_stream(make_engine(graph, memory_enabled=True), stream, cfg.window)
-    without = run_stream(make_engine(graph, memory_enabled=False), stream, cfg.window)
-    return AblationResult(with_memory=with_memory, without_memory=without)
+    with_memory, engine = run_continuous(
+        replace(cfg, memory_enabled=True), memory_config, search_config
+    )
+    without, _ = run_continuous(replace(cfg, memory_enabled=False), memory_config, search_config)
+    return AblationResult(with_memory=with_memory, without_memory=without, engine=engine)
 
 
 def write_curve_csv(result: SimulationResult, path: str) -> None:

@@ -15,6 +15,7 @@ from kubediag.errors import SchemaViolation
 from kubediag.graph import GraphEdge, GraphNode, KnowledgeGraph, NodeType, Relation
 from kubediag.memory import MemoryConfig, MemoryPool
 from kubediag.scenarios import FAULT_CATEGORIES, build_world, load_scenarios, scenario_to_dict
+from kubediag.simulate import SimulationConfig, evaluate_ablation, run_continuous
 
 SYMPTOM = "pod oomkilled repeatedly"
 EMB = HashingEmbedder(MemoryConfig().embedding_dim)
@@ -410,6 +411,68 @@ def test_simulate_env_var_overrides_option(runner):
 
 def test_simulate_rejects_invalid_settings(runner):
     assert runner.invoke(main, ["simulate", "--sessions", "-5"]).exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [('{"tau": 0.05}', ["tau"]),
+     ('{"synth": {"token_budget": 20}}', ["synth"]),
+     ('{"tau": 0.05, "synth": {"token_budget": 20}}', ["tau", "synth"])],
+    ids=["tau", "synth", "both"],
+)
+def test_simulate_rejects_config_sections_it_does_not_read(runner, tmp_path, payload, named):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(payload)
+    result = runner.invoke(main, [*SIM_ARGS, "--config", str(cfg_path), "--json"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert all(name in result.stderr for name in named)
+
+
+def _report(res) -> dict:
+    """The numbers ``simulate --json`` prints for one arm."""
+    return {
+        "sessions": res.sessions,
+        "accuracy": round(res.accuracy, 6),
+        "intuitive_rate": round(res.intuitive_rate, 6),
+        "mean_latency_units": round(res.mean_latency_units, 6),
+        "no_evidence": res.no_evidence,
+        "per_category": {k: list(v) for k, v in sorted(res.per_category.items())},
+    }
+
+
+LIB_SIM = SimulationConfig(total_sessions=30, recurrence=0.5, window=10, seed=4, corpus_size=24)
+
+
+@pytest.fixture
+def k1_config(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"memory": {"retrieval_k": 1, "hint_k": 1}}')
+    return str(path)
+
+
+def test_simulate_memory_config_matches_run_continuous(runner, k1_config):
+    args = [*SIM_ARGS, "--recurrence", "0.5", "--json"]
+    result = runner.invoke(main, [*args, "--config", k1_config])
+    assert result.exit_code == 0
+    res, _ = run_continuous(LIB_SIM, MemoryConfig(retrieval_k=1, hint_k=1))
+    assert json.loads(result.stdout) == _report(res)
+    # the section reaches the run: it routes differently from the defaults
+    default = json.loads(runner.invoke(main, args).stdout)
+    assert default["intuitive_rate"] != _report(res)["intuitive_rate"]
+
+
+def test_simulate_ablation_matches_evaluate_ablation(runner, k1_config):
+    result = runner.invoke(main, [*SIM_ARGS, "--recurrence", "0.5", "--ablation", "--json",
+                                  "--config", k1_config])
+    assert result.exit_code == 0
+    ab = evaluate_ablation(LIB_SIM, MemoryConfig(retrieval_k=1, hint_k=1))
+    assert json.loads(result.stdout) == {
+        "with_memory": _report(ab.with_memory),
+        "without_memory": _report(ab.without_memory),
+        "relative_accuracy_gain": round(ab.relative_accuracy_gain, 6),
+    }
 
 
 # ---------------------------------------------------------------------------

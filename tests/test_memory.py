@@ -871,6 +871,37 @@ def test_pattern_snapshot_rejects_bad_payload(tmp_path, rng, edit):
     assert fresh.patterns == {}
 
 
+def _set_counts(data, **fields):
+    pat = data["patterns"][0]
+    n = len(pat["member_ids"])
+    pat.update({k: v(n) if callable(v) else v for k, v in fields.items()})
+    return data
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"member_count": 1, "success_members": 9},
+        {"member_count": lambda n: n + 1, "success_members": 0},
+        {"member_count": lambda n: n - 1, "success_members": 0},
+        {"success_members": lambda n: n + 1},
+        {"success_members": -1},
+        {"reliability": 1.5},
+        {"reliability": -0.25},
+        {"reliability": float("nan")},
+        {"reliability": float("inf")},
+    ],
+    ids=["count-1-wins-9", "count-too-high", "count-too-low", "wins-above-count",
+         "negative-wins", "reliability-above-1", "negative-reliability", "nan-reliability",
+         "inf-reliability"],
+)
+def test_pattern_snapshot_rejects_impossible_counts(tmp_path, rng, fields):
+    fresh, path = _snapshot_with(tmp_path, rng, lambda d: _set_counts(d, **fields))
+    with pytest.raises(SchemaViolation):
+        fresh.load_pattern_snapshot(str(path))
+    assert fresh.patterns == {}
+
+
 # -- store format: sparse vectors ---------------------------------------------
 
 
