@@ -5,6 +5,12 @@ memory confidence scoring.  Both are tuned from replayed session history: the
 threshold by a finite-difference step against a replayed error/latency loss,
 the weights by gradient steps against how well past confidence predicted
 whether the fast path would have sufficed.
+
+A stored :class:`SessionRecord` is never mutated after
+:meth:`MetaController.record`.  The weight fit relies on that: it computes a
+record's clamped factors, their logs and y once, at the record's first fit,
+and keeps them on the record, so each later step costs one weighted product
+and four sums per record.  Checkpoints still hold three keys per record.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Sequence
 
 from .errors import EmptyHistory, InvalidArgument, SchemaViolation
 from .files import write_atomic
-from .memory import FACTOR_NAMES, Query, RetrievalResult, _FACTOR_FLOOR
+from .memory import FACTOR_NAMES, Query, RetrievalResult, _FACTOR_FLOOR, _finite
 from .text import tokenize
 
 MIN_HISTORY = 10  # records needed before any self-tuning step
@@ -53,7 +59,12 @@ class OptParams:
 
 @dataclass
 class SessionRecord:
-    """What the threshold replay and the weight fit read of one session."""
+    """What the threshold replay and the weight fit read of one session.
+
+    The weight fit keeps its per-record constants in a ``_fit`` attribute
+    set at the record's first fit; it is not a field, so it is neither
+    compared nor saved.
+    """
 
     c_max: float
     factors: tuple[float, float, float, float]  # of the most confident memory
@@ -135,6 +146,13 @@ def _predicted_confidence(factors: Sequence[float], weights: Sequence[float]) ->
     return out
 
 
+def _fit_constants(rec: SessionRecord) -> tuple[float, ...]:
+    """The weight-independent terms of one record's fit: its four clamped
+    factors, their four logs and y."""
+    a = [max(_FACTOR_FLOOR, min(1.0, f)) for f in rec.factors]
+    return (*a, *map(math.log, a), 1.0 if rec.fast_sufficient else 0.0)
+
+
 def mean_calibration_loss(history: Sequence[SessionRecord], weights: Sequence[float]) -> float:
     if not history:
         raise EmptyHistory("no records to score")
@@ -190,21 +208,35 @@ class MetaController:
         Per record, d(loss)/d(zeta_j) = (C - y) * log f_j with C the current
         weighted factor product; steps are averaged over history and weights
         clamped at zero.  Returns (weights_before, weights_after).
+
+        A record's clamped factors, their logs and y depend on the record
+        alone, so they are computed at its first fit and kept on it (records
+        are not mutated after :meth:`record`); each step recomputes only C.
+        The float operations and their order are those of
+        :func:`_predicted_confidence` and the per-factor sums, so the result
+        is bit for bit that of recomputing everything.
         """
         st = self.state
         before = tuple(st.factor_weights)
         if len(st.history) < MIN_HISTORY:
             return before, before
-        sums = [0.0] * len(FACTOR_NAMES)
+        z0, z1, z2, z3 = st.factor_weights
+        s0 = s1 = s2 = s3 = 0.0
         for rec in st.history:
-            c = _predicted_confidence(rec.factors, st.factor_weights)
-            y = 1.0 if rec.fast_sufficient else 0.0
-            for j, f in enumerate(rec.factors):
-                sums[j] += (c - y) * math.log(max(_FACTOR_FLOOR, min(1.0, f)))
+            try:
+                fit = rec._fit
+            except AttributeError:
+                fit = rec._fit = _fit_constants(rec)
+            a0, a1, a2, a3, l0, l1, l2, l3, y = fit
+            r = a0 ** z0 * a1 ** z1 * a2 ** z2 * a3 ** z3 - y
+            s0 += r * l0
+            s1 += r * l1
+            s2 += r * l2
+            s3 += r * l3
         n = len(st.history)
         lr = st.opt.weight_lr
         st.factor_weights = tuple(
-            max(0.0, w - lr * (s / n)) for w, s in zip(st.factor_weights, sums)
+            max(0.0, w - lr * (s / n)) for w, s in zip(st.factor_weights, (s0, s1, s2, s3))
         )
         return before, st.factor_weights
 
@@ -250,11 +282,6 @@ class MetaController:
             return cls(state)
         except (KeyError, TypeError, ValueError, InvalidArgument) as exc:
             raise SchemaViolation(f"bad controller checkpoint: {exc}") from exc
-
-
-def _finite(x: object) -> bool:
-    # bool is an int subclass; a JSON true is not a number here
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _record_from_json(raw: dict) -> SessionRecord:

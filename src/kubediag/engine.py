@@ -344,6 +344,9 @@ class Engine:
             raise NotFound(f"unknown session {fb.session_id!r}")
         if fb.session_id in self._fed:
             raise AlreadyRecorded(f"session {fb.session_id!r} already has feedback")
+        # reject a bad relation before any store changes, so a corrected
+        # feedback for the same session can still be applied
+        self.graph.check_relations(fb.discovered_relations)
         self._fed.add(fb.session_id)
 
         now = self.clock()

@@ -257,6 +257,12 @@ class _LabelIndex(NamedTuple):
     dim: int
 
 
+def _redefined(node: GraphNode, known: NodeType) -> SchemaViolation:
+    return SchemaViolation(
+        f"node {node.id!r} redefined from {known.value} to {node.node_type.value}"
+    )
+
+
 class KnowledgeGraph:
     """Directed typed multigraph keyed by (src, relation, dst) with max-weight dedup."""
 
@@ -292,10 +298,7 @@ class KnowledgeGraph:
         existing = self.nodes.get(node.id)
         if existing is not None:
             if existing.node_type is not node.node_type:
-                raise SchemaViolation(
-                    f"node {node.id!r} redefined from {existing.node_type.value}"
-                    f" to {node.node_type.value}"
-                )
+                raise _redefined(node, existing.node_type)
             label = node.label or existing.label
             if (label or node.id) != (existing.label or node.id):
                 self._label_vecs.pop(node.id, None)
@@ -334,6 +337,22 @@ class KnowledgeGraph:
         self.upsert_node(dst)
         prior.weight = min(1.0, prior.weight + 0.1)
         return prior.weight
+
+    def check_relations(self, relations: Iterable[tuple[GraphNode, Relation, GraphNode]]) -> None:
+        """Raise what :meth:`confirm_relation` would raise on ``relations``
+        applied in order, without changing the graph: ``InvalidArgument`` for
+        a self-loop, ``SchemaViolation`` for a node whose type differs from
+        the graph's or from an earlier relation's."""
+        types: dict[str, NodeType] = {}
+        for src, relation, dst in relations:
+            GraphEdge(src.id, dst.id, relation, 0.5).validate()
+            for node in (src, dst):
+                known = types.get(node.id)
+                if known is None:
+                    existing = self.nodes.get(node.id)
+                    known = types[node.id] = existing.node_type if existing else node.node_type
+                if known is not node.node_type:
+                    raise _redefined(node, known)
 
     def edge_weight(self, src: str, relation: Relation, dst: str) -> float:
         key = (src, relation.value, dst)

@@ -747,20 +747,50 @@ def _pattern_to_dict(p: Pattern) -> dict:
 
 
 def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
+    """Rebuild a pattern, checking each field's type instead of coercing it:
+    a string where a list belongs would otherwise load as its characters."""
     strategy = raw["strategy"]
     return Pattern(
-        id=str(raw["id"]),
+        id=_string(raw["id"], "id"),
         centroid=_vector_from_json(raw["centroid"], dim),
-        actions=[str(a) for a in strategy["actions"]],
-        resolution_path=[str(p) for p in strategy["resolution_path"]],
-        source_episode_id=str(strategy["source_episode_id"]),
-        reliability=float(raw["reliability"]),
-        member_count=int(raw["member_count"]),
-        member_ids=set(str(m) for m in raw["member_ids"]),
-        last_updated=float(raw["last_updated"]),
-        seed_id=str(raw["seed_id"]),
-        symptom_tokens=frozenset(raw.get("symptom_tokens", ())),
-        context_labels=frozenset(raw.get("context_labels", ())),
-        success_members=int(raw.get("success_members", 0)),
+        actions=_strings(strategy["actions"], "actions"),
+        resolution_path=_strings(strategy["resolution_path"], "resolution_path"),
+        source_episode_id=_string(strategy["source_episode_id"], "source_episode_id"),
+        reliability=_number(raw["reliability"], "reliability"),
+        member_count=_count(raw["member_count"], "member_count"),
+        member_ids=set(_strings(raw["member_ids"], "member_ids")),
+        last_updated=_number(raw["last_updated"], "last_updated"),
+        seed_id=_string(raw["seed_id"], "seed_id"),
+        symptom_tokens=frozenset(_strings(raw.get("symptom_tokens", []), "symptom_tokens")),
+        context_labels=frozenset(_strings(raw.get("context_labels", []), "context_labels")),
+        success_members=_count(raw.get("success_members", 0), "success_members"),
     )
 
+
+def _finite(x: object) -> bool:
+    # bool is an int subclass; a JSON true is not a number here
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _number(x: object, name: str) -> float:
+    if not _finite(x):
+        raise TypeError(f"{name} {x!r} is not a finite number")
+    return float(x)
+
+
+def _count(x: object, name: str) -> int:
+    if type(x) is not int:
+        raise TypeError(f"{name} {x!r} is not an integer")
+    return x
+
+
+def _string(x: object, name: str) -> str:
+    if not isinstance(x, str):
+        raise TypeError(f"{name} {x!r} is not a string")
+    return x
+
+
+def _strings(x: object, name: str) -> list[str]:
+    if not (isinstance(x, list) and all(isinstance(s, str) for s in x)):
+        raise TypeError(f"{name} {x!r} is not a list of strings")
+    return x

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import weakref
@@ -380,6 +381,34 @@ def test_simulate_traces_one_line_per_session(runner, tmp_path):
     assert len(traces) == report["sessions"] - report["no_evidence"]
     assert [t["session_id"] for t in traces] == [f"s{i:06d}" for i in range(1, len(traces) + 1)]
     assert all(t["schema_version"] == 1 for t in traces)
+
+
+# SHA-256 of what ``simulate --sessions 600 --recurrence 0.5 --csv --traces``
+# writes: its standard output, the learning-curve CSV and the trace JSONL
+SIMULATE_600_DIGESTS = {
+    "text": "6e4d99e9120a0a8fe72d074ec3abf5aad205aedb394843fb300185fd8c76ed43",
+    "csv": "dcdcdd3c2b67b052785065dce46641d432405cd9e07e0d384cc46f852ea4c35e",
+    "traces": "07b7ef6f354f74c7a71926a2cd031688e8cfda7ec84050b5d8657612c17b5c05",
+}
+
+
+def test_simulate_outputs_match_recorded_digests(runner, tmp_path):
+    """The 600-session stream's text, CSV and traces stay byte for byte what
+    they were when the digests were recorded.
+
+    A change that alters them on purpose re-records the digests, and only
+    together with the output change declared in CHANGES.md.
+    """
+    csv_path, traces_path = tmp_path / "curve.csv", tmp_path / "traces.jsonl"
+    result = runner.invoke(main, ["simulate", "--sessions", "600", "--recurrence", "0.5",
+                                  "--csv", str(csv_path), "--traces", str(traces_path)])
+    assert result.exit_code == 0, result.output
+    got = {
+        "text": result.output.encode("utf-8"),
+        "csv": csv_path.read_bytes(),
+        "traces": traces_path.read_bytes(),
+    }
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == SIMULATE_600_DIGESTS
 
 
 def test_simulate_no_memory_never_goes_intuitive(runner):

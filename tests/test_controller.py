@@ -1,19 +1,23 @@
 import dataclasses
 import json
 import math
+import struct
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import NOW, jitter_unit, mk_episode, mk_query, rand_unit, small_pool
 from kubediag.controller import (
+    MIN_HISTORY,
     ControllerState,
     MetaController,
     OptParams,
     Pathway,
     SessionRecord,
+    _predicted_confidence,
     calibration_loss,
     coverage,
     mean_calibration_loss,
@@ -21,6 +25,8 @@ from kubediag.controller import (
 )
 from kubediag.errors import EmptyHistory, InvalidArgument, SchemaViolation
 from kubediag.memory import (
+    _FACTOR_FLOOR,
+    FACTOR_NAMES,
     Query,
     RetrievalResult,
     ScoredMemory,
@@ -323,6 +329,119 @@ def test_update_weights_reduces_calibration_loss(rng):
         c.update_factor_weights()
     after_loss = mean_calibration_loss(hist, c.state.factor_weights)
     assert after_loss < before_loss
+
+
+# ---------------------------------------------------------------------------
+# exactness of the fit against the loop that recomputes every record
+
+
+def reference_update_factor_weights(st):
+    """``MetaController.update_factor_weights`` as written before it kept
+    per-record constants, copied verbatim onto a bare ``ControllerState``."""
+    before = tuple(st.factor_weights)
+    if len(st.history) < MIN_HISTORY:
+        return before, before
+    sums = [0.0] * len(FACTOR_NAMES)
+    for rec in st.history:
+        c = _predicted_confidence(rec.factors, st.factor_weights)
+        y = 1.0 if rec.fast_sufficient else 0.0
+        for j, f in enumerate(rec.factors):
+            sums[j] += (c - y) * math.log(max(_FACTOR_FLOOR, min(1.0, f)))
+    n = len(st.history)
+    lr = st.opt.weight_lr
+    st.factor_weights = tuple(
+        max(0.0, w - lr * (s / n)) for w, s in zip(st.factor_weights, sums)
+    )
+    return before, st.factor_weights
+
+
+def bits(weights):
+    return struct.pack("4d", *weights)
+
+
+def reference_state(c):
+    """A copy of ``c``'s state whose records carry nothing the fit cached."""
+    return ControllerState(
+        tau=c.state.tau, factor_weights=c.state.factor_weights, opt=c.state.opt,
+        history=deque((SessionRecord(r.c_max, r.factors, r.fast_sufficient)
+                       for r in c.state.history), maxlen=c.state.history.maxlen),
+    )
+
+
+def step_both(c, ref, steps):
+    for _ in range(steps):
+        got = c.update_factor_weights()
+        want = reference_update_factor_weights(ref)
+        assert got == want
+        assert bits(got[1]) == bits(want[1])
+
+
+FACTOR = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-7, 1.0, -1.0, 1.5, 0.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-0.5, 2.0),
+)
+WEIGHT = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 0.5]), st.floats(0.0, 4.0))
+RECORD = st.builds(
+    SessionRecord,
+    c_max=st.floats(0.0, 1.0),
+    factors=st.tuples(FACTOR, FACTOR, FACTOR, FACTOR),
+    fast_sufficient=st.booleans(),
+)
+
+
+@settings(max_examples=150)
+@given(
+    records=st.lists(RECORD, min_size=MIN_HISTORY - 2, max_size=40),
+    weights=st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT),
+    lr=st.one_of(st.just(0.05), st.floats(0.0, 2.0)),
+    arrivals=st.lists(st.lists(RECORD, max_size=3), min_size=1, max_size=20),
+)
+def test_update_weights_equals_reference_loop(records, weights, lr, arrivals):
+    # records keep arriving between steps, so each step mixes records whose
+    # constants are cached with records fitted for the first time
+    c = MetaController(ControllerState(factor_weights=weights, opt=OptParams(weight_lr=lr)))
+    ref = reference_state(c)
+    for r in records:
+        c.record(r)
+        ref.history.append(SessionRecord(r.c_max, r.factors, r.fast_sufficient))
+    for batch in arrivals:
+        for r in batch:
+            c.record(r)
+            ref.history.append(SessionRecord(r.c_max, r.factors, r.fast_sufficient))
+        step_both(c, ref, 1)
+
+
+def test_reloaded_checkpoint_fits_like_the_live_controller(tmp_path, rng):
+    hist = [rec(float(rng.uniform(0, 1)), bool(rng.random() < 0.5),
+                factors=tuple(float(f) for f in rng.uniform(-0.2, 1.3, size=4)))
+            for _ in range(60)]
+    live = controller_with(hist, weights=(1.0, 0.5, 2.0, 0.0))
+    for _ in range(3):
+        live.update_factor_weights()  # the live records now carry their constants
+    path = tmp_path / "controller.json"
+    live.save(str(path))
+    assert [sorted(r) for r in json.loads(path.read_text())["history"]] == [RECORD_KEYS] * 60
+    loaded = MetaController.load(str(path))
+    ref = reference_state(live)
+    for _ in range(10):
+        got_live = live.update_factor_weights()
+        got_loaded = loaded.update_factor_weights()
+        want = reference_update_factor_weights(ref)
+        assert bits(got_live[1]) == bits(got_loaded[1]) == bits(want[1])
+
+
+def test_update_weights_exact_past_history_maxlen(rng):
+    c = MetaController()
+    ref = reference_state(c)
+    for i in range(1030):
+        r = rec(float(rng.uniform(0, 1)), bool(rng.random() < 0.5),
+                factors=tuple(float(f) for f in rng.uniform(0, 1, size=4)))
+        c.record(r)
+        ref.history.append(SessionRecord(r.c_max, r.factors, r.fast_sufficient))
+        if i in (990, 1000, 1010, 1029):  # before, at and past the 1,000-record maxlen
+            step_both(c, ref, 2)
+    assert len(c.state.history) == len(ref.history) == 1000
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,14 @@ from helpers import NOW, mk_episode
 from kubediag.controller import MetaController, Pathway
 from kubediag.embedding import HashingEmbedder
 from kubediag.engine import DiagnosticQuery, Engine, Feedback
-from kubediag.errors import AlreadyRecorded, NoEvidence, NotFound, StageFailure
+from kubediag.errors import (
+    AlreadyRecorded,
+    InvalidArgument,
+    NoEvidence,
+    NotFound,
+    SchemaViolation,
+    StageFailure,
+)
 from kubediag.graph import GraphEdge, GraphNode, KnowledgeGraph, NodeType, Relation, SearchConfig
 from kubediag.memory import MemoryConfig, MemoryPool, Outcome, make_query
 from kubediag.synthesizer import TemplateStubClient
@@ -292,3 +299,54 @@ def test_discovered_relations_swap_graph_atomically():
         )
     )
     assert report2.edges_confirmed == ["fb-src -(causes)-> fb-dst @ 0.6"]
+
+
+def _store_state(eng):
+    return (
+        {eid: (ep.trials, ep.successes, ep.memory_value) for eid, ep in eng.pool.episodes.items()},
+        {pid: set(p.member_ids) for pid, p in eng.pool.patterns.items()},
+        list(eng.controller.state.history),
+        eng.controller.tau,
+        eng.controller.factor_weights,
+        {nid: n.node_type for nid, n in eng.graph.nodes.items()},
+        {key: e.weight for key, e in eng.graph.edges.items()},
+    )
+
+
+OOM = GraphNode("fb-src", NodeType.EVENT, "kernel oom killer fired")
+HOST = GraphNode("fb-dst", NodeType.ROOT_CAUSE, "host memory exhausted")
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        # g-mid is an event in the graph
+        ([(OOM, Relation.CAUSES, GraphNode("g-mid", NodeType.ROOT_CAUSE, "limit hit"))],
+         SchemaViolation),
+        # fb-src is new, but typed differently by two relations of one list
+        ([(OOM, Relation.CAUSES, HOST),
+          (GraphNode("fb-src", NodeType.POD, "oom"), Relation.CAUSES, HOST)],
+         SchemaViolation),
+        ([(OOM, Relation.CAUSES, HOST), (HOST, Relation.CAUSES, HOST)], InvalidArgument),
+    ],
+    ids=["retypes-graph-node", "retypes-within-list", "self-loop"],
+)
+def test_rejected_relations_change_no_store(bad, error):
+    eng = fresh_engine(seed_memory=True)
+    for i in range(10):  # past the history minimum, so tau and weights would move
+        session = ask(eng, qid=f"q{i}")
+        eng.feedback(Feedback(session_id=session.id, outcome=Outcome.SUCCESS))
+    session = ask(eng, qid="q-bad")
+    before = _store_state(eng)
+    graph = eng.graph
+    with pytest.raises(error):
+        eng.feedback(Feedback(session_id=session.id, outcome=Outcome.SUCCESS,
+                              discovered_relations=bad))
+    assert _store_state(eng) == before
+    assert eng.graph is graph
+    # the session was not marked fed: a corrected feedback goes through
+    report = eng.feedback(Feedback(session_id=session.id, outcome=Outcome.SUCCESS,
+                                   discovered_relations=[(OOM, Relation.CAUSES, HOST)]))
+    assert report.edges_confirmed == ["fb-src -(causes)-> fb-dst @ 0.5"]
+    assert report.history_len == len(before[2]) + 1
+    assert report.episode_id not in before[0]

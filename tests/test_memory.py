@@ -902,6 +902,49 @@ def test_pattern_snapshot_rejects_impossible_counts(tmp_path, rng, fields):
     assert fresh.patterns == {}
 
 
+def _set_field(data, key, value):
+    pat = data["patterns"][0]
+    target = pat["strategy"] if key in pat["strategy"] else pat
+    target[key] = value(target[key]) if callable(value) else value
+    return data
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("symptom_tokens", "oomkilled"),
+        ("symptom_tokens", [1, 2]),
+        ("context_labels", "prod"),
+        ("member_ids", lambda ids: ids[:-1] + [7]),
+        ("actions", "restart the pod"),
+        ("resolution_path", [None]),
+        ("member_count", lambda n: n + 0.9),
+        ("member_count", lambda n: float(n)),
+        ("success_members", True),
+        ("success_members", 0.5),
+        ("reliability", "0.5"),
+        ("reliability", True),
+        ("last_updated", "0"),
+        ("last_updated", float("nan")),
+        ("last_updated", float("inf")),
+        ("id", 5),
+        ("seed_id", None),
+        ("source_episode_id", 3),
+    ],
+    ids=["tokens-string", "tokens-ints", "labels-string", "member-id-int", "actions-string",
+         "path-null", "count-fraction", "count-float", "wins-bool", "wins-fraction",
+         "reliability-string", "reliability-bool", "updated-string", "updated-nan",
+         "updated-inf", "id-int", "seed-id-null", "source-id-int"],
+)
+def test_pattern_snapshot_rejects_wrong_types(tmp_path, rng, key, value):
+    # coerced, each would load as something else: a string as its
+    # characters, 23.9 members as 23, a null seed id as "None"
+    fresh, path = _snapshot_with(tmp_path, rng, lambda d: _set_field(d, key, value))
+    with pytest.raises(SchemaViolation):
+        fresh.load_pattern_snapshot(str(path))
+    assert fresh.patterns == {}
+
+
 # -- store format: sparse vectors ---------------------------------------------
 
 
