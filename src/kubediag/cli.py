@@ -30,6 +30,7 @@ from .graph import (
     NodeType,
     Relation,
     SearchConfig,
+    checked_field,
     classify_document,
 )
 from .memory import MemoryConfig, MemoryPool, Outcome
@@ -72,6 +73,20 @@ def _load_config(path: str | None) -> dict:
     memory.validate()
     search.validate()
     return {"memory": memory, "search": search, "synth": synth, "tau": tau}
+
+
+def _triple(raw: dict, category: Category) -> tuple[GraphNode, GraphEdge, GraphNode]:
+    """One ingested ``{"src", "dst", "relation", "weight"}`` triple, its label
+    and weight checked as a graph file's are."""
+    src, dst = (
+        GraphNode(str(raw[end]["id"]), NodeType(raw[end]["type"]),
+                  checked_field(raw[end], "label", f"triple {end}", ""), category=category)
+        for end in ("src", "dst")
+    )
+    edge = GraphEdge(src.id, dst.id, Relation(raw["relation"]),
+                     checked_field(raw, "weight", "triple", 0.5))
+    edge.validate()
+    return src, edge, dst
 
 
 def _echo(message: str, err: bool = False) -> None:
@@ -233,17 +248,11 @@ def ingest(inputs, graph_path, docs_out, as_json) -> None:
             nonlocal triples_added, failures
             try:
                 doc = classify_document(doc_id, text, source=source)
-                for t in triples:
-                    src = GraphNode(str(t["src"]["id"]), NodeType(t["src"]["type"]),
-                                    str(t["src"].get("label", "")), category=doc.category)
-                    dst = GraphNode(str(t["dst"]["id"]), NodeType(t["dst"]["type"]),
-                                    str(t["dst"].get("label", "")), category=doc.category)
-                    graph.add_triple(
-                        src,
-                        GraphEdge(src.id, dst.id, Relation(t["relation"]),
-                                  float(t.get("weight", 0.5))),
-                        dst,
-                    )
+                # every triple is checked before the first is added
+                parsed = [_triple(t, doc.category) for t in triples]
+                graph.check_relations((src, edge.relation, dst) for src, edge, dst in parsed)
+                for src, edge, dst in parsed:
+                    graph.add_triple(src, edge, dst)
                     triples_added += 1
             except (KubeDiagError, KeyError, TypeError, ValueError) as exc:
                 failures += 1

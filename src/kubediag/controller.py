@@ -24,8 +24,8 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import EmptyHistory, InvalidArgument, SchemaViolation
-from .files import write_atomic
-from .memory import FACTOR_NAMES, Query, RetrievalResult, _FACTOR_FLOOR, _finite
+from .files import as_number, is_finite, write_atomic
+from .memory import FACTOR_NAMES, Query, RetrievalResult, _FACTOR_FLOOR
 from .text import tokenize
 
 MIN_HISTORY = 10  # records needed before any self-tuning step
@@ -47,7 +47,7 @@ class OptParams:
     def validate(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if not _finite(value):
+            if not is_finite(value):
                 raise InvalidArgument(f"{f.name} must be a finite number, got {value!r}")
         if self.delta_probe <= 0 or self.analytic_cost <= 0:
             raise InvalidArgument("delta_probe and analytic_cost must be > 0")
@@ -91,7 +91,7 @@ class ControllerState:
             raise InvalidArgument(f"tau must be in [0, 1], got {self.tau}")
         if len(self.factor_weights) != len(FACTOR_NAMES):
             raise InvalidArgument("factor_weights must match the factor count")
-        if not all(_finite(w) and w >= 0 for w in self.factor_weights):
+        if not all(is_finite(w) and w >= 0 for w in self.factor_weights):
             raise InvalidArgument(
                 f"factor_weights must be finite and >= 0, got {self.factor_weights}"
             )
@@ -273,9 +273,12 @@ class MetaController:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
             opt = OptParams(**payload["opt_params"])
+            weights = payload["factor_weights"]
+            if not isinstance(weights, list):  # a string would load as its characters
+                raise TypeError(f"factor_weights {weights!r} is not a list")
             state = ControllerState(
-                tau=float(payload["tau"]),
-                factor_weights=tuple(float(w) for w in payload["factor_weights"]),
+                tau=as_number(payload["tau"], "tau"),
+                factor_weights=tuple(as_number(w, "factor weight") for w in weights),
                 opt=opt,
             )
             state.history.extend(map(_record_from_json, payload["history"]))
@@ -286,10 +289,10 @@ class MetaController:
 
 def _record_from_json(raw: dict) -> SessionRecord:
     c_max, factors, fast = raw["c_max"], raw["factors"], raw["fast_sufficient"]
-    if not _finite(c_max):
+    if not is_finite(c_max):
         raise ValueError(f"record c_max {c_max!r} is not a finite number")
     if not (isinstance(factors, list) and len(factors) == len(FACTOR_NAMES)
-            and all(map(_finite, factors))):
+            and all(map(is_finite, factors))):
         raise ValueError(f"record factors {factors!r} are not {len(FACTOR_NAMES)} finite numbers")
     if type(fast) is not bool:
         raise ValueError(f"record fast_sufficient {fast!r} is not a boolean")

@@ -23,6 +23,7 @@ from .memory import (
     MemoryConfig,
     MemoryPool,
     Outcome,
+    Pattern,
     Query,
     RetrievalResult,
     _FACTOR_FLOOR,
@@ -185,8 +186,7 @@ class Engine:
     def _memory_cards(self, result: RetrievalResult) -> list[MemoryCard]:
         cards = []
         for m in result.memories:
-            mem = self.pool.get_memory(m.ref)
-            path = mem.resolution_path
+            path = m.memory.resolution_path
             hint = ""
             if path and path[-1] in self.graph.nodes:
                 hint = self.graph.nodes[path[-1]].label
@@ -195,7 +195,7 @@ class Engine:
                     id=m.ref,
                     score=m.score,
                     confidence=m.confidence,
-                    actions=list(mem.actions),
+                    actions=list(m.memory.actions),
                     resolution_path=list(path),
                     root_cause_hint=hint,
                 )
@@ -312,18 +312,12 @@ class Engine:
 
     # -- feedback -----------------------------------------------------------
 
-    def _resolution_path_for(self, session: DiagnosisSession) -> list[str]:
+    def _resolution_path_for(
+        self, session: DiagnosisSession, cited: list[Episode | Pattern]
+    ) -> list[str]:
         if session.chains:
             return list(session.chains[0].node_ids)
-        for ref in session.solution.sources:
-            if ref.startswith("chain-"):
-                continue
-            try:
-                mem = self.pool.get_memory(ref)
-            except NotFound:
-                continue
-            return list(mem.resolution_path)
-        return []
+        return list(cited[0].resolution_path) if cited else []
 
     def _fast_sufficient(self, session: DiagnosisSession, outcome: Outcome) -> bool:
         if session.decision.pathway is Pathway.INTUITIVE:
@@ -331,7 +325,7 @@ class Engine:
         if not session.retrieval.memories:
             return False
         top = max(session.retrieval.memories, key=lambda m: (m.confidence, m.score, m.ref))
-        path = self.pool.get_memory(top.ref).resolution_path
+        path = top.memory.resolution_path
         if not path or path[-1] not in self.graph.nodes:
             return False
         hint = self.graph.nodes[path[-1]].label
@@ -356,6 +350,10 @@ class Engine:
         episode_id: str | None = None
 
         if self.memory_enabled:
+            # a cited source is a memory iff this diagnosis retrieved it; the
+            # other sources are chain cards
+            retrieved = {m.ref: m.memory for m in session.retrieval.memories}
+            cited = [retrieved[ref] for ref in session.solution.sources if ref in retrieved]
             self._episode_seq += 1
             episode_id = f"ep-{self._episode_seq:06d}"
             episode = Episode(
@@ -369,19 +367,13 @@ class Engine:
                 embedding=session.query_embedding,
                 # a failed diagnosis has no trajectory worth recommending
                 resolution_path=[] if fb.outcome is Outcome.FAILURE
-                else self._resolution_path_for(session),
+                else self._resolution_path_for(session, cited),
                 trials=1,
                 successes=1 if success else 0,
             )
             self.pool.insert_episode(episode)
 
-            for ref in session.solution.sources:
-                if ref.startswith("chain-"):
-                    continue
-                try:
-                    mem = self.pool.get_memory(ref)
-                except NotFound:
-                    continue
+            for mem in cited:
                 target = mem.id if isinstance(mem, Episode) else mem.source_episode_id
                 try:
                     self.pool.update_outcome(target, fb.outcome, success)

@@ -1,7 +1,14 @@
-"""Crash-safe replacement of the package's store files."""
+"""Crash-safe writing of the package's store files, and the type checks
+their loaders share.
+
+The checks reject a value of the wrong JSON type instead of coercing it: a
+string where a list belongs would otherwise load as its characters, and a
+JSON ``true`` or ``"0.5"`` as a number.
+"""
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, TextIO
 
@@ -28,3 +35,32 @@ def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def is_finite(x: object) -> bool:
+    # bool is an int subclass; a JSON true is not a number here
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def as_number(x: object, name: str) -> float:
+    if not is_finite(x):
+        raise TypeError(f"{name} {x!r} is not a finite number")
+    return float(x)
+
+
+def as_count(x: object, name: str) -> int:
+    if type(x) is not int:
+        raise TypeError(f"{name} {x!r} is not an integer")
+    return x
+
+
+def as_string(x: object, name: str) -> str:
+    if not isinstance(x, str):
+        raise TypeError(f"{name} {x!r} is not a string")
+    return x
+
+
+def as_strings(x: object, name: str) -> list[str]:
+    if not (isinstance(x, list) and all(isinstance(s, str) for s in x)):
+        raise TypeError(f"{name} {x!r} is not a list of strings")
+    return x

@@ -36,7 +36,7 @@ from .errors import (
     NotFound,
     SchemaViolation,
 )
-from .files import write_atomic
+from .files import as_number, as_string, write_atomic
 
 # labels embedded per stacked block on the first index build
 _EMBED_CHUNK = 256
@@ -263,6 +263,18 @@ def _redefined(node: GraphNode, known: NodeType) -> SchemaViolation:
     )
 
 
+def checked_field(raw: dict, key: str, owner: str, default: object = None) -> str | float:
+    """A node's ``label`` or an edge's ``weight`` read from JSON, checked
+    instead of coerced: ``str()`` would turn a null label into "None", and
+    ``float()`` would read ``true`` as 1.0 and parse "0.7".  A missing key
+    takes ``default`` or, without one, raises ``KeyError``."""
+    value = raw[key] if default is None else raw.get(key, default)
+    try:
+        return as_string(value, key) if key == "label" else as_number(value, key)
+    except TypeError as exc:
+        raise SchemaViolation(f"{owner}: {exc}") from None
+
+
 class KnowledgeGraph:
     """Directed typed multigraph keyed by (src, relation, dst) with max-weight dedup."""
 
@@ -465,14 +477,11 @@ class KnowledgeGraph:
         g = cls()
         try:
             for raw in payload["nodes"]:
-                label = raw.get("label", "")
-                if not isinstance(label, str):
-                    raise SchemaViolation(f"node {raw['id']!r}: label {label!r} is not a string")
                 g.upsert_node(
                     GraphNode(
                         id=str(raw["id"]),
                         node_type=NodeType(raw["node_type"]),
-                        label=label,
+                        label=checked_field(raw, "label", f"node {raw['id']!r}", ""),
                         attributes=dict(raw.get("attributes", {})),
                         category=Category(raw["category"]) if raw.get("category") else None,
                     )
@@ -480,11 +489,8 @@ class KnowledgeGraph:
             for raw in payload["edges"]:
                 src, dst = g.nodes[str(raw["src"])], g.nodes[str(raw["dst"])]
                 name = f"edge {src.id!r} -{raw['relation']}-> {dst.id!r}"
-                weight = raw["weight"]
-                # bool is an int subclass, and float() would parse a string
-                if type(weight) not in (int, float):
-                    raise SchemaViolation(f"{name}: weight {weight!r} is not a number")
-                edge = GraphEdge(src.id, dst.id, Relation(raw["relation"]), float(weight))
+                edge = GraphEdge(src.id, dst.id, Relation(raw["relation"]),
+                                 checked_field(raw, "weight", name))
                 try:
                     edge.validate()
                 except InvalidArgument as exc:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .embedding import DEFAULT_DIM, Embedder
 from .errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound, SchemaViolation
-from .files import write_atomic
+from .files import as_count, as_number, as_string, as_strings, write_atomic
 from .text import tokenize
 
 SECONDS_PER_DAY = 86_400.0
@@ -158,7 +158,9 @@ class Pattern:
     """Abstraction over a neighborhood of mutually similar episodes.
 
     ``actions`` and ``resolution_path`` are copied from the member with the
-    highest memory value, ``source_episode_id``.
+    highest memory value, ``source_episode_id``.  ``member_ids`` may name
+    evicted episodes; ``success_members`` counts the members whose last
+    outcome was a success.
     """
 
     id: str
@@ -166,11 +168,8 @@ class Pattern:
     actions: list[str]
     resolution_path: list[str]
     source_episode_id: str
-    reliability: float              # member success fraction
-    member_count: int
     member_ids: set[str]
     last_updated: float
-    seed_id: str                    # episode whose neighborhood formed the pattern
     symptom_tokens: frozenset[str] = frozenset()
     context_labels: frozenset[str] = frozenset()
     success_members: int = 0
@@ -178,13 +177,19 @@ class Pattern:
 
 @dataclass(eq=False)
 class ScoredMemory:
-    """One retrieval hit: reference, tier, scaled score and confidence."""
+    """One retrieval hit: the memory it scored, its tier, scaled score and
+    confidence.
+
+    ``memory`` is the scored object itself, so readers take its paths and
+    actions from the hit even after the pool has evicted it.
+    """
 
     ref: str
     kind: str                      # "episode" | "pattern"
     score: float
     confidence: float
     factors: tuple[float, float, float, float]
+    memory: Episode | Pattern
     symptom_tokens: frozenset[str] = frozenset()
 
 
@@ -278,7 +283,7 @@ def compute_factors(
         labels: Iterable[str] = memory.context
     else:
         vec, ts = memory.centroid, memory.last_updated
-        f_succ = _success_factor(memory.success_members, memory.member_count)
+        f_succ = _success_factor(memory.success_members, len(memory.member_ids))
         labels = memory.context_labels
     f_sim = math.exp(-(1.0 - _cos(vec, q.embedding)) / cfg.sim_scale)
     f_temp = math.exp(-max(0.0, now - ts) / cfg.temporal_tau_s)
@@ -334,13 +339,6 @@ class MemoryPool:
         except KeyError:
             raise NotFound(f"unknown episode id {episode_id!r}") from None
 
-    def get_memory(self, ref: str) -> Episode | Pattern:
-        if ref in self._episodes:
-            return self._episodes[ref]
-        if ref in self._patterns:
-            return self._patterns[ref]
-        raise NotFound(f"unknown memory ref {ref!r}")
-
     # -- mutation -----------------------------------------------------------
 
     def insert_episode(self, episode: Episode) -> None:
@@ -391,7 +389,6 @@ class MemoryPool:
             elif mid in self._tombstones:
                 wins += int(self._tombstones[mid] is Outcome.SUCCESS)
         pat.success_members = wins
-        pat.reliability = wins / len(pat.member_ids) if pat.member_ids else 0.0
 
     # -- pattern formation --------------------------------------------------
 
@@ -449,18 +446,15 @@ class MemoryPool:
                     actions=[],
                     resolution_path=[],
                     source_episode_id="",
-                    reliability=0.0,
-                    member_count=0,
                     member_ids=set(),
                     last_updated=0.0,
-                    seed_id=sid,
                 )
                 self._patterns[target.id] = target
                 changed = True
             else:
                 changed = members != target.member_ids
             if changed:
-                self._refresh_pattern(target, members, sid)
+                self._refresh_pattern(target, members)
                 touched[target.id] = None
         return list(touched)
 
@@ -473,7 +467,7 @@ class MemoryPool:
                 best, best_frac = pat, frac
         return best
 
-    def _refresh_pattern(self, pat: Pattern, members: set[str], seed_id: str) -> None:
+    def _refresh_pattern(self, pat: Pattern, members: set[str]) -> None:
         rows = np.stack([self._episodes[m].embedding for m in sorted(members)])
         centroid = rows.mean(axis=0)
         norm = float(np.linalg.norm(centroid))
@@ -488,14 +482,11 @@ class MemoryPool:
         pat.resolution_path = list(donor.resolution_path)
         pat.source_episode_id = donor.id
         pat.member_ids = set(members)
-        pat.member_count = len(members)
-        pat.seed_id = seed_id
         pat.last_updated = max(e.timestamp for e in eps)
         pat.symptom_tokens = frozenset().union(*(e.symptom_tokens for e in eps))
         ctx_sets = [set(e.context) for e in eps]
         pat.context_labels = frozenset(set.intersection(*ctx_sets)) if ctx_sets else frozenset()
         pat.success_members = sum(e.outcome is Outcome.SUCCESS for e in eps)
-        pat.reliability = pat.success_members / pat.member_count
 
     # -- retrieval ----------------------------------------------------------
 
@@ -529,6 +520,7 @@ class MemoryPool:
             score=score,
             confidence=confidence_value(factors, weights),
             factors=factors,
+            memory=mem,
             symptom_tokens=mem.symptom_tokens,
         )
 
@@ -569,7 +561,7 @@ class MemoryPool:
         for m in memories:
             if m.confidence < self.config.hint_min_confidence:
                 continue
-            yield self.get_memory(m.ref).resolution_path
+            yield m.memory.resolution_path
 
     def hints(self, result: RetrievalResult) -> set[str]:
         """Union of resolution-path node ids over the top ``hint_k`` memories
@@ -630,14 +622,9 @@ class MemoryPool:
                 norm = float(np.linalg.norm(pat.centroid))
                 if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
                     raise ValueError(f"{pat.id}: centroid norm {norm:.8f} != 1")
-                if pat.member_count != len(pat.member_ids):
-                    raise ValueError(f"{pat.id}: member_count {pat.member_count} != "
-                                     f"{len(pat.member_ids)} member ids")
-                if not 0 <= pat.success_members <= pat.member_count:
+                if not 0 <= pat.success_members <= len(pat.member_ids):
                     raise ValueError(f"{pat.id}: success_members {pat.success_members} "
-                                     f"outside [0, {pat.member_count}]")
-                if not 0.0 <= pat.reliability <= 1.0:  # NaN fails too
-                    raise ValueError(f"{pat.id}: reliability {pat.reliability} outside [0, 1]")
+                                     f"outside [0, {len(pat.member_ids)}]")
                 if pat.id.startswith("pat-"):
                     seq = max(seq, int(pat.id.rsplit("-", 1)[-1]))
         except (ValueError, KeyError, TypeError) as exc:
@@ -710,18 +697,20 @@ def _episode_to_dict(ep: Episode) -> dict:
 
 
 def episode_from_dict(raw: dict, dim: int) -> Episode:
+    """Rebuild an episode, checking each field's type like
+    :func:`_pattern_from_dict`."""
     return Episode(
-        id=str(raw["id"]),
-        symptoms=[str(s) for s in raw["symptoms"]],
-        context=set(str(c) for c in raw["context"]),
-        actions=[str(a) for a in raw["actions"]],
+        id=as_string(raw["id"], "id"),
+        symptoms=as_strings(raw["symptoms"], "symptoms"),
+        context=set(as_strings(raw["context"], "context")),
+        actions=as_strings(raw["actions"], "actions"),
         outcome=Outcome(raw["outcome"]),
-        timestamp=float(raw["timestamp"]),
-        memory_value=float(raw["memory_value"]),
+        timestamp=as_number(raw["timestamp"], "timestamp"),
+        memory_value=as_number(raw["memory_value"], "memory_value"),
         embedding=_vector_from_json(raw["embedding"], dim),
-        resolution_path=[str(p) for p in raw["resolution_path"]],
-        trials=int(raw.get("trials", 0)),
-        successes=int(raw.get("successes", 0)),
+        resolution_path=as_strings(raw["resolution_path"], "resolution_path"),
+        trials=as_count(raw.get("trials", 0), "trials"),
+        successes=as_count(raw.get("successes", 0), "successes"),
     )
 
 
@@ -735,11 +724,8 @@ def _pattern_to_dict(p: Pattern) -> dict:
             "resolution_path": list(p.resolution_path),
             "source_episode_id": p.source_episode_id,
         },
-        "reliability": p.reliability,
-        "member_count": p.member_count,
         "member_ids": sorted(p.member_ids),
         "last_updated": p.last_updated,
-        "seed_id": p.seed_id,
         "symptom_tokens": sorted(p.symptom_tokens),
         "context_labels": sorted(p.context_labels),
         "success_members": p.success_members,
@@ -747,50 +733,22 @@ def _pattern_to_dict(p: Pattern) -> dict:
 
 
 def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
-    """Rebuild a pattern, checking each field's type instead of coercing it:
-    a string where a list belongs would otherwise load as its characters."""
+    """Rebuild a pattern, checking each field's type instead of coercing it.
+
+    Older snapshots also carry ``reliability``, ``member_count`` and
+    ``seed_id``; nothing reads them, so they are skipped and dropped by the
+    next save.
+    """
     strategy = raw["strategy"]
     return Pattern(
-        id=_string(raw["id"], "id"),
+        id=as_string(raw["id"], "id"),
         centroid=_vector_from_json(raw["centroid"], dim),
-        actions=_strings(strategy["actions"], "actions"),
-        resolution_path=_strings(strategy["resolution_path"], "resolution_path"),
-        source_episode_id=_string(strategy["source_episode_id"], "source_episode_id"),
-        reliability=_number(raw["reliability"], "reliability"),
-        member_count=_count(raw["member_count"], "member_count"),
-        member_ids=set(_strings(raw["member_ids"], "member_ids")),
-        last_updated=_number(raw["last_updated"], "last_updated"),
-        seed_id=_string(raw["seed_id"], "seed_id"),
-        symptom_tokens=frozenset(_strings(raw.get("symptom_tokens", []), "symptom_tokens")),
-        context_labels=frozenset(_strings(raw.get("context_labels", []), "context_labels")),
-        success_members=_count(raw.get("success_members", 0), "success_members"),
+        actions=as_strings(strategy["actions"], "actions"),
+        resolution_path=as_strings(strategy["resolution_path"], "resolution_path"),
+        source_episode_id=as_string(strategy["source_episode_id"], "source_episode_id"),
+        member_ids=set(as_strings(raw["member_ids"], "member_ids")),
+        last_updated=as_number(raw["last_updated"], "last_updated"),
+        symptom_tokens=frozenset(as_strings(raw.get("symptom_tokens", []), "symptom_tokens")),
+        context_labels=frozenset(as_strings(raw.get("context_labels", []), "context_labels")),
+        success_members=as_count(raw.get("success_members", 0), "success_members"),
     )
-
-
-def _finite(x: object) -> bool:
-    # bool is an int subclass; a JSON true is not a number here
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _number(x: object, name: str) -> float:
-    if not _finite(x):
-        raise TypeError(f"{name} {x!r} is not a finite number")
-    return float(x)
-
-
-def _count(x: object, name: str) -> int:
-    if type(x) is not int:
-        raise TypeError(f"{name} {x!r} is not an integer")
-    return x
-
-
-def _string(x: object, name: str) -> str:
-    if not isinstance(x, str):
-        raise TypeError(f"{name} {x!r} is not a string")
-    return x
-
-
-def _strings(x: object, name: str) -> list[str]:
-    if not (isinstance(x, list) and all(isinstance(s, str) for s in x)):
-        raise TypeError(f"{name} {x!r} is not a list of strings")
-    return x

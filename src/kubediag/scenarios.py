@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InvalidArgument, ScenarioParseError
+from .files import as_string, as_strings
 from .graph import Category, FAULT_CATEGORIES, GraphEdge, GraphNode, KnowledgeGraph, NodeType, Relation
 from .text import tokenize
 
@@ -446,14 +447,15 @@ def scenario_to_dict(sc: FaultScenario) -> dict:
 
 
 def scenario_from_dict(raw: dict) -> FaultScenario:
+    """Rebuild a scenario, checking each field's type instead of coercing it."""
     sc = FaultScenario(
-        id=str(raw["id"]),
+        id=as_string(raw["id"], "id"),
         category=Category(raw["category"]),
-        symptoms=[str(s) for s in raw["symptoms"]],
-        context={str(c) for c in raw.get("context", [])},
-        logs=str(raw.get("logs", "")),
-        root_cause=str(raw.get("root_cause", "")),
-        resolution_steps=[str(s) for s in raw.get("resolution_steps", [])],
+        symptoms=as_strings(raw["symptoms"], "symptoms"),
+        context=set(as_strings(raw.get("context", []), "context")),
+        logs=as_string(raw.get("logs", ""), "logs"),
+        root_cause=as_string(raw.get("root_cause", ""), "root_cause"),
+        resolution_steps=as_strings(raw.get("resolution_steps", []), "resolution_steps"),
     )
     sc.validate()
     return sc

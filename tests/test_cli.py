@@ -304,6 +304,36 @@ def test_ingest_jsonl_triples_update_graph(runner, tmp_path):
     assert g.edges[("t-src", "causes", "t-dst")].weight == 0.8
 
 
+@pytest.mark.parametrize("edit", [
+    lambda t: t["src"].update(label=None),
+    lambda t: t["dst"].update(label=7),
+    lambda t: t.update(weight=True),
+    lambda t: t.update(weight="0.7"),
+    lambda t: t["dst"].update(type="Pod"),
+], ids=["null-label", "int-label", "bool-weight", "string-weight", "retyped-node"])
+def test_ingest_skips_a_document_with_a_bad_triple(runner, tmp_path, edit):
+    # coerced, the label would be "None" or "7" and the weight 1.0 or 0.7;
+    # a node retyped by a later triple used to fail after the first was added
+    good = {"src": {"id": "t-a", "type": "Event", "label": "memory leak"},
+            "dst": {"id": "t-b", "type": "RootCause", "label": "bad release"},
+            "relation": "causes", "weight": 0.8}
+    bad = json.loads(json.dumps(good).replace("t-a", "t-c"))
+    edit(bad)
+    src = tmp_path / "docs.jsonl"
+    src.write_text(
+        json.dumps({"id": "doc-1", "text": "OOMKilled after a leak", "triples": [good, bad]})
+        + "\n" + json.dumps({"id": "doc-2", "text": "dns resolution failed"}) + "\n"
+    )
+    graph_path = tmp_path / "graph.json"
+    result = runner.invoke(main, ["ingest", str(src), "--graph", str(graph_path), "--json"])
+    assert result.exit_code == 0
+    assert "skipped 'doc-1'" in result.stderr
+    report = json.loads(result.stdout)
+    assert (report["documents"], report["failures"], report["triples"]) == (1, 1, 0)
+    # the document's good triple is not added either
+    assert KnowledgeGraph.load(str(graph_path)).nodes == {}
+
+
 def test_ingest_docs_out_is_deterministic(runner, tmp_path):
     doc = tmp_path / "incident.txt"
     doc.write_text("kubelet flapping after certificate rotation")
@@ -490,6 +520,15 @@ def test_simulate_memory_config_matches_run_continuous(runner, k1_config):
     # the section reaches the run: it routes differently from the defaults
     default = json.loads(runner.invoke(main, args).stdout)
     assert default["intuitive_rate"] != _report(res)["intuitive_rate"]
+
+
+def test_simulate_with_a_full_pool_completes(runner, tmp_path):
+    config = tmp_path / "cap.json"
+    config.write_text(json.dumps({"memory": {"capacity": 10}}))
+    result = runner.invoke(main, ["simulate", "--sessions", "400", "--recurrence", "0.5",
+                                  "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "sessions      400" in result.stdout
 
 
 def test_simulate_ablation_matches_evaluate_ablation(runner, k1_config):

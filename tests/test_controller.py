@@ -44,6 +44,7 @@ def hit(conf, ref="m1", tokens=()):
         score=conf,
         confidence=conf,
         factors=(conf, 1.0, 1.0, 1.0),
+        memory=mk_episode(ref, rand_unit(np.random.default_rng(0), 16)),
         symptom_tokens=frozenset(tokens),
     )
 
@@ -543,9 +544,16 @@ def test_load_rejects_corrupt_record(tmp_path, bad):
     {"opt_params": {"eta_meta": -0.01}},
     {"opt_params": {"weight_lr": float("nan")}},
     {"opt_params": {"delta_probe": "0.02"}},
+    {"tau": True},
+    {"tau": "0.5"},
+    {"factor_weights": [True, "1", 1, 1]},
+    {"factor_weights": "1111"},
+    {"factor_weights": [1.0, 1.0, 1.0]},
+    {"factor_weights": [1.0] * 5},
 ], ids=["nan-weight", "inf-weight", "tau-above-one", "zero-delta-probe",
         "zero-analytic-cost", "xi-above-one", "negative-eta", "nan-weight-lr",
-        "string-delta-probe"])
+        "string-delta-probe", "bool-tau", "string-tau", "bool-and-string-weights",
+        "string-weights", "three-weights", "five-weights"])
 def test_load_rejects_out_of_range_state(tmp_path, bad):
     path = tmp_path / "controller.json"
     controller_with([rec(0.5, True)] * 3).save(str(path))

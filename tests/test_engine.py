@@ -16,6 +16,7 @@ from kubediag.errors import (
 )
 from kubediag.graph import GraphEdge, GraphNode, KnowledgeGraph, NodeType, Relation, SearchConfig
 from kubediag.memory import MemoryConfig, MemoryPool, Outcome, make_query
+from kubediag.simulate import SimulationConfig, run_continuous
 from kubediag.synthesizer import TemplateStubClient
 
 DIM = 256
@@ -350,3 +351,16 @@ def test_rejected_relations_change_no_store(bad, error):
     assert report.edges_confirmed == ["fb-src -(causes)-> fb-dst @ 0.5"]
     assert report.history_len == len(before[2]) + 1
     assert report.episode_id not in before[0]
+
+
+@pytest.mark.parametrize("capacity", [3, 5, 10])
+def test_full_pool_accepts_every_feedback(capacity):
+    # feedback reads each hit's own memory, which the new episode's insert
+    # may just have evicted
+    for seed in range(4):
+        sim = SimulationConfig(total_sessions=400, recurrence=0.5, seed=seed)
+        res, engine = run_continuous(sim, MemoryConfig(capacity=capacity))
+        assert res.sessions == 400
+        assert len(engine.sessions) == 400 - res.no_evidence
+        assert engine._fed == set(engine.sessions)
+        assert len(engine.pool.episodes) == capacity

@@ -34,8 +34,8 @@ def poison_episode(pool):
 
 
 def poison_pattern(pool):
-    # ``reliability`` sorts after the centroid, which is already written
-    next(iter(pool.patterns.values())).reliability = object()
+    # ``last_updated`` sorts after the centroid, which is already written
+    next(iter(pool.patterns.values())).last_updated = object()
 
 
 def poison_edge(g):

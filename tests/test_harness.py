@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -187,6 +188,29 @@ def test_load_collects_line_errors(tmp_path):
     assert all(isinstance(e, ScenarioParseError) for e in errors)
     assert "line 3" in str(errors[0])
     assert "line 4" in str(errors[1])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("symptoms", "oomkilled"),
+    ("context", "prod"),
+    ("resolution_steps", "restart"),
+    ("id", 7),
+    ("root_cause", 5),
+    ("logs", None),
+], ids=["symptoms-string", "context-string", "steps-string", "id-int", "root-cause-int",
+        "logs-null"])
+def test_load_reports_wrong_types(tmp_path, key, value):
+    # coerced, each would load as something else: a string as its
+    # characters, an id 7 as "7", null logs as "None"
+    good = generate_scenarios(6, 2)
+    path = tmp_path / "mixed.jsonl"
+    save_scenarios(str(path), good)
+    raw = dict(scenario_to_dict(good[0]), **{key: value})
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(raw) + "\n")
+    loaded, errors = load_scenarios(str(path))
+    assert loaded == good
+    assert [e.line_no for e in errors] == [3]
 
 
 def test_validate_rejects_blank_fields():

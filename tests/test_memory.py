@@ -407,9 +407,9 @@ def test_form_patterns_degenerate_cluster():
     created = pool.form_patterns(now=NOW)
     assert len(created) == 1
     pat = pool.patterns[created[0]]
-    assert pat.member_count == 3
+    assert pat.member_ids == {"e0", "e1", "e2"}
     np.testing.assert_allclose(pat.centroid, v, atol=1e-9)
-    assert pat.reliability == pytest.approx(2 / 3)
+    assert pat.success_members == 2
     # actions and path donated by the highest-value member
     assert pat.source_episode_id == "e1"
     assert pat.actions == ["scale up"]
@@ -444,12 +444,12 @@ def test_form_patterns_idempotent(rng):
         pool.insert_episode(mk_episode(f"e{i}", jitter_unit(rng, base, 0.05)))
     pool.form_patterns(now=NOW)
     snapshot = {
-        pid: (p.member_ids, tuple(p.centroid), p.reliability)
+        pid: (p.member_ids, tuple(p.centroid), p.success_members)
         for pid, p in pool.patterns.items()
     }
     assert pool.form_patterns(now=NOW) == []
     again = {
-        pid: (p.member_ids, tuple(p.centroid), p.reliability)
+        pid: (p.member_ids, tuple(p.centroid), p.success_members)
         for pid, p in pool.patterns.items()
     }
     assert again == snapshot
@@ -462,11 +462,11 @@ def test_pattern_members_similar_to_seed(rng):
         pool.insert_episode(mk_episode(f"e{i}", jitter_unit(rng, base, 0.04)))
     pool.form_patterns(now=NOW)
     assert pool.patterns
+    th = pool.config.pattern_sim_threshold
     for pat in pool.patterns.values():
-        seed_vec = pool.episode(pat.seed_id).embedding
-        for mid in pat.member_ids:
-            cos = float(seed_vec @ pool.episode(mid).embedding)
-            assert cos > pool.config.pattern_sim_threshold
+        vecs = [pool.episode(mid).embedding for mid in pat.member_ids]
+        # the seed whose neighbourhood formed the pattern is such a member
+        assert any(all(float(a @ b) > th for b in vecs) for a in vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +513,8 @@ def interleave(pool, seed, check=lambda: None):
 
 def pattern_state(pool):
     return {
-        pid: (sorted(p.member_ids), p.seed_id, p.centroid.tolist(),
-              p.source_episode_id, p.reliability)
+        pid: (sorted(p.member_ids), p.centroid.tolist(), p.source_episode_id,
+              p.success_members)
         for pid, p in pool.patterns.items()
     }
 
@@ -669,12 +669,11 @@ def test_update_outcome_refreshes_pattern_reliability():
     for i in range(3):
         pool.insert_episode(mk_episode(f"e{i}", v, outcome=Outcome.SUCCESS))
     (pid,) = pool.form_patterns(now=NOW)
-    assert pool.patterns[pid].reliability == pytest.approx(1.0)
+    assert pool.patterns[pid].success_members == 3
     pool.update_outcome("e1", Outcome.FAILURE, success=False)
     # recount oracle: member outcomes are now S, F, S
-    want = sum(pool.episode(e).outcome is Outcome.SUCCESS for e in pool.patterns[pid].member_ids) / 3
-    assert pool.patterns[pid].reliability == pytest.approx(want)
-    assert want == pytest.approx(2 / 3)
+    want = sum(pool.episode(e).outcome is Outcome.SUCCESS for e in pool.patterns[pid].member_ids)
+    assert pool.patterns[pid].success_members == want == 2
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +779,38 @@ def test_load_rejects_bad_line(tmp_path):
     assert "2" in str(exc_info.value)  # line number surfaces
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("symptoms", "pod oomkilled"),
+        ("context", "ns"),
+        ("actions", "restart the pod"),
+        ("resolution_path", [None]),
+        ("trials", 3.9),
+        ("successes", True),
+        ("id", 5),
+        ("timestamp", "12"),
+        ("memory_value", True),
+    ],
+    ids=["symptoms-string", "context-string", "actions-string", "path-null", "trials-fraction",
+         "successes-bool", "id-int", "timestamp-string", "value-bool"],
+)
+def test_load_episodes_rejects_wrong_types(tmp_path, key, value):
+    # coerced, each would load as something else: a string as its
+    # characters, 3.9 trials as 3, true as 1, an id 5 as "5"
+    pool = small_pool(8)
+    for i in range(2):
+        pool.insert_episode(mk_episode(f"e{i}", unit(8, i), trials=4, successes=3))
+    path = tmp_path / "episodes.jsonl"
+    pool.save_episodes(str(path))
+    first, second = path.read_text().splitlines()
+    raw = json.loads(second)
+    raw[key] = value
+    path.write_text(f"{first}\n{json.dumps(raw)}\n")
+    with pytest.raises(SchemaViolation, match="line 2"):
+        small_pool(8).load_episodes(str(path))
+
+
 def test_pattern_snapshot_roundtrip(tmp_path, rng):
     pool = small_pool(16)
     base = rand_unit(rng, 16)
@@ -796,7 +827,7 @@ def test_pattern_snapshot_roundtrip(tmp_path, rng):
     for pid, pat in pool.patterns.items():
         other = fresh.patterns[pid]
         assert other.member_ids == pat.member_ids
-        assert other.reliability == pytest.approx(pat.reliability)
+        assert other.success_members == pat.success_members
         np.testing.assert_allclose(other.centroid, pat.centroid, atol=1e-12)
     data = json.loads(path.read_text())
     # the snapshot records every field of the producing configuration
@@ -804,8 +835,9 @@ def test_pattern_snapshot_roundtrip(tmp_path, rng):
 
 
 def test_pattern_snapshot_ignores_retired_keys(tmp_path, rng):
-    # snapshots written before the exact scan carry per-pattern ``spread`` and
-    # the old index bounds; they still load, and the extra keys are dropped
+    # older snapshots carry per-pattern ``spread``, the old index bounds,
+    # ``reliability``, ``member_count`` and ``seed_id``; they still load, and
+    # the extra keys are dropped
     pool = small_pool(16)
     base = rand_unit(rng, 16)
     for i in range(4):
@@ -813,11 +845,15 @@ def test_pattern_snapshot_ignores_retired_keys(tmp_path, rng):
     pool.form_patterns(now=NOW)
     path = tmp_path / "patterns.json"
     pool.save_pattern_snapshot(str(path))
+    saved = json.loads(path.read_text())
     data = json.loads(path.read_text())
     for raw in data["patterns"]:
         raw["spread"] = [0.0] * 16
         raw["max_member_angle"] = 0.25
         raw["max_member_ts"] = raw["last_updated"]
+        raw["reliability"] = raw["success_members"] / len(raw["member_ids"])
+        raw["member_count"] = len(raw["member_ids"])
+        raw["seed_id"] = raw["member_ids"][0]
     data["config"]["index_probe_patterns"] = 8
     path.write_text(json.dumps(data))
     fresh = small_pool(16)
@@ -825,9 +861,11 @@ def test_pattern_snapshot_ignores_retired_keys(tmp_path, rng):
         fresh.insert_episode(mk_episode(f"e{i}", pool.episode(f"e{i}").embedding))
     assert fresh.load_pattern_snapshot(str(path)) == len(pool.patterns)
     q = mk_query(base)
-    assert [(m.ref, m.score) for m in fresh.retrieve(q, W1, NOW).memories] == [
-        (m.ref, m.score) for m in pool.retrieve(q, W1, NOW).memories
+    assert [(m.ref, m.score, m.confidence) for m in fresh.retrieve(q, W1, NOW).memories] == [
+        (m.ref, m.score, m.confidence) for m in pool.retrieve(q, W1, NOW).memories
     ]
+    fresh.save_pattern_snapshot(str(path))
+    assert json.loads(path.read_text()) == saved
 
 
 def _snapshot_with(tmp_path, rng, edit):
@@ -882,18 +920,10 @@ def _set_counts(data, **fields):
     "fields",
     [
         {"member_count": 1, "success_members": 9},
-        {"member_count": lambda n: n + 1, "success_members": 0},
-        {"member_count": lambda n: n - 1, "success_members": 0},
         {"success_members": lambda n: n + 1},
         {"success_members": -1},
-        {"reliability": 1.5},
-        {"reliability": -0.25},
-        {"reliability": float("nan")},
-        {"reliability": float("inf")},
     ],
-    ids=["count-1-wins-9", "count-too-high", "count-too-low", "wins-above-count",
-         "negative-wins", "reliability-above-1", "negative-reliability", "nan-reliability",
-         "inf-reliability"],
+    ids=["count-1-wins-9", "wins-above-count", "negative-wins"],
 )
 def test_pattern_snapshot_rejects_impossible_counts(tmp_path, rng, fields):
     fresh, path = _snapshot_with(tmp_path, rng, lambda d: _set_counts(d, **fields))
@@ -918,27 +948,21 @@ def _set_field(data, key, value):
         ("member_ids", lambda ids: ids[:-1] + [7]),
         ("actions", "restart the pod"),
         ("resolution_path", [None]),
-        ("member_count", lambda n: n + 0.9),
-        ("member_count", lambda n: float(n)),
         ("success_members", True),
         ("success_members", 0.5),
-        ("reliability", "0.5"),
-        ("reliability", True),
         ("last_updated", "0"),
         ("last_updated", float("nan")),
         ("last_updated", float("inf")),
         ("id", 5),
-        ("seed_id", None),
         ("source_episode_id", 3),
     ],
     ids=["tokens-string", "tokens-ints", "labels-string", "member-id-int", "actions-string",
-         "path-null", "count-fraction", "count-float", "wins-bool", "wins-fraction",
-         "reliability-string", "reliability-bool", "updated-string", "updated-nan",
-         "updated-inf", "id-int", "seed-id-null", "source-id-int"],
+         "path-null", "wins-bool", "wins-fraction", "updated-string", "updated-nan",
+         "updated-inf", "id-int", "source-id-int"],
 )
 def test_pattern_snapshot_rejects_wrong_types(tmp_path, rng, key, value):
     # coerced, each would load as something else: a string as its
-    # characters, 23.9 members as 23, a null seed id as "None"
+    # characters, 0.5 wins as 0, an id 5 as "5"
     fresh, path = _snapshot_with(tmp_path, rng, lambda d: _set_field(d, key, value))
     with pytest.raises(SchemaViolation):
         fresh.load_pattern_snapshot(str(path))
@@ -960,11 +984,8 @@ def pool_of_vectors(vectors, dim):
             actions=["restart the pod"],
             resolution_path=[f"n{i}"],
             source_episode_id=f"ep-{i:06d}",
-            reliability=1.0,
-            member_count=1,
             member_ids={f"ep-{i:06d}"},
             last_updated=NOW,
-            seed_id=f"ep-{i:06d}",
         )
     return pool
 
