@@ -22,6 +22,7 @@ from .controller import MetaController
 from .embedding import HashingEmbedder
 from .engine import DiagnosticQuery, Engine, Feedback
 from .errors import ConfigError, KubeDiagError, NoEvidence
+from .files import as_string
 from .graph import (
     Category,
     GraphEdge,
@@ -76,10 +77,10 @@ def _load_config(path: str | None) -> dict:
 
 
 def _triple(raw: dict, category: Category) -> tuple[GraphNode, GraphEdge, GraphNode]:
-    """One ingested ``{"src", "dst", "relation", "weight"}`` triple, its label
-    and weight checked as a graph file's are."""
+    """One ingested ``{"src", "dst", "relation", "weight"}`` triple, its ids,
+    label and weight checked as a graph file's are."""
     src, dst = (
-        GraphNode(str(raw[end]["id"]), NodeType(raw[end]["type"]),
+        GraphNode(as_string(raw[end]["id"], f"triple {end} id"), NodeType(raw[end]["type"]),
                   checked_field(raw[end], "label", f"triple {end}", ""), category=category)
         for end in ("src", "dst")
     )

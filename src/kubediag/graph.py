@@ -9,12 +9,12 @@ of memory prior, edge strength and per-path node freshness.
 
 Seeding is exact but does not scan dense vectors.  Each node's label
 embedding is kept sparse, as the ``(index, value)`` of every entry that is
-not ``+0.0`` (a hashing label has about 3 of 2048), and one flat index over
-all of them scores every node against the query with two ``np.bincount``
-calls.  That sum can differ from ``np.dot``'s in its last bits, so it only
-picks candidates, with a margin wider than any rounding difference; each
-candidate is rebuilt dense, bit for bit, and rescored with ``np.dot``.  A
-label is embedded once and re-embedded only when it changes.
+not ``+0.0`` (a hashing label has about 3 of 2048), and one
+:class:`~kubediag.embedding.SparseRows` over all of them scores every node
+against the query.  That sum can differ from ``np.dot``'s in its last bits,
+so it only picks candidates, with a margin wider than any rounding
+difference; each candidate is rebuilt dense, bit for bit, and rescored with
+``np.dot``.  A label is embedded once and re-embedded only when it changes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .embedding import Embedder
+from .embedding import Embedder, SparseRows, nonzero_index
 from .errors import (
     ClassificationError,
     InvalidArgument,
@@ -40,8 +40,6 @@ from .files import as_number, as_string, write_atomic
 
 # labels embedded per stacked block on the first index build
 _EMBED_CHUNK = 256
-_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
-_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
 class NodeType(str, Enum):
@@ -248,13 +246,10 @@ def classify_document(
 
 
 class _LabelIndex(NamedTuple):
-    """Every node's sparse label entries as one triplet, in node order."""
+    """Every node's sparse label entries, in node order."""
 
     ids: list[str]     # row -> node id
-    row: np.ndarray
-    col: np.ndarray
-    val: np.ndarray
-    dim: int
+    rows: SparseRows
 
 
 def _redefined(node: GraphNode, known: NodeType) -> SchemaViolation:
@@ -387,8 +382,7 @@ class KnowledgeGraph:
             part = missing[start:start + _EMBED_CHUNK]
             dense = np.array([embedder.embed(self.nodes[nid].label or nid) for nid in part])
             dim = dense.shape[1]
-            # the rule of memory._vector_to_json: keep -0.0 so rebuilds are bit for bit
-            flat = np.flatnonzero(np.signbit(dense) | (dense != 0))
+            flat = nonzero_index(dense.ravel())
             rows, cols = np.divmod(flat, dim)
             vals = dense.ravel()[flat]
             bounds = np.searchsorted(rows, np.arange(len(part) + 1)).tolist()
@@ -396,33 +390,17 @@ class KnowledgeGraph:
                 a, b = bounds[i], bounds[i + 1]
                 self._label_vecs[nid] = (cols[a:b], vals[a:b])
         ids = list(self.nodes)
-        entries = [self._label_vecs[nid] for nid in ids]
-        sizes = [c.size for c, _ in entries]
-        return _LabelIndex(
-            ids=ids,
-            row=np.repeat(np.arange(len(ids)), sizes),
-            col=np.concatenate([c for c, _ in entries]),
-            val=np.concatenate([v for _, v in entries]),
-            dim=dim,
-        )
+        return _LabelIndex(ids, SparseRows(dim, [self._label_vecs[nid] for nid in ids]))
 
     def seed_nodes(self, q_embedding: np.ndarray, embedder: Embedder,
                    threshold: float = 0.5) -> list[str]:
         """Nodes whose label embedding has ``np.dot(label, q) >= threshold``,
         best first, ties by id.
 
-        Exact for any threshold and embedder.  ``approx`` sums each row's
-        shared products ``p`` with ``np.bincount``; ``np.dot`` sums the same
-        products plus exact zeros in another order, perhaps with FMA.  Two
-        summation orders of n terms each lie within ``gamma_n * sum|p|`` of
-        the true sum (``gamma_n = n*u / (1 - n*u)``, u the unit roundoff),
-        so they differ by at most ``2 * gamma_n * sum|p|``, plus under one
-        smallest subnormal per term if products underflow.  The margin
-        doubles that to cover the rounding of ``absum`` and of the
-        comparison.  A row sharing no coordinate with the query is exactly 0
-        both ways.  Every row that can reach the threshold is therefore a
-        candidate, and candidates are rescored with ``np.dot`` on the dense
-        label rebuilt bit for bit.
+        Exact for any threshold and embedder: every node whose
+        ``approx + margin`` (:meth:`SparseRows.bounds`) reaches the threshold
+        is a candidate, and candidates are rescored with ``np.dot`` on the
+        dense label rebuilt bit for bit.
         """
         if not self.nodes:
             return []
@@ -430,19 +408,12 @@ class KnowledgeGraph:
         if index is None:
             index = self._label_index = self._build_label_index(embedder)
         q = np.asarray(q_embedding)
-        if q.shape != (index.dim,):
-            raise ValueError(f"query shape {q.shape} != label shape ({index.dim},)")
-        n = len(index.ids)
-        p = index.val * q[index.col]
-        approx = np.bincount(index.row, p, n)
-        absum = np.bincount(index.row, np.abs(p), n)
-        gamma = index.dim * _UNIT_ROUNDOFF / (1.0 - index.dim * _UNIT_ROUNDOFF)
-        margin = 4.0 * gamma * absum + index.dim * _SUBNORMAL
+        approx, margin = index.rows.bounds(q)
         hits = []
         for r in np.flatnonzero(approx + margin >= threshold).tolist():
             nid = index.ids[r]
             cols, vals = self._label_vecs[nid]
-            dense = np.zeros(index.dim, dtype=vals.dtype)
+            dense = np.zeros(index.rows.dim, dtype=vals.dtype)
             dense[cols] = vals
             sim = float(np.dot(dense, q))
             if sim >= threshold:
@@ -479,7 +450,7 @@ class KnowledgeGraph:
             for raw in payload["nodes"]:
                 g.upsert_node(
                     GraphNode(
-                        id=str(raw["id"]),
+                        id=as_string(raw["id"], "node id"),
                         node_type=NodeType(raw["node_type"]),
                         label=checked_field(raw, "label", f"node {raw['id']!r}", ""),
                         attributes=dict(raw.get("attributes", {})),
@@ -487,7 +458,8 @@ class KnowledgeGraph:
                     )
                 )
             for raw in payload["edges"]:
-                src, dst = g.nodes[str(raw["src"])], g.nodes[str(raw["dst"])]
+                src = g.nodes[as_string(raw["src"], "edge src")]
+                dst = g.nodes[as_string(raw["dst"], "edge dst")]
                 name = f"edge {src.id!r} -{raw['relation']}-> {dst.id!r}"
                 edge = GraphEdge(src.id, dst.id, Relation(raw["relation"]),
                                  checked_field(raw, "weight", name))

@@ -4,20 +4,22 @@ The pool stores concrete diagnostic trajectories (episodes) and abstracted
 recurring structures (patterns).  Retrieval blends embedding similarity with
 recency, splits attention between the two tiers with a novelty/complexity
 mixing weight, and attaches a multi-factor confidence to every returned
-memory.  Retrieval is one exact linear scan: every memory is scored, and the
-confidence, which only breaks ties, is computed for the rows at or above the
-k-th best score alone.
+memory.  Retrieval is exact: it returns what scoring every memory with the
+scalar formulas would, and the confidence, which only breaks ties, is
+computed for the rows at or above the k-th best score alone.
+
+Episode embeddings are also kept as one sparse index
+(:class:`~kubediag.embedding.SparseRows`), one row per stored episode.  One
+product per query bounds every episode's cosine within a proven margin; the
+index serves novelty, retrieval and neighbour linking alike, and only the
+rows its bounds cannot rule out are scored with the scalar formulas.  Every
+number the pool reports is therefore computed by the same scalar arithmetic
+as a scan of every row would use, and is equal to it.
 
 Pattern formation reads each episode's neighbourhood (the episodes whose
 cosine with it exceeds ``pattern_sim_threshold``) from sets the pool keeps
-current.  They are built by one pass over the episode pairs on the first
-formation, then each insert scans the pool once and each eviction unlinks its
-victim, so a feedback costs one cosine per stored episode instead of a pool
-rescan per neighbour.
-
-Scalar math along the scoring path deliberately avoids vectorized shortcuts:
-reference implementations and the scan must order candidates identically,
-so both use the same per-candidate arithmetic.
+current.  They are built on the first formation, then each insert links the
+new episode and each eviction unlinks its victim.
 
 Episodes persist as JSONL, one object per line; patterns as one JSON
 snapshot.  Each embedding and centroid is stored sparse, as
@@ -40,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import DEFAULT_DIM, Embedder
+from .embedding import DEFAULT_DIM, Embedder, SparseRows, nonzero_index
 from .errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound, SchemaViolation
 from .files import as_count, as_number, as_string, as_strings, write_atomic
 from .text import tokenize
@@ -51,6 +53,12 @@ SECONDS_PER_DAY = 86_400.0
 FACTOR_NAMES = ("similarity", "temporal", "success", "context")
 
 _FACTOR_FLOOR = 1e-7  # avoids log(0) downstream when weights are fitted
+
+# Absolute slack on vectorised score bounds.  A score is at most about 1 in
+# magnitude, and the vectorised blend differs from ``raw_score`` only in
+# using ``np.exp`` for ``math.exp`` (each within a few ulps of exp) and in
+# the rounding that follows: a few units of 2**-53, far below 2**-40.
+_SCORE_SLACK = 2.0 ** -40
 
 
 class Outcome(str, Enum):
@@ -300,15 +308,33 @@ class MemoryPool:
 
     Single writer: nothing is locked, and reads iterate the live dicts, so
     readers must not run concurrently with a writer.  Episodes iterate in
-    insertion order.
+    insertion order.  An episode's embedding and timestamp must not change
+    once it is inserted: the sparse index holds copies of both.
+
+    ``_rows`` holds the stored episodes in the order of the sparse index's
+    rows (``_index``, with the timestamps in ``_stamps``): each insert
+    appends a row and each eviction deletes one.  :meth:`_bounds` gives every
+    row's cosine with a vector as ``approx ± margin``, so with ``hi`` and
+    ``lo`` the rounded ends of that interval the scans keep these rows:
+
+    - novelty: ``hi >= max(lo)``, which holds every row of largest cosine,
+      hence of least distance;
+    - retrieval: rows whose score upper bound reaches the k-th largest of
+      the episodes' score lower bounds and the patterns' exact scores, which
+      holds every row scoring at least the k-th best score;
+    - linking: ``hi >= pattern_sim_threshold``.
+
+    Each kept row is scored with the scalar ``_cos``/``raw_score``, and
+    patterns (tens of rows) are always scored that way.
 
     ``_neighbours`` maps every stored episode id to the ids whose scalar
     ``_cos`` with it exceeds ``pattern_sim_threshold``, itself included: one
     id per ordered pair above the threshold (about 8.5k ids after a
     400-session recurring stream, 184k after 2,000 sessions).  It stays
     ``None`` until the first pattern formation, so loading a store for a
-    read-only diagnosis never pays the quadratic build.  The pair cosine is
-    symmetric, so the sets equal a per-seed rescan exactly.
+    read-only diagnosis never builds it; the build takes one index product
+    per stored episode.  The pair cosine is symmetric, so the sets equal a
+    per-seed rescan exactly.
     """
 
     def __init__(self, config: MemoryConfig | None = None) -> None:
@@ -316,9 +342,14 @@ class MemoryPool:
         self.config.validate()
         self._episodes: dict[str, Episode] = {}
         self._patterns: dict[str, Pattern] = {}
-        self._tombstones: dict[str, Outcome] = {}  # evicted id -> final outcome
+        self._tombstones: set[str] = set()  # evicted ids, never reused
         self._pattern_seq = 0
         self._neighbours: dict[str, set[str]] | None = None  # built on first formation
+        self._index = SparseRows(self.config.embedding_dim)
+        self._rows: list[Episode] = []
+        self._stamps: list[float] = []
+        # (vector, approx, margin) of the last _bounds call until the rows change
+        self._memo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- basic introspection ------------------------------------------------
 
@@ -342,6 +373,10 @@ class MemoryPool:
     # -- mutation -----------------------------------------------------------
 
     def insert_episode(self, episode: Episode) -> None:
+        self._insert(episode, None)
+
+    def _insert(self, episode: Episode, cols: np.ndarray | None) -> None:
+        # ``cols``: the embedding's non-zero indices when the caller has them
         if episode.id in self._episodes or episode.id in self._tombstones:
             raise DuplicateId(f"episode id {episode.id!r} already used")
         episode.validate()
@@ -351,6 +386,12 @@ class MemoryPool:
                 f" != {self.config.embedding_dim}"
             )
         self._episodes[episode.id] = episode
+        if cols is None:
+            cols = np.flatnonzero(episode.embedding)
+        self._index.append(cols, episode.embedding[cols])
+        self._rows.append(episode)
+        self._stamps.append(episode.timestamp)
+        self._memo = None
         while len(self._episodes) > self.config.capacity:
             self._evict_one()
         if self._neighbours is not None and episode.id in self._episodes:
@@ -360,8 +401,12 @@ class MemoryPool:
         victim = min(
             self._episodes.values(), key=lambda e: (e.memory_value, e.timestamp, e.id)
         )
-        self._tombstones[victim.id] = victim.outcome
+        self._tombstones.add(victim.id)
         del self._episodes[victim.id]
+        r = self._rows.index(victim)
+        del self._rows[r], self._stamps[r]
+        self._index.delete(r)
+        self._memo = None
         if self._neighbours is not None:
             # the victim may be an insert not linked yet
             for nid in self._neighbours.pop(victim.id, ()):
@@ -369,26 +414,26 @@ class MemoryPool:
                     self._neighbours[nid].discard(victim.id)
 
     def update_outcome(self, episode_id: str, outcome: Outcome, success: bool) -> None:
-        """Record a feedback trial and scale the episode's retention value."""
+        """Record a feedback trial and scale the episode's retention value.
+
+        Each pattern holding the episode moves ``success_members`` by the
+        change in the episode's last outcome, so members evicted earlier,
+        or before the store was reloaded, keep counting as they last did.
+        """
         ep = self.episode(episode_id)
+        change = int(outcome is Outcome.SUCCESS) - int(ep.outcome is Outcome.SUCCESS)
         ep.outcome = outcome
         ep.trials += 1
         ep.successes += int(success)
         delta = self.config.outcome_delta
         factor = (1.0 + delta) if success else (1.0 - delta)
         ep.memory_value = max(0.0, ep.memory_value * factor)
-        for pat in self._patterns.values():
-            if episode_id in pat.member_ids:
-                self._recount_reliability(pat)
-
-    def _recount_reliability(self, pat: Pattern) -> None:
-        wins = 0
-        for mid in pat.member_ids:
-            if mid in self._episodes:
-                wins += int(self._episodes[mid].outcome is Outcome.SUCCESS)
-            elif mid in self._tombstones:
-                wins += int(self._tombstones[mid] is Outcome.SUCCESS)
-        pat.success_members = wins
+        if change:
+            for pat in self._patterns.values():
+                if episode_id in pat.member_ids:
+                    # a snapshot saved beside other episodes may disagree; stay in range
+                    pat.success_members = min(max(pat.success_members + change, 0),
+                                              len(pat.member_ids))
 
     # -- pattern formation --------------------------------------------------
 
@@ -419,14 +464,17 @@ class MemoryPool:
         return self._neighbours[seed.id]
 
     def _link(self, ep: Episode) -> None:
-        # one scalar cosine against every linked episode and ``ep`` itself
+        # a scalar cosine against every linked episode, ``ep`` included, that
+        # the index cannot rule out
         th = self.config.pattern_sim_threshold
         nbrs = self._neighbours
         mine = nbrs[ep.id] = set()
-        for oid in nbrs:
-            if _cos(ep.embedding, self._episodes[oid].embedding) > th:
-                mine.add(oid)
-                nbrs[oid].add(ep.id)
+        approx, margin = self._bounds(ep.embedding)
+        for r in np.flatnonzero(approx + margin >= th).tolist():
+            other = self._rows[r]
+            if other.id in nbrs and _cos(ep.embedding, other.embedding) > th:
+                mine.add(other.id)
+                nbrs[other.id].add(ep.id)
 
     def _form_for_seeds(self, seed_ids: Sequence[str], now: float | None) -> list[str]:
         touched: dict[str, None] = {}  # insertion-ordered de-dup
@@ -490,10 +538,49 @@ class MemoryPool:
 
     # -- retrieval ----------------------------------------------------------
 
+    def _bounds(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The index's ``(approx, margin)`` for ``vec``, one per row of ``_rows``."""
+        memo = self._memo
+        if memo is None or memo[0] is not vec:
+            memo = self._memo = (vec, *self._index.bounds(vec))
+        return memo[1], memo[2]
+
+    def _closest(self, q: Query) -> list[Episode]:
+        """The episodes the index cannot rule out as having the largest cosine."""
+        if not self._rows:
+            return []
+        approx, margin = self._bounds(q.embedding)
+        lo = approx - margin
+        return [self._rows[r] for r in np.flatnonzero(approx + margin >= lo.max()).tolist()]
+
+    def _contenders(self, q: Query, now: float, scale: float, k: int,
+                    pattern_scores: list[float]) -> list[Episode]:
+        """The episodes the index cannot rule out of the top ``k`` scores at
+        tier scale ``scale``, next to patterns scoring ``pattern_scores``.
+
+        The bounds blend ``approx ± margin`` with the recency term as
+        :func:`raw_score` does, then widen by ``_SCORE_SLACK``; the score is
+        monotone in the cosine, so each episode's score lies within them.
+        The k-th largest lower bound is at most the k-th best score.
+        """
+        if not self._rows:
+            return []
+        cfg = self.config
+        lam = cfg.similarity_weight
+        approx, margin = self._bounds(q.embedding)
+        dt = np.maximum(0.0, now - np.array(self._stamps))
+        fresh = (1.0 - lam) * np.exp(-dt / cfg.recency_tau_s)
+        hi = scale * (lam * (approx + margin) + fresh) + _SCORE_SLACK
+        lows = heapq.nlargest(
+            k, (scale * (lam * (approx - margin) + fresh) - _SCORE_SLACK).tolist() + pattern_scores
+        )
+        floor = lows[-1] if len(lows) == k else -math.inf
+        return [self._rows[r] for r in np.flatnonzero(hi >= floor).tolist()]
+
     def novelty(self, q: Query) -> float:
         """Minimum cosine distance from the query to any stored memory; 1.0 when empty."""
         best = None
-        for ep in self._episodes.values():
+        for ep in self._closest(q):
             d = 1.0 - _cos(ep.embedding, q.embedding)
             if best is None or d < best:
                 best = d
@@ -529,9 +616,11 @@ class MemoryPool:
     ) -> RetrievalResult:
         """Top-k memories by tier-scaled score; ties by confidence, then id.
 
-        Scores every memory, then computes confidences only for rows scoring
-        at least the k-th best score.  That is exact: confidence only breaks
-        ties, and every tie at the cutoff is kept.
+        Scores every pattern and every episode the index cannot rule out
+        (:meth:`_contenders`), then computes confidences only for rows
+        scoring at least the k-th best score.  That is exact: the rows left
+        out score below the cutoff, confidence only breaks ties, and every
+        tie at the cutoff is kept.
         """
         k = self.config.retrieval_k if k is None else k
         if k < 1:
@@ -540,12 +629,12 @@ class MemoryPool:
         ep_scale, pat_scale = (1.0 - psi), psi
         cfg = self.config
         rows: list[tuple[float, Episode | Pattern]] = [
-            (ep_scale * raw_score(ep.embedding, ep.timestamp, q, now, cfg), ep)
-            for ep in self._episodes.values()
-        ]
-        rows += [
             (pat_scale * raw_score(pat.centroid, pat.last_updated, q, now, cfg), pat)
             for pat in self._patterns.values()
+        ]
+        rows += [
+            (ep_scale * raw_score(ep.embedding, ep.timestamp, q, now, cfg), ep)
+            for ep in self._contenders(q, now, ep_scale, k, [s for s, _ in rows])
         ]
         cutoff = min(heapq.nlargest(k, (s for s, _ in rows)), default=0.0)
         top = sorted(
@@ -594,7 +683,7 @@ class MemoryPool:
                 if not line.strip():
                     continue
                 try:
-                    self.insert_episode(episode_from_dict(json.loads(line), dim))
+                    self._insert(*_episode_from_dict(json.loads(line), dim))
                 except (ValueError, KeyError, TypeError, InvalidArgument) as exc:
                     raise SchemaViolation(f"line {line_no}: {exc}") from exc
                 n += 1
@@ -644,13 +733,14 @@ def _vector_to_json(v: np.ndarray) -> dict:
     ``-0.0`` is kept, so :func:`_vector_from_json` rebuilds the array bit for
     bit.
     """
-    index = np.flatnonzero(np.signbit(v) | (v != 0))
+    index = nonzero_index(v)
     return {"dim": int(v.size), "index": index.tolist(), "value": v[index].tolist()}
 
 
-def _vector_from_json(raw: object, dim: int) -> np.ndarray:
+def _vector_from_json(raw: object, dim: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Dense float64 array of length ``dim`` from :func:`_vector_to_json`'s
-    form, or from the dense list that older stores hold.
+    form, or from the dense list that older stores hold, with the indices
+    the sparse form listed (``None`` for a dense list).
 
     The sparse form is checked in full before the array is allocated, so a
     bogus ``dim`` or index costs nothing.
@@ -659,7 +749,7 @@ def _vector_from_json(raw: object, dim: int) -> np.ndarray:
         out = np.asarray(raw, dtype=np.float64)
         if out.shape != (dim,):
             raise ValueError(f"vector shape {out.shape} != ({dim},)")
-        return out
+        return out, None
     if not isinstance(raw, dict):
         raise TypeError(f"vector must be an object or a list, got {type(raw).__name__}")
     size, index, value = raw["dim"], raw["index"], raw["value"]
@@ -676,8 +766,9 @@ def _vector_from_json(raw: object, dim: int) -> np.ndarray:
             raise ValueError(f"vector value {x!r} is not a float")
         prev = i
     out = np.zeros(dim, dtype=np.float64)
-    out[np.asarray(index, dtype=np.intp)] = value
-    return out
+    cols = np.asarray(index, dtype=np.intp)
+    out[cols] = value
+    return out, cols
 
 
 def _episode_to_dict(ep: Episode) -> dict:
@@ -696,9 +787,10 @@ def _episode_to_dict(ep: Episode) -> dict:
     }
 
 
-def episode_from_dict(raw: dict, dim: int) -> Episode:
+def _episode_from_dict(raw: dict, dim: int) -> tuple[Episode, np.ndarray | None]:
     """Rebuild an episode, checking each field's type like
-    :func:`_pattern_from_dict`."""
+    :func:`_pattern_from_dict`, with its embedding's stored indices."""
+    embedding, cols = _vector_from_json(raw["embedding"], dim)
     return Episode(
         id=as_string(raw["id"], "id"),
         symptoms=as_strings(raw["symptoms"], "symptoms"),
@@ -707,11 +799,11 @@ def episode_from_dict(raw: dict, dim: int) -> Episode:
         outcome=Outcome(raw["outcome"]),
         timestamp=as_number(raw["timestamp"], "timestamp"),
         memory_value=as_number(raw["memory_value"], "memory_value"),
-        embedding=_vector_from_json(raw["embedding"], dim),
+        embedding=embedding,
         resolution_path=as_strings(raw["resolution_path"], "resolution_path"),
         trials=as_count(raw.get("trials", 0), "trials"),
         successes=as_count(raw.get("successes", 0), "successes"),
-    )
+    ), cols
 
 
 def _pattern_to_dict(p: Pattern) -> dict:
@@ -742,7 +834,7 @@ def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
     strategy = raw["strategy"]
     return Pattern(
         id=as_string(raw["id"], "id"),
-        centroid=_vector_from_json(raw["centroid"], dim),
+        centroid=_vector_from_json(raw["centroid"], dim)[0],
         actions=as_strings(strategy["actions"], "actions"),
         resolution_path=as_strings(strategy["resolution_path"], "resolution_path"),
         source_episode_id=as_string(strategy["source_episode_id"], "source_episode_id"),

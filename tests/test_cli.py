@@ -310,9 +310,13 @@ def test_ingest_jsonl_triples_update_graph(runner, tmp_path):
     lambda t: t.update(weight=True),
     lambda t: t.update(weight="0.7"),
     lambda t: t["dst"].update(type="Pod"),
-], ids=["null-label", "int-label", "bool-weight", "string-weight", "retyped-node"])
+    lambda t: t["src"].update(id=None),
+    lambda t: t["dst"].update(id=5),
+], ids=["null-label", "int-label", "bool-weight", "string-weight", "retyped-node",
+        "null-id", "int-id"])
 def test_ingest_skips_a_document_with_a_bad_triple(runner, tmp_path, edit):
-    # coerced, the label would be "None" or "7" and the weight 1.0 or 0.7;
+    # coerced, the label would be "None" or "7", the weight 1.0 or 0.7 and
+    # the node ids "None" or "5";
     # a node retyped by a later triple used to fail after the first was added
     good = {"src": {"id": "t-a", "type": "Event", "label": "memory leak"},
             "dst": {"id": "t-b", "type": "RootCause", "label": "bad release"},
@@ -422,15 +426,19 @@ SIMULATE_600_DIGESTS = {
 }
 
 
-def test_simulate_outputs_match_recorded_digests(runner, tmp_path):
-    """The 600-session stream's text, CSV and traces stay byte for byte what
-    they were when the digests were recorded.
+# the same for ``simulate --sessions 400 --recurrence 0.5`` at capacity 20,
+# where all but 20 of the episodes are evicted
+SIMULATE_CAPACITY_20_DIGESTS = {
+    "text": "82c938e2778fdd8a5daab9da28a8035dfc02c1294ed88d1335e4f4cc16e5592a",
+    "csv": "d9032bf11cf28aa370b33a0b713047983d962ee7561e1197615dd54e642764b3",
+    "traces": "e81bbeb96796034a491ee728050e54a578487fd7123d4b3deb9034a04cb2d675",
+}
 
-    A change that alters them on purpose re-records the digests, and only
-    together with the output change declared in CHANGES.md.
-    """
+
+def simulate_digests(runner, tmp_path, *args):
+    """SHA-256 of the text, CSV and traces that ``simulate *args`` writes."""
     csv_path, traces_path = tmp_path / "curve.csv", tmp_path / "traces.jsonl"
-    result = runner.invoke(main, ["simulate", "--sessions", "600", "--recurrence", "0.5",
+    result = runner.invoke(main, ["simulate", *args,
                                   "--csv", str(csv_path), "--traces", str(traces_path)])
     assert result.exit_code == 0, result.output
     got = {
@@ -438,7 +446,29 @@ def test_simulate_outputs_match_recorded_digests(runner, tmp_path):
         "csv": csv_path.read_bytes(),
         "traces": traces_path.read_bytes(),
     }
-    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == SIMULATE_600_DIGESTS
+    return {k: hashlib.sha256(v).hexdigest() for k, v in got.items()}
+
+
+def test_simulate_outputs_match_recorded_digests(runner, tmp_path):
+    """The 600-session stream's text, CSV and traces stay byte for byte what
+    they were when the digests were recorded.
+
+    A change that alters them on purpose re-records the digests, and only
+    together with the output change declared in CHANGES.md.
+    """
+    got = simulate_digests(runner, tmp_path, "--sessions", "600", "--recurrence", "0.5")
+    assert got == SIMULATE_600_DIGESTS
+
+
+def test_simulate_with_evictions_matches_recorded_digests(runner, tmp_path):
+    """Like the 600-session digests, for a run that evicts on 380 of its
+    inserts, so eviction and the removal of the evicted rows from the
+    episode index are pinned byte for byte too."""
+    config = tmp_path / "capacity.json"
+    config.write_text(json.dumps({"memory": {"capacity": 20}}))
+    got = simulate_digests(runner, tmp_path, "--sessions", "400", "--recurrence", "0.5",
+                           "--config", str(config))
+    assert got == SIMULATE_CAPACITY_20_DIGESTS
 
 
 def test_simulate_no_memory_never_goes_intuitive(runner):

@@ -228,6 +228,21 @@ def test_load_rejects_bad_field_naming_it(tmp_path, table, bad):
         KnowledgeGraph.load(str(path))
 
 
+@pytest.mark.parametrize("value", [None, 5], ids=["null-id", "int-id"])
+def test_load_rejects_non_string_node_ids(tmp_path, value):
+    # coerced with str(), node "b" would load as "None" or "5"
+    payload = copy.deepcopy(GOOD_GRAPH)
+    payload["nodes"][1]["id"] = payload["edges"][0]["dst"] = value
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaViolation, match="is not a string"):
+        KnowledgeGraph.load(str(path))
+    payload["nodes"][1]["id"] = "b"  # a string node id with a non-string edge end
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaViolation, match="edge dst"):
+        KnowledgeGraph.load(str(path))
+
+
 def test_schema_enums_are_closed():
     assert len(NodeType) == 12
     assert len(Relation) == 8

@@ -592,6 +592,45 @@ def test_feedback_computes_one_cosine_per_stored_episode(monkeypatch):
     assert max(len(pool._neighborhood(pool.episode(eid))) for _, _, eid in feedbacks) >= 5
 
 
+def test_diagnosis_scores_few_episodes_of_a_growing_pool(monkeypatch):
+    # Novelty and retrieval compute a scalar cosine only for the episodes the
+    # sparse index cannot rule out; a full scan in either (two cosines per
+    # stored episode before the index) fails this once the pool has grown.
+    from kubediag.scenarios import build_world
+    from kubediag.simulate import SimulationConfig, build_stream, make_engine, run_stream
+
+    cfg = SimulationConfig(total_sessions=120, recurrence=0.5, seed=3, corpus_size=40)
+    scenarios, graph = build_world(cfg.seed, cfg.corpus_size)
+    engine = make_engine(graph)
+    pool = engine.pool
+    counter = {"on": False, "n": 0}
+
+    def counting_cos(a, b):
+        # pattern centroids are always scored; count episode cosines only
+        if counter["on"] and not any(a is p.centroid or b is p.centroid
+                                     for p in pool.patterns.values()):
+            counter["n"] += 1
+        return _cos(a, b)
+
+    diagnoses = []
+
+    def diagnose(*args, _inner=engine.diagnose, **kwargs):
+        counter["on"], counter["n"] = True, 0
+        try:
+            return _inner(*args, **kwargs)
+        finally:
+            counter["on"] = False
+            diagnoses.append((counter["n"], len(pool.episodes)))
+
+    monkeypatch.setattr(memory_mod, "_cos", counting_cos)
+    monkeypatch.setattr(engine, "diagnose", diagnose)
+    run_stream(engine, build_stream(scenarios, cfg), cfg.window)
+
+    grown = [(n, stored) for n, stored in diagnoses if stored >= 60]
+    assert len(grown) >= 50
+    assert all(n <= stored / 2 for n, stored in grown), grown
+
+
 # ---------------------------------------------------------------------------
 # insertion / eviction / outcome updates
 
@@ -674,6 +713,34 @@ def test_update_outcome_refreshes_pattern_reliability():
     # recount oracle: member outcomes are now S, F, S
     want = sum(pool.episode(e).outcome is Outcome.SUCCESS for e in pool.patterns[pid].member_ids)
     assert pool.patterns[pid].success_members == want == 2
+
+
+def test_reloaded_store_counts_evicted_members_as_the_live_pool_does(tmp_path):
+    # A pattern keeps the ids of members evicted since it formed, and a saved
+    # store holds only live episodes; a feedback on a surviving member must
+    # move ``success_members`` alike in the live pool and in the reloaded one.
+    from kubediag.simulate import SimulationConfig, run_continuous
+
+    sim = SimulationConfig(total_sessions=400, recurrence=0.5, seed=0)
+    _, engine = run_continuous(sim, MemoryConfig(capacity=10))
+    live = engine.pool
+    path = str(tmp_path / "episodes.jsonl")
+    live.save_episodes(path)
+    live.save_pattern_snapshot(path + ".patterns.json")
+    loaded = MemoryPool(MemoryConfig(capacity=10))
+    loaded.load_episodes(path)
+    loaded.load_pattern_snapshot(path + ".patterns.json")
+
+    pat, member = next(
+        (p, m) for _, p in sorted(live.patterns.items()) for m in sorted(p.member_ids)
+        if m in live.episodes and p.success_members > 1
+        and not set(p.member_ids) <= set(live.episodes)
+    )
+    for pool in (live, loaded):
+        pool.update_outcome(member, Outcome.SUCCESS, success=True)
+    assert {pid: p.success_members for pid, p in loaded.patterns.items()} == \
+        {pid: p.success_members for pid, p in live.patterns.items()}
+    assert 0 < live.patterns[pat.id].success_members <= len(pat.member_ids)
 
 
 # ---------------------------------------------------------------------------
