@@ -15,15 +15,24 @@ against the query.  That sum can differ from ``np.dot``'s in its last bits,
 so it only picks candidates, with a margin wider than any rounding
 difference; each candidate is rebuilt dense, bit for bit, and rescored with
 ``np.dot``.  A label is embedded once and re-embedded only when it changes.
+
+Each node's out-edges are kept sorted by relation, then destination, so
+reading them sorts nothing.  The search scores each extension of a path once,
+from state the path carries (its running sum of edge-weight logs and its edge
+overlap with each memory path), with the same float operations in the same
+order as :func:`priority`; only the chains it returns are rescored with
+:func:`path_score`.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -276,7 +285,8 @@ class KnowledgeGraph:
     def __init__(self) -> None:
         self.nodes: dict[str, GraphNode] = {}
         self.edges: dict[tuple[str, str, str], GraphEdge] = {}  # (src, relation, dst)
-        self._out: dict[str, list[tuple[str, str]]] = {}        # src -> [(relation, dst)]
+        # src -> [(relation value, dst, relation)], kept sorted
+        self._out: dict[str, list[tuple[str, str, Relation]]] = {}
         # node id -> (index, value) of its label embedding, every entry not +0.0
         self._label_vecs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # built by seed_nodes, shared by copies, never mutated in place;
@@ -329,7 +339,8 @@ class KnowledgeGraph:
         prior = self.edges.get(key)
         if prior is None:
             self.edges[key] = edge
-            self._out.setdefault(edge.src, []).append((edge.relation.value, edge.dst))
+            bisect.insort(self._out.setdefault(edge.src, []),
+                          (edge.relation.value, edge.dst, edge.relation))
         elif edge.weight > prior.weight:
             prior.weight = edge.weight
 
@@ -368,11 +379,11 @@ class KnowledgeGraph:
         return self.edges[key].weight
 
     def out_edges(self, src: str) -> list[tuple[Relation, str, float]]:
-        out = []
-        for rel, dst in self._out.get(src, ()):
-            out.append((Relation(rel), dst, self.edges[(src, rel, dst)].weight))
-        out.sort(key=lambda t: (t[0].value, t[1]))
-        return out
+        """``(relation, dst, weight)`` of every edge out of ``src``, by relation
+        value, then dst."""
+        edges = self.edges
+        return [(rel, dst, edges[(src, value, dst)].weight)
+                for value, dst, rel in self._out.get(src, ())]
 
     def _build_label_index(self, embedder: Embedder) -> _LabelIndex:
         """Embed the labels not yet embedded, then flatten every node's entries."""
@@ -507,21 +518,27 @@ def path_prior(node_ids: Sequence[str], memory_paths: Sequence[Sequence[str]]) -
 
 def path_score(node_ids: Sequence[str], graph: KnowledgeGraph,
                relations: Sequence[Relation] | None = None) -> float:
-    """Geometric mean of edge weights along the path (1.0 for a single node)."""
+    """Geometric mean of edge weights along the path (1.0 for a single node).
+
+    Without ``relations`` a hop takes the heaviest of its parallel edges.  The
+    logs are summed by an explicit left-to-right loop from ``0.0``, not by
+    ``sum()``: since CPython 3.12 ``sum()`` compensates float rounding, and
+    :func:`explore`'s running prefix sums must equal this value bit for bit.
+    """
     if len(node_ids) < 2:
         return 1.0
-    weights = []
+    total = 0.0
     for i in range(len(node_ids) - 1):
         src, dst = node_ids[i], node_ids[i + 1]
         if relations is not None:
             w = graph.edge_weight(src, relations[i], dst)
         else:
-            found = [e.weight for (s, _, d), e in graph.edges.items() if s == src and d == dst]
+            found = [w for _, d, w in graph.out_edges(src) if d == dst]
             if not found:
                 raise InvalidPath(f"no edge between {src!r} and {dst!r}")
             w = max(found)
-        weights.append(w)
-    return math.exp(sum(math.log(w) for w in weights) / len(weights))
+        total += math.log(w)
+    return math.exp(total / (len(node_ids) - 1))
 
 
 def path_novelty(node_ids: Sequence[str], visited: Iterable[str]) -> float:
@@ -559,6 +576,18 @@ def explore(
     enumeration.  Root-cause nodes terminate a path and are never expanded.
     Returns up to ``n_chains`` chains sorted by priority, then raw path score,
     then node-id sequence.
+
+    Each extension is scored once, in O(1 + number of memory paths), from
+    state its frontier entry carries: the node ids, the relations, the
+    running sum of edge-weight logs and, per memory path with an edge, how
+    many of the path's edges that memory holds (the memories' edge sets are
+    built once per call).  Every value is the one :func:`priority` computes,
+    bit for bit: the log-sum grows left to right from ``0.0``, as
+    :func:`path_score` adds it; on a simple path of ``hops`` edges the best
+    ``overlap / hops`` is :func:`path_prior`'s best share, and the novelty
+    against the prefix is ``1 / (hops + 1)``; and the three terms are added
+    in :func:`priority`'s order.  Only the returned chains build their steps
+    and call :func:`path_score` and :func:`path_prior`.
     """
     cfg.validate()
     seeds = graph.seed_nodes(q_embedding, embedder, cfg.seed_threshold)
@@ -567,45 +596,53 @@ def explore(
             seeds.append(nid)
     seeds = seeds[: cfg.beam]
 
-    def rank_key(entry: tuple[float, float, list[tuple[str, Relation | None]]]):
-        pri, ps, steps = entry
-        return (-pri, -ps, tuple(n for n, _ in steps))
-
-    frontier: list[list[tuple[str, Relation | None]]] = [
-        [(nid, None)]
+    a1, a2, a3 = cfg.alphas
+    remembered = [edges for edges in map(_path_edges, memory_paths) if edges]
+    nodes = graph.nodes
+    rank_key = itemgetter(0)
+    # an entry is ((-priority, -path score, node ids), relations, log-sum,
+    # overlaps); a seed's rank is never read
+    no_overlaps = (0,) * len(remembered)
+    frontier = [
+        ((0.0, 0.0, (nid,)), (), 0.0, no_overlaps)
         for nid in seeds
-        if graph.nodes[nid].node_type is not NodeType.ROOT_CAUSE
+        if nodes[nid].node_type is not NodeType.ROOT_CAUSE
     ]
-    chains: list[tuple[float, float, list[tuple[str, Relation | None]]]] = []
+    chains = []
 
-    for _ in range(cfg.max_hops):
-        scored: list[tuple[float, float, list[tuple[str, Relation | None]]]] = []
-        for path in frontier:
-            nodes_in_path = {n for n, _ in path}
-            tail = path[-1][0]
-            for rel, dst, _w in graph.out_edges(tail):
-                if dst in nodes_in_path:
+    for hop in range(1, cfg.max_hops + 1):
+        novelty = a3 * (1 / (hop + 1))
+        grown = []
+        for (_, _, ids), rels, logsum, overlaps in frontier:
+            tail = ids[-1]
+            for rel, dst, w in graph.out_edges(tail):
+                if dst in ids:
                     continue  # simple paths only
-                steps = path + [(dst, rel)]
-                node_ids = [n for n, _ in steps]
-                rels = [r for _, r in steps[1:]]
-                ps = path_score(node_ids, graph, rels)
-                pri = priority(node_ids, memory_paths, node_ids[:-1], graph, cfg, rels)
-                scored.append((pri, ps, steps))
-        scored.sort(key=rank_key)
-        next_frontier = []
-        for pri, ps, steps in scored:
-            if graph.nodes[steps[-1][0]].node_type is NodeType.ROOT_CAUSE:
-                chains.append((pri, ps, steps))
-            else:
-                next_frontier.append(steps)
-        frontier = next_frontier[: cfg.beam]
+                total = logsum + math.log(w)
+                ps = math.exp(total / hop)
+                if remembered:
+                    edge = (tail, dst)
+                    counts = tuple([n + (edge in r) for n, r in zip(overlaps, remembered)])
+                    prior = max(counts) / hop
+                else:
+                    counts, prior = overlaps, 0.0
+                pri = a1 * prior + a2 * ps + novelty
+                entry = ((-pri, -ps, ids + (dst,)), rels + (rel,), total, counts)
+                if nodes[dst].node_type is NodeType.ROOT_CAUSE:
+                    chains.append(entry)
+                else:
+                    grown.append(entry)
+        grown.sort(key=rank_key)
+        frontier = grown[: cfg.beam]
         if not frontier:
             break
 
+    # one stable sort ranks the chains of every hop as a sort per hop would:
+    # equal keys name one path, so they were found in one hop, in this order
     chains.sort(key=rank_key)
     return [
-        CausalChain(steps=steps, score=pri, prior=path_prior([n for n, _ in steps], memory_paths),
-                    path_score=ps)
-        for pri, ps, steps in chains[: cfg.n_chains]
+        CausalChain(steps=list(zip(ids, (None,) + rels)), score=-neg_pri,
+                    prior=path_prior(ids, memory_paths),
+                    path_score=path_score(ids, graph, rels))
+        for (neg_pri, _, ids), rels, _, _ in chains[: cfg.n_chains]
     ]

@@ -2,12 +2,15 @@ import copy
 import hashlib
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kubediag.graph as graph_module
 from helpers import rand_unit
 from kubediag.embedding import HashingEmbedder
 from kubediag.errors import (
@@ -17,6 +20,7 @@ from kubediag.errors import (
     SchemaViolation,
 )
 from kubediag.graph import (
+    CausalChain,
     Category,
     GraphEdge,
     GraphNode,
@@ -187,6 +191,71 @@ def test_save_load_roundtrip(tmp_path):
     for key, e in g.edges.items():
         assert g2.edges[key].weight == e.weight
     assert g2.nodes["rc"].node_type is NodeType.ROOT_CAUSE
+
+
+def scan_out_edges(g, src):
+    """``out_edges`` as it was before the adjacency was kept sorted: every
+    edge out of ``src``, sorted by relation value, then dst."""
+    out = [(e.relation, d, e.weight) for (s, _, d), e in g.edges.items() if s == src]
+    out.sort(key=lambda t: (t[0].value, t[1]))
+    return out
+
+
+@st.composite
+def triple_lists(draw, max_nodes=6, max_triples=16, weights=st.floats(0.05, 1.0)):
+    """(node specs, triples) on a few nodes, the first a pod and the last a
+    root cause; parallel relations between one pair, repeated triples and
+    reversed edges are all common."""
+    n = draw(st.integers(2, max_nodes))
+    inner = st.sampled_from([NodeType.POD, NodeType.EVENT, NodeType.ROOT_CAUSE])
+    types = [NodeType.POD] + draw(st.lists(inner, min_size=n - 2, max_size=n - 2)) + [
+        NodeType.ROOT_CAUSE]
+    specs = [(f"n{i}", types[i], f"node {i}") for i in range(n)]
+    triples = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(RELS), weights),
+        min_size=1, max_size=max_triples,
+    ).map(lambda ts: [t for t in ts if t[0] != t[1]]).filter(bool))
+    return specs, triples
+
+
+def build_graph(specs, triples):
+    g = KnowledgeGraph()
+    for i, j, rel, w in triples:
+        g.add_triple(GraphNode(*specs[i]), GraphEdge(specs[i][0], specs[j][0], rel, w),
+                     GraphNode(*specs[j]))
+    return g
+
+
+def saved_and_loaded(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        g.save(path)
+        return KnowledgeGraph.load(path)
+
+
+@given(triple_lists(), st.data())
+def test_graph_store_is_independent_of_insertion_order(case, data):
+    specs, triples = case
+    first = build_graph(specs, triples)
+    shuffled = build_graph(specs, data.draw(st.permutations(triples)))
+    graphs = [first, shuffled, saved_and_loaded(first), saved_and_loaded(shuffled), first.copy()]
+
+    def check(graphs):
+        want = graphs[0].to_dict()
+        for g in graphs:
+            assert g.to_dict() == want
+            for nid in graphs[0].nodes:
+                assert g.out_edges(nid) == scan_out_edges(graphs[0], nid)
+
+    check(graphs)
+    # reinforce an edge every graph has, then add one that may be new
+    i, j, rel, _ = data.draw(st.sampled_from(triples))
+    k = data.draw(st.sampled_from([t for t in range(len(specs)) if t != i]))
+    new_rel = data.draw(st.sampled_from(list(Relation)))
+    for g in graphs:
+        g.confirm_relation(g.nodes[specs[i][0]], rel, g.nodes[specs[j][0]])
+        g.confirm_relation(GraphNode(*specs[i]), new_rel, GraphNode(*specs[k]))
+    check(graphs)
 
 
 def test_load_rejects_unknown_enum(tmp_path):
@@ -408,6 +477,15 @@ def test_path_score_missing_edge():
         path_score(["rc", "n0"], g)  # reversed: no such edge
 
 
+def test_path_score_without_relations_takes_the_heaviest_parallel_edge():
+    g = chain_graph(0.4, 0.9)
+    g.add_triple(g.nodes["n0"], edge("n0", "n1", Relation.DEPENDS_ON, 0.8), g.nodes["n1"])
+    g.add_triple(g.nodes["n0"], edge("n0", "n1", Relation.EVICTS, 0.6), g.nodes["n1"])
+    g.add_triple(g.nodes["n0"], edge("n0", "rc", Relation.EVICTS, 1.0), g.nodes["rc"])
+    assert path_score(["n0", "n1", "rc"], g) == path_score(
+        ["n0", "n1", "rc"], g, [Relation.DEPENDS_ON, Relation.CAUSES])
+
+
 def test_path_novelty_cases():
     assert path_novelty(["a", "b"], {"a", "b"}) == 0.0
     assert path_novelty(["a", "b"], set()) == 1.0
@@ -621,3 +699,119 @@ def test_explore_equals_exhaustive_enumeration(rng):
         for c, w in zip(got, want):
             assert c.score == pytest.approx(w[0], abs=1e-9)
             assert c.path_score == pytest.approx(w[1], abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# explore against its rescoring form
+
+
+def rescoring_explore(graph, q_embedding, memory_paths, cfg, embedder, extra_seeds=()):
+    """``explore`` as it was before extensions carried their scores: every
+    extension rescored in full with ``priority``, over ``scan_out_edges``."""
+    cfg.validate()
+    seeds = graph.seed_nodes(q_embedding, embedder, cfg.seed_threshold)
+    for nid in sorted(set(extra_seeds)):
+        if nid in graph.nodes and nid not in seeds:
+            seeds.append(nid)
+    seeds = seeds[: cfg.beam]
+
+    def rank_key(entry):
+        pri, ps, steps = entry
+        return (-pri, -ps, tuple(n for n, _ in steps))
+
+    frontier = [[(nid, None)] for nid in seeds
+                if graph.nodes[nid].node_type is not NodeType.ROOT_CAUSE]
+    chains = []
+    for _ in range(cfg.max_hops):
+        scored = []
+        for path in frontier:
+            nodes_in_path = {n for n, _ in path}
+            for rel, dst, _w in scan_out_edges(graph, path[-1][0]):
+                if dst in nodes_in_path:
+                    continue
+                steps = path + [(dst, rel)]
+                node_ids = [n for n, _ in steps]
+                rels = [r for _, r in steps[1:]]
+                ps = path_score(node_ids, graph, rels)
+                pri = priority(node_ids, memory_paths, node_ids[:-1], graph, cfg, rels)
+                scored.append((pri, ps, steps))
+        scored.sort(key=rank_key)
+        next_frontier = []
+        for pri, ps, steps in scored:
+            if graph.nodes[steps[-1][0]].node_type is NodeType.ROOT_CAUSE:
+                chains.append((pri, ps, steps))
+            else:
+                next_frontier.append(steps)
+        frontier = next_frontier[: cfg.beam]
+        if not frontier:
+            break
+    chains.sort(key=rank_key)
+    return [
+        CausalChain(steps=steps, score=pri, prior=path_prior([n for n, _ in steps], memory_paths),
+                    path_score=ps)
+        for pri, ps, steps in chains[: cfg.n_chains]
+    ]
+
+
+@st.composite
+def search_cases(draw):
+    """A small multigraph with a query, memory paths, extra seeds and a
+    config whose beam is often small enough to cut between tied keys."""
+    # few distinct weights, so that keys tie, parallel relations included
+    specs, triples = draw(triple_lists(max_nodes=7, max_triples=30,
+                                       weights=st.sampled_from([0.3, 0.7, 0.9, 1.0])))
+    # a backbone n0 -> n1 -> ... -> the last node keeps most graphs connected;
+    # a twin of a backbone edge ties with it on every rank key
+    backbone = [(i, i + 1, Relation.CAUSES, 0.5) for i in range(len(specs) - 1)]
+    twins = [(i, i + 1, Relation.EVICTS, 0.5)
+             for i in draw(st.sets(st.integers(0, len(specs) - 2)))]
+    g = build_graph(specs, backbone + twins + triples)
+    ids = sorted(g.nodes)
+    q = EMB.embed(g.nodes[draw(st.sampled_from(ids))].label)
+    walks = st.lists(st.sampled_from(ids), max_size=5)
+    memory_paths = draw(st.lists(walks, max_size=4))
+    if memory_paths and draw(st.booleans()):
+        memory_paths.append(memory_paths[0][1:] + draw(walks))  # shares edges with the first
+    extra = draw(st.lists(st.sampled_from(ids + ["ghost"]), max_size=4)) + [specs[0][0]]
+    cfg = SearchConfig(
+        alphas=draw(st.sampled_from([(0.5, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                     (0.0, 0.0, 1.0), (0.2, 0.2, 0.6)])),
+        max_hops=draw(st.integers(1, 4)),
+        beam=draw(st.integers(1, 4)),
+        n_chains=draw(st.integers(1, 6)),
+        seed_threshold=draw(st.sampled_from([0.3, 0.5, 0.9, 2.0])),
+    )
+    return g, q, memory_paths, cfg, extra
+
+
+def chain_fields(chains):
+    return [(c.steps, c.score, c.prior, c.path_score) for c in chains]
+
+
+@settings(max_examples=200)
+@given(search_cases())
+# a sum of these logs that compensated its rounding, as float sum() does
+# since CPython 3.12, would move this path score by one bit
+@example((chain_graph(0.3, 0.5, 0.3), q_for("seed symptom entry"), [],
+          SearchConfig(alphas=(0.0, 1.0, 0.0)), []))
+def test_explore_equals_rescoring_every_extension(case):
+    g, q, memory_paths, cfg, extra = case
+    got = explore(g, q, memory_paths, cfg, EMB, extra_seeds=extra)
+    want = rescoring_explore(g, q, memory_paths, cfg, EMB, extra_seeds=extra)
+    assert chain_fields(got) == chain_fields(want)
+
+
+def test_explore_calls_path_score_only_for_returned_chains(rng, monkeypatch):
+    g, q, extra = random_layered_graph(rng, 30)
+    cfg = SearchConfig(beam=64)
+    calls = []
+    real = graph_module.path_score
+
+    def counted(*args, **kwargs):
+        calls.append(list(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "path_score", counted)
+    chains = explore(g, q, [], cfg, EMB, extra_seeds=extra)
+    assert 1 <= len(calls) <= cfg.n_chains
+    assert calls == [c.node_ids for c in chains]
