@@ -25,8 +25,7 @@ from typing import Sequence
 
 from .errors import EmptyHistory, InvalidArgument, SchemaViolation
 from .files import as_number, is_finite, write_atomic
-from .memory import FACTOR_NAMES, Query, RetrievalResult, _FACTOR_FLOOR
-from .text import tokenize
+from .memory import FACTOR_NAMES, _FACTOR_FLOOR
 
 MIN_HISTORY = 10  # records needed before any self-tuning step
 
@@ -76,7 +75,6 @@ class RoutingDecision:
     pathway: Pathway
     c_max: float
     tau_snapshot: float
-    coverage: float  # share of query tokens some retrieved memory shares
 
 
 @dataclass
@@ -96,16 +94,6 @@ class ControllerState:
                 f"factor_weights must be finite and >= 0, got {self.factor_weights}"
             )
         self.opt.validate()
-
-
-def coverage(result: RetrievalResult, q: Query) -> float:
-    """Share of the query's symptom tokens found in some retrieved memory; 0
-    for a query without tokens."""
-    q_tokens = {t for s in q.symptoms for t in tokenize(s)}
-    if not q_tokens:
-        return 0.0
-    covered = sum(1 for t in q_tokens if any(t in m.symptom_tokens for m in result.memories))
-    return covered / len(q_tokens)
 
 
 def replay_loss(tau_candidate: float, history: Sequence[SessionRecord], opt: OptParams) -> float:
@@ -177,12 +165,10 @@ class MetaController:
     def factor_weights(self) -> tuple[float, float, float, float]:
         return self.state.factor_weights
 
-    def route(self, c_max: float, coverage: float = 0.0) -> RoutingDecision:
+    def route(self, c_max: float) -> RoutingDecision:
         """Fast path iff confidence strictly clears the threshold."""
         pathway = Pathway.INTUITIVE if c_max > self.state.tau else Pathway.ANALYTICAL
-        return RoutingDecision(
-            pathway=pathway, c_max=c_max, tau_snapshot=self.state.tau, coverage=coverage
-        )
+        return RoutingDecision(pathway=pathway, c_max=c_max, tau_snapshot=self.state.tau)
 
     def record(self, rec: SessionRecord) -> None:
         self.state.history.append(rec)

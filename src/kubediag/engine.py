@@ -9,14 +9,16 @@ its history, and confirmed causal relations strengthen the graph.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .controller import MetaController, Pathway, RoutingDecision, SessionRecord, coverage
+from .controller import MetaController, Pathway, RoutingDecision, SessionRecord
 from .embedding import Embedder, HashingEmbedder
-from .errors import AlreadyRecorded, KubeDiagError, NoEvidence, NotFound, StageFailure
+from .errors import AlreadyRecorded, InvalidArgument, NoEvidence, NotFound, StageFailure
 from .graph import CausalChain, GraphNode, KnowledgeGraph, Relation, SearchConfig, explore
 from .memory import (
     Episode,
@@ -24,7 +26,6 @@ from .memory import (
     MemoryPool,
     Outcome,
     Pattern,
-    Query,
     RetrievalResult,
     _FACTOR_FLOOR,
     complexity,
@@ -44,7 +45,7 @@ from .synthesizer import (
 from .text import token_overlap
 
 MATCH_THRESHOLD = 0.6  # token overlap treated as "same root cause"
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 _EPISODE_ID = re.compile(r"ep-(\d+)")
 
 
@@ -92,7 +93,6 @@ class DiagnosisSession:
                 "pathway": self.decision.pathway.value,
                 "c_max": self.decision.c_max,
                 "tau_snapshot": self.decision.tau_snapshot,
-                "coverage": self.decision.coverage,
             },
             "chains": None
             if self.chains is None
@@ -162,6 +162,11 @@ class Engine:
         self.embedder = (
             embedder if embedder is not None else HashingEmbedder(self.pool.config.embedding_dim)
         )
+        if self.embedder.dim != self.pool.config.embedding_dim:
+            raise InvalidArgument(
+                f"embedder dim {self.embedder.dim} != memory embedding_dim"
+                f" {self.pool.config.embedding_dim}"
+            )
         self.search_config = search_config if search_config is not None else SearchConfig()
         self.synth_config = synth_config if synth_config is not None else SynthConfig()
         self.clock = clock
@@ -173,14 +178,14 @@ class Engine:
 
     # -- diagnosis ----------------------------------------------------------
 
-    def _stage(self, name: str, fn: Callable):
+    @contextmanager
+    def _stage(self, name: str) -> Iterator[None]:
+        """Report an error raised inside the block as a failure of stage ``name``."""
         try:
-            return fn()
+            yield
         except NoEvidence:
             raise
-        except KubeDiagError as exc:
-            raise StageFailure(name, exc) from exc
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             raise StageFailure(name, exc) from exc
 
     def _memory_cards(self, result: RetrievalResult) -> list[MemoryCard]:
@@ -233,58 +238,43 @@ class Engine:
         now = self.clock()
         weights = self.controller.factor_weights
 
-        def _retrieve() -> tuple[Query, RetrievalResult]:
+        with self._stage("retrieve"):
             q = make_query(self.embedder, query.symptoms, query.context)
-            if not self.memory_enabled:
-                return q, RetrievalResult(
+            if self.memory_enabled:
+                result = self.pool.retrieve(q, weights, now)
+            else:
+                result = RetrievalResult(
                     memories=[], c_max=0.0, psi=0.5, novelty=1.0,
                     complexity=complexity(q.symptoms),
                 )
-            return q, self.pool.retrieve(q, weights, now)
-
-        q, result = self._stage("retrieve", _retrieve)
-
-        def _route() -> RoutingDecision:
-            decision = self.controller.route(result.c_max, coverage(result, q))
-            if force_pathway is not None and force_pathway is not decision.pathway:
-                decision = RoutingDecision(
-                    pathway=force_pathway,
-                    c_max=decision.c_max,
-                    tau_snapshot=decision.tau_snapshot,
-                    coverage=decision.coverage,
-                )
-            return decision
-
-        decision = self._stage("route", _route)
-        cards = self._stage("context", lambda: self._memory_cards(result))
+        with self._stage("route"):
+            decision = self.controller.route(result.c_max)
+            if force_pathway is not None:
+                decision = dataclasses.replace(decision, pathway=force_pathway)
+        with self._stage("context"):
+            cards = self._memory_cards(result)
 
         chains: list[CausalChain] | None = None
         chain_cards: list[ChainCard] = []
         if decision.pathway is Pathway.ANALYTICAL:
-            def _explore() -> list[CausalChain]:
+            with self._stage("explore"):
                 hint_nodes = self.pool.hints(result) if self.memory_enabled else set()
-                return explore(
+                chains = explore(
                     self.graph, q.embedding, self.pool.memory_paths(result),
                     self.search_config, self.embedder, extra_seeds=hint_nodes,
                 )
-
-            chains = self._stage("explore", _explore)
             if not chains and not cards:
                 raise NoEvidence(f"no memories and no causal chains for query {query.id!r}")
             chain_cards = self._chain_cards(chains)
         # an analytical diagnosis without chains degrades to memory-only evidence
         mode = "analytical" if chain_cards else "intuitive"
-        ctx = self._stage(
-            "context",
-            lambda: build_context(
+        with self._stage("context"):
+            ctx = build_context(
                 query.symptoms, sorted(query.context), query.logs,
                 cards, chain_cards, mode, self.synth_config.token_budget,
-            ),
-        )
-
-        solution = self._stage(
-            "synthesize", lambda: synthesize(ctx, self.client, self.synth_config.max_retries)
-        )
+            )
+        with self._stage("synthesize"):
+            solution = synthesize(ctx, self.client, self.synth_config.max_retries)
 
         # reported confidence stays consistent with the routing signal
         if decision.pathway is Pathway.INTUITIVE:
@@ -381,7 +371,9 @@ class Engine:
                 except NotFound:
                     continue
 
-            patterns_touched = self.pool.form_patterns_incremental(episode_id, now)
+            # the insert may have evicted the new episode itself
+            if episode_id in self.pool.episodes:
+                patterns_touched = self.pool.form_patterns_incremental(episode_id, now)
 
         best = max(
             session.retrieval.memories, key=lambda m: m.confidence, default=None

@@ -156,10 +156,6 @@ class Episode:
         if not math.isfinite(self.timestamp) or self.timestamp < 0:
             raise InvalidArgument(f"episode {self.id}: timestamp must be finite and >= 0")
 
-    @property
-    def symptom_tokens(self) -> frozenset[str]:
-        return frozenset(t for s in self.symptoms for t in tokenize(s))
-
 
 @dataclass(eq=False)
 class Pattern:
@@ -167,8 +163,9 @@ class Pattern:
 
     ``actions`` and ``resolution_path`` are copied from the member with the
     highest memory value, ``source_episode_id``.  ``member_ids`` may name
-    evicted episodes; ``success_members`` counts the members whose last
-    outcome was a success.
+    evicted episodes; ``context_labels`` are the labels every member shares
+    and ``success_members`` counts the members whose last outcome was a
+    success.
     """
 
     id: str
@@ -178,7 +175,6 @@ class Pattern:
     source_episode_id: str
     member_ids: set[str]
     last_updated: float
-    symptom_tokens: frozenset[str] = frozenset()
     context_labels: frozenset[str] = frozenset()
     success_members: int = 0
 
@@ -198,7 +194,6 @@ class ScoredMemory:
     confidence: float
     factors: tuple[float, float, float, float]
     memory: Episode | Pattern
-    symptom_tokens: frozenset[str] = frozenset()
 
 
 @dataclass(eq=False)
@@ -531,7 +526,6 @@ class MemoryPool:
         pat.source_episode_id = donor.id
         pat.member_ids = set(members)
         pat.last_updated = max(e.timestamp for e in eps)
-        pat.symptom_tokens = frozenset().union(*(e.symptom_tokens for e in eps))
         ctx_sets = [set(e.context) for e in eps]
         pat.context_labels = frozenset(set.intersection(*ctx_sets)) if ctx_sets else frozenset()
         pat.success_members = sum(e.outcome is Outcome.SUCCESS for e in eps)
@@ -608,7 +602,6 @@ class MemoryPool:
             confidence=confidence_value(factors, weights),
             factors=factors,
             memory=mem,
-            symptom_tokens=mem.symptom_tokens,
         )
 
     def retrieve(
@@ -818,7 +811,6 @@ def _pattern_to_dict(p: Pattern) -> dict:
         },
         "member_ids": sorted(p.member_ids),
         "last_updated": p.last_updated,
-        "symptom_tokens": sorted(p.symptom_tokens),
         "context_labels": sorted(p.context_labels),
         "success_members": p.success_members,
     }
@@ -827,9 +819,9 @@ def _pattern_to_dict(p: Pattern) -> dict:
 def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
     """Rebuild a pattern, checking each field's type instead of coercing it.
 
-    Older snapshots also carry ``reliability``, ``member_count`` and
-    ``seed_id``; nothing reads them, so they are skipped and dropped by the
-    next save.
+    Older snapshots also carry ``reliability``, ``member_count``, ``seed_id``
+    and ``symptom_tokens``; nothing reads them, so they are skipped and
+    dropped by the next save.
     """
     strategy = raw["strategy"]
     return Pattern(
@@ -840,7 +832,6 @@ def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
         source_episode_id=as_string(strategy["source_episode_id"], "source_episode_id"),
         member_ids=set(as_strings(raw["member_ids"], "member_ids")),
         last_updated=as_number(raw["last_updated"], "last_updated"),
-        symptom_tokens=frozenset(as_strings(raw.get("symptom_tokens", []), "symptom_tokens")),
         context_labels=frozenset(as_strings(raw.get("context_labels", []), "context_labels")),
         success_members=as_count(raw.get("success_members", 0), "success_members"),
     )

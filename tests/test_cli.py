@@ -130,6 +130,21 @@ def test_learn_loop_adds_one_episode_per_run(runner, stores):
         assert pool.load_episodes(stores["memory"]) == run + 1
 
 
+def test_learn_survives_an_insert_that_evicts_the_new_episode(runner, stores):
+    # at capacity 1 an older --now makes the new episode the eviction victim
+    config = stores["dir"] / "cap1.json"
+    config.write_text(json.dumps({"memory": {"capacity": 1}}))
+    args = ["diagnose", SYMPTOM, "--memory", stores["memory"], "--graph", stores["graph"],
+            "--config", str(config), "--now", str(NOW - 1), "--feedback", "success", "--learn"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert "recorded    success as ep-000001" in result.output
+    pool = MemoryPool(MemoryConfig())
+    pool.load_episodes(stores["memory"])
+    assert set(pool.episodes) == {"e1"}
+    assert pool.episode("e1").memory_value == pytest.approx(1.1)
+
+
 STORE_LOADERS = {
     "memory": lambda path: MemoryPool(MemoryConfig()).load_episodes(path),
     "snapshot": lambda path: MemoryPool(MemoryConfig()).load_pattern_snapshot(path),
@@ -414,7 +429,8 @@ def test_simulate_traces_one_line_per_session(runner, tmp_path):
     # a no-evidence query leaves no session behind
     assert len(traces) == report["sessions"] - report["no_evidence"]
     assert [t["session_id"] for t in traces] == [f"s{i:06d}" for i in range(1, len(traces) + 1)]
-    assert all(t["schema_version"] == 1 for t in traces)
+    assert all(t["schema_version"] == 2 for t in traces)
+    assert not any("coverage" in t["decision"] for t in traces)
 
 
 # SHA-256 of what ``simulate --sessions 600 --recurrence 0.5 --csv --traces``
@@ -422,7 +438,7 @@ def test_simulate_traces_one_line_per_session(runner, tmp_path):
 SIMULATE_600_DIGESTS = {
     "text": "6e4d99e9120a0a8fe72d074ec3abf5aad205aedb394843fb300185fd8c76ed43",
     "csv": "dcdcdd3c2b67b052785065dce46641d432405cd9e07e0d384cc46f852ea4c35e",
-    "traces": "07b7ef6f354f74c7a71926a2cd031688e8cfda7ec84050b5d8657612c17b5c05",
+    "traces": "408ce387413875afdc01ffe00c227da988667370035e9ed95ce4b2714170c36c",
 }
 
 
@@ -431,7 +447,7 @@ SIMULATE_600_DIGESTS = {
 SIMULATE_CAPACITY_20_DIGESTS = {
     "text": "82c938e2778fdd8a5daab9da28a8035dfc02c1294ed88d1335e4f4cc16e5592a",
     "csv": "d9032bf11cf28aa370b33a0b713047983d962ee7561e1197615dd54e642764b3",
-    "traces": "e81bbeb96796034a491ee728050e54a578487fd7123d4b3deb9034a04cb2d675",
+    "traces": "a18ddb103932b529b156cb9d85427ffc1e1281c6804f00c5a967bb7023f2291a",
 }
 
 

@@ -19,7 +19,6 @@ from kubediag.controller import (
     SessionRecord,
     _predicted_confidence,
     calibration_loss,
-    coverage,
     mean_calibration_loss,
     replay_loss,
 )
@@ -27,33 +26,11 @@ from kubediag.errors import EmptyHistory, InvalidArgument, SchemaViolation
 from kubediag.memory import (
     _FACTOR_FLOOR,
     FACTOR_NAMES,
-    Query,
-    RetrievalResult,
-    ScoredMemory,
     compute_factors,
     confidence_value,
 )
 
 W1 = (1.0, 1.0, 1.0, 1.0)
-
-
-def hit(conf, ref="m1", tokens=()):
-    return ScoredMemory(
-        ref=ref,
-        kind="episode",
-        score=conf,
-        confidence=conf,
-        factors=(conf, 1.0, 1.0, 1.0),
-        memory=mk_episode(ref, rand_unit(np.random.default_rng(0), 16)),
-        symptom_tokens=frozenset(tokens),
-    )
-
-
-def result(*confs, tokens=()):
-    cards = [hit(c, ref=f"m{i}", tokens=tokens) for i, c in enumerate(confs)]
-    return RetrievalResult(
-        memories=cards, c_max=max(confs, default=0.0), psi=0.5, novelty=0.5, complexity=0.5
-    )
 
 
 def rec(c_max, fast_sufficient, factors=(0.8, 0.9, 0.7, 1.0)):
@@ -114,40 +91,14 @@ def test_route_zero_confidence():
 
 
 def test_route_default_signal_mirrors_c_max():
-    d = MetaController().route(0.9)
-    assert (d.c_max, d.coverage) == (0.9, 0.0)
+    d = MetaController(ControllerState(tau=0.6)).route(0.9)
+    assert (d.pathway, d.c_max, d.tau_snapshot) == (Pathway.INTUITIVE, 0.9, 0.6)
 
 
-def test_route_keeps_explicit_signal():
-    assert MetaController().route(0.9, 0.75).coverage == 0.75
-
-
-# ---------------------------------------------------------------------------
-# meta signal: the share of query tokens the retrieval covers
-
-
-def q_of(*symptoms):
-    return Query(symptoms=list(symptoms), context=[], embedding=np.zeros(4))
-
-
-def test_meta_signal_empty_retrieval():
-    assert coverage(result(), q_of("pod oomkilled")) == 0.0
-
-
-def test_meta_signal_query_without_tokens():
-    assert coverage(result(0.7, tokens=("pod",)), q_of("")) == 0.0
-
-
-def test_meta_signal_singleton():
-    assert coverage(result(0.7, tokens=("pod", "oomkilled")), q_of("pod oomkilled")) == 1.0
-
-
-def test_meta_signal_without_shared_tokens():
-    assert coverage(result(0.4, 0.8), q_of("x")) == 0.0
-
-
-def test_meta_signal_partial_coverage():
-    assert coverage(result(0.5, tokens=("oom",)), q_of("oom killed")) == 0.5
+def test_route_decision_holds_only_pathway_c_max_and_tau():
+    # routing reads c_max alone; no other signal rides along on the decision
+    fields = [f.name for f in dataclasses.fields(MetaController().route(0.9))]
+    assert fields == ["pathway", "c_max", "tau_snapshot"]
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_fresh_engines_produce_identical_traces():
 
 def test_trace_schema():
     trace = ask(fresh_engine(seed_memory=True)).to_trace()
-    assert trace["schema_version"] == 1
+    assert trace["schema_version"] == 2
     assert set(trace) >= {
         "session_id",
         "query",
@@ -127,8 +127,10 @@ def test_trace_schema():
         "latency_units",
         "created",
     }
-    # the routing rule must be recomputable from the trace alone
+    # the routing rule must be recomputable from the trace alone, and is all
+    # the decision records
     decision = trace["decision"]
+    assert set(decision) == {"pathway", "c_max", "tau_snapshot"}
     assert (decision["pathway"] == "intuitive") == (decision["c_max"] > decision["tau_snapshot"])
     assert "wall_latency_s" not in json.dumps(trace)
     json.dumps(trace)  # fully serializable
@@ -351,6 +353,27 @@ def test_rejected_relations_change_no_store(bad, error):
     assert report.edges_confirmed == ["fb-src -(causes)-> fb-dst @ 0.5"]
     assert report.history_len == len(before[2]) + 1
     assert report.episode_id not in before[0]
+
+
+def test_feedback_whose_episode_its_own_insert_evicts():
+    # the stored episode outvalues the new one, so a full pool evicts the
+    # new episode on insert; feedback must not form patterns around it
+    pool = MemoryPool(MemoryConfig(embedding_dim=DIM, capacity=1))
+    pool.insert_episode(mk_episode("e1", EMB.embed(SYMPTOM), value=2.0, path=["g-mid", "g-rc"],
+                                   symptoms=(SYMPTOM,), trials=8, successes=8))
+    eng = Engine(pool=pool, graph=tiny_graph(), embedder=EMB, clock=lambda: NOW)
+    report = eng.feedback(Feedback(session_id=ask(eng).id, outcome=Outcome.SUCCESS))
+    assert report.episode_id == "ep-000001"
+    assert set(eng.pool.episodes) == {"e1"}
+    assert report.patterns_touched == []
+    assert report.value_updates == {"e1": pytest.approx(2.2)}
+    assert report.history_len == 1
+
+
+def test_engine_rejects_an_embedder_of_another_dimension():
+    # caught at construction, not at the first feedback's insert
+    with pytest.raises(InvalidArgument, match="64"):
+        Engine(pool=MemoryPool(MemoryConfig()), embedder=HashingEmbedder(64), graph=tiny_graph())
 
 
 @pytest.mark.parametrize("capacity", [3, 5, 10])

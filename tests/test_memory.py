@@ -903,8 +903,8 @@ def test_pattern_snapshot_roundtrip(tmp_path, rng):
 
 def test_pattern_snapshot_ignores_retired_keys(tmp_path, rng):
     # older snapshots carry per-pattern ``spread``, the old index bounds,
-    # ``reliability``, ``member_count`` and ``seed_id``; they still load, and
-    # the extra keys are dropped
+    # ``reliability``, ``member_count``, ``seed_id`` and ``symptom_tokens``;
+    # they still load, and the extra keys are dropped
     pool = small_pool(16)
     base = rand_unit(rng, 16)
     for i in range(4):
@@ -921,6 +921,7 @@ def test_pattern_snapshot_ignores_retired_keys(tmp_path, rng):
         raw["reliability"] = raw["success_members"] / len(raw["member_ids"])
         raw["member_count"] = len(raw["member_ids"])
         raw["seed_id"] = raw["member_ids"][0]
+        raw["symptom_tokens"] = ["pod", "crashlooping"]
     data["config"]["index_probe_patterns"] = 8
     path.write_text(json.dumps(data))
     fresh = small_pool(16)
@@ -1009,8 +1010,6 @@ def _set_field(data, key, value):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("symptom_tokens", "oomkilled"),
-        ("symptom_tokens", [1, 2]),
         ("context_labels", "prod"),
         ("member_ids", lambda ids: ids[:-1] + [7]),
         ("actions", "restart the pod"),
@@ -1023,7 +1022,7 @@ def _set_field(data, key, value):
         ("id", 5),
         ("source_episode_id", 3),
     ],
-    ids=["tokens-string", "tokens-ints", "labels-string", "member-id-int", "actions-string",
+    ids=["labels-string", "member-id-int", "actions-string",
          "path-null", "wins-bool", "wins-fraction", "updated-string", "updated-nan",
          "updated-inf", "id-int", "source-id-int"],
 )
