@@ -213,9 +213,12 @@ def diagnose(symptoms, contexts, logs_path, memory_path, graph_path, controller_
                 if graph_path:
                     engine.graph.save(graph_path)
             if not as_json:
+                evicted = (" (evicted: store at capacity)"
+                           if report.episode_id and report.episode_id not in pool.episodes
+                           else "")
                 _echo(
                     f"recorded    {feedback_outcome} as {report.episode_id or 'no episode'}"
-                    f" (tau {report.tau_before:.4f} -> {report.tau_after:.4f})"
+                    f"{evicted} (tau {report.tau_before:.4f} -> {report.tau_after:.4f})"
                 )
 
     _guard(run)

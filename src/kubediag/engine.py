@@ -388,7 +388,8 @@ class Engine:
 
         edges_confirmed: list[str] = []
         if fb.discovered_relations:
-            # mutate a copy, then swap atomically so readers never see partial edits
+            # edit a copy, then swap atomically so readers never see partial edits;
+            # the copy shares the graph's records and costs four dict copies
             g2 = self.graph.copy()
             for src, rel, dst in fb.discovered_relations:
                 w = g2.confirm_relation(src, rel, dst)

@@ -22,6 +22,13 @@ from state the path carries (its running sum of edge-weight logs and its edge
 overlap with each memory path), with the same float operations in the same
 order as :func:`priority`; only the chains it returns are rescored with
 :func:`path_score`.
+
+Copies of a graph share its node and edge records, so a copy costs four dict
+copies and builds no record.  The graph's methods therefore never change a
+record in place: a reweighted edge, a relabelled node or a node with new
+attributes or category is a new record stored under the same key, and an
+out-edge list is a tuple replaced on insert.  Callers treat the nodes and
+edges they read from a graph, or pass into one, as read-only.
 """
 
 from __future__ import annotations
@@ -285,8 +292,8 @@ class KnowledgeGraph:
     def __init__(self) -> None:
         self.nodes: dict[str, GraphNode] = {}
         self.edges: dict[tuple[str, str, str], GraphEdge] = {}  # (src, relation, dst)
-        # src -> [(relation value, dst, relation)], kept sorted
-        self._out: dict[str, list[tuple[str, str, Relation]]] = {}
+        # src -> ((relation value, dst, relation), ...), sorted; replaced on insert
+        self._out: dict[str, tuple[tuple[str, str, Relation], ...]] = {}
         # node id -> (index, value) of its label embedding, every entry not +0.0
         self._label_vecs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # built by seed_nodes, shared by copies, never mutated in place;
@@ -297,16 +304,16 @@ class KnowledgeGraph:
         return len(self.nodes)
 
     def copy(self) -> "KnowledgeGraph":
-        """Independent copy: mutating it never touches this graph's records."""
+        """Independent copy that shares this graph's node and edge records.
+
+        Four dict copies and no new record: the graph's methods replace a
+        record rather than change it, so an edit through either graph never
+        shows in the other.
+        """
         g = KnowledgeGraph()
-        g.nodes = {
-            nid: GraphNode(n.id, n.node_type, n.label, dict(n.attributes), n.category)
-            for nid, n in self.nodes.items()
-        }
-        g.edges = {
-            key: GraphEdge(e.src, e.dst, e.relation, e.weight) for key, e in self.edges.items()
-        }
-        g._out = {k: list(v) for k, v in self._out.items()}
+        g.nodes = dict(self.nodes)
+        g.edges = dict(self.edges)
+        g._out = dict(self._out)
         g._label_vecs = dict(self._label_vecs)
         g._label_index = self._label_index
         return g
@@ -317,13 +324,14 @@ class KnowledgeGraph:
             if existing.node_type is not node.node_type:
                 raise _redefined(node, existing.node_type)
             label = node.label or existing.label
-            if (label or node.id) != (existing.label or node.id):
-                self._label_vecs.pop(node.id, None)
-                self._label_index = None
-            existing.label = label
-            existing.attributes.update(node.attributes)
-            if node.category is not None:
-                existing.category = node.category
+            category = node.category if node.category is not None else existing.category
+            if label != existing.label or category is not existing.category or node.attributes:
+                if (label or node.id) != (existing.label or node.id):
+                    self._label_vecs.pop(node.id, None)
+                    self._label_index = None
+                self.nodes[node.id] = GraphNode(node.id, existing.node_type, label,
+                                                {**existing.attributes, **node.attributes},
+                                                category)
         else:
             self.nodes[node.id] = node
             self._label_index = None
@@ -339,10 +347,12 @@ class KnowledgeGraph:
         prior = self.edges.get(key)
         if prior is None:
             self.edges[key] = edge
-            bisect.insort(self._out.setdefault(edge.src, []),
-                          (edge.relation.value, edge.dst, edge.relation))
+            item = (edge.relation.value, edge.dst, edge.relation)
+            out = self._out.get(edge.src, ())
+            i = bisect.bisect(out, item)
+            self._out[edge.src] = out[:i] + (item,) + out[i:]
         elif edge.weight > prior.weight:
-            prior.weight = edge.weight
+            self.edges[key] = GraphEdge(prior.src, prior.dst, prior.relation, edge.weight)
 
     def confirm_relation(self, src: GraphNode, relation: Relation, dst: GraphNode) -> float:
         """Feedback rule: new edges enter at 0.5; each reconfirmation adds 0.1, capped at 1."""
@@ -353,8 +363,9 @@ class KnowledgeGraph:
             return 0.5
         self.upsert_node(src)
         self.upsert_node(dst)
-        prior.weight = min(1.0, prior.weight + 0.1)
-        return prior.weight
+        w = min(1.0, prior.weight + 0.1)
+        self.edges[key] = GraphEdge(prior.src, prior.dst, prior.relation, w)
+        return w
 
     def check_relations(self, relations: Iterable[tuple[GraphNode, Relation, GraphNode]]) -> None:
         """Raise what :meth:`confirm_relation` would raise on ``relations``

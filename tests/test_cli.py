@@ -139,6 +139,7 @@ def test_learn_survives_an_insert_that_evicts_the_new_episode(runner, stores):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert "recorded    success as ep-000001" in result.output
+    assert "ep-000001 (evicted: store at capacity) (tau " in result.output
     pool = MemoryPool(MemoryConfig())
     pool.load_episodes(stores["memory"])
     assert set(pool.episodes) == {"e1"}

@@ -258,6 +258,96 @@ def test_graph_store_is_independent_of_insertion_order(case, data):
     check(graphs)
 
 
+def graph_edits(specs, triples):
+    """One edit through a graph method: an upsert with a new label, attributes
+    or category; a repeated triple, heavier or not; or a confirmation of a
+    new or a repeated triple."""
+    n = len(specs)
+    upsert = st.tuples(st.just("upsert"), st.integers(0, n - 1),
+                       st.sampled_from(["", "pod oom", "dns", "node 0"]),
+                       st.dictionaries(st.sampled_from("ab"), st.integers(0, 3), max_size=2),
+                       st.none() | st.sampled_from(list(Category)))
+    add = st.tuples(st.just("add"), st.sampled_from(triples), st.floats(0.05, 1.0))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    confirm_new = st.tuples(st.just("confirm"), pair, st.sampled_from(list(Relation)))
+    confirm_repeat = st.sampled_from(triples).map(lambda t: ("confirm", t[:2], t[2]))
+    return st.one_of(upsert, add, confirm_new, confirm_repeat)
+
+
+def apply_edit(g, specs, edit):
+    kind, *args = edit
+    if kind == "upsert":
+        i, label, attributes, category = args
+        g.upsert_node(GraphNode(specs[i][0], specs[i][1], label, attributes, category))
+    elif kind == "add":
+        (i, j, rel, _), w = args
+        g.add_triple(GraphNode(*specs[i]), GraphEdge(specs[i][0], specs[j][0], rel, w),
+                     GraphNode(*specs[j]))
+    else:
+        (i, j), rel = args
+        g.confirm_relation(GraphNode(*specs[i]), rel, GraphNode(*specs[j]))
+
+
+def observed(g):
+    """What a reader sees, by value: the payload as JSON, every node's
+    out-edges and the seeds of one query."""
+    return (json.dumps(g.to_dict(), sort_keys=True),
+            {nid: g.out_edges(nid) for nid in g.nodes},
+            g.seed_nodes(EMB.embed("pod oom"), EMB))
+
+
+@given(triple_lists(), st.data())
+def test_copy_and_original_never_see_each_others_edits(case, data):
+    specs, triples = case
+    g = build_graph(specs, triples)
+    before = observed(g)  # builds the label index the copy shares
+    copied = g.copy()
+    edited, other = (copied, g) if data.draw(st.booleans()) else (g, copied)
+    fresh = build_graph(specs, triples)
+    for edit in data.draw(st.lists(graph_edits(specs, triples), min_size=1, max_size=8)):
+        apply_edit(edited, specs, edit)
+        apply_edit(fresh, specs, edit)
+        assert observed(other) == before
+    assert observed(edited) == observed(fresh)
+
+
+def test_copy_builds_no_node_or_edge(monkeypatch):
+    g = chain_graph(0.9, 0.8, 0.7)
+    built = []
+    for cls in (GraphNode, GraphEdge):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    g2 = g.copy()
+    assert built == []
+    g2.confirm_relation(g2.nodes["n0"], Relation.CAUSES, g2.nodes["n1"])
+    assert built == ["GraphEdge"]  # the counter counts
+
+
+def test_graph_methods_replace_records_and_never_change_them():
+    g = chain_graph(0.5, 0.8)
+    key = ("n0", Relation.CAUSES.value, "n1")
+    edits = [
+        lambda: g.confirm_relation(g.nodes["n0"], Relation.CAUSES, g.nodes["n1"]),
+        lambda: g.add_triple(GraphNode("n0", NodeType.POD, "", {"seen": 1}),
+                             GraphEdge("n0", "n1", Relation.CAUSES, 0.9),
+                             GraphNode("n1", NodeType.EVENT, "renamed", category=Category.NETWORK)),
+        lambda: g.upsert_node(GraphNode("n0", NodeType.POD, "relabelled", {"seen": 2},
+                                        Category.SYSTEM)),
+    ]
+    for edit in edits:
+        records = [g.edges[key], g.nodes["n0"], g.nodes["n1"]]
+        want = [copy.deepcopy(vars(r)) for r in records]
+        edit()
+        assert [vars(r) for r in records] == want
+    assert g.edges[key].weight == 0.9
+    assert (g.nodes["n0"].label, g.nodes["n0"].attributes, g.nodes["n0"].category) == (
+        "relabelled", {"seen": 2}, Category.SYSTEM)
+    assert (g.nodes["n1"].label, g.nodes["n1"].category) == ("renamed", Category.NETWORK)
+
+
 def test_load_rejects_unknown_enum(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(
