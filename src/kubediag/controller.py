@@ -103,18 +103,20 @@ def replay_loss(tau_candidate: float, history: Sequence[SessionRecord], opt: Opt
     candidate threshold.  Error counts intuitive replays whose fast path was
     actually insufficient; latency is the mean unit cost normalized by the
     deliberate-path cost.
+
+    The loss is computed from two counts, the intuitive replays and their
+    errors, as ``n_fast + analytic_cost * n_slow`` for the latency.  For an
+    integer ``analytic_cost`` (the default is 10.0) that is exactly the sum
+    of the per-record costs in history order, whose partial sums are all
+    exact integers.  For other costs it may differ from that sum in the last
+    bits.
     """
     if not history:
         raise EmptyHistory("replay_loss needs at least one session record")
     n = len(history)
-    errors = 0
-    latency = 0.0
-    for rec in history:
-        if rec.c_max > tau_candidate:
-            errors += int(not rec.fast_sufficient)
-            latency += 1.0
-        else:
-            latency += opt.analytic_cost
+    fast = [rec.fast_sufficient for rec in history if rec.c_max > tau_candidate]
+    errors = fast.count(False)
+    latency = len(fast) + opt.analytic_cost * (n - len(fast))
     error_rate = errors / n
     latency_rate = (latency / n) / opt.analytic_cost
     return opt.xi * error_rate + (1.0 - opt.xi) * latency_rate

@@ -328,24 +328,23 @@ class Engine:
             raise NotFound(f"unknown session {fb.session_id!r}")
         if fb.session_id in self._fed:
             raise AlreadyRecorded(f"session {fb.session_id!r} already has feedback")
-        # reject a bad relation before any store changes, so a corrected
-        # feedback for the same session can still be applied
+        # reject a bad relation or episode before any store changes, so a
+        # corrected feedback for the same session can still be applied
         self.graph.check_relations(fb.discovered_relations)
-        self._fed.add(fb.session_id)
 
         now = self.clock()
         success = fb.outcome is Outcome.SUCCESS
         value_updates: dict[str, float] = {}
         patterns_touched: list[str] = []
         episode_id: str | None = None
+        episode: Episode | None = None
 
         if self.memory_enabled:
             # a cited source is a memory iff this diagnosis retrieved it; the
             # other sources are chain cards
             retrieved = {m.ref: m.memory for m in session.retrieval.memories}
             cited = [retrieved[ref] for ref in session.solution.sources if ref in retrieved]
-            self._episode_seq += 1
-            episode_id = f"ep-{self._episode_seq:06d}"
+            episode_id = f"ep-{self._episode_seq + 1:06d}"
             episode = Episode(
                 id=episode_id,
                 symptoms=list(session.query.symptoms),
@@ -361,6 +360,12 @@ class Engine:
                 trials=1,
                 successes=1 if success else 0,
             )
+            # the engine checked the embedder's dimension at construction
+            episode.validate()
+        self._fed.add(fb.session_id)
+
+        if episode is not None:
+            self._episode_seq += 1
             self.pool.insert_episode(episode)
 
             for mem in cited:

@@ -163,7 +163,8 @@ class Pattern:
 
     ``actions`` and ``resolution_path`` are copied from the member with the
     highest memory value, ``source_episode_id``.  ``member_ids`` may name
-    evicted episodes; ``context_labels`` are the labels every member shares
+    evicted episodes, and is read-only outside the pool, which indexes
+    patterns by it; ``context_labels`` are the labels every member shares
     and ``success_members`` counts the members whose last outcome was a
     success.
     """
@@ -330,6 +331,19 @@ class MemoryPool:
     read-only diagnosis never builds it; the build takes one index product
     per stored episode.  The pair cosine is symmetric, so the sets equal a
     per-seed rescan exactly.
+
+    Two maps index the patterns by their members, so formation and outcome
+    updates never scan every pattern:
+
+    - ``_holders`` maps a member id to the ids of the patterns holding it;
+    - ``_set_counts`` maps a member set to how many patterns have exactly
+      that set.
+
+    Invariant: both equal the maps rebuilt from ``patterns`` (an empty
+    member set is in neither).  :meth:`_remap` updates them wherever a
+    pattern's member set is replaced (:meth:`_refresh_pattern`) or a
+    pattern is loaded (:meth:`load_pattern_snapshot`), and nowhere else, so
+    ``patterns`` and each ``Pattern.member_ids`` are read-only to callers.
     """
 
     def __init__(self, config: MemoryConfig | None = None) -> None:
@@ -340,6 +354,8 @@ class MemoryPool:
         self._tombstones: set[str] = set()  # evicted ids, never reused
         self._pattern_seq = 0
         self._neighbours: dict[str, set[str]] | None = None  # built on first formation
+        self._holders: dict[str, set[str]] = {}  # member id -> ids of patterns holding it
+        self._set_counts: Counter[frozenset[str]] = Counter()  # member set -> patterns with it
         self._index = SparseRows(self.config.embedding_dim)
         self._rows: list[Episode] = []
         self._stamps: list[float] = []
@@ -357,6 +373,7 @@ class MemoryPool:
 
     @property
     def patterns(self) -> dict[str, Pattern]:
+        """The live patterns by id; read-only to callers (see the class docstring)."""
         return self._patterns
 
     def episode(self, episode_id: str) -> Episode:
@@ -424,11 +441,11 @@ class MemoryPool:
         factor = (1.0 + delta) if success else (1.0 - delta)
         ep.memory_value = max(0.0, ep.memory_value * factor)
         if change:
-            for pat in self._patterns.values():
-                if episode_id in pat.member_ids:
-                    # a snapshot saved beside other episodes may disagree; stay in range
-                    pat.success_members = min(max(pat.success_members + change, 0),
-                                              len(pat.member_ids))
+            for pid in self._holders.get(episode_id, ()):
+                pat = self._patterns[pid]
+                # a snapshot saved beside other episodes may disagree; stay in range
+                pat.success_members = min(max(pat.success_members + change, 0),
+                                          len(pat.member_ids))
 
     # -- pattern formation --------------------------------------------------
 
@@ -459,15 +476,17 @@ class MemoryPool:
         return self._neighbours[seed.id]
 
     def _link(self, ep: Episode) -> None:
-        # a scalar cosine against every linked episode, ``ep`` included, that
-        # the index cannot rule out
+        # links every linked episode, ``ep`` included, whose cosine lower
+        # bound clears the threshold; a scalar cosine decides only the rows
+        # inside the bound's band
         th = self.config.pattern_sim_threshold
         nbrs = self._neighbours
         mine = nbrs[ep.id] = set()
         approx, margin = self._bounds(ep.embedding)
-        for r in np.flatnonzero(approx + margin >= th).tolist():
+        lo, hi = approx - margin, approx + margin
+        for r in np.flatnonzero(hi >= th).tolist():
             other = self._rows[r]
-            if other.id in nbrs and _cos(ep.embedding, other.embedding) > th:
+            if other.id in nbrs and (lo[r] > th or _cos(ep.embedding, other.embedding) > th):
                 mine.add(other.id)
                 nbrs[other.id].add(ep.id)
 
@@ -479,6 +498,10 @@ class MemoryPool:
                 continue
             members = self._neighborhood(seed)
             if len(members) < self.config.pattern_min_members:
+                continue
+            if self._set_counts[frozenset(members)]:
+                # _best_overlap would return a pattern with exactly these
+                # members (the only overlap fraction of 1), left unchanged
                 continue
             target = self._best_overlap(members)
             if target is None:
@@ -502,9 +525,13 @@ class MemoryPool:
         return list(touched)
 
     def _best_overlap(self, members: set[str]) -> Pattern | None:
+        # the lowest id of largest overlap fraction above 0.5; only patterns
+        # holding a member can overlap at all
         best: Pattern | None = None
         best_frac = 0.5  # strict majority overlap required to merge
-        for pat in sorted(self._patterns.values(), key=lambda p: p.id):
+        holders = self._holders
+        for pid in sorted(set().union(*(holders.get(m, ()) for m in members))):
+            pat = self._patterns[pid]
             frac = len(members & pat.member_ids) / max(len(members), len(pat.member_ids))
             if frac > best_frac:
                 best, best_frac = pat, frac
@@ -524,11 +551,33 @@ class MemoryPool:
         pat.actions = list(donor.actions)
         pat.resolution_path = list(donor.resolution_path)
         pat.source_episode_id = donor.id
-        pat.member_ids = set(members)
+        members = set(members)
+        self._remap(pat.id, pat.member_ids, members)
+        pat.member_ids = members
         pat.last_updated = max(e.timestamp for e in eps)
         ctx_sets = [set(e.context) for e in eps]
         pat.context_labels = frozenset(set.intersection(*ctx_sets)) if ctx_sets else frozenset()
         pat.success_members = sum(e.outcome is Outcome.SUCCESS for e in eps)
+
+    def _remap(self, pid: str, old: set[str], new: set[str]) -> None:
+        """Move pattern ``pid`` from member set ``old`` to ``new`` in
+        ``_holders`` and ``_set_counts``; an empty set is in neither."""
+        counts = self._set_counts
+        if old:
+            key = frozenset(old)
+            counts[key] -= 1
+            if not counts[key]:
+                del counts[key]
+        if new:
+            counts[frozenset(new)] += 1
+        holders = self._holders
+        for m in old - new:
+            ids = holders[m]
+            ids.discard(pid)
+            if not ids:
+                del holders[m]
+        for m in new - old:
+            holders.setdefault(m, set()).add(pid)
 
     # -- retrieval ----------------------------------------------------------
 
@@ -711,7 +760,11 @@ class MemoryPool:
                     seq = max(seq, int(pat.id.rsplit("-", 1)[-1]))
         except (ValueError, KeyError, TypeError) as exc:
             raise SchemaViolation(f"bad pattern snapshot: {exc}") from exc
-        self._patterns.update((pat.id, pat) for pat in loaded)
+        for pat in loaded:
+            # a pattern may replace one of the same id, or an earlier entry
+            old = self._patterns.get(pat.id)
+            self._remap(pat.id, old.member_ids if old else set(), pat.member_ids)
+            self._patterns[pat.id] = pat
         self._pattern_seq = seq
         return len(loaded)
 

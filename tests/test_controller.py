@@ -139,6 +139,40 @@ def test_replay_loss_bounded(taus, confs, flags):
         assert 0.0 <= replay_loss(tau, hist, OptParams()) <= 1.0
 
 
+def replay_loss_loop(tau_candidate, history, opt):
+    """The per-record replay loop that ``replay_loss``'s counts replace."""
+    n = len(history)
+    errors = 0
+    latency = 0.0
+    for r in history:
+        if r.c_max > tau_candidate:
+            errors += int(not r.fast_sufficient)
+            latency += 1.0
+        else:
+            latency += opt.analytic_cost
+    return opt.xi * (errors / n) + (1.0 - opt.xi) * ((latency / n) / opt.analytic_cost)
+
+
+GRID = [i / 20 for i in range(21)]
+
+
+@given(
+    cost=st.integers(1, 20),
+    xi=st.floats(0, 1),
+    records=st.lists(st.tuples(st.sampled_from(GRID) | st.floats(0, 1), st.booleans()),
+                     min_size=1, max_size=1000),
+    taus=st.lists(st.sampled_from(GRID) | st.floats(0, 1), min_size=1, max_size=5),
+)
+def test_replay_loss_counts_equal_the_loop_bit_for_bit(cost, xi, records, taus):
+    # an integer analytic_cost keeps every partial latency sum an exact
+    # integer; grid values make c_max == tau common
+    opt = OptParams(xi=xi, analytic_cost=float(cost))
+    hist = [rec(c, f) for c, f in records]
+    for tau in taus + [records[0][0]]:
+        got, want = replay_loss(tau, hist, opt), replay_loss_loop(tau, hist, opt)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
 def test_replay_loss_error_term_vanishes_when_all_sufficient():
     hist = [rec(c / 10, True) for c in range(1, 11)]
     opt = OptParams()

@@ -355,6 +355,33 @@ def test_rejected_relations_change_no_store(bad, error):
     assert report.episode_id not in before[0]
 
 
+class DoublingEmbedder:
+    """Returns twice the unit vector, so the feedback's episode fails its
+    norm check."""
+
+    dim = DIM
+
+    def embed(self, text):
+        return 2.0 * EMB.embed(text)
+
+
+def test_feedback_whose_episode_fails_its_check_changes_no_store():
+    seeded = fresh_engine(seed_memory=True)
+    eng = Engine(pool=seeded.pool, graph=tiny_graph(), embedder=DoublingEmbedder(),
+                 clock=lambda: NOW)
+    session = ask(eng)
+    before = _store_state(eng)
+    seq = eng._episode_seq
+    # the first call must not mark the session fed: a retry raises the same
+    # error, not AlreadyRecorded
+    for _ in range(2):
+        with pytest.raises(InvalidArgument, match="norm"):
+            eng.feedback(Feedback(session_id=session.id, outcome=Outcome.SUCCESS))
+        assert _store_state(eng) == before
+        assert eng._episode_seq == seq
+        assert session.id not in eng._fed
+
+
 def test_feedback_whose_episode_its_own_insert_evicts():
     # the stored episode outvalues the new one, so a full pool evicts the
     # new episode on insert; feedback must not form patterns around it

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -513,8 +514,8 @@ def interleave(pool, seed, check=lambda: None):
 
 def pattern_state(pool):
     return {
-        pid: (sorted(p.member_ids), p.centroid.tolist(), p.source_episode_id,
-              p.success_members)
+        pid: (sorted(p.member_ids), p.centroid.tobytes(), p.source_episode_id,
+              p.success_members, list(p.actions), p.last_updated, sorted(p.context_labels))
         for pid, p in pool.patterns.items()
     }
 
@@ -629,6 +630,259 @@ def test_diagnosis_scores_few_episodes_of_a_growing_pool(monkeypatch):
     grown = [(n, stored) for n, stored in diagnoses if stored >= 60]
     assert len(grown) >= 50
     assert all(n <= stored / 2 for n, stored in grown), grown
+
+
+# ---------------------------------------------------------------------------
+# pattern member maps
+
+
+class FullScanPool(MemoryPool):
+    """The pool with frozen copies of the code paths that scanned every
+    pattern (formation, outcome updates) or rescored every linked row the
+    index kept (``_link``), before the member maps and the exact skip."""
+
+    def update_outcome(self, episode_id, outcome, success):
+        ep = self.episode(episode_id)
+        change = int(outcome is Outcome.SUCCESS) - int(ep.outcome is Outcome.SUCCESS)
+        ep.outcome = outcome
+        ep.trials += 1
+        ep.successes += int(success)
+        delta = self.config.outcome_delta
+        factor = (1.0 + delta) if success else (1.0 - delta)
+        ep.memory_value = max(0.0, ep.memory_value * factor)
+        if change:
+            for pat in self._patterns.values():
+                if episode_id in pat.member_ids:
+                    pat.success_members = min(max(pat.success_members + change, 0),
+                                              len(pat.member_ids))
+
+    def _link(self, ep):
+        th = self.config.pattern_sim_threshold
+        nbrs = self._neighbours
+        mine = nbrs[ep.id] = set()
+        approx, margin = self._bounds(ep.embedding)
+        for r in np.flatnonzero(approx + margin >= th).tolist():
+            other = self._rows[r]
+            if other.id in nbrs and _cos(ep.embedding, other.embedding) > th:
+                mine.add(other.id)
+                nbrs[other.id].add(ep.id)
+
+    def _form_for_seeds(self, seed_ids, now):
+        touched = {}
+        for sid in seed_ids:
+            seed = self._episodes.get(sid)
+            if seed is None:
+                continue
+            members = self._neighborhood(seed)
+            if len(members) < self.config.pattern_min_members:
+                continue
+            target = self._best_overlap(members)
+            if target is None:
+                self._pattern_seq += 1
+                target = Pattern(
+                    id=f"pat-{self._pattern_seq:06d}",
+                    centroid=np.zeros(self.config.embedding_dim),
+                    actions=[],
+                    resolution_path=[],
+                    source_episode_id="",
+                    member_ids=set(),
+                    last_updated=0.0,
+                )
+                self._patterns[target.id] = target
+                changed = True
+            else:
+                changed = members != target.member_ids
+            if changed:
+                self._refresh_pattern(target, members)
+                touched[target.id] = None
+        return list(touched)
+
+    def _best_overlap(self, members):
+        best = None
+        best_frac = 0.5
+        for pat in sorted(self._patterns.values(), key=lambda p: p.id):
+            frac = len(members & pat.member_ids) / max(len(members), len(pat.member_ids))
+            if frac > best_frac:
+                best, best_frac = pat, frac
+        return best
+
+
+def assert_maps_rebuild(pool):
+    """Both member maps equal the maps rebuilt from ``pool.patterns``."""
+    holders = {}
+    for pid, pat in pool.patterns.items():
+        for m in pat.member_ids:
+            holders.setdefault(m, set()).add(pid)
+    counts = Counter(frozenset(p.member_ids) for p in pool.patterns.values() if p.member_ids)
+    assert pool._holders == holders
+    assert dict(pool._set_counts) == dict(counts)
+
+
+@given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(5, 20), steps=st.integers(20, 120))
+def test_member_maps_match_the_full_scan(tmp_path_factory, seed, capacity, steps):
+    # Seeded random inserts, outcome updates, formations and reloads.  Three
+    # close bases give overlapping neighbourhoods, hence members held by
+    # several patterns and ties between overlaps.  A small capacity evicts
+    # members that patterns keep.  A reload loads the previous snapshot and
+    # then the current one over it, so patterns replace patterns of the same
+    # id with other members.
+    tmp = tmp_path_factory.mktemp("maps")
+    rng = np.random.default_rng(seed)
+    common = rand_unit(rng, 16)
+    bases = [jitter_unit(rng, common, 0.1) for _ in range(3)]
+    pools = [small_pool(16, capacity=capacity),
+             FullScanPool(MemoryConfig(embedding_dim=16, capacity=capacity))]
+    snapshots = []
+    for step in range(steps):
+        r = rng.random()
+        live = sorted(pools[0].episodes)
+        pick = live[int(rng.integers(len(live)))] if live else None
+        if r < 0.45 or pick is None:
+            scale = float(rng.choice([0.0, 0.03, 0.06, 0.1]))
+            base = bases[int(rng.integers(3))]
+            emb = base if scale == 0.0 else jitter_unit(rng, base, scale)
+            value = float(rng.uniform(0.5, 1.5))
+            context = (f"c{int(rng.integers(3))}",)
+            for pool in pools:
+                pool.insert_episode(mk_episode(f"ep-{step:06d}", emb, ts=NOW + step,
+                                               value=value, context=context))
+        elif r < 0.65:
+            outcome = list(Outcome)[int(rng.integers(3))]
+            for pool in pools:
+                pool.update_outcome(pick, outcome, success=outcome is Outcome.SUCCESS)
+        elif r < 0.95:
+            incremental = rng.random() < 0.7
+            got, want = (pool.form_patterns_incremental(pick, now=NOW + step) if incremental
+                         else pool.form_patterns(now=NOW + step) for pool in pools)
+            assert got == want
+        else:
+            path = str(tmp / f"episodes-{step}.jsonl")
+            pools[0].save_episodes(path)
+            pools[0].save_pattern_snapshot(path + ".patterns.json")
+            snapshots.append(path + ".patterns.json")
+            reloaded = []
+            for pool in pools:
+                fresh = type(pool)(pool.config)
+                fresh.load_episodes(path)
+                for snapshot in snapshots[-2:]:
+                    fresh.load_pattern_snapshot(snapshot)
+                    assert_maps_rebuild(fresh)
+                reloaded.append(fresh)
+            pools = reloaded
+        assert_maps_rebuild(pools[0])
+        assert pattern_state(pools[0]) == pattern_state(pools[1])
+        assert {e: (ep.outcome, ep.trials, ep.memory_value) for e, ep in pools[0].episodes.items()} \
+            == {e: (ep.outcome, ep.trials, ep.memory_value) for e, ep in pools[1].episodes.items()}
+
+
+def test_formation_compares_overlaps_once_per_touched_pattern(monkeypatch):
+    # On a recurring stream the seeds of one formation call share one
+    # neighbourhood; once a pattern has exactly that member set the other
+    # seeds skip it.  One overlap comparison per seed fails this.
+    from kubediag.scenarios import build_world
+    from kubediag.simulate import SimulationConfig, build_stream, make_engine, run_stream
+
+    cfg = SimulationConfig(total_sessions=120, recurrence=0.5, seed=3, corpus_size=40)
+    scenarios, graph = build_world(cfg.seed, cfg.corpus_size)
+    engine = make_engine(graph)
+    pool = engine.pool
+    counter = {"n": 0}
+    calls = []
+
+    def best_overlap(members, _inner=pool._best_overlap):
+        counter["n"] += 1
+        return _inner(members)
+
+    def form(eid, now=None, _inner=pool.form_patterns_incremental):
+        counter["n"] = 0
+        touched = _inner(eid, now)
+        seeds = pool._neighborhood(pool.episode(eid))
+        calls.append((counter["n"], len(touched), len(seeds)))
+        return touched
+
+    monkeypatch.setattr(pool, "_best_overlap", best_overlap)
+    monkeypatch.setattr(pool, "form_patterns_incremental", form)
+    run_stream(engine, build_stream(scenarios, cfg), cfg.window)
+
+    assert len(calls) > 100
+    assert all(n <= touched for n, touched, _ in calls), calls
+    # the guard has teeth: one comparison per seed of at least the minimum
+    # size would be over three times as many
+    eligible = sum(seeds for _, _, seeds in calls if seeds >= pool.config.pattern_min_members)
+    assert eligible > 3 * sum(n for n, _, _ in calls)
+
+
+def counting_link_cos(monkeypatch):
+    """Counts the scalar cosines ``_link`` computes while ``on`` is set."""
+    counter = {"on": False, "n": 0}
+
+    def counting_cos(a, b):
+        counter["n"] += counter["on"]
+        return _cos(a, b)
+
+    monkeypatch.setattr(memory_mod, "_cos", counting_cos)
+    return counter
+
+
+def test_link_skips_the_cosine_of_recurring_embeddings(monkeypatch, rng):
+    # identical embeddings have cosine lower bounds far above the threshold
+    pool = small_pool(16)
+    bases = [rand_unit(rng, 16) for _ in range(3)]
+    pool.insert_episode(mk_episode("e000", bases[0]))
+    pool.form_patterns(now=NOW)  # builds the neighbour sets
+    counter = counting_link_cos(monkeypatch)
+    counter["on"] = True
+    for i in range(1, 45):
+        pool.insert_episode(mk_episode(f"e{i:03d}", bases[i % 3], ts=NOW + i))
+    assert counter["n"] == 0
+    for eid, ep in pool.episodes.items():
+        assert pool._neighborhood(ep) == neighborhood_oracle(pool, ep)
+        assert len(pool._neighborhood(ep)) == 15
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_link_rescores_only_the_rows_in_the_band(monkeypatch, shift):
+    # a threshold equal to a pair's cosine puts that row inside the bound's
+    # band: it is rescored, and linked iff its cosine exceeds the threshold
+    a = unit(16, 0)
+    b = np.zeros(16)
+    b[0], b[1] = 0.9, math.sqrt(1 - 0.81)
+    th = float(np.dot(b, a))
+    for _ in range(shift):
+        th = math.nextafter(th, 0.0)
+    pool = small_pool(16, pattern_sim_threshold=th)
+    pool.insert_episode(mk_episode("a", a))
+    pool.form_patterns(now=NOW)
+    counter = counting_link_cos(monkeypatch)
+    counter["on"] = True
+    pool.insert_episode(mk_episode("b", b))
+    approx, margin = pool._index.bounds(b)
+    band = int(np.count_nonzero((approx + margin >= th) & ~(approx - margin > th)))
+    assert counter["n"] == band == 1
+    assert ("a" in pool._neighborhood(pool.episode("b"))) == bool(shift)
+    for ep in pool.episodes.values():
+        assert pool._neighborhood(ep) == neighborhood_oracle(pool, ep)
+
+
+def test_snapshot_loaded_over_existing_ids_keeps_the_maps(tmp_path, rng):
+    pool = small_pool(16)
+    base = rand_unit(rng, 16)
+    for i in range(4):
+        pool.insert_episode(mk_episode(f"e{i}", jitter_unit(rng, base, 0.02)))
+    pool.form_patterns(now=NOW)
+    early = str(tmp_path / "early.patterns.json")
+    pool.save_pattern_snapshot(early)
+    for i in range(4, 8):
+        pool.insert_episode(mk_episode(f"e{i}", jitter_unit(rng, base, 0.02)))
+        pool.form_patterns_incremental(f"e{i}", now=NOW)
+    assert_maps_rebuild(pool)
+    before = {pid: set(p.member_ids) for pid, p in pool.patterns.items()}
+    pool.load_pattern_snapshot(early)
+    assert_maps_rebuild(pool)
+    after = {pid: set(p.member_ids) for pid, p in pool.patterns.items()}
+    assert after != before
+    # the replaced member sets are gone: e7 joined after the early snapshot
+    assert "e7" not in pool._holders
 
 
 # ---------------------------------------------------------------------------
