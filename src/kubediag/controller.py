@@ -18,9 +18,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Sequence
 
 from .errors import EmptyHistory, InvalidArgument, SchemaViolation
@@ -269,10 +271,36 @@ class MetaController:
                 factor_weights=tuple(as_number(w, "factor weight") for w in weights),
                 opt=opt,
             )
-            state.history.extend(map(_record_from_json, payload["history"]))
+            state.history.extend(_records_from_json(payload["history"]))
             return cls(state)
         except (KeyError, TypeError, ValueError, InvalidArgument) as exc:
             raise SchemaViolation(f"bad controller checkpoint: {exc}") from exc
+
+
+_RECORD_KEYS = operator.itemgetter("c_max", "factors", "fast_sufficient")
+
+
+def _records_from_json(history: object) -> list[SessionRecord]:
+    """The records of a checkpoint's history, checked as
+    :func:`_record_from_json` checks each one, but with C-level passes over
+    the whole history.  When a pass fails, or cannot run, the records are
+    read one at a time so that the first bad one is named."""
+    try:
+        rows = list(map(_RECORD_KEYS, history))
+        if not rows:
+            return []
+        c_max, factors, fast = zip(*rows)
+        flat = list(chain.from_iterable(factors))
+        if (set(map(type, c_max)) <= {int, float} and all(map(math.isfinite, c_max))
+                and set(map(type, factors)) == {list}
+                and set(map(len, factors)) == {len(FACTOR_NAMES)}
+                and set(map(type, flat)) <= {int, float} and all(map(math.isfinite, flat))
+                and set(map(type, fast)) == {bool}):
+            grouped = zip(*[iter(map(float, flat))] * len(FACTOR_NAMES))
+            return list(map(SessionRecord, map(float, c_max), grouped, fast))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    return list(map(_record_from_json, history))
 
 
 def _record_from_json(raw: dict) -> SessionRecord:

@@ -16,7 +16,7 @@ rule out are rescored with the exact dense ``np.dot``.
 from __future__ import annotations
 
 import hashlib
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -80,8 +80,9 @@ class SparseRows:
 
     Rows are appended at the end and deleted by position; the rows after a
     deleted one move up by one.  Appends wait in a list until the next
-    :meth:`bounds` or :meth:`delete` adds them all with one concatenation,
-    so loading N rows copies the arrays once, not N times.
+    :meth:`bounds`, :meth:`delete` or :meth:`extend` adds them all with one
+    concatenation, so appending N rows copies the arrays once, not N times;
+    :meth:`extend` adds rows already gathered into flat arrays.
     """
 
     def __init__(self, dim: int, entries: Sequence[tuple[np.ndarray, np.ndarray]] = ()) -> None:
@@ -97,6 +98,12 @@ class SparseRows:
         """Add a row holding ``val`` at the indices ``col``."""
         self._pending.append((col, val))
 
+    def extend(self, sizes: Sequence[int], col: np.ndarray, val: np.ndarray) -> None:
+        """Add ``len(sizes)`` rows with one concatenation: row ``i`` holds
+        the next ``sizes[i]`` entries of ``col`` and ``val``."""
+        self._flush()
+        self._concat(sizes, (col,), (val,))
+
     def delete(self, r: int) -> None:
         self._flush()
         a, b = np.searchsorted(self.row, (r, r + 1)).tolist()
@@ -107,15 +114,18 @@ class SparseRows:
 
     def _flush(self) -> None:
         pending = self._pending
-        if not pending:
-            return
-        sizes = [c.size for c, _ in pending]
+        if pending:
+            self._pending = []
+            self._concat([c.size for c, _ in pending], (c for c, _ in pending),
+                         (v for _, v in pending))
+
+    def _concat(self, sizes: Sequence[int], cols: Iterable[np.ndarray],
+                vals: Iterable[np.ndarray]) -> None:
         rows = np.repeat(np.arange(self.n, self.n + len(sizes)), sizes)
         self.row = np.concatenate((self.row, rows))
-        self.col = np.concatenate((self.col, *(c for c, _ in pending)))
-        self.val = np.concatenate((self.val, *(v for _, v in pending)))
+        self.col = np.concatenate((self.col, *cols))
+        self.val = np.concatenate((self.val, *vals))
         self.n += len(sizes)
-        self._pending = []
 
     def bounds(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(approx, margin)`` per row: ``np.dot`` of the dense row with

@@ -27,6 +27,13 @@ snapshot.  Each embedding and centroid is stored sparse, as
 not ``+0.0`` (a hashing embedding has about 14 of 2048), and is rebuilt bit
 for bit on load.  The dense lists of older stores still load; the next save
 rewrites them sparse.  Every save replaces its file atomically.
+
+Loading an episode file is one pass per file, not per record: each line is
+decoded and type-checked, and its sparse entries are checked with C-level
+passes over its lists, but the entries of every line are gathered into the
+index, and every norm is checked, with one array operation each.  A load is
+all or nothing: it raises for the first invalid line, as a line-by-line load
+would, and leaves the pool unchanged.
 """
 
 from __future__ import annotations
@@ -35,9 +42,11 @@ import dataclasses
 import heapq
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -143,9 +152,16 @@ class Episode:
     def validate(self) -> None:
         if not self.id:
             raise InvalidArgument("episode id must be non-empty")
-        norm = float(np.linalg.norm(self.embedding))
+        self._check_norm()
+        self._check_values()
+
+    def _check_norm(self) -> None:
+        norm = _norm(self.embedding)
         if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
             raise InvalidArgument(f"episode {self.id}: embedding norm {norm:.8f} != 1")
+
+    def _check_values(self) -> None:
+        """The checks :meth:`validate` makes after the norm's."""
         if not 0.0 <= self.memory_value < math.inf:  # NaN fails too
             raise InvalidArgument(f"episode {self.id}: memory_value must be finite and >= 0")
         if not 0 <= self.successes <= self.trials:
@@ -224,6 +240,15 @@ def _sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a real 1-D vector, bit for bit: the same
+    ``sqrt(v.dot(v))`` without the wrapper's dispatch.  Like it, this reads
+    a strided vector through a contiguous copy, as ``dot`` may sum a
+    strided one in another order."""
+    v = v.ravel(order="K")
+    return math.sqrt(float(v.dot(v)))
 
 
 def _cos(a: np.ndarray, b: np.ndarray) -> float:
@@ -385,29 +410,41 @@ class MemoryPool:
     # -- mutation -----------------------------------------------------------
 
     def insert_episode(self, episode: Episode) -> None:
-        self._insert(episode, None)
-
-    def _insert(self, episode: Episode, cols: np.ndarray | None) -> None:
-        # ``cols``: the embedding's non-zero indices when the caller has them
-        if episode.id in self._episodes or episode.id in self._tombstones:
-            raise DuplicateId(f"episode id {episode.id!r} already used")
+        self._check_unused(episode.id)
         episode.validate()
         if len(episode.embedding) != self.config.embedding_dim:
             raise InvalidArgument(
                 f"episode {episode.id}: embedding dim {len(episode.embedding)}"
                 f" != {self.config.embedding_dim}"
             )
-        self._episodes[episode.id] = episode
-        if cols is None:
-            cols = np.flatnonzero(episode.embedding)
+        cols = np.flatnonzero(episode.embedding)
         self._index.append(cols, episode.embedding[cols])
-        self._rows.append(episode)
-        self._stamps.append(episode.timestamp)
+        self._admit([episode])
+
+    def _check_unused(self, episode_id: str) -> None:
+        if episode_id in self._episodes or episode_id in self._tombstones:
+            raise DuplicateId(f"episode id {episode_id!r} already used")
+
+    def _admit(self, episodes: list[Episode]) -> None:
+        """Store ``episodes``, whose rows were just added to ``_index`` in
+        order, then evict down to ``capacity`` and link the survivors.
+
+        Admitting several at once ends in the state of admitting them one at
+        a time: the pool keeps the ``capacity`` best by eviction key of all
+        it saw either way (no key changes meanwhile), rows stay in insertion
+        order, and a pair's link depends only on its cosine.
+        """
+        for ep in episodes:
+            self._episodes[ep.id] = ep
+        self._rows += episodes
+        self._stamps += [ep.timestamp for ep in episodes]
         self._memo = None
         while len(self._episodes) > self.config.capacity:
             self._evict_one()
-        if self._neighbours is not None and episode.id in self._episodes:
-            self._link(episode)
+        if self._neighbours is not None:
+            for ep in episodes:
+                if ep.id in self._episodes:
+                    self._link(ep)
 
     def _evict_one(self) -> None:
         victim = min(
@@ -717,19 +754,79 @@ class MemoryPool:
         ))
 
     def load_episodes(self, path: str) -> int:
-        """Load an episode JSONL file; raises on the first invalid line."""
-        n = 0
+        """Load an episode JSONL file, all or nothing.
+
+        Raises for the first invalid line what inserting the lines one at a
+        time would: ``DuplicateId`` for an id the pool holds or has evicted,
+        else ``SchemaViolation`` naming the line, an id used on an earlier
+        line included.  A failed load leaves the pool unchanged.
+
+        Each line is decoded and its fields type-checked in turn.  The norm
+        check is the one check left to the whole file: one ``np.bincount``
+        of the squared stored values gives every norm, summed in another
+        order than ``np.dot``'s, and only the norms too near the tolerance
+        or beyond it are checked exactly.  The lines before the first
+        failing one are checked for their norm first, and so is the failing
+        line itself when its failure is one :meth:`Episode.validate` finds
+        after the norm.
+        """
         dim = self.config.embedding_dim
+        eps: list[Episode] = []
+        index: list[list[int]] = []
+        value: list[list[float]] = []
+        first_line: dict[str, int] = {}
+        failure: tuple[int, Exception] | None = None
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    self._insert(*_episode_from_dict(json.loads(line), dim))
-                except (ValueError, KeyError, TypeError, InvalidArgument) as exc:
-                    raise SchemaViolation(f"line {line_no}: {exc}") from exc
-                n += 1
-        return n
+                    ep, ix, vals = _episode_from_dict(json.loads(line), dim)
+                    self._check_unused(ep.id)
+                    if ep.id in first_line:
+                        raise ValueError(
+                            f"episode id {ep.id!r} already used on line {first_line[ep.id]}")
+                    if not ep.id:
+                        raise InvalidArgument("episode id must be non-empty")
+                except (ValueError, KeyError, TypeError, InvalidArgument, DuplicateId) as exc:
+                    failure = line_no, exc
+                    break
+                first_line[ep.id] = line_no
+                eps.append(ep)
+                index.append(ix)
+                value.append(vals)
+                try:
+                    ep._check_values()
+                except InvalidArgument as exc:
+                    failure = line_no, exc
+                    break
+        sizes = list(map(len, index))
+        col = np.fromiter(chain.from_iterable(index), np.intp, sum(sizes))
+        val = np.fromiter(chain.from_iterable(value), np.float64, col.size)
+        del index, value  # for a lower peak, freed before the embeddings are allocated
+        for ep, a, b in zip(eps, [0, *accumulate(sizes)], accumulate(sizes)):
+            if ep.embedding is None:
+                # its own array, which an eviction frees; views of one
+                # (n, dim) block would keep the whole block alive
+                ep.embedding = np.zeros(dim)
+                ep.embedding[col[a:b]] = val[a:b]
+        norms = np.sqrt(np.bincount(np.repeat(np.arange(len(eps)), sizes), val * val, len(eps)))
+        # two summation orders of at most dim squares differ by under
+        # dim * eps of a unit norm, so a norm passing this passes exactly
+        sure = 1e-6 - 2.0 * dim * float(np.finfo(np.float64).eps)
+        for r in np.flatnonzero(~(np.abs(norms - 1.0) <= sure)).tolist():  # NaN is checked
+            try:
+                eps[r]._check_norm()
+            except InvalidArgument as exc:
+                raise SchemaViolation(f"line {first_line[eps[r].id]}: {exc}") from exc
+        if failure is not None:
+            line_no, exc = failure
+            if isinstance(exc, DuplicateId):
+                raise exc
+            raise SchemaViolation(f"line {line_no}: {exc}") from exc
+        self._index.extend(sizes, col, val)
+        self._admit(eps)
+        return len(eps)
 
     def save_pattern_snapshot(self, path: str) -> None:
         payload = {
@@ -750,7 +847,7 @@ class MemoryPool:
             loaded = [_pattern_from_dict(raw, dim) for raw in payload["patterns"]]
             seq = self._pattern_seq
             for pat in loaded:
-                norm = float(np.linalg.norm(pat.centroid))
+                norm = _norm(pat.centroid)
                 if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
                     raise ValueError(f"{pat.id}: centroid norm {norm:.8f} != 1")
                 if not 0 <= pat.success_members <= len(pat.member_ids):
@@ -783,19 +880,32 @@ def _vector_to_json(v: np.ndarray) -> dict:
     return {"dim": int(v.size), "index": index.tolist(), "value": v[index].tolist()}
 
 
-def _vector_from_json(raw: object, dim: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _vector_from_json(raw: object, dim: int) -> np.ndarray:
     """Dense float64 array of length ``dim`` from :func:`_vector_to_json`'s
-    form, or from the dense list that older stores hold, with the indices
-    the sparse form listed (``None`` for a dense list).
+    form, or from the dense list that older stores hold.
 
     The sparse form is checked in full before the array is allocated, so a
     bogus ``dim`` or index costs nothing.
     """
     if isinstance(raw, list):
-        out = np.asarray(raw, dtype=np.float64)
-        if out.shape != (dim,):
-            raise ValueError(f"vector shape {out.shape} != ({dim},)")
-        return out, None
+        return _dense_from_json(raw, dim)
+    index, value = _sparse_from_json(raw, dim)
+    out = np.zeros(dim, dtype=np.float64)
+    out[np.asarray(index, dtype=np.intp)] = value
+    return out
+
+
+def _dense_from_json(raw: list, dim: int) -> np.ndarray:
+    out = np.asarray(raw, dtype=np.float64)
+    if out.shape != (dim,):
+        raise ValueError(f"vector shape {out.shape} != ({dim},)")
+    return out
+
+
+def _sparse_from_json(raw: object, dim: int) -> tuple[list[int], list[float]]:
+    """The checked ``index`` and ``value`` lists of :func:`_vector_to_json`'s
+    form: equal in length, the indices increasing ints in ``[0, dim)``, the
+    values floats."""
     if not isinstance(raw, dict):
         raise TypeError(f"vector must be an object or a list, got {type(raw).__name__}")
     size, index, value = raw["dim"], raw["index"], raw["value"]
@@ -803,18 +913,20 @@ def _vector_from_json(raw: object, dim: int) -> tuple[np.ndarray, np.ndarray | N
         raise ValueError(f"vector dim {size!r} != {dim}")
     if not isinstance(index, list) or not isinstance(value, list) or len(index) != len(value):
         raise ValueError("vector index and value must be lists of equal length")
-    prev = -1
-    for i, x in zip(index, value):
-        # bool is an int subclass, and numpy would cast 1.5 or True to an index
-        if type(i) is not int or not prev < i < dim:
-            raise ValueError(f"vector index {i!r} not an increasing int in [0, {dim})")
-        if type(x) is not float:
-            raise ValueError(f"vector value {x!r} is not a float")
-        prev = i
-    out = np.zeros(dim, dtype=np.float64)
-    cols = np.asarray(index, dtype=np.intp)
-    out[cols] = value
-    return out, cols
+    # C-level passes over the lists; the entry loop runs only when one
+    # fails, to name the first bad entry.  bool is an int subclass, and
+    # numpy would cast 1.5 or True to an index.
+    if not (set(map(type, index)) <= {int} and set(map(type, value)) <= {float}
+            and (not index or 0 <= index[0] and index[-1] < dim)
+            and all(map(operator.lt, index, index[1:]))):
+        prev = -1
+        for i, x in zip(index, value):
+            if type(i) is not int or not prev < i < dim:
+                raise ValueError(f"vector index {i!r} not an increasing int in [0, {dim})")
+            if type(x) is not float:
+                raise ValueError(f"vector value {x!r} is not a float")
+            prev = i
+    return index, value
 
 
 def _episode_to_dict(ep: Episode) -> dict:
@@ -833,10 +945,23 @@ def _episode_to_dict(ep: Episode) -> dict:
     }
 
 
-def _episode_from_dict(raw: dict, dim: int) -> tuple[Episode, np.ndarray | None]:
+def _episode_from_dict(raw: dict, dim: int) -> tuple[Episode, list[int], list[float]]:
     """Rebuild an episode, checking each field's type like
-    :func:`_pattern_from_dict`, with its embedding's stored indices."""
-    embedding, cols = _vector_from_json(raw["embedding"], dim)
+    :func:`_pattern_from_dict`, with the indices and values of its
+    embedding's entries for the sparse index.
+
+    A sparse embedding is left ``None`` for the caller to build from those
+    entries; a dense list (older stores) is read as it is, and its entries
+    are its non-zeros.
+    """
+    vec = raw["embedding"]
+    if isinstance(vec, list):
+        embedding = _dense_from_json(vec, dim)
+        cols = np.flatnonzero(embedding)
+        index, value = cols.tolist(), embedding[cols].tolist()
+    else:
+        embedding = None
+        index, value = _sparse_from_json(vec, dim)
     return Episode(
         id=as_string(raw["id"], "id"),
         symptoms=as_strings(raw["symptoms"], "symptoms"),
@@ -849,7 +974,7 @@ def _episode_from_dict(raw: dict, dim: int) -> tuple[Episode, np.ndarray | None]
         resolution_path=as_strings(raw["resolution_path"], "resolution_path"),
         trials=as_count(raw.get("trials", 0), "trials"),
         successes=as_count(raw.get("successes", 0), "successes"),
-    ), cols
+    ), index, value
 
 
 def _pattern_to_dict(p: Pattern) -> dict:
@@ -879,7 +1004,7 @@ def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
     strategy = raw["strategy"]
     return Pattern(
         id=as_string(raw["id"], "id"),
-        centroid=_vector_from_json(raw["centroid"], dim)[0],
+        centroid=_vector_from_json(raw["centroid"], dim),
         actions=as_strings(strategy["actions"], "actions"),
         resolution_path=as_strings(strategy["resolution_path"], "resolution_path"),
         source_episode_id=as_string(strategy["source_episode_id"], "source_episode_id"),

@@ -18,6 +18,7 @@ from kubediag.controller import (
     Pathway,
     SessionRecord,
     _predicted_confidence,
+    _record_from_json,
     calibration_loss,
     mean_calibration_loss,
     replay_loss,
@@ -517,6 +518,55 @@ def test_load_rejects_corrupt_record(tmp_path, bad):
     path.write_text(json.dumps(payload))
     with pytest.raises(SchemaViolation):
         MetaController.load(str(path))
+
+
+BAD_RECORDS = {
+    "nan-c-max": {"c_max": float("nan")},
+    "bool-c-max": {"c_max": True},
+    "string-factor": {"factors": [0.5, "1", 0.5, 0.5]},
+    "inf-factor": {"factors": [0.5, float("inf"), 0.5, 0.5]},
+    "five-factors": {"factors": [0.5] * 5},
+    "factors-string": {"factors": "abcd"},
+    "factors-number": {"factors": 4},
+    "int-fast-sufficient": {"fast_sufficient": 1},
+    "not-an-object": None,
+}
+
+
+@pytest.mark.parametrize("first", sorted(BAD_RECORDS))
+def test_load_names_the_first_bad_record_as_the_record_reader_does(tmp_path, first):
+    # the file-wide checks must fall back to the per-record reader's message
+    path = tmp_path / "controller.json"
+    controller_with([rec(0.5, True)] * 6).save(str(path))
+    payload = json.loads(path.read_text())
+    history = payload["history"]
+    for i, case in ((2, first), (4, "five-factors")):
+        edit = BAD_RECORDS[case]
+        history[i] = [1, 2] if edit is None else dict(history[i], **edit)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(Exception) as want:
+        _record_from_json(history[2])
+    with pytest.raises(SchemaViolation) as got:
+        MetaController.load(str(path))
+    assert str(got.value) == f"bad controller checkpoint: {want.value}"
+
+
+def test_load_reads_records_as_the_record_reader_does(tmp_path, rng):
+    path = tmp_path / "controller.json"
+    controller_with([]).save(str(path))
+    payload = json.loads(path.read_text())
+    payload["history"] = [
+        {"c_max": int(rng.integers(2)) if i % 3 == 0 else float(rng.random()),
+         "factors": [int(rng.integers(2)) if (i + j) % 4 == 0 else float(rng.random())
+                     for j in range(4)],
+         "fast_sufficient": bool(rng.random() < 0.5)}
+        for i in range(40)
+    ]
+    path.write_text(json.dumps(payload))
+    loaded = list(MetaController.load(str(path)).state.history)
+    want = list(map(_record_from_json, payload["history"]))
+    assert loaded == want
+    assert [type(x) for r in loaded for x in (r.c_max, *r.factors)] == [float] * 200
 
 
 @pytest.mark.parametrize("bad", [

@@ -1520,6 +1520,140 @@ def test_load_rejects_impossible_counts_and_values(tmp_path, bad):
         small_pool(16).load_episodes(str(path))
 
 
+def pool_state(pool):
+    """Everything a load writes: episodes, index rows, tombstones, neighbours."""
+    idx = pool._index
+    idx._flush()
+    return {
+        "rows": [ep.id for ep in pool._rows],
+        "episodes": list(pool.episodes),
+        "stamps": list(pool._stamps),
+        "index": (idx.n, idx.row.tobytes(), idx.col.tobytes(), idx.val.tobytes()),
+        "embeddings": [ep.embedding.tobytes() for ep in pool._rows],
+        "tombstones": set(pool._tombstones),
+        "neighbours": pool._neighbours,
+    }
+
+
+def stored_pool(rng, n=4, **overrides):
+    pool = small_pool(16, **overrides)
+    for i in range(n):
+        pool.insert_episode(mk_episode(f"old-{i}", rand_unit(rng, 16), ts=NOW - i * DAY))
+    return pool
+
+
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def test_failed_load_leaves_the_pool_unchanged_and_names_the_first_bad_line(tmp_path, rng):
+    source = pool_of_vectors([rand_unit(rng, 16) for _ in range(5)], 16)
+    path = tmp_path / "episodes.jsonl"
+    source.save_episodes(str(path))
+    lines = path.read_text().splitlines()
+    bad_norm = json.loads(lines[1])
+    bad_norm["embedding"]["value"] = [2.0 * x for x in bad_norm["embedding"]["value"]]
+    lines[1] = json.dumps(bad_norm)
+    lines[3] = "{not json"
+    write_lines(path, lines)
+    pool = stored_pool(rng)
+    pool._neighborhood(pool.episode("old-0"))  # build the neighbour sets too
+    before = pool_state(pool)
+    # a bad norm is found by the file-wide pass, yet beats the later bad JSON
+    with pytest.raises(SchemaViolation, match=r"^line 2: episode ep-000001: embedding norm 2\.0"):
+        pool.load_episodes(str(path))
+    assert pool_state(pool) == before
+    lines[1] = json.dumps(dict(bad_norm, memory_value=-1.0))
+    write_lines(path, lines)
+    with pytest.raises(SchemaViolation, match="^line 2: .* embedding norm"):
+        pool.load_episodes(str(path))  # the norm before the value, as validate checks
+    lines[1] = json.dumps(dict(json.loads(lines[0]), id="ep-000001", memory_value=-1.0))
+    write_lines(path, lines)
+    with pytest.raises(SchemaViolation, match="^line 2: .*memory_value"):
+        pool.load_episodes(str(path))
+    assert pool_state(pool) == before
+
+
+def test_repeated_id_in_a_file_names_the_line(tmp_path, rng):
+    source = pool_of_vectors([rand_unit(rng, 16) for _ in range(3)], 16)
+    path = tmp_path / "episodes.jsonl"
+    source.save_episodes(str(path))
+    first, second, third = path.read_text().splitlines()
+    write_lines(path, [first, second, json.dumps(dict(json.loads(third), id="ep-000000"))])
+    pool = small_pool(16)
+    with pytest.raises(SchemaViolation, match="^line 3: episode id 'ep-000000' already used on line 1"):
+        pool.load_episodes(str(path))
+    assert pool.episodes == {}
+
+
+def test_id_held_or_evicted_by_the_pool_stays_a_duplicate(tmp_path, rng):
+    pool = small_pool(16, capacity=2)
+    for i in range(3):  # evicts ep-000000, the oldest of equal value
+        pool.insert_episode(mk_episode(f"ep-{i:06d}", rand_unit(rng, 16), ts=NOW + i))
+    assert pool._tombstones == {"ep-000000"}
+    path = tmp_path / "episodes.jsonl"
+    for eid in ("ep-000002", "ep-000000"):
+        source = pool_of_vectors([rand_unit(rng, 16)], 16)
+        source.save_episodes(str(path))
+        write_lines(path, [json.dumps(dict(json.loads(path.read_text()), id=eid))])
+        before = pool_state(pool)
+        with pytest.raises(DuplicateId, match=eid):
+            pool.load_episodes(str(path))
+        assert pool_state(pool) == before
+
+
+@given(st.lists(unit_vectors_with_zeros(), min_size=1, max_size=6))
+def test_norm_is_numpys_bit_for_bit(vectors):
+    rng = np.random.default_rng(len(vectors))
+    vectors += [rand_unit(rng, 2048) for _ in range(3)]
+    for v in vectors:
+        v = v.copy()
+        v[v == 0.0] = -0.0
+        assert memory_mod._norm(v) == float(np.linalg.norm(v))
+        assert memory_mod._norm(v[::2]) == float(np.linalg.norm(v[::2]))
+
+
+def load_line_by_line(pool, path):
+    """The reference load: check and insert each line in turn."""
+    dim = pool.config.embedding_dim
+    for line in path.read_text().splitlines():
+        ep, index, value = memory_mod._episode_from_dict(json.loads(line), dim)
+        if ep.embedding is None:
+            ep.embedding = np.zeros(dim)
+            ep.embedding[index] = value
+        pool._check_unused(ep.id)
+        ep.validate()
+        pool._index.append(np.asarray(index, dtype=np.intp), np.asarray(value, dtype=np.float64))
+        pool._admit([ep])
+
+
+@given(vectors=st.lists(unit_vectors_with_zeros(), min_size=1, max_size=8),
+       repeats=st.lists(st.integers(0, 7), max_size=4),
+       values=st.lists(st.floats(0.0, 2.0), min_size=12, max_size=12),
+       capacity=st.integers(1, 14), linked=st.booleans(), dense=st.booleans())
+def test_bulk_load_equals_inserting_line_by_line(tmp_path_factory, vectors, repeats, values,
+                                                 capacity, linked, dense):
+    # Repeated vectors link above the threshold; a capacity below the count
+    # evicts stored and loaded episodes; built neighbour sets are linked.
+    vectors += [vectors[i % len(vectors)] for i in repeats]
+    source = pool_of_vectors(vectors, 16)
+    for ep, value in zip(source.episodes.values(), values):
+        ep.memory_value = value
+    path = tmp_path_factory.mktemp("load") / "episodes.jsonl"
+    source.save_episodes(str(path))
+    if dense:
+        densify(path, "embedding")
+    pools = []
+    for _ in range(2):
+        pool = stored_pool(np.random.default_rng(0), n=3, capacity=capacity)
+        if linked:
+            pool._neighborhood(next(iter(pool.episodes.values())))
+        pools.append(pool)
+    assert pools[0].load_episodes(str(path)) == len(vectors)
+    load_line_by_line(pools[1], path)
+    assert pool_state(pools[0]) == pool_state(pools[1])
+
+
 # ---------------------------------------------------------------------------
 # index consistency under interleaving
 
