@@ -6,11 +6,19 @@ threshold by a finite-difference step against a replayed error/latency loss,
 the weights by gradient steps against how well past confidence predicted
 whether the fast path would have sufficed.
 
-A stored :class:`SessionRecord` is never mutated after
-:meth:`MetaController.record`.  The weight fit relies on that: it computes a
-record's clamped factors, their logs and y once, at the record's first fit,
-and keeps them on the record, so each later step costs one weighted product
-and four sums per record.  Checkpoints still hold three keys per record.
+The history is written only through :meth:`MetaController.record`, and a
+stored :class:`SessionRecord` is never mutated after it.  Both steps rely on
+that:
+
+- the threshold step counts the records above each probe by bisecting two
+  sorted lists of ``c_max``, which ``record`` keeps in step with the
+  history once the first step has built them, so a step costs O(log n)
+  instead of two scans;
+- the weight fit computes a record's clamped factors, their logs and y
+  once, at the record's first fit, and keeps them on the record, so each
+  later step costs one weighted product and four sums per record.
+
+Checkpoints still hold three keys per record.
 """
 
 from __future__ import annotations
@@ -19,11 +27,12 @@ import dataclasses
 import json
 import math
 import operator
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import EmptyHistory, InvalidArgument, SchemaViolation
 from .files import as_number, is_finite, write_atomic
@@ -102,23 +111,31 @@ def replay_loss(tau_candidate: float, history: Sequence[SessionRecord], opt: Opt
     """Replay routing at a hypothetical threshold: xi * error + (1 - xi) * latency.
 
     A record replays intuitive iff its recorded c_max would clear the
-    candidate threshold.  Error counts intuitive replays whose fast path was
-    actually insufficient; latency is the mean unit cost normalized by the
-    deliberate-path cost.
+    candidate threshold (a NaN c_max never does).  Error counts intuitive
+    replays whose fast path was actually insufficient; latency is the mean
+    unit cost normalized by the deliberate-path cost.
 
-    The loss is computed from two counts, the intuitive replays and their
-    errors, as ``n_fast + analytic_cost * n_slow`` for the latency.  For an
-    integer ``analytic_cost`` (the default is 10.0) that is exactly the sum
-    of the per-record costs in history order, whose partial sums are all
-    exact integers.  For other costs it may differ from that sum in the last
-    bits.
+    This scans ``history`` for the two counts, the intuitive replays and
+    their errors; :meth:`MetaController.adapt_threshold` reads the same
+    counts off its sorted ``c_max`` lists, and both turn them into the loss
+    with :func:`_loss_from_counts`.
     """
     if not history:
         raise EmptyHistory("replay_loss needs at least one session record")
-    n = len(history)
     fast = [rec.fast_sufficient for rec in history if rec.c_max > tau_candidate]
-    errors = fast.count(False)
-    latency = len(fast) + opt.analytic_cost * (n - len(fast))
+    return _loss_from_counts(len(history), len(fast), fast.count(False), opt)
+
+
+def _loss_from_counts(n: int, n_fast: int, errors: int, opt: OptParams) -> float:
+    """The replay loss of ``n`` records, ``n_fast`` of which replay
+    intuitive, ``errors`` of those wrongly.
+
+    The latency is ``n_fast + analytic_cost * n_slow``.  For an integer
+    ``analytic_cost`` (the default is 10.0) that is exactly the sum of the
+    per-record costs in history order, whose partial sums are all exact
+    integers.  For other costs it may differ from that sum in the last bits.
+    """
+    latency = n_fast + opt.analytic_cost * (n - n_fast)
     error_rate = errors / n
     latency_rate = (latency / n) / opt.analytic_cost
     return opt.xi * error_rate + (1.0 - opt.xi) * latency_rate
@@ -160,6 +177,10 @@ class MetaController:
     def __init__(self, state: ControllerState | None = None) -> None:
         self.state = state or ControllerState()
         self.state.validate()
+        # the sorted c_max of every record and of every record whose fast
+        # path was not sufficient, NaN left out; built from the history at
+        # the first threshold step, then kept current by record()
+        self._replay: tuple[list[float], list[float]] | None = None
 
     @property
     def tau(self) -> float:
@@ -175,20 +196,52 @@ class MetaController:
         return RoutingDecision(pathway=pathway, c_max=c_max, tau_snapshot=self.state.tau)
 
     def record(self, rec: SessionRecord) -> None:
-        self.state.history.append(rec)
+        """Append ``rec`` to the history, which is written through this
+        method only: once the replay lists exist it moves them with the
+        history, removing the oldest record's ``c_max`` before a full
+        bounded deque drops that record."""
+        history = self.state.history
+        if self._replay is not None:
+            if len(history) == history.maxlen:
+                self._move_replay(history[0], _remove)
+            self._move_replay(rec, insort)
+        history.append(rec)
+
+    def _move_replay(self, rec: SessionRecord, op: Callable[[list[float], float], None]) -> None:
+        if rec.c_max == rec.c_max:  # a NaN never replays intuitive
+            every, bad = self._replay
+            op(every, rec.c_max)
+            if not rec.fast_sufficient:
+                op(bad, rec.c_max)
 
     def adapt_threshold(self) -> tuple[float, float]:
         """One finite-difference descent step on the replayed loss; no-op below
-        the history minimum.  Returns (tau_before, tau_after)."""
+        the history minimum.  Returns (tau_before, tau_after).
+
+        The loss at each probe comes from two bisections of the sorted
+        ``c_max`` lists, not a scan of the history: the records above a
+        probe replay intuitive.  The first step builds the lists, so a
+        controller that never adapts (a read-only diagnosis) never does.
+        """
         st = self.state
         before = st.tau
-        if len(st.history) < MIN_HISTORY:
+        n = len(st.history)
+        if n < MIN_HISTORY:
             return before, before
+        if self._replay is None:
+            self._replay = [], []
+            for rec in st.history:
+                self._move_replay(rec, list.append)
+            for values in self._replay:
+                values.sort()
+        every, bad = self._replay
+
+        def loss(tau: float) -> float:
+            n_fast = len(every) - bisect_right(every, tau)
+            return _loss_from_counts(n, n_fast, len(bad) - bisect_right(bad, tau), st.opt)
+
         d = st.opt.delta_probe
-        grad = (
-            replay_loss(st.tau + d, st.history, st.opt)
-            - replay_loss(st.tau - d, st.history, st.opt)
-        ) / (2.0 * d)
+        grad = (loss(st.tau + d) - loss(st.tau - d)) / (2.0 * d)
         st.tau = min(1.0, max(0.0, st.tau - st.opt.eta_meta * grad))
         return before, st.tau
 
@@ -275,6 +328,10 @@ class MetaController:
             return cls(state)
         except (KeyError, TypeError, ValueError, InvalidArgument) as exc:
             raise SchemaViolation(f"bad controller checkpoint: {exc}") from exc
+
+
+def _remove(values: list[float], x: float) -> None:
+    del values[bisect_left(values, x)]
 
 
 _RECORD_KEYS = operator.itemgetter("c_max", "factors", "fast_sufficient")

@@ -38,8 +38,17 @@ def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
 
 
 def is_finite(x: object) -> bool:
-    # bool is an int subclass; a JSON true is not a number here
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A JSON number that converts to a finite float.
+
+    bool is an int subclass; a JSON true is not a number here.  Nor is an
+    int too large for a float, on which ``math.isfinite`` would raise.
+    """
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def as_number(x: object, name: str) -> float:

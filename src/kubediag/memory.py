@@ -19,7 +19,11 @@ as a scan of every row would use, and is equal to it.
 Pattern formation reads each episode's neighbourhood (the episodes whose
 cosine with it exceeds ``pattern_sim_threshold``) from sets the pool keeps
 current.  They are built on the first formation, then each insert links the
-new episode and each eviction unlinks its victim.
+new episode and each eviction unlinks its victim.  A refresh that only adds
+the newest episode to a pattern (most of them on a recurring stream) costs
+one vector addition: the pool keeps each pattern's unnormalised member sum
+and its leading member, so the fields come out bit for bit as reading every
+member would give them.
 
 Episodes persist as JSONL, one object per line; patterns as one JSON
 snapshot.  Each embedding and centroid is stored sparse, as
@@ -196,6 +200,21 @@ class Pattern:
     success_members: int = 0
 
 
+def _donor_key(ep: Episode) -> tuple[float, str]:
+    """A pattern copies its strategy from the member of largest key."""
+    return ep.memory_value, ep.id
+
+
+@dataclass(eq=False)
+class _Fold:
+    """What refreshing a pattern by one appended member reads, kept by the
+    pool beside the pattern since its last full recompute."""
+
+    total: np.ndarray      # float64 axis-0 sum of the member embeddings, in id order
+    last: str              # the largest member id
+    best: Episode | None   # the member of largest _donor_key; None once it fell
+
+
 @dataclass(eq=False)
 class ScoredMemory:
     """One retrieval hit: the memory it scored, its tier, scaled score and
@@ -369,6 +388,18 @@ class MemoryPool:
     pattern's member set is replaced (:meth:`_refresh_pattern`) or a
     pattern is loaded (:meth:`load_pattern_snapshot`), and nowhere else, so
     ``patterns`` and each ``Pattern.member_ids`` are read-only to callers.
+
+    ``_folds`` keeps, for each pattern refreshed since it was created or
+    loaded, a :class:`_Fold`: the float64 sum of its member embeddings in
+    id order (what ``mean`` divides), its largest member id, and its member
+    of largest ``(memory_value, id)``.  A refresh to the old members plus
+    one id sorting after them all reads the fold and the new member only
+    (:meth:`_append`); any other refresh reads every member and replaces the
+    fold (:meth:`_recompute`).  A loaded pattern has no fold, so loading a
+    snapshot builds no sums.  The leading member stays exact because an
+    episode's ``memory_value`` changes only through :meth:`update_outcome`,
+    which promotes a member that rises past the leader and drops the leader
+    that falls, so that the next append rescans the members once.
     """
 
     def __init__(self, config: MemoryConfig | None = None) -> None:
@@ -381,6 +412,7 @@ class MemoryPool:
         self._neighbours: dict[str, set[str]] | None = None  # built on first formation
         self._holders: dict[str, set[str]] = {}  # member id -> ids of patterns holding it
         self._set_counts: Counter[frozenset[str]] = Counter()  # member set -> patterns with it
+        self._folds: dict[str, _Fold] = {}  # pattern id -> its fold, since its last recompute
         self._index = SparseRows(self.config.embedding_dim)
         self._rows: list[Episode] = []
         self._stamps: list[float] = []
@@ -476,13 +508,21 @@ class MemoryPool:
         ep.successes += int(success)
         delta = self.config.outcome_delta
         factor = (1.0 + delta) if success else (1.0 - delta)
-        ep.memory_value = max(0.0, ep.memory_value * factor)
-        if change:
-            for pid in self._holders.get(episode_id, ()):
+        old_value, ep.memory_value = ep.memory_value, max(0.0, ep.memory_value * factor)
+        for pid in self._holders.get(episode_id, ()):
+            if change:
                 pat = self._patterns[pid]
                 # a snapshot saved beside other episodes may disagree; stay in range
                 pat.success_members = min(max(pat.success_members + change, 0),
                                           len(pat.member_ids))
+            fold = self._folds.get(pid)
+            if fold is None or fold.best is None:
+                continue
+            if fold.best is ep:
+                if ep.memory_value < old_value:
+                    fold.best = None  # another member may now lead: rescan at the next append
+            elif _donor_key(ep) > _donor_key(fold.best):
+                fold.best = ep
 
     # -- pattern formation --------------------------------------------------
 
@@ -575,26 +615,78 @@ class MemoryPool:
         return best
 
     def _refresh_pattern(self, pat: Pattern, members: set[str]) -> None:
-        rows = np.stack([self._episodes[m].embedding for m in sorted(members)])
-        centroid = rows.mean(axis=0)
-        norm = float(np.linalg.norm(centroid))
-        if norm == 0.0:
-            centroid = rows[0].copy()
-            norm = 1.0
-        centroid = centroid / norm
-        eps = [self._episodes[m] for m in sorted(members)]
-        donor = max(eps, key=lambda e: (e.memory_value, e.id))
-        pat.centroid = centroid
-        pat.actions = list(donor.actions)
-        pat.resolution_path = list(donor.resolution_path)
-        pat.source_episode_id = donor.id
+        """Make ``pat`` the pattern of ``members``, every one of them stored.
+
+        By its newest member alone when ``members`` is the old member set
+        plus one id sorting after every old one (:meth:`_append`), else by
+        reading every member (:meth:`_recompute`).  Both give the same
+        fields, bit for bit.
+        """
+        if not self._append(pat, members):
+            self._recompute(pat, members)
         members = set(members)
         self._remap(pat.id, pat.member_ids, members)
         pat.member_ids = members
+
+    def _recompute(self, pat: Pattern, members: set[str]) -> None:
+        eps = [self._episodes[m] for m in sorted(members)]
+        rows = np.stack([e.embedding for e in eps])
+        total = rows.sum(axis=0)  # what rows.mean(axis=0) divides
+        centroid = total / len(eps)
+        norm = _norm(centroid)
+        if norm == 0.0:
+            centroid = rows[0].copy()
+            norm = 1.0
+        pat.centroid = centroid / norm
         pat.last_updated = max(e.timestamp for e in eps)
-        ctx_sets = [set(e.context) for e in eps]
-        pat.context_labels = frozenset(set.intersection(*ctx_sets)) if ctx_sets else frozenset()
+        pat.context_labels = frozenset(set.intersection(*(set(e.context) for e in eps)))
         pat.success_members = sum(e.outcome is Outcome.SUCCESS for e in eps)
+        donor = max(eps, key=_donor_key)
+        self._set_donor(pat, donor)
+        self._folds[pat.id] = _Fold(total, eps[-1].id, donor)
+
+    def _append(self, pat: Pattern, members: set[str]) -> bool:
+        """Refresh ``pat`` from its fold and its one new member, if
+        ``members`` is its member set plus one id sorting after every old
+        one; else return False and leave ``pat`` as it is.
+
+        numpy's axis-0 sum adds the rows one after another in member order,
+        so the next row is the old sum plus the new member's embedding.  A
+        zero norm is left to :meth:`_recompute`, which takes the first
+        member's embedding instead.
+        """
+        fold = self._folds.get(pat.id)
+        if fold is None or len(members) != len(pat.member_ids) + 1:
+            return False
+        added = members - pat.member_ids
+        if len(added) != 1:
+            return False
+        (eid,) = added
+        if not eid > fold.last:
+            return False
+        ep = self._episodes[eid]
+        total = fold.total + ep.embedding
+        centroid = total / len(members)
+        norm = _norm(centroid)
+        if norm == 0.0:
+            return False
+        best = fold.best
+        if best is None:  # the best member fell: rescan the old members once
+            best = max(map(self._episodes.__getitem__, pat.member_ids), key=_donor_key)
+        donor = max(best, ep, key=_donor_key)
+        pat.centroid = centroid / norm
+        pat.last_updated = max(pat.last_updated, ep.timestamp)
+        pat.context_labels = pat.context_labels & ep.context
+        pat.success_members += ep.outcome is Outcome.SUCCESS
+        self._set_donor(pat, donor)
+        fold.total, fold.last, fold.best = total, eid, donor
+        return True
+
+    @staticmethod
+    def _set_donor(pat: Pattern, donor: Episode) -> None:
+        pat.actions = list(donor.actions)
+        pat.resolution_path = list(donor.resolution_path)
+        pat.source_episode_id = donor.id
 
     def _remap(self, pid: str, old: set[str], new: set[str]) -> None:
         """Move pattern ``pid`` from member set ``old`` to ``new`` in
@@ -862,6 +954,7 @@ class MemoryPool:
             old = self._patterns.get(pat.id)
             self._remap(pat.id, old.member_ids if old else set(), pat.member_ids)
             self._patterns[pat.id] = pat
+            self._folds.pop(pat.id, None)  # its next refresh recomputes
         self._pattern_seq = seq
         return len(loaded)
 

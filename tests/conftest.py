@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -8,7 +10,9 @@ settings.register_profile(
     max_examples=50,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("suite")
+# CI runs four times the examples: HYPOTHESIS_PROFILE=ci
+settings.register_profile("ci", settings.get_profile("suite"), max_examples=200)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 
 @pytest.fixture

@@ -203,6 +203,19 @@ def test_feedback_with_zero_delta_probe_reports_error(runner, learned_stores):
     assert "Traceback" not in result.stderr
 
 
+def test_diagnose_with_a_number_beyond_the_float_range_reports_error(runner, learned_stores):
+    # a 400-digit int converts to no float; the load names it, not a traceback
+    path = learned_stores["dir"] / "controller.json"
+    payload = json.loads(path.read_text())
+    payload["tau"] = 10 ** 400
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(main, seeded_diagnose_args(learned_stores, "--controller", str(path)))
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: bad controller checkpoint: tau 1000")
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("option", ["--graph", "--memory", "--controller"])
 def test_diagnose_with_directory_store_reports_error(runner, tmp_path, option):
     result = runner.invoke(main, ["diagnose", SYMPTOM, option, str(tmp_path)])
@@ -452,6 +465,16 @@ SIMULATE_CAPACITY_20_DIGESTS = {
 }
 
 
+# the same for ``simulate --sessions 1100 --recurrence 0.5 --corpus 1100``,
+# whose pool holds 578 distinct embeddings and whose controller
+# history passes its 1,000-record limit
+SIMULATE_1100_DIGESTS = {
+    "text": "294e8560bb322a7bb4a503e6dd3917e9adc7046f5a2ecd074bb1b439499f2a88",
+    "csv": "875657f3f4d9eff64fd7cb5540cde0bff02d833e195c444e2790051f73a4f2aa",
+    "traces": "13581301111f50148616d5fa068f02d6cabbd03f7f972d99faa447f3f1fab282",
+}
+
+
 def simulate_digests(runner, tmp_path, *args):
     """SHA-256 of the text, CSV and traces that ``simulate *args`` writes."""
     csv_path, traces_path = tmp_path / "curve.csv", tmp_path / "traces.jsonl"
@@ -486,6 +509,15 @@ def test_simulate_with_evictions_matches_recorded_digests(runner, tmp_path):
     got = simulate_digests(runner, tmp_path, "--sessions", "400", "--recurrence", "0.5",
                            "--config", str(config))
     assert got == SIMULATE_CAPACITY_20_DIGESTS
+
+
+def test_simulate_long_stream_matches_recorded_digests(runner, tmp_path):
+    """Like the 600-session digests, for a stream of 1,100 distinct
+    scenarios: patterns grow to 12-112 members by appends, and the threshold
+    replay runs on after the history starts dropping its oldest records."""
+    got = simulate_digests(runner, tmp_path, "--sessions", "1100", "--recurrence", "0.5",
+                           "--corpus", "1100")
+    assert got == SIMULATE_1100_DIGESTS
 
 
 def test_simulate_no_memory_never_goes_intuitive(runner):

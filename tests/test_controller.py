@@ -174,6 +174,69 @@ def test_replay_loss_counts_equal_the_loop_bit_for_bit(cost, xi, records, taus):
         assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
+def scanning_adapt_threshold(state):
+    """``adapt_threshold``'s step with the loss of a scan of the history."""
+    if len(state.history) >= MIN_HISTORY:
+        d = state.opt.delta_probe
+        grad = (replay_loss(state.tau + d, state.history, state.opt)
+                - replay_loss(state.tau - d, state.history, state.opt)) / (2.0 * d)
+        state.tau = min(1.0, max(0.0, state.tau - state.opt.eta_meta * grad))
+    return state.tau
+
+
+TAU_GRID = [0.0, -0.0, 0.7, 0.73, 0.75, 0.77, 0.8, 1.0, math.nan]
+REPLAY_RECORD = st.tuples(st.sampled_from(TAU_GRID) | st.floats(0, 1), st.booleans())
+
+
+@given(
+    maxlen=st.integers(MIN_HISTORY, 40) | st.none(),
+    opt=st.builds(OptParams, eta_meta=st.sampled_from([0.01, 0.5, 5.0]),
+                  xi=st.floats(0, 1), delta_probe=st.sampled_from([0.02, 0.03, 0.25]),
+                  analytic_cost=st.sampled_from([10.0, 3.0, 2.5])),
+    prefilled=st.lists(REPLAY_RECORD, max_size=50),
+    arrivals=st.lists(st.lists(REPLAY_RECORD, max_size=8), min_size=1, max_size=30),
+)
+def test_threshold_steps_equal_the_scanning_replay(maxlen, opt, prefilled, arrivals):
+    # A history handed in already filled, records arriving between steps
+    # past a small maxlen, NaN c_max, and c_max equal to a probe: every tau
+    # must be the scanning step's, bit for bit.
+    def state():
+        return ControllerState(opt=opt, history=deque(
+            (rec(c, f) for c, f in prefilled), maxlen=maxlen))
+
+    c, ref = MetaController(state()), state()
+    for batch in arrivals:
+        for r in batch:
+            c.record(rec(*r))
+            ref.history.append(rec(*r))
+        assert struct.pack("<d", c.adapt_threshold()[1]) == \
+            struct.pack("<d", scanning_adapt_threshold(ref))
+
+
+def test_loaded_checkpoint_steps_equal_the_scanning_replay(tmp_path, rng):
+    # the live controller has its replay lists; the loaded one builds them
+    # at its first step, then both roll past the 1,000-record maxlen
+    live = MetaController()
+    for _ in range(990):
+        live.record(rec(float(rng.uniform(0, 1)), bool(rng.random() < 0.6)))
+    live.adapt_threshold()
+    path = tmp_path / "controller.json"
+    live.save(str(path))
+    loaded = MetaController.load(str(path))
+    ref = ControllerState(tau=live.state.tau, opt=live.state.opt,
+                          history=deque(live.state.history, maxlen=1000))
+    for _ in range(60):
+        r = rec(float(rng.choice([rng.uniform(0, 1), ref.tau + 0.02, 0.5])),
+                bool(rng.random() < 0.6))
+        for c in (live, loaded):
+            c.record(r)
+        ref.history.append(r)
+        want = struct.pack("<d", scanning_adapt_threshold(ref))
+        assert struct.pack("<d", live.adapt_threshold()[1]) == want
+        assert struct.pack("<d", loaded.adapt_threshold()[1]) == want
+    assert len(live.state.history) == len(loaded.state.history) == 1000
+
+
 def test_replay_loss_error_term_vanishes_when_all_sufficient():
     hist = [rec(c / 10, True) for c in range(1, 11)]
     opt = OptParams()

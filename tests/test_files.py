@@ -1,9 +1,11 @@
+import json
 import os
 
 import pytest
 
 from helpers import NOW, jitter_unit, mk_episode, rand_unit, small_pool
-from kubediag.controller import MetaController
+from kubediag.controller import MetaController, SessionRecord
+from kubediag.errors import SchemaViolation
 from kubediag.files import write_atomic
 from kubediag.graph import GraphEdge, GraphNode, KnowledgeGraph, NodeType, Relation
 from kubediag.memory import MemoryPool
@@ -80,3 +82,75 @@ def test_write_atomic_creates_and_replaces(tmp_path):
     write_atomic(str(path), lambda fh: fh.write("two\n"))
     assert path.read_text() == "two\n"
     assert os.listdir(tmp_path) == ["store.json"]
+
+
+# -- numbers beyond the float range -------------------------------------------
+
+HUGE = 10 ** 400  # a JSON int that no float holds
+
+
+def huge_episode_timestamp(path):
+    lines = path.read_text().splitlines()
+    raw = json.loads(lines[2])
+    raw["timestamp"] = HUGE
+    lines[2] = json.dumps(raw)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def edit_json(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def controller_store(rng):
+    c = MetaController()
+    for _ in range(3):
+        c.record(SessionRecord(0.5, (0.5, 0.5, 0.5, 0.5), True))
+    return c
+
+
+# case -> (build, save, edit of the saved file, load, what the error names)
+HUGE_CASES = {
+    "episode-timestamp": (memory_store, MemoryPool.save_episodes, huge_episode_timestamp,
+                          lambda path: small_pool(16).load_episodes(path), r"^line 3: timestamp "),
+    "pattern-last-updated": (
+        memory_store, MemoryPool.save_pattern_snapshot,
+        lambda path: edit_json(path, lambda d: d["patterns"][0].update(last_updated=HUGE)),
+        lambda path: small_pool(16).load_pattern_snapshot(path),
+        r"^bad pattern snapshot: last_updated "),
+    "controller-tau": (controller_store, MetaController.save,
+                       lambda path: edit_json(path, lambda d: d.update(tau=HUGE)),
+                       MetaController.load, r"^bad controller checkpoint: tau "),
+    "record-c-max": (controller_store, MetaController.save,
+                     lambda path: edit_json(path, lambda d: d["history"][1].update(c_max=HUGE)),
+                     MetaController.load, r"^bad controller checkpoint: record c_max "),
+    "edge-weight": (lambda rng: graph_store(), KnowledgeGraph.save,
+                    lambda path: edit_json(path, lambda d: d["edges"][1].update(weight=HUGE)),
+                    KnowledgeGraph.load, r"^edge 'b' -causes-> 'c': weight "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_CASES))
+def test_number_beyond_the_float_range_is_a_schema_violation(tmp_path, rng, case):
+    # math.isfinite raises OverflowError on such an int; a loader must not
+    build, save, edit, load, names = HUGE_CASES[case]
+    path = tmp_path / "store.json"
+    save(build(rng), str(path))
+    edit(path)
+    with pytest.raises(SchemaViolation, match=names + "1" + "0" * 400 + " is not a finite number"):
+        load(str(path))
+
+
+def test_earlier_bad_norm_is_named_before_a_huge_timestamp(tmp_path, rng):
+    pool = memory_store(rng)
+    path = tmp_path / "episodes.jsonl"
+    pool.save_episodes(str(path))
+    huge_episode_timestamp(path)
+    lines = path.read_text().splitlines()
+    raw = json.loads(lines[1])
+    raw["embedding"]["value"][0] *= 2.0
+    lines[1] = json.dumps(raw)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaViolation, match=r"^line 2: episode ep-000001: embedding norm"):
+        small_pool(16).load_episodes(str(path))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import struct
 import tracemalloc
 from collections import Counter
 
@@ -639,7 +640,30 @@ def test_diagnosis_scores_few_episodes_of_a_growing_pool(monkeypatch):
 class FullScanPool(MemoryPool):
     """The pool with frozen copies of the code paths that scanned every
     pattern (formation, outcome updates) or rescored every linked row the
-    index kept (``_link``), before the member maps and the exact skip."""
+    index kept (``_link``), before the member maps and the exact skip, and
+    of the refresh that read every member, before the append step."""
+
+    def _refresh_pattern(self, pat, members):
+        rows = np.stack([self._episodes[m].embedding for m in sorted(members)])
+        centroid = rows.mean(axis=0)
+        norm = float(np.linalg.norm(centroid))
+        if norm == 0.0:
+            centroid = rows[0].copy()
+            norm = 1.0
+        centroid = centroid / norm
+        eps = [self._episodes[m] for m in sorted(members)]
+        donor = max(eps, key=lambda e: (e.memory_value, e.id))
+        pat.centroid = centroid
+        pat.actions = list(donor.actions)
+        pat.resolution_path = list(donor.resolution_path)
+        pat.source_episode_id = donor.id
+        members = set(members)
+        self._remap(pat.id, pat.member_ids, members)
+        pat.member_ids = members
+        pat.last_updated = max(e.timestamp for e in eps)
+        ctx_sets = [set(e.context) for e in eps]
+        pat.context_labels = frozenset(set.intersection(*ctx_sets)) if ctx_sets else frozenset()
+        pat.success_members = sum(e.outcome is Outcome.SUCCESS for e in eps)
 
     def update_outcome(self, episode_id, outcome, success):
         ep = self.episode(episode_id)
@@ -773,6 +797,148 @@ def test_member_maps_match_the_full_scan(tmp_path_factory, seed, capacity, steps
         assert pattern_state(pools[0]) == pattern_state(pools[1])
         assert {e: (ep.outcome, ep.trials, ep.memory_value) for e, ep in pools[0].episodes.items()} \
             == {e: (ep.outcome, ep.trials, ep.memory_value) for e, ep in pools[1].episodes.items()}
+
+
+# -- pattern refresh: the append step against the full scan ------------------
+
+REFRESH_DIM = 6
+# ids of the engine's form and others, which sort before, between or after them
+EPISODE_ID = st.one_of(
+    st.integers(0, 999_999).map(lambda i: f"ep-{i:06d}"),
+    st.text(alphabet="aez-09", min_size=1, max_size=5),
+)
+
+
+def refresh_palette(rng):
+    """Unit vectors whose last two columns hold only ``-0.0`` and ``0.0``,
+    with column 4 ``-0.0`` in each, and their negations: column 4 of a
+    member set drawn from the first half holds only ``-0.0``, and a vector
+    with its negation sums to exactly zero, the centroid with no norm."""
+    vecs = []
+    for _ in range(4):
+        v = rand_unit(rng, REFRESH_DIM)
+        v[4:] = [-0.0, float(rng.choice([-0.0, 0.0]))]
+        vecs.append(v / np.linalg.norm(v))
+    return vecs + [-v for v in vecs]
+
+
+def refresh_state(pool):
+    """Every field a refresh writes, floats by their bits."""
+    return {
+        pid: (sorted(p.member_ids), p.centroid.tobytes(), p.source_episode_id,
+              list(p.actions), list(p.resolution_path), p.success_members,
+              struct.pack("d", p.last_updated), sorted(p.context_labels))
+        for pid, p in pool.patterns.items()
+    }
+
+
+def refresh_to(pool, pid, members):
+    """Refresh pattern ``pid`` to ``members`` as formation does, creating it
+    blank first when the pool has none of that id."""
+    pat = pool.patterns.get(pid)
+    if pat is None:
+        pat = pool.patterns[pid] = Pattern(id=pid, centroid=np.zeros(REFRESH_DIM), actions=[],
+                                           resolution_path=[], source_episode_id="",
+                                           member_ids=set(), last_updated=0.0)
+    pool._refresh_pattern(pat, set(members))
+
+
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), capacity=st.integers(3, 30),
+       ids=st.lists(EPISODE_ID, min_size=4, max_size=30, unique=True))
+def test_refresh_matches_the_full_scan(tmp_path_factory, data, seed, capacity, ids):
+    # Inserts (evicting past capacity), outcome updates that move donors up
+    # and down, refreshes to member sets that append an id sorting last, add
+    # or drop one member or are drawn afresh, reloads from the saved store
+    # and snapshot, and earlier snapshots loaded over the live patterns.
+    tmp = tmp_path_factory.mktemp("refresh")
+    palette = refresh_palette(np.random.default_rng(seed))
+    pools = [small_pool(REFRESH_DIM, capacity=capacity),
+             FullScanPool(MemoryConfig(embedding_dim=REFRESH_DIM, capacity=capacity))]
+    unused = iter(ids)
+    snapshots = []
+    ops = ["insert"] * 3 + ["outcome"] * 4 + ["refresh"] * 8 + ["reload", "load-over"]
+    for step in range(data.draw(st.integers(10, 60), label="steps")):
+        live = sorted(pools[0].episodes)
+        op = data.draw(st.sampled_from(ops) if live else st.just("insert"))
+        if op == "insert":
+            eid = next(unused, None)
+            if eid is None:
+                continue
+            ep = dict(
+                embedding=palette[data.draw(st.integers(0, len(palette) - 1))],
+                ts=data.draw(st.sampled_from([0.0, -0.0, 5.0, NOW])),
+                value=data.draw(st.sampled_from([0.5, 1.0, 1.0, 2.0])),
+                context=data.draw(st.sets(st.sampled_from("abc"))),
+                outcome=data.draw(st.sampled_from(list(Outcome))),
+                actions=(f"act {eid}",), path=(eid,),
+            )
+            for pool in pools:
+                pool.insert_episode(mk_episode(eid, **ep))
+        elif op == "outcome":
+            eid = data.draw(st.sampled_from(live))
+            outcome = data.draw(st.sampled_from(list(Outcome)))
+            for pool in pools:
+                pool.update_outcome(eid, outcome, success=outcome is Outcome.SUCCESS)
+        elif op == "refresh":
+            pid = data.draw(st.sampled_from(["p1", "p2", "p3"]))
+            pat = pools[0].patterns.get(pid)
+            base = {m for m in pat.member_ids if m in pools[0].episodes} if pat else set()
+            after = [e for e in live if not base or e > max(base)]
+            mode = data.draw(st.sampled_from(["append"] * 5 + ["add", "drop", "afresh"]))
+            if mode == "append" and after:
+                members = base | {data.draw(st.sampled_from(after))}
+            elif mode == "add":
+                members = base | {data.draw(st.sampled_from(live))}
+            elif mode == "drop" and len(base) > 1:
+                members = base - {data.draw(st.sampled_from(sorted(base)))}
+            else:
+                members = set(data.draw(st.lists(st.sampled_from(live), min_size=1)))
+            for pool in pools:
+                refresh_to(pool, pid, members)
+        elif op == "reload":
+            path = str(tmp / f"episodes-{step}.jsonl")
+            pools[0].save_episodes(path)
+            pools[0].save_pattern_snapshot(path + ".patterns.json")
+            snapshots.append(path + ".patterns.json")
+            reloaded = []
+            for pool in pools:
+                fresh = type(pool)(pool.config)
+                fresh.load_episodes(path)
+                fresh.load_pattern_snapshot(path + ".patterns.json")
+                reloaded.append(fresh)
+            pools = reloaded
+        elif snapshots:
+            snapshot = data.draw(st.sampled_from(snapshots))
+            for pool in pools:
+                pool.load_pattern_snapshot(snapshot)
+        assert refresh_state(pools[0]) == refresh_state(pools[1])
+        assert_maps_rebuild(pools[0])
+
+
+def test_most_refreshes_on_a_recurring_stream_append(monkeypatch):
+    # On the 400-session recurring stream a refresh almost always adds the
+    # newest episode to a pattern; only those that do not read every member.
+    from kubediag.scenarios import build_world
+    from kubediag.simulate import SimulationConfig, build_stream, make_engine, run_stream
+
+    calls = Counter()
+
+    def count(name):
+        inner = getattr(MemoryPool, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return inner(self, *args)
+
+        monkeypatch.setattr(MemoryPool, name, counted)
+
+    count("_refresh_pattern")
+    count("_recompute")
+    cfg = SimulationConfig(total_sessions=400, recurrence=0.5, seed=3)
+    scenarios, graph = build_world(cfg.seed, cfg.corpus_size)
+    run_stream(make_engine(graph), build_stream(scenarios, cfg), cfg.window)
+    assert calls["_refresh_pattern"] >= 300
+    assert calls["_recompute"] <= 0.1 * calls["_refresh_pattern"], calls
 
 
 def test_formation_compares_overlaps_once_per_touched_pattern(monkeypatch):
