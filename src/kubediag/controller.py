@@ -35,7 +35,7 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import EmptyHistory, InvalidArgument, SchemaViolation
-from .files import as_number, is_finite, write_atomic
+from .files import as_number, is_finite, short_repr, write_atomic
 from .memory import FACTOR_NAMES, _FACTOR_FLOOR
 
 MIN_HISTORY = 10  # records needed before any self-tuning step
@@ -58,7 +58,7 @@ class OptParams:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if not is_finite(value):
-                raise InvalidArgument(f"{f.name} must be a finite number, got {value!r}")
+                raise InvalidArgument(f"{f.name} must be a finite number, got {short_repr(value)}")
         if self.delta_probe <= 0 or self.analytic_cost <= 0:
             raise InvalidArgument("delta_probe and analytic_cost must be > 0")
         if not 0.0 <= self.xi <= 1.0:
@@ -318,7 +318,7 @@ class MetaController:
             opt = OptParams(**payload["opt_params"])
             weights = payload["factor_weights"]
             if not isinstance(weights, list):  # a string would load as its characters
-                raise TypeError(f"factor_weights {weights!r} is not a list")
+                raise TypeError(f"factor_weights {short_repr(weights)} is not a list")
             state = ControllerState(
                 tau=as_number(payload["tau"], "tau"),
                 factor_weights=tuple(as_number(w, "factor weight") for w in weights),
@@ -363,10 +363,11 @@ def _records_from_json(history: object) -> list[SessionRecord]:
 def _record_from_json(raw: dict) -> SessionRecord:
     c_max, factors, fast = raw["c_max"], raw["factors"], raw["fast_sufficient"]
     if not is_finite(c_max):
-        raise ValueError(f"record c_max {c_max!r} is not a finite number")
+        raise ValueError(f"record c_max {short_repr(c_max)} is not a finite number")
     if not (isinstance(factors, list) and len(factors) == len(FACTOR_NAMES)
             and all(map(is_finite, factors))):
-        raise ValueError(f"record factors {factors!r} are not {len(FACTOR_NAMES)} finite numbers")
+        raise ValueError(f"record factors {short_repr(factors)} are not"
+                         f" {len(FACTOR_NAMES)} finite numbers")
     if type(fast) is not bool:
-        raise ValueError(f"record fast_sufficient {fast!r} is not a boolean")
+        raise ValueError(f"record fast_sufficient {short_repr(fast)} is not a boolean")
     return SessionRecord(float(c_max), tuple(float(f) for f in factors), fast)

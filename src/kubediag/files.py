@@ -3,7 +3,9 @@ their loaders share.
 
 The checks reject a value of the wrong JSON type instead of coercing it: a
 string where a list belongs would otherwise load as its characters, and a
-JSON ``true`` or ``"0.5"`` as a number.
+JSON ``true`` or ``"0.5"`` as a number.  A rejected value is named by
+:func:`short_repr`, so that a 400-digit number or a long list cannot flood
+the message.
 """
 
 from __future__ import annotations
@@ -51,25 +53,37 @@ def is_finite(x: object) -> bool:
         return False
 
 
+_REPR_LIMIT = 60
+
+
+def short_repr(x: object) -> str:
+    """``repr(x)``, its middle cut to ``...`` when it is longer than 60 characters."""
+    text = repr(x)
+    if len(text) <= _REPR_LIMIT:
+        return text
+    head = (_REPR_LIMIT - 3) // 2
+    return text[:head] + "..." + text[len(text) - (_REPR_LIMIT - 3 - head):]
+
+
 def as_number(x: object, name: str) -> float:
     if not is_finite(x):
-        raise TypeError(f"{name} {x!r} is not a finite number")
+        raise TypeError(f"{name} {short_repr(x)} is not a finite number")
     return float(x)
 
 
 def as_count(x: object, name: str) -> int:
     if type(x) is not int:
-        raise TypeError(f"{name} {x!r} is not an integer")
+        raise TypeError(f"{name} {short_repr(x)} is not an integer")
     return x
 
 
 def as_string(x: object, name: str) -> str:
     if not isinstance(x, str):
-        raise TypeError(f"{name} {x!r} is not a string")
+        raise TypeError(f"{name} {short_repr(x)} is not a string")
     return x
 
 
 def as_strings(x: object, name: str) -> list[str]:
     if not (isinstance(x, list) and all(isinstance(s, str) for s in x)):
-        raise TypeError(f"{name} {x!r} is not a list of strings")
+        raise TypeError(f"{name} {short_repr(x)} is not a list of strings")
     return x

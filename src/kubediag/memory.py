@@ -32,12 +32,15 @@ not ``+0.0`` (a hashing embedding has about 14 of 2048), and is rebuilt bit
 for bit on load.  The dense lists of older stores still load; the next save
 rewrites them sparse.  Every save replaces its file atomically.
 
-Loading an episode file is one pass per file, not per record: each line is
-decoded and type-checked, and its sparse entries are checked with C-level
-passes over its lists, but the entries of every line are gathered into the
-index, and every norm is checked, with one array operation each.  A load is
-all or nothing: it raises for the first invalid line, as a line-by-line load
-would, and leaves the pool unchanged.
+Loading an episode file decodes each line, then checks each field a column
+at a time, over every line at once: C-level passes over the values, and
+array operations over the sparse entries of every line, gathered into one
+flat array that the index takes as it is.  A loaded episode keeps its slice
+of those entries and builds its dense embedding when something first reads
+it, which a read-only diagnosis does for a few of them (the rows it scores
+exactly).  A load is all or nothing: when a check fails, the file is read
+again a line at a time, which raises for the first invalid line and leaves
+the pool unchanged.
 """
 
 from __future__ import annotations
@@ -50,14 +53,15 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain
+from functools import cached_property
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .embedding import DEFAULT_DIM, Embedder, SparseRows, nonzero_index
 from .errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound, SchemaViolation
-from .files import as_count, as_number, as_string, as_strings, write_atomic
+from .files import as_count, as_number, as_string, as_strings, short_repr, write_atomic
 from .text import tokenize
 
 SECONDS_PER_DAY = 86_400.0
@@ -139,7 +143,13 @@ def make_query(embedder: Embedder, symptoms: Sequence[str], context: Iterable[st
 
 @dataclass(eq=False)
 class Episode:
-    """One concrete diagnostic trajectory."""
+    """One concrete diagnostic trajectory.
+
+    An episode built by its constructor holds its dense ``embedding`` from
+    the start.  One loaded by :meth:`MemoryPool.load_episodes` holds only
+    its sparse entries until ``embedding`` is first read (see
+    :class:`_LoadedEpisode`); a diagnosis reads a few of them.
+    """
 
     id: str
     symptoms: list[str]
@@ -175,6 +185,27 @@ class Episode:
             )
         if not math.isfinite(self.timestamp) or self.timestamp < 0:
             raise InvalidArgument(f"episode {self.id}: timestamp must be finite and >= 0")
+
+
+class _LoadedEpisode(Episode):
+    """An episode read by :meth:`MemoryPool.load_episodes`.
+
+    It keeps its sparse entries as ``_sparse``, ``(dim, col, val, a, b)``:
+    ``val[a:b]`` at ``col[a:b]`` of the load's flat arrays.  The first read
+    of ``embedding`` scatters them into zeros, as the eager load did,
+    ``-0.0`` entries included, and keeps the array as an instance attribute.
+    Each episode gets its own array, which an eviction frees; views of one
+    ``(n, dim)`` block would keep the whole block alive.  The property lives
+    on this subclass alone, so that reading an :class:`Episode`'s embedding
+    stays a plain attribute read.
+    """
+
+    @cached_property
+    def embedding(self) -> np.ndarray:
+        dim, col, val, a, b = self._sparse
+        dense = np.zeros(dim)
+        dense[col[a:b]] = val[a:b]
+        return dense
 
 
 @dataclass(eq=False)
@@ -853,16 +884,96 @@ class MemoryPool:
         else ``SchemaViolation`` naming the line, an id used on an earlier
         line included.  A failed load leaves the pool unchanged.
 
-        Each line is decoded and its fields type-checked in turn.  The norm
-        check is the one check left to the whole file: one ``np.bincount``
-        of the squared stored values gives every norm, summed in another
-        order than ``np.dot``'s, and only the norms too near the tolerance
-        or beyond it are checked exactly.  The lines before the first
-        failing one are checked for their norm first, and so is the failing
-        line itself when its failure is one :meth:`Episode.validate` finds
-        after the norm.
+        A file of sparse lines is checked a column at a time
+        (:meth:`_read_columns`), and its episodes build their dense
+        embeddings when first read.  When a column check fails, or the file
+        holds a dense line of an older store, the lines are read again one
+        at a time (:meth:`_read_lines`), which names the first bad line.
         """
         dim = self.config.embedding_dim
+        loaded = self._read_columns(path, dim)
+        if loaded is None:
+            loaded = self._read_lines(path, dim)
+        eps, sizes, col, val = loaded
+        self._index.extend(sizes, col, val)
+        self._admit(eps)
+        return len(eps)
+
+    def _read_columns(self, path: str, dim: int) -> _Loaded | None:
+        """What :meth:`_read_lines` returns for a file of sparse lines that
+        pass every check, or None: each line is decoded, then each field is
+        checked over all lines at once by C-level passes, the sparse entries
+        as one flat array.  Any failed check, or one that cannot run, gives
+        None.  The episodes build their embeddings from the flat arrays when
+        first read (:class:`_LoadedEpisode`)."""
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:  # the line loop raises it as a line read does
+                return None
+        try:
+            raws = list(map(json.loads, filter(str.strip, text.split("\n"))))
+            ids, symptoms, context, actions, outcome, stamps, values, vectors, paths = zip(
+                *map(_EPISODE_KEYS, raws))
+            trials = list(map(dict.get, raws, repeat("trials"), repeat(0)))
+            successes = list(map(dict.get, raws, repeat("successes"), repeat(0)))
+            dims, index, value = zip(*map(_VECTOR_KEYS, vectors))
+            strings, numbers = symptoms + context + actions + paths, stamps + values
+            if not (set(map(type, ids)) == {str} and all(ids) and len(set(ids)) == len(ids)
+                    and self._tombstones.isdisjoint(ids)
+                    and self._episodes.keys().isdisjoint(ids)
+                    and set(map(type, strings)) == {list}
+                    and set(map(type, chain.from_iterable(strings))) <= {str}
+                    and set(outcome) <= _OUTCOMES.keys()
+                    and set(map(type, numbers)) <= {int, float}
+                    and all(map(math.isfinite, numbers)) and min(numbers) >= 0
+                    and set(map(type, trials + successes)) == {int}
+                    and min(successes) >= 0 and all(map(operator.le, successes, trials))
+                    and set(map(type, dims)) == {int} and set(dims) == {dim}
+                    and set(map(type, index + value)) == {list}
+                    and list(map(len, index)) == list(map(len, value))
+                    and set(map(type, chain.from_iterable(index))) <= {int}
+                    and set(map(type, chain.from_iterable(value))) <= {float}):
+                return None
+            sizes = list(map(len, index))
+            col = np.fromiter(chain.from_iterable(index), np.intp, sum(sizes))
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+            return None
+        val = np.fromiter(chain.from_iterable(value), np.float64, col.size)
+        # the decoded lines die here, not after the episodes are built: the
+        # collector runs on the count of live containers, and holding them
+        # costs a diagnose call one more collection
+        del raws, vectors, index, value
+        rows = np.repeat(np.arange(len(ids)), sizes)
+        # each row's indices increase within [0, dim) iff the flat keys
+        # row * dim + col increase
+        if col.size and not (col.min() >= 0 and col.max() < dim
+                             and (np.diff(rows * dim + col) > 0).all()):
+            return None
+        eps = list(map(_LoadedEpisode, ids, symptoms, map(set, context), actions,
+                       map(_OUTCOMES.__getitem__, outcome), map(float, stamps),
+                       map(float, values), repeat(None), paths, trials, successes))
+        starts = [0, *accumulate(sizes)]
+        for ep, a, b in zip(eps, starts, starts[1:]):
+            del ep.embedding  # built on first read
+            ep._sparse = dim, col, val, a, b
+        try:
+            for r in _unsure_norms(rows, val, len(eps), dim):
+                eps[r]._check_norm()
+        except InvalidArgument:
+            return None
+        return eps, sizes, col, val
+
+    def _read_lines(self, path: str, dim: int) -> _Loaded:
+        """The episodes of an episode file with their sparse entries, flat,
+        for :meth:`load_episodes`; raises for the first invalid line.
+
+        Each line is decoded and its fields type-checked in turn.  The norm
+        check is the one check left to the whole file (:func:`_unsure_norms`).
+        The lines before the first failing one are checked for their norm
+        first, and so is the failing line itself when its failure is one
+        :meth:`Episode.validate` finds after the norm.
+        """
         eps: list[Episode] = []
         index: list[list[int]] = []
         value: list[list[float]] = []
@@ -902,11 +1013,8 @@ class MemoryPool:
                 # (n, dim) block would keep the whole block alive
                 ep.embedding = np.zeros(dim)
                 ep.embedding[col[a:b]] = val[a:b]
-        norms = np.sqrt(np.bincount(np.repeat(np.arange(len(eps)), sizes), val * val, len(eps)))
-        # two summation orders of at most dim squares differ by under
-        # dim * eps of a unit norm, so a norm passing this passes exactly
-        sure = 1e-6 - 2.0 * dim * float(np.finfo(np.float64).eps)
-        for r in np.flatnonzero(~(np.abs(norms - 1.0) <= sure)).tolist():  # NaN is checked
+        rows = np.repeat(np.arange(len(eps)), sizes)
+        for r in _unsure_norms(rows, val, len(eps), dim):
             try:
                 eps[r]._check_norm()
             except InvalidArgument as exc:
@@ -916,9 +1024,7 @@ class MemoryPool:
             if isinstance(exc, DuplicateId):
                 raise exc
             raise SchemaViolation(f"line {line_no}: {exc}") from exc
-        self._index.extend(sizes, col, val)
-        self._admit(eps)
-        return len(eps)
+        return eps, sizes, col, val
 
     def save_pattern_snapshot(self, path: str) -> None:
         payload = {
@@ -963,6 +1069,28 @@ class MemoryPool:
 # serialization helpers
 
 
+# (episodes, entries per episode, flat indices, flat values) of a loaded file
+_Loaded = tuple[list[Episode], list[int], np.ndarray, np.ndarray]
+
+_EPISODE_KEYS = operator.itemgetter("id", "symptoms", "context", "actions", "outcome",
+                                    "timestamp", "memory_value", "embedding", "resolution_path")
+_VECTOR_KEYS = operator.itemgetter("dim", "index", "value")
+_OUTCOMES = {o.value: o for o in Outcome}
+
+
+def _unsure_norms(rows: np.ndarray, val: np.ndarray, n: int, dim: int) -> list[int]:
+    """The rows among ``n`` whose norm :meth:`Episode._check_norm` must
+    check, given every stored entry's row and value: one ``np.bincount`` of
+    the squared values gives every norm, summed in another order than
+    ``np.dot``'s, and only the norms too near the tolerance or beyond it,
+    NaN included, are left."""
+    norms = np.sqrt(np.bincount(rows, val * val, n))
+    # two summation orders of at most dim squares differ by under
+    # dim * eps of a unit norm, so a norm passing this passes exactly
+    sure = 1e-6 - 2.0 * dim * float(np.finfo(np.float64).eps)
+    return np.flatnonzero(~(np.abs(norms - 1.0) <= sure)).tolist()
+
+
 def _vector_to_json(v: np.ndarray) -> dict:
     """Sparse form of a dense vector: every entry that is not ``+0.0``.
 
@@ -1003,7 +1131,7 @@ def _sparse_from_json(raw: object, dim: int) -> tuple[list[int], list[float]]:
         raise TypeError(f"vector must be an object or a list, got {type(raw).__name__}")
     size, index, value = raw["dim"], raw["index"], raw["value"]
     if type(size) is not int or size != dim:
-        raise ValueError(f"vector dim {size!r} != {dim}")
+        raise ValueError(f"vector dim {short_repr(size)} != {dim}")
     if not isinstance(index, list) or not isinstance(value, list) or len(index) != len(value):
         raise ValueError("vector index and value must be lists of equal length")
     # C-level passes over the lists; the entry loop runs only when one
@@ -1015,9 +1143,10 @@ def _sparse_from_json(raw: object, dim: int) -> tuple[list[int], list[float]]:
         prev = -1
         for i, x in zip(index, value):
             if type(i) is not int or not prev < i < dim:
-                raise ValueError(f"vector index {i!r} not an increasing int in [0, {dim})")
+                raise ValueError(
+                    f"vector index {short_repr(i)} not an increasing int in [0, {dim})")
             if type(x) is not float:
-                raise ValueError(f"vector value {x!r} is not a float")
+                raise ValueError(f"vector value {short_repr(x)} is not a float")
             prev = i
     return index, value
 

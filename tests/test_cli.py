@@ -4,6 +4,7 @@ import io
 import json
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -214,6 +215,37 @@ def test_diagnose_with_a_number_beyond_the_float_range_reports_error(runner, lea
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: bad controller checkpoint: tau 1000")
     assert "Traceback" not in result.stderr
+
+
+def edit_lines(path, edit):
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(lines)
+    path.write_text("".join(json.dumps(raw) + "\n" for raw in lines))
+
+
+def edit_payload(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+# store -> edit of the saved file that puts a 400-digit int where a float belongs
+HUGE_EDITS = {
+    "memory": lambda p: edit_lines(p, lambda lines: lines[0].update(timestamp=10 ** 400)),
+    "graph": lambda p: edit_payload(p, lambda d: d["edges"][0].update(weight=10 ** 400)),
+    "controller": lambda p: edit_payload(p, lambda d: d.update(tau=10 ** 400)),
+}
+
+
+@pytest.mark.parametrize("store", sorted(HUGE_EDITS))
+def test_a_huge_number_in_a_store_makes_a_short_error_line(runner, learned_stores, store):
+    HUGE_EDITS[store](Path(learned_stores[store]))
+    result = runner.invoke(main, seeded_diagnose_args(
+        learned_stores, "--controller", learned_stores["controller"]))
+    assert result.exit_code == 1
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: ") and "...000" in line
+    assert len(line) < 200
 
 
 @pytest.mark.parametrize("option", ["--graph", "--memory", "--controller"])

@@ -1539,23 +1539,25 @@ def test_store_roundtrip_hashing_embeddings(tmp_path_factory, texts):
     assert_same_bits(fresh, pool)
 
 
+def dense_list(vec):
+    """The dense list of the older store format for a sparse vector."""
+    out = [0.0] * vec["dim"]
+    for i, x in zip(vec["index"], vec["value"]):
+        out[i] = x
+    return out
+
+
 def densify(path, key):
     """Rewrite a store's vectors as the dense lists of the older format."""
-    def dense(vec):
-        out = [0.0] * vec["dim"]
-        for i, x in zip(vec["index"], vec["value"]):
-            out[i] = x
-        return out
-
     if key == "embedding":
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         for raw in lines:
-            raw[key] = dense(raw[key])
+            raw[key] = dense_list(raw[key])
         path.write_text("".join(json.dumps(raw, sort_keys=True) + "\n" for raw in lines))
     else:
         data = json.loads(path.read_text())
         for raw in data["patterns"]:
-            raw[key] = dense(raw[key])
+            raw[key] = dense_list(raw[key])
         path.write_text(json.dumps(data, sort_keys=True, indent=2))
 
 
@@ -1696,6 +1698,9 @@ def pool_state(pool):
         "stamps": list(pool._stamps),
         "index": (idx.n, idx.row.tobytes(), idx.col.tobytes(), idx.val.tobytes()),
         "embeddings": [ep.embedding.tobytes() for ep in pool._rows],
+        "fields": [repr((ep.id, ep.symptoms, sorted(ep.context), ep.actions, ep.outcome,
+                         ep.timestamp, ep.memory_value, ep.resolution_path, ep.trials,
+                         ep.successes)) for ep in pool._rows],
         "tombstones": set(pool._tombstones),
         "neighbours": pool._neighbours,
     }
@@ -1783,6 +1788,8 @@ def load_line_by_line(pool, path):
     """The reference load: check and insert each line in turn."""
     dim = pool.config.embedding_dim
     for line in path.read_text().splitlines():
+        if not line.strip():
+            continue
         ep, index, value = memory_mod._episode_from_dict(json.loads(line), dim)
         if ep.embedding is None:
             ep.embedding = np.zeros(dim)
@@ -1818,6 +1825,206 @@ def test_bulk_load_equals_inserting_line_by_line(tmp_path_factory, vectors, repe
     assert pools[0].load_episodes(str(path)) == len(vectors)
     load_line_by_line(pools[1], path)
     assert pool_state(pools[0]) == pool_state(pools[1])
+
+
+class LineLoopPool(MemoryPool):
+    """A pool whose loads skip the column checks: the per-line loop alone."""
+
+    def _read_columns(self, path, dim):
+        return None
+
+
+def pool_with_evicted(cls=MemoryPool):
+    """Episodes old-0 to old-2 stored, old-3 evicted."""
+    pool = cls(MemoryConfig(embedding_dim=16, capacity=3))
+    for i in range(4):
+        pool.insert_episode(mk_episode(f"old-{i}", unit(16, i), ts=NOW - i * DAY))
+    pool.config.capacity = 64  # room for every loaded line
+    assert pool._tombstones == {"old-3"}
+    return pool
+
+
+def with_vector(raw, **changes):
+    return dict(raw, embedding=dict(raw["embedding"], **changes))
+
+
+def with_entry(raw, position, entry):
+    """``raw`` with ``entry`` as its ``position``-th vector index."""
+    index = list(raw["embedding"]["index"])
+    index[position] = entry
+    return with_vector(raw, index=index)
+
+
+def with_negative_zero(raw):
+    vec = raw["embedding"]
+    pairs = dict(zip(vec["index"], vec["value"]))
+    free = min(set(range(vec["dim"])) - set(pairs), default=None)
+    if free is not None:
+        pairs[free] = -0.0
+    return with_vector(raw, index=sorted(pairs), value=[pairs[i] for i in sorted(pairs)])
+
+
+HUGE_INT = 10 ** 400
+
+# name -> edit of one decoded line of an episode file; "none", "negative-zero",
+# "no-counts", "dense" and "trials-huge" leave it valid
+LINE_EDITS = {
+    "none": lambda raw: raw,
+    "trials-true": lambda raw: dict(raw, trials=True),
+    "timestamp-true": lambda raw: dict(raw, timestamp=True),
+    "dim-true": lambda raw: with_vector(raw, dim=True),
+    "timestamp-huge": lambda raw: dict(raw, timestamp=HUGE_INT),
+    "value-huge": lambda raw: dict(raw, memory_value=HUGE_INT),
+    "trials-huge": lambda raw: dict(raw, trials=HUGE_INT),
+    "dim-huge": lambda raw: with_vector(raw, dim=HUGE_INT),
+    "index-huge": lambda raw: with_entry(raw, 0, HUGE_INT),
+    "negative-zero": with_negative_zero,
+    "outcome-list": lambda raw: dict(raw, outcome=["success"]),
+    "outcome-unknown": lambda raw: dict(raw, outcome="resolved"),
+    "id-int": lambda raw: dict(raw, id=7),
+    "id-empty": lambda raw: dict(raw, id=""),
+    "id-held": lambda raw: dict(raw, id="old-0"),
+    "id-evicted": lambda raw: dict(raw, id="old-3"),
+    "id-repeated": lambda raw: dict(raw, id="ep-000000"),
+    "successes-over-trials": lambda raw: dict(raw, trials=1, successes=2),
+    "trials-negative": lambda raw: dict(raw, trials=-1),
+    "successes-negative": lambda raw: dict(raw, trials=1, successes=-1),
+    "timestamp-negative": lambda raw: dict(raw, timestamp=-1.0),
+    "value-negative": lambda raw: dict(raw, memory_value=-0.5),
+    "value-nan": lambda raw: dict(raw, memory_value=float("nan")),
+    "index-unsorted": lambda raw: with_vector(raw, index=raw["embedding"]["index"][::-1]),
+    "index-negative": lambda raw: with_entry(raw, 0, -1),
+    "index-out-of-range": lambda raw: with_entry(raw, -1, 16),
+    "index-float": lambda raw: with_entry(raw, 0, 1.0),
+    "index-true": lambda raw: with_entry(raw, 0, True),
+    "dim-float": lambda raw: with_vector(raw, dim=16.0),
+    "value-int": lambda raw: with_vector(raw, value=[1] + raw["embedding"]["value"][1:]),
+    "value-int-zero": lambda raw: with_vector(
+        raw, value=[0 if x == 0.0 else x for x in raw["embedding"]["value"]]),
+    "value-short": lambda raw: with_vector(raw, value=raw["embedding"]["value"][1:]),
+    "vector-string": lambda raw: dict(raw, embedding="[0.0, 1.0]"),
+    "symptoms-string": lambda raw: dict(raw, symptoms="pod crashlooping"),
+    "context-ints": lambda raw: dict(raw, context=[1, 2]),
+    "norm": lambda raw: with_vector(raw, value=[2.0 * x for x in raw["embedding"]["value"]]),
+    "no-counts": lambda raw: {k: v for k, v in raw.items() if k not in ("trials", "successes")},
+    "no-outcome": lambda raw: {k: v for k, v in raw.items() if k != "outcome"},
+    "dense": lambda raw: dict(raw, embedding=dense_list(raw["embedding"])),
+    "list": lambda raw: [raw],
+}
+
+
+def load_outcome(cls, path):
+    """The loaded state of a fresh pool_with_evicted(cls), or the type and
+    message of the load's error after checking that it left the pool as it was."""
+    pool = pool_with_evicted(cls)
+    before = pool_state(pool)
+    try:
+        pool.load_episodes(str(path))
+    except (SchemaViolation, DuplicateId) as exc:
+        assert pool_state(pool) == before
+        return type(exc), str(exc)
+    return pool_state(pool)
+
+
+def assert_column_load_is_the_line_loops(path):
+    """``load_episodes`` on ``path`` gives what the per-line loop alone gives,
+    and accepts the file iff the reference insert loop does, in its state."""
+    got = load_outcome(MemoryPool, path)
+    assert got == load_outcome(LineLoopPool, path)
+    reference = pool_with_evicted()
+    if isinstance(got, tuple):
+        with pytest.raises((ValueError, KeyError, TypeError, InvalidArgument, DuplicateId)):
+            load_line_by_line(reference, path)
+    else:
+        load_line_by_line(reference, path)
+        assert got == pool_state(reference)
+
+
+def write_edited(path, vectors, edits, newline="\n", blank=""):
+    """A store of ``vectors`` whose line ``i`` is edited by ``edits[i]``,
+    a blank line of ``blank`` before the second line when it is not empty."""
+    pool_of_vectors(vectors, 16).save_episodes(str(path))
+    lines = [json.dumps(LINE_EDITS[edits.get(i, "none")](json.loads(line)))
+             for i, line in enumerate(path.read_text().splitlines())]
+    if blank:
+        lines.insert(1, blank)
+    path.write_bytes("".join(line + newline for line in lines).encode())
+
+
+def negative_zero_vectors(n, dim=16):
+    """``n`` unit vectors, each with two ``-0.0`` entries and one ``+0.0``."""
+    out = []
+    for i in range(n):
+        v = np.sin(np.arange(dim) + i)
+        v[[i, dim - 1 - i]] = -0.0
+        v[[2 * i + 1]] = 0.0
+        out.append(v / np.linalg.norm(v))
+    return out
+
+
+@pytest.mark.parametrize("at", [0, 3])
+@pytest.mark.parametrize("edit", sorted(LINE_EDITS))
+def test_column_load_equals_the_line_loop_and_the_reference(tmp_path, edit, at):
+    # with the last line edited, a blank line follows the first and every
+    # line ends in CRLF
+    path = tmp_path / "episodes.jsonl"
+    write_edited(path, negative_zero_vectors(4), {at: edit},
+                 *(("\n", "") if at == 0 else ("\r\n", " \t")))
+    assert_column_load_is_the_line_loops(path)
+
+
+@given(vectors=st.lists(unit_vectors_with_zeros(), min_size=1, max_size=4),
+       edits=st.dictionaries(st.integers(0, 3), st.sampled_from(sorted(LINE_EDITS)), max_size=2),
+       newline=st.sampled_from(["\n", "\r\n"]), blank=st.sampled_from(["", " "]))
+def test_column_load_equals_the_line_loop_on_drawn_files(tmp_path_factory, vectors, edits,
+                                                         newline, blank):
+    path = tmp_path_factory.mktemp("load") / "episodes.jsonl"
+    write_edited(path, vectors, edits, newline, blank)
+    assert_column_load_is_the_line_loops(path)
+
+
+def hashing_store(path, n=150):
+    """A store of ``n`` episodes of distinct 2048-dim hashing embeddings."""
+    emb = HashingEmbedder(MemoryConfig().embedding_dim)
+    pool = MemoryPool(MemoryConfig())
+    for i in range(n):
+        text = f"pod-{i} oomkilled on node-{i % 7} cache-worker-{i % 11} restarts"
+        pool.insert_episode(mk_episode(f"ep-{i:06d}", emb.embed(text), ts=NOW + i))
+    pool.save_episodes(str(path))
+
+
+def test_a_load_builds_no_dense_embedding_until_one_is_read(tmp_path):
+    # 150 dense 2048-float arrays alone would retain 2.4 MB
+    path = tmp_path / "episodes.jsonl"
+    hashing_store(path)
+    pool = MemoryPool(MemoryConfig())
+    tracemalloc.start()
+    try:
+        assert pool.load_episodes(str(path)) == 150
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20
+    reference = MemoryPool(MemoryConfig())
+    load_line_by_line(reference, path)
+    ep = pool.episode("ep-000042")
+    assert "embedding" not in vars(ep)
+    assert ep.embedding.tobytes() == reference.episode("ep-000042").embedding.tobytes()
+    assert ep.embedding is ep.embedding  # built once, then an instance-dict hit
+    assert sum("embedding" in vars(e) for e in pool.episodes.values()) == 1
+
+
+def test_a_loaded_store_saves_back_byte_for_byte(tmp_path):
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    pool_of_vectors(negative_zero_vectors(4), 16).save_episodes(str(first))
+    stored = [x for line in first.read_text().splitlines()
+              for x in json.loads(line)["embedding"]["value"]]
+    assert [math.copysign(1.0, x) for x in stored if x == 0.0] == [-1.0] * 8
+    pool = small_pool(16)
+    pool.load_episodes(str(first))
+    assert not any("embedding" in vars(ep) for ep in pool.episodes.values())
+    pool.save_episodes(str(second))
+    assert second.read_bytes() == first.read_bytes()
 
 
 # ---------------------------------------------------------------------------
