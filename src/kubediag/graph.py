@@ -17,18 +17,21 @@ difference; each candidate is rebuilt dense, bit for bit, and rescored with
 ``np.dot``.  A label is embedded once and re-embedded only when it changes.
 
 Each node's out-edges are kept sorted by relation, then destination, so
-reading them sorts nothing.  The search scores each extension of a path once,
-from state the path carries (its running sum of edge-weight logs and its edge
-overlap with each memory path), with the same float operations in the same
-order as :func:`priority`; only the chains it returns are rescored with
+reading them sorts nothing, and each carries the log of its weight and
+whether its destination is a root cause, so the search reads no edge or node
+record.  The search scores each extension of a path once, from state the path
+carries (its running sum of edge-weight logs and its edge overlap with each
+memory path), with the same float operations in the same order as
+:func:`priority`; only the chains it returns are rescored with
 :func:`path_score`.
 
 Copies of a graph share its node and edge records, so a copy costs four dict
 copies and builds no record.  The graph's methods therefore never change a
 record in place: a reweighted edge, a relabelled node or a node with new
 attributes or category is a new record stored under the same key, and an
-out-edge list is a tuple replaced on insert.  Callers treat the nodes and
-edges they read from a graph, or pass into one, as read-only.
+out-edge list is a tuple replaced when an edge is added or reweighted.
+Callers treat the nodes and edges they read from a graph, or pass into one,
+as read-only.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ _BOILERPLATE_RE = re.compile(
 _HTML_TAG_RE = re.compile(r"<[^>]+>")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GraphNode:
     id: str
     node_type: NodeType
@@ -149,7 +152,7 @@ class GraphNode:
     category: Category | None = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GraphEdge:
     src: str
     dst: str
@@ -292,8 +295,11 @@ class KnowledgeGraph:
     def __init__(self) -> None:
         self.nodes: dict[str, GraphNode] = {}
         self.edges: dict[tuple[str, str, str], GraphEdge] = {}  # (src, relation, dst)
-        # src -> ((relation value, dst, relation), ...), sorted; replaced on insert
-        self._out: dict[str, tuple[tuple[str, str, Relation], ...]] = {}
+        # src -> ((relation value, dst, relation, log weight, dst is a root
+        # cause), ...), sorted by (relation value, dst), which is unique per
+        # src; the tuple is replaced when an edge out of src is added or
+        # reweighted.  A node's type never changes, so neither does the flag.
+        self._out: dict[str, tuple[tuple[str, str, Relation, float, bool], ...]] = {}
         # node id -> (index, value) of its label embedding, every entry not +0.0
         self._label_vecs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # built by seed_nodes, shared by copies, never mutated in place;
@@ -346,13 +352,22 @@ class KnowledgeGraph:
         key = (edge.src, edge.relation.value, edge.dst)
         prior = self.edges.get(key)
         if prior is None:
-            self.edges[key] = edge
-            item = (edge.relation.value, edge.dst, edge.relation)
-            out = self._out.get(edge.src, ())
-            i = bisect.bisect(out, item)
-            self._out[edge.src] = out[:i] + (item,) + out[i:]
+            self._store(key, edge)
         elif edge.weight > prior.weight:
-            self.edges[key] = GraphEdge(prior.src, prior.dst, prior.relation, edge.weight)
+            self._store(key, GraphEdge(prior.src, prior.dst, prior.relation, edge.weight))
+
+    def _store(self, key: tuple[str, str, str], edge: GraphEdge) -> None:
+        """Store ``edge`` under ``key`` and put its item into a new
+        ``_out[edge.src]``: in sorted place for a new edge, in place of the
+        old item for a reweighted one.  O(out-degree of ``edge.src``)."""
+        self.edges[key] = edge
+        value, dst = key[1], edge.dst
+        out = self._out.get(edge.src, ())
+        i = bisect.bisect_left(out, (value, dst))  # never compares past dst
+        end = i + 1 if i < len(out) and out[i][:2] == (value, dst) else i
+        item = (value, dst, edge.relation, math.log(edge.weight),
+                self.nodes[dst].node_type is NodeType.ROOT_CAUSE)
+        self._out[edge.src] = out[:i] + (item,) + out[end:]
 
     def confirm_relation(self, src: GraphNode, relation: Relation, dst: GraphNode) -> float:
         """Feedback rule: new edges enter at 0.5; each reconfirmation adds 0.1, capped at 1."""
@@ -364,7 +379,7 @@ class KnowledgeGraph:
         self.upsert_node(src)
         self.upsert_node(dst)
         w = min(1.0, prior.weight + 0.1)
-        self.edges[key] = GraphEdge(prior.src, prior.dst, prior.relation, w)
+        self._store(key, GraphEdge(prior.src, prior.dst, prior.relation, w))
         return w
 
     def check_relations(self, relations: Iterable[tuple[GraphNode, Relation, GraphNode]]) -> None:
@@ -391,10 +406,11 @@ class KnowledgeGraph:
 
     def out_edges(self, src: str) -> list[tuple[Relation, str, float]]:
         """``(relation, dst, weight)`` of every edge out of ``src``, by relation
-        value, then dst."""
+        value, then dst.  :func:`explore` reads the adjacency itself, which
+        holds each weight's log instead."""
         edges = self.edges
         return [(rel, dst, edges[(src, value, dst)].weight)
-                for value, dst, rel in self._out.get(src, ())]
+                for value, dst, rel, _, _ in self._out.get(src, ())]
 
     def _build_label_index(self, embedder: Embedder) -> _LabelIndex:
         """Embed the labels not yet embedded, then flatten every node's entries."""
@@ -592,12 +608,16 @@ def explore(
     state its frontier entry carries: the node ids, the relations, the
     running sum of edge-weight logs and, per memory path with an edge, how
     many of the path's edges that memory holds (the memories' edge sets are
-    built once per call).  Every value is the one :func:`priority` computes,
-    bit for bit: the log-sum grows left to right from ``0.0``, as
-    :func:`path_score` adds it; on a simple path of ``hops`` edges the best
-    ``overlap / hops`` is :func:`path_prior`'s best share, and the novelty
-    against the prefix is ``1 / (hops + 1)``; and the three terms are added
-    in :func:`priority`'s order.  Only the returned chains build their steps
+    built once per call).  The out-edges come straight from the graph's
+    sorted adjacency, whose items hold each edge's ``math.log`` of its
+    weight and whether its destination is a root cause, so an extension
+    reads no edge or node record and takes no log.  Every value is the one
+    :func:`priority` computes, bit for bit: the log-sum grows left to right
+    from ``0.0``, as :func:`path_score` adds it, and ``math.log`` of one
+    weight is the same float whenever it is taken; on a simple path of
+    ``hops`` edges the best ``overlap / hops`` is :func:`path_prior`'s best
+    share, and the novelty against the prefix is ``1 / (hops + 1)``; and the
+    three terms are added in :func:`priority`'s order.  Only the returned chains build their steps
     and call :func:`path_score` and :func:`path_prior`.
     """
     cfg.validate()
@@ -610,6 +630,7 @@ def explore(
     a1, a2, a3 = cfg.alphas
     remembered = [edges for edges in map(_path_edges, memory_paths) if edges]
     nodes = graph.nodes
+    adjacency = graph._out
     rank_key = itemgetter(0)
     # an entry is ((-priority, -path score, node ids), relations, log-sum,
     # overlaps); a seed's rank is never read
@@ -626,10 +647,10 @@ def explore(
         grown = []
         for (_, _, ids), rels, logsum, overlaps in frontier:
             tail = ids[-1]
-            for rel, dst, w in graph.out_edges(tail):
+            for _, dst, rel, log_w, is_root in adjacency.get(tail, ()):
                 if dst in ids:
                     continue  # simple paths only
-                total = logsum + math.log(w)
+                total = logsum + log_w
                 ps = math.exp(total / hop)
                 if remembered:
                     edge = (tail, dst)
@@ -639,7 +660,7 @@ def explore(
                     counts, prior = overlaps, 0.0
                 pri = a1 * prior + a2 * ps + novelty
                 entry = ((-pri, -ps, ids + (dst,)), rels + (rel,), total, counts)
-                if nodes[dst].node_type is NodeType.ROOT_CAUSE:
+                if is_root:
                     chains.append(entry)
                 else:
                     grown.append(entry)

@@ -194,6 +194,7 @@ class _LoadedEpisode(Episode):
     ``val[a:b]`` at ``col[a:b]`` of the load's flat arrays.  The first read
     of ``embedding`` scatters them into zeros, as the eager load did,
     ``-0.0`` entries included, and keeps the array as an instance attribute.
+    A save before that writes the entries themselves.
     Each episode gets its own array, which an eviction frees; views of one
     ``(n, dim)`` block would keep the whole block alive.  The property lives
     on this subclass alone, so that reading an :class:`Episode`'s embedding
@@ -1101,6 +1102,17 @@ def _vector_to_json(v: np.ndarray) -> dict:
     return {"dim": int(v.size), "index": index.tolist(), "value": v[index].tolist()}
 
 
+def _embedding_to_json(ep: Episode) -> dict:
+    """:func:`_vector_to_json` of ``ep.embedding``.  A loaded episode that
+    has not built its array writes its own entries instead, without any
+    ``+0.0`` one, as the array's would be written."""
+    if "embedding" in vars(ep):
+        return _vector_to_json(ep.embedding)
+    dim, col, val, a, b = ep._sparse
+    keep = nonzero_index(val[a:b])
+    return {"dim": dim, "index": col[a:b][keep].tolist(), "value": val[a:b][keep].tolist()}
+
+
 def _vector_from_json(raw: object, dim: int) -> np.ndarray:
     """Dense float64 array of length ``dim`` from :func:`_vector_to_json`'s
     form, or from the dense list that older stores hold.
@@ -1160,7 +1172,7 @@ def _episode_to_dict(ep: Episode) -> dict:
         "outcome": ep.outcome.value,
         "timestamp": ep.timestamp,
         "memory_value": ep.memory_value,
-        "embedding": _vector_to_json(ep.embedding),
+        "embedding": _embedding_to_json(ep),
         "resolution_path": list(ep.resolution_path),
         "trials": ep.trials,
         "successes": ep.successes,

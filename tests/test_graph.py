@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -311,6 +312,55 @@ def test_copy_and_original_never_see_each_others_edits(case, data):
     assert observed(edited) == observed(fresh)
 
 
+def assert_adjacency_matches_records(g):
+    """Every edge has one adjacency item, sorted by relation value, then dst;
+    an item holds its edge's ``math.log(weight)`` bit for bit and whether
+    its destination is a root cause."""
+    listed = []
+    for src, out in g._out.items():
+        assert [item[:2] for item in out] == sorted(item[:2] for item in out)
+        for value, dst, rel, log_w, is_root in out:
+            e = g.edges[(src, value, dst)]
+            assert rel is e.relation
+            assert log_w.hex() == math.log(e.weight).hex()
+            assert is_root is (g.nodes[dst].node_type is NodeType.ROOT_CAUSE)
+            listed.append((src, value, dst))
+    assert sorted(listed) == sorted(g.edges)
+
+
+def reloaded_with_a_heavier_repeat(g, pick):
+    """``g`` through ``from_dict`` of its payload with a lighter twin of
+    edge ``pick`` listed first, so that the edge's own entry is a heavier
+    repeated triple."""
+    payload = g.to_dict()
+    edges = payload["edges"]
+    i = pick % len(edges)
+    edges.insert(i, dict(edges[i], weight=edges[i]["weight"] / 2))
+    h = KnowledgeGraph.from_dict(payload)
+    assert h.to_dict() == g.to_dict()
+    return h
+
+
+@given(triple_lists(), st.data())
+def test_adjacency_items_match_the_records_after_any_edits(case, data):
+    specs, triples = case
+    graphs = [build_graph(specs, triples)]
+    steps = st.one_of(graph_edits(specs, triples),
+                      st.sampled_from(["copy", "save and load", "heavier repeat"]))
+    for step in data.draw(st.lists(steps, min_size=1, max_size=10)):
+        g = data.draw(st.sampled_from(graphs))
+        if step == "copy":
+            graphs.append(g.copy())
+        elif step == "save and load":
+            graphs.append(saved_and_loaded(g))
+        elif step == "heavier repeat":
+            graphs.append(reloaded_with_a_heavier_repeat(g, data.draw(st.integers(0, 99))))
+        else:
+            apply_edit(g, specs, step)
+        for each in graphs:
+            assert_adjacency_matches_records(each)
+
+
 def test_copy_builds_no_node_or_edge(monkeypatch):
     g = chain_graph(0.9, 0.8, 0.7)
     built = []
@@ -337,11 +387,15 @@ def test_graph_methods_replace_records_and_never_change_them():
         lambda: g.upsert_node(GraphNode("n0", NodeType.POD, "relabelled", {"seen": 2},
                                         Category.SYSTEM)),
     ]
+    def field_values(record):  # records have slots, so no vars()
+        return {f.name: copy.deepcopy(getattr(record, f.name))
+                for f in dataclasses.fields(record)}
+
     for edit in edits:
         records = [g.edges[key], g.nodes["n0"], g.nodes["n1"]]
-        want = [copy.deepcopy(vars(r)) for r in records]
+        want = [field_values(r) for r in records]
         edit()
-        assert [vars(r) for r in records] == want
+        assert [field_values(r) for r in records] == want
     assert g.edges[key].weight == 0.9
     assert (g.nodes["n0"].label, g.nodes["n0"].attributes, g.nodes["n0"].category) == (
         "relabelled", {"seen": 2}, Category.SYSTEM)
@@ -885,6 +939,29 @@ def chain_fields(chains):
 @example((chain_graph(0.3, 0.5, 0.3), q_for("seed symptom entry"), [],
           SearchConfig(alphas=(0.0, 1.0, 0.0)), []))
 def test_explore_equals_rescoring_every_extension(case):
+    g, q, memory_paths, cfg, extra = case
+    got = explore(g, q, memory_paths, cfg, EMB, extra_seeds=extra)
+    want = rescoring_explore(g, q, memory_paths, cfg, EMB, extra_seeds=extra)
+    assert chain_fields(got) == chain_fields(want)
+
+
+@st.composite
+def edited_search_cases(draw):
+    """:func:`search_cases` whose graph then takes a few edits: reweighted
+    and new edges, to root causes too, and relabelled nodes."""
+    g, q, memory_paths, cfg, extra = draw(search_cases())
+    ids = sorted(g.nodes)
+    specs = [(nid, g.nodes[nid].node_type, g.nodes[nid].label) for nid in ids]
+    at = {nid: i for i, nid in enumerate(ids)}
+    triples = [(at[src], at[dst], e.relation, e.weight) for (src, _, dst), e in g.edges.items()]
+    for edit in draw(st.lists(graph_edits(specs, triples), min_size=1, max_size=6)):
+        apply_edit(g, specs, edit)
+    return g, q, memory_paths, cfg, extra
+
+
+@settings(max_examples=200)
+@given(edited_search_cases())
+def test_explore_equals_rescoring_every_extension_after_edits(case):
     g, q, memory_paths, cfg, extra = case
     got = explore(g, q, memory_paths, cfg, EMB, extra_seeds=extra)
     want = rescoring_explore(g, q, memory_paths, cfg, EMB, extra_seeds=extra)

@@ -2015,16 +2015,32 @@ def test_a_load_builds_no_dense_embedding_until_one_is_read(tmp_path):
 
 
 def test_a_loaded_store_saves_back_byte_for_byte(tmp_path):
-    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    first, second, dense = (tmp_path / f"{name}.jsonl" for name in ("first", "second", "dense"))
     pool_of_vectors(negative_zero_vectors(4), 16).save_episodes(str(first))
-    stored = [x for line in first.read_text().splitlines()
-              for x in json.loads(line)["embedding"]["value"]]
+    lines = first.read_text().splitlines()
+    stored = [x for line in lines for x in json.loads(line)["embedding"]["value"]]
     assert [math.copysign(1.0, x) for x in stored if x == 0.0] == [-1.0] * 8
-    pool = small_pool(16)
+    # a line written elsewhere may list a +0.0 entry; a save of the dense
+    # array drops it, and so must a save of the unbuilt episode
+    extra = json.loads(lines[0])
+    extra["id"] = "ep-000004"
+    entries = extra["embedding"]
+    assert entries["index"][:2] == [0, 2]  # index 1 holds +0.0, so it is not stored
+    entries["index"].insert(1, 1)
+    entries["value"].insert(1, 0.0)
+    first.write_text("\n".join(lines + [json.dumps(extra, sort_keys=True)]) + "\n")
+    pool, built = small_pool(16), small_pool(16)
     pool.load_episodes(str(first))
     assert not any("embedding" in vars(ep) for ep in pool.episodes.values())
     pool.save_episodes(str(second))
-    assert second.read_bytes() == first.read_bytes()
+    assert not any("embedding" in vars(ep) for ep in pool.episodes.values())
+    built.load_episodes(str(first))
+    for ep in built.episodes.values():
+        ep.embedding  # built, so the save writes the dense array
+    built.save_episodes(str(dense))
+    assert second.read_bytes() == dense.read_bytes()
+    assert second.read_text().splitlines() == lines + [
+        lines[0].replace('"ep-000000"', '"ep-000004"')]
 
 
 # ---------------------------------------------------------------------------
