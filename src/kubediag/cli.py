@@ -21,7 +21,7 @@ import click
 from .controller import MetaController
 from .embedding import HashingEmbedder
 from .engine import DiagnosticQuery, Engine, Feedback
-from .errors import ConfigError, KubeDiagError, NoEvidence
+from .errors import ConfigError, InvalidQuery, KubeDiagError, NoEvidence
 from .files import as_string
 from .graph import (
     Category,
@@ -60,7 +60,7 @@ def _load_config(path: str | None) -> dict:
     if path:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
@@ -170,7 +170,10 @@ def diagnose(symptoms, contexts, logs_path, memory_path, graph_path, controller_
             synth_config=cfg["synth"],
             clock=(lambda: now) if now is not None else time.time,
         )
-        logs = Path(logs_path).read_text(encoding="utf-8") if logs_path else ""
+        try:
+            logs = Path(logs_path).read_text(encoding="utf-8") if logs_path else ""
+        except UnicodeDecodeError as exc:
+            raise InvalidQuery(f"cannot read logs {logs_path!r}: {exc}") from exc
         query = DiagnosticQuery(
             id="cli", symptoms=list(symptoms), context=set(contexts), logs=logs
         )
@@ -276,21 +279,28 @@ def ingest(inputs, graph_path, docs_out, as_json) -> None:
                 expanded.append(p)
 
         for p in expanded:
+            try:
+                content = p.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                failures += 1
+                _echo(f"skipped {p.name}: {exc}", err=True)
+                continue
             if p.suffix == ".jsonl":
-                for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+                for line_no, line in enumerate(content.splitlines(), 1):
                     if not line.strip():
                         continue
                     try:
                         raw = json.loads(line)
                         doc_id = str(raw["id"])
                         text = str(raw["text"])
-                    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                        triples = list(raw.get("triples", []))
+                    except (ValueError, KeyError, TypeError, RecursionError) as exc:
                         failures += 1
                         _echo(f"skipped {p.name}:{line_no}: {exc}", err=True)
                         continue
-                    one(doc_id, text, f"{p.name}:{line_no}", list(raw.get("triples", [])))
+                    one(doc_id, text, f"{p.name}:{line_no}", triples)
             else:
-                one(p.stem, p.read_text(encoding="utf-8"), p.name, [])
+                one(p.stem, content, p.name, [])
 
         if docs_out:
             with open(docs_out, "w", encoding="utf-8") as fh:

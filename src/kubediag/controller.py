@@ -326,7 +326,7 @@ class MetaController:
             )
             state.history.extend(_records_from_json(payload["history"]))
             return cls(state)
-        except (KeyError, TypeError, ValueError, InvalidArgument) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError, InvalidArgument) as exc:
             raise SchemaViolation(f"bad controller checkpoint: {exc}") from exc
 
 

@@ -517,7 +517,7 @@ class KnowledgeGraph:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise SchemaViolation(f"bad graph payload: {exc}") from exc
         return cls.from_dict(payload)
 

@@ -32,15 +32,15 @@ not ``+0.0`` (a hashing embedding has about 14 of 2048), and is rebuilt bit
 for bit on load.  The dense lists of older stores still load; the next save
 rewrites them sparse.  Every save replaces its file atomically.
 
-Loading an episode file decodes each line, then checks each field a column
-at a time, over every line at once: C-level passes over the values, and
-array operations over the sparse entries of every line, gathered into one
-flat array that the index takes as it is.  A loaded episode keeps its slice
-of those entries and builds its dense embedding when something first reads
-it, which a read-only diagnosis does for a few of them (the rows it scores
-exactly).  A load is all or nothing: when a check fails, the file is read
-again a line at a time, which raises for the first invalid line and leaves
-the pool unchanged.
+Loading an episode file decodes each line, a dense list turned sparse,
+then checks each field a column at a time, over every line at once:
+C-level passes over the values, and array operations over the sparse
+entries of every line, gathered into one flat array that the index takes
+as it is.  A loaded episode keeps its slice of those entries and builds its
+dense embedding when something first reads it, which a read-only diagnosis
+does for a few of them (the rows it scores exactly).  A load is all or
+nothing: when a check fails, the lines are decoded again one at a time to
+name the first invalid one, and the pool is left unchanged.
 """
 
 from __future__ import annotations
@@ -167,15 +167,6 @@ class Episode:
         if not self.id:
             raise InvalidArgument("episode id must be non-empty")
         self._check_norm()
-        self._check_values()
-
-    def _check_norm(self) -> None:
-        norm = _norm(self.embedding)
-        if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
-            raise InvalidArgument(f"episode {self.id}: embedding norm {norm:.8f} != 1")
-
-    def _check_values(self) -> None:
-        """The checks :meth:`validate` makes after the norm's."""
         if not 0.0 <= self.memory_value < math.inf:  # NaN fails too
             raise InvalidArgument(f"episode {self.id}: memory_value must be finite and >= 0")
         if not 0 <= self.successes <= self.trials:
@@ -186,14 +177,19 @@ class Episode:
         if not math.isfinite(self.timestamp) or self.timestamp < 0:
             raise InvalidArgument(f"episode {self.id}: timestamp must be finite and >= 0")
 
+    def _check_norm(self) -> None:
+        norm = _norm(self.embedding)
+        if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
+            raise InvalidArgument(f"episode {self.id}: embedding norm {norm:.8f} != 1")
+
 
 class _LoadedEpisode(Episode):
     """An episode read by :meth:`MemoryPool.load_episodes`.
 
     It keeps its sparse entries as ``_sparse``, ``(dim, col, val, a, b)``:
     ``val[a:b]`` at ``col[a:b]`` of the load's flat arrays.  The first read
-    of ``embedding`` scatters them into zeros, as the eager load did,
-    ``-0.0`` entries included, and keeps the array as an instance attribute.
+    of ``embedding`` scatters them into zeros, ``-0.0`` entries included,
+    and keeps the array as an instance attribute.
     A save before that writes the entries themselves.
     Each episode gets its own array, which an eviction frees; views of one
     ``(n, dim)`` block would keep the whole block alive.  The property lives
@@ -883,42 +879,49 @@ class MemoryPool:
         Raises for the first invalid line what inserting the lines one at a
         time would: ``DuplicateId`` for an id the pool holds or has evicted,
         else ``SchemaViolation`` naming the line, an id used on an earlier
-        line included.  A failed load leaves the pool unchanged.
+        line included.  A file that is not UTF-8 raises ``SchemaViolation``.
+        A failed load leaves the pool unchanged.
 
-        A file of sparse lines is checked a column at a time
+        The file is read once and checked a column at a time
         (:meth:`_read_columns`), and its episodes build their dense
-        embeddings when first read.  When a column check fails, or the file
-        holds a dense line of an older store, the lines are read again one
-        at a time (:meth:`_read_lines`), which names the first bad line.
+        embeddings when first read.  Only when a check fails are the lines
+        decoded again one at a time (:meth:`_first_bad_line`), to name the
+        first bad one.
         """
         dim = self.config.embedding_dim
-        loaded = self._read_columns(path, dim)
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                lines = fh.read().split("\n")
+            except UnicodeDecodeError as exc:
+                raise SchemaViolation(f"episode file is not UTF-8: {exc}") from exc
+        loaded = self._read_columns(lines, dim)
         if loaded is None:
-            loaded = self._read_lines(path, dim)
+            # each column check is one of a line's checks, so some line fails
+            raise self._first_bad_line(lines, dim) or SchemaViolation(
+                "episode file fails a column check that none of its lines fails")
         eps, sizes, col, val = loaded
         self._index.extend(sizes, col, val)
         self._admit(eps)
         return len(eps)
 
-    def _read_columns(self, path: str, dim: int) -> _Loaded | None:
-        """What :meth:`_read_lines` returns for a file of sparse lines that
-        pass every check, or None: each line is decoded, then each field is
-        checked over all lines at once by C-level passes, the sparse entries
-        as one flat array.  Any failed check, or one that cannot run, gives
-        None.  The episodes build their embeddings from the flat arrays when
-        first read (:class:`_LoadedEpisode`)."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError:  # the line loop raises it as a line read does
-                return None
+    def _read_columns(self, lines: list[str], dim: int) -> _Loaded | None:
+        """The episodes of an episode file's ``lines`` with their sparse
+        entries, flat, if every line passes every check, else None.
+
+        Each line is decoded, a dense embedding turned sparse
+        (:func:`_as_sparse`), then each field is checked over all lines at
+        once by C-level passes, the sparse entries as one flat array.  A
+        check that cannot run fails.  The episodes build their embeddings
+        from the flat arrays when first read (:class:`_LoadedEpisode`)."""
         try:
-            raws = list(map(json.loads, filter(str.strip, text.split("\n"))))
+            raws = list(map(json.loads, filter(str.strip, lines)))
+            if not raws:
+                return [], [], np.empty(0, np.intp), np.empty(0)
             ids, symptoms, context, actions, outcome, stamps, values, vectors, paths = zip(
                 *map(_EPISODE_KEYS, raws))
             trials = list(map(dict.get, raws, repeat("trials"), repeat(0)))
             successes = list(map(dict.get, raws, repeat("successes"), repeat(0)))
-            dims, index, value = zip(*map(_VECTOR_KEYS, vectors))
+            dims, index, value = zip(*map(_VECTOR_KEYS, map(_as_sparse, vectors, repeat(dim))))
             strings, numbers = symptoms + context + actions + paths, stamps + values
             if not (set(map(type, ids)) == {str} and all(ids) and len(set(ids)) == len(ids)
                     and self._tombstones.isdisjoint(ids)
@@ -965,67 +968,31 @@ class MemoryPool:
             return None
         return eps, sizes, col, val
 
-    def _read_lines(self, path: str, dim: int) -> _Loaded:
-        """The episodes of an episode file with their sparse entries, flat,
-        for :meth:`load_episodes`; raises for the first invalid line.
+    def _first_bad_line(self, lines: list[str], dim: int) -> DuplicateId | SchemaViolation | None:
+        """What inserting the episodes of ``lines`` one at a time raises
+        first, or None: ``DuplicateId`` for an id the pool holds or has
+        evicted, else ``SchemaViolation`` naming the line.
 
-        Each line is decoded and its fields type-checked in turn.  The norm
-        check is the one check left to the whole file (:func:`_unsure_norms`).
-        The lines before the first failing one are checked for their norm
-        first, and so is the failing line itself when its failure is one
-        :meth:`Episode.validate` finds after the norm.
-        """
-        eps: list[Episode] = []
-        index: list[list[int]] = []
-        value: list[list[float]] = []
+        Each line is decoded, then checked as :meth:`insert_episode` checks
+        it, with an id used on an earlier line failing too."""
         first_line: dict[str, int] = {}
-        failure: tuple[int, Exception] | None = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    ep, ix, vals = _episode_from_dict(json.loads(line), dim)
-                    self._check_unused(ep.id)
-                    if ep.id in first_line:
-                        raise ValueError(
-                            f"episode id {ep.id!r} already used on line {first_line[ep.id]}")
-                    if not ep.id:
-                        raise InvalidArgument("episode id must be non-empty")
-                except (ValueError, KeyError, TypeError, InvalidArgument, DuplicateId) as exc:
-                    failure = line_no, exc
-                    break
-                first_line[ep.id] = line_no
-                eps.append(ep)
-                index.append(ix)
-                value.append(vals)
-                try:
-                    ep._check_values()
-                except InvalidArgument as exc:
-                    failure = line_no, exc
-                    break
-        sizes = list(map(len, index))
-        col = np.fromiter(chain.from_iterable(index), np.intp, sum(sizes))
-        val = np.fromiter(chain.from_iterable(value), np.float64, col.size)
-        del index, value  # for a lower peak, freed before the embeddings are allocated
-        for ep, a, b in zip(eps, [0, *accumulate(sizes)], accumulate(sizes)):
-            if ep.embedding is None:
-                # its own array, which an eviction frees; views of one
-                # (n, dim) block would keep the whole block alive
-                ep.embedding = np.zeros(dim)
-                ep.embedding[col[a:b]] = val[a:b]
-        rows = np.repeat(np.arange(len(eps)), sizes)
-        for r in _unsure_norms(rows, val, len(eps), dim):
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
             try:
-                eps[r]._check_norm()
-            except InvalidArgument as exc:
-                raise SchemaViolation(f"line {first_line[eps[r].id]}: {exc}") from exc
-        if failure is not None:
-            line_no, exc = failure
-            if isinstance(exc, DuplicateId):
-                raise exc
-            raise SchemaViolation(f"line {line_no}: {exc}") from exc
-        return eps, sizes, col, val
+                ep = _episode_from_dict(json.loads(line), dim)
+                self._check_unused(ep.id)
+                if ep.id in first_line:
+                    raise ValueError(
+                        f"episode id {ep.id!r} already used on line {first_line[ep.id]}")
+                ep.validate()
+            except DuplicateId as exc:
+                return exc
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError,
+                    InvalidArgument) as exc:
+                return SchemaViolation(f"line {line_no}: {exc}")
+            first_line[ep.id] = line_no
+        return None
 
     def save_pattern_snapshot(self, path: str) -> None:
         payload = {
@@ -1054,7 +1021,7 @@ class MemoryPool:
                                      f"outside [0, {len(pat.member_ids)}]")
                 if pat.id.startswith("pat-"):
                     seq = max(seq, int(pat.id.rsplit("-", 1)[-1]))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise SchemaViolation(f"bad pattern snapshot: {exc}") from exc
         for pat in loaded:
             # a pattern may replace one of the same id, or an earlier entry
@@ -1128,6 +1095,12 @@ def _vector_from_json(raw: object, dim: int) -> np.ndarray:
     return out
 
 
+def _as_sparse(raw: object, dim: int) -> object:
+    """A dense vector list of an older store in :func:`_vector_to_json`'s
+    form, anything else as it is."""
+    return _vector_to_json(_dense_from_json(raw, dim)) if isinstance(raw, list) else raw
+
+
 def _dense_from_json(raw: list, dim: int) -> np.ndarray:
     out = np.asarray(raw, dtype=np.float64)
     if out.shape != (dim,):
@@ -1179,23 +1152,10 @@ def _episode_to_dict(ep: Episode) -> dict:
     }
 
 
-def _episode_from_dict(raw: dict, dim: int) -> tuple[Episode, list[int], list[float]]:
+def _episode_from_dict(raw: dict, dim: int) -> Episode:
     """Rebuild an episode, checking each field's type like
-    :func:`_pattern_from_dict`, with the indices and values of its
-    embedding's entries for the sparse index.
-
-    A sparse embedding is left ``None`` for the caller to build from those
-    entries; a dense list (older stores) is read as it is, and its entries
-    are its non-zeros.
-    """
-    vec = raw["embedding"]
-    if isinstance(vec, list):
-        embedding = _dense_from_json(vec, dim)
-        cols = np.flatnonzero(embedding)
-        index, value = cols.tolist(), embedding[cols].tolist()
-    else:
-        embedding = None
-        index, value = _sparse_from_json(vec, dim)
+    :func:`_pattern_from_dict`."""
+    embedding = _vector_from_json(raw["embedding"], dim)
     return Episode(
         id=as_string(raw["id"], "id"),
         symptoms=as_strings(raw["symptoms"], "symptoms"),
@@ -1208,7 +1168,7 @@ def _episode_from_dict(raw: dict, dim: int) -> tuple[Episode, list[int], list[fl
         resolution_path=as_strings(raw["resolution_path"], "resolution_path"),
         trials=as_count(raw.get("trials", 0), "trials"),
         successes=as_count(raw.get("successes", 0), "successes"),
-    ), index, value
+    )
 
 
 def _pattern_to_dict(p: Pattern) -> dict:

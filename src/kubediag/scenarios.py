@@ -468,16 +468,18 @@ def save_scenarios(path: str, scenarios: Sequence[FaultScenario]) -> None:
 
 
 def load_scenarios(path: str) -> tuple[list[FaultScenario], list[ScenarioParseError]]:
-    """Lenient JSONL loader: bad lines are collected, good ones returned."""
+    """Lenient JSONL loader: bad lines are collected, good ones returned.
+
+    Each line is decoded on its own, so a line that is not UTF-8 is one bad
+    line."""
     scenarios: list[FaultScenario] = []
     errors: list[ScenarioParseError] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 scenarios.append(scenario_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    InvalidArgument) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError, InvalidArgument) as exc:
                 errors.append(ScenarioParseError(line_no, str(exc)))
     return scenarios, errors

@@ -189,6 +189,42 @@ def test_diagnose_with_truncated_store_reports_error(runner, learned_stores, sto
     assert result.stderr.startswith("error: ")
 
 
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000  # nested far past the recursion limit
+
+# name -> damage to a file's bytes that leaves nothing a JSON reader can decode
+UNDECODABLE = {
+    "nested-too-deep": lambda data: DEEP_JSON + b"\n",
+    "not-utf8": lambda data: data[:10] + b"\xff" + data[10:],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(UNDECODABLE))
+@pytest.mark.parametrize("store", sorted(STORE_LOADERS))
+def test_an_undecodable_store_raises_schema_violation(learned_stores, store, damage):
+    path = Path(learned_stores[store])
+    path.write_bytes(UNDECODABLE[damage](path.read_bytes()))
+    with pytest.raises(SchemaViolation):
+        STORE_LOADERS[store](str(path))
+
+
+def assert_one_error_line(result):
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("damage", sorted(UNDECODABLE))
+@pytest.mark.parametrize("store", sorted(STORE_LOADERS))
+def test_diagnose_with_an_undecodable_store_reports_error(runner, learned_stores, store,
+                                                          damage):
+    path = Path(learned_stores[store])
+    path.write_bytes(UNDECODABLE[damage](path.read_bytes()))
+    assert_one_error_line(runner.invoke(main, seeded_diagnose_args(
+        learned_stores, "--controller", learned_stores["controller"])))
+
+
 def test_feedback_with_zero_delta_probe_reports_error(runner, learned_stores):
     # a checkpoint that would divide by zero in adapt_threshold fails at load
     path = learned_stores["dir"] / "controller.json"
@@ -308,6 +344,23 @@ def test_config_rejects_unknown_content(runner, stores, payload):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("damage", sorted(UNDECODABLE))
+def test_config_that_cannot_be_decoded_is_a_config_error(runner, stores, damage):
+    cfg_path = stores["dir"] / "bad.json"
+    cfg_path.write_bytes(UNDECODABLE[damage](b'{"tau": 0.5}'))
+    result = runner.invoke(main, seeded_diagnose_args(stores, "--config", str(cfg_path)))
+    assert_one_error_line(result)
+    assert result.stderr.startswith("error: cannot read config")
+
+
+def test_logs_that_are_not_utf8_report_error(runner, stores):
+    logs = stores["dir"] / "logs.txt"
+    logs.write_bytes(b"OOMKilled \xff\xfe exit 137\n")
+    result = runner.invoke(main, seeded_diagnose_args(stores, "--logs", str(logs)))
+    assert_one_error_line(result)
+    assert result.stderr.startswith("error: cannot read logs")
+
+
 # ---------------------------------------------------------------------------
 # ingest
 
@@ -424,6 +477,30 @@ def test_ingest_skips_bad_lines_but_keeps_good_ones(runner, tmp_path):
     assert result.exit_code == 0
     assert "skipped" in result.output  # diagnostics for the bad line
     report = json.loads(result.output.splitlines()[-1])
+    assert (report["documents"], report["failures"]) == (1, 1)
+
+
+# name -> (file name, bytes) of an input that ingest skips as one failure
+UNREADABLE_INPUTS = {
+    "text-not-utf8": ("incident.txt", b"pods evicted \xff under disk pressure"),
+    "jsonl-not-utf8": ("docs.jsonl", b'{"id": "d", "text": "dns \xff failed"}\n'),
+    "jsonl-line-too-deep": ("docs.jsonl", DEEP_JSON + b"\n"),
+    "jsonl-triples-not-a-list": ("docs.jsonl", b'{"id": "d", "text": "dns", "triples": 5}\n'),
+    # past the int conversion limit that json.loads enforces
+    "jsonl-int-too-long": ("docs.jsonl", b'{"id": ' + b"1" * 5000 + b', "text": "dns"}\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_ingest_skips_an_input_it_cannot_read(runner, tmp_path, case):
+    name, data = UNREADABLE_INPUTS[case]
+    (tmp_path / name).write_bytes(data)
+    good = tmp_path / "good.txt"
+    good.write_text("node taint prevents scheduling")
+    result = runner.invoke(main, ["ingest", str(tmp_path / name), str(good), "--json"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr.startswith("skipped ")
+    report = json.loads(result.stdout)
     assert (report["documents"], report["failures"]) == (1, 1)
 
 

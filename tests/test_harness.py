@@ -190,6 +190,20 @@ def test_load_collects_line_errors(tmp_path):
     assert "line 4" in str(errors[1])
 
 
+def test_load_collects_lines_it_cannot_decode(tmp_path):
+    good = generate_scenarios(6, 2)
+    path = tmp_path / "mixed.jsonl"
+    save_scenarios(str(path), good)
+    with open(path, "ab") as fh:
+        fh.write(b"[" * 100_000 + b"]" * 100_000 + b"\n")  # past the recursion limit
+        fh.write(b'{"id": "\xff"}\n')
+        fh.write(json.dumps(scenario_to_dict(good[0])).encode() + b"\n")
+    loaded, errors = load_scenarios(str(path))
+    assert loaded == good + good[:1]
+    assert [e.line_no for e in errors] == [3, 4]
+    assert "recursion" in str(errors[0]) and "utf-8" in str(errors[1])
+
+
 @pytest.mark.parametrize("key, value", [
     ("symptoms", "oomkilled"),
     ("context", "prod"),

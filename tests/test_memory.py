@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import json
 import math
 import struct
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import assume, given, strategies as st
 
 from helpers import DAY, NOW, jitter_unit, mk_episode, mk_query, rand_unit, small_pool, unit
 from kubediag import memory as memory_mod
-from kubediag.embedding import HashingEmbedder
+from kubediag.embedding import HashingEmbedder, nonzero_index
 from kubediag.errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound, SchemaViolation
 from kubediag.memory import (
     MemoryConfig,
@@ -1595,6 +1597,26 @@ def test_dense_store_loads_and_is_rewritten_sparse(tmp_path, rng):
                for raw in json.loads(snapshot.read_text())["patterns"])
 
 
+def test_a_dense_entry_beyond_the_float_range_is_a_schema_violation(tmp_path, rng):
+    pool = pool_of_vectors([rand_unit(rng, 16)], 16)
+    memory, snapshot = tmp_path / "episodes.jsonl", tmp_path / "patterns.json"
+    pool.save_episodes(str(memory))
+    pool.save_pattern_snapshot(str(snapshot))
+    densify(memory, "embedding")
+    densify(snapshot, "centroid")
+    raw = json.loads(memory.read_text())
+    raw["embedding"][0] = 10 ** 400
+    memory.write_text(json.dumps(raw) + "\n")
+    data = json.loads(snapshot.read_text())
+    data["patterns"][0]["centroid"][0] = 10 ** 400
+    snapshot.write_text(json.dumps(data))
+    fresh = small_pool(16)
+    with pytest.raises(SchemaViolation, match="^line 1: int too large"):
+        fresh.load_episodes(str(memory))
+    with pytest.raises(SchemaViolation, match="int too large"):
+        fresh.load_pattern_snapshot(str(snapshot))
+
+
 BAD_VECTORS = {
     "index-out-of-range": lambda v: dict(v, index=v["index"][:-1] + [16]),
     "negative-index": lambda v: dict(v, index=[-1] + v["index"][1:]),
@@ -1785,18 +1807,17 @@ def test_norm_is_numpys_bit_for_bit(vectors):
 
 
 def load_line_by_line(pool, path):
-    """The reference load: check and insert each line in turn."""
+    """The reference load: check and insert each line in turn.  Its index
+    rows hold every entry but ``+0.0``, as a line read from a save lists."""
     dim = pool.config.embedding_dim
     for line in path.read_text().splitlines():
         if not line.strip():
             continue
-        ep, index, value = memory_mod._episode_from_dict(json.loads(line), dim)
-        if ep.embedding is None:
-            ep.embedding = np.zeros(dim)
-            ep.embedding[index] = value
+        ep = memory_mod._episode_from_dict(json.loads(line), dim)
         pool._check_unused(ep.id)
         ep.validate()
-        pool._index.append(np.asarray(index, dtype=np.intp), np.asarray(value, dtype=np.float64))
+        index = nonzero_index(ep.embedding)
+        pool._index.append(index, ep.embedding[index])
         pool._admit([ep])
 
 
@@ -1827,16 +1848,9 @@ def test_bulk_load_equals_inserting_line_by_line(tmp_path_factory, vectors, repe
     assert pool_state(pools[0]) == pool_state(pools[1])
 
 
-class LineLoopPool(MemoryPool):
-    """A pool whose loads skip the column checks: the per-line loop alone."""
-
-    def _read_columns(self, path, dim):
-        return None
-
-
-def pool_with_evicted(cls=MemoryPool):
+def pool_with_evicted():
     """Episodes old-0 to old-2 stored, old-3 evicted."""
-    pool = cls(MemoryConfig(embedding_dim=16, capacity=3))
+    pool = MemoryPool(MemoryConfig(embedding_dim=16, capacity=3))
     for i in range(4):
         pool.insert_episode(mk_episode(f"old-{i}", unit(16, i), ts=NOW - i * DAY))
     pool.config.capacity = 64  # room for every loaded line
@@ -1866,8 +1880,8 @@ def with_negative_zero(raw):
 
 HUGE_INT = 10 ** 400
 
-# name -> edit of one decoded line of an episode file; "none", "negative-zero",
-# "no-counts", "dense" and "trials-huge" leave it valid
+# name -> edit of one decoded line of an episode file; those in VALID_EDITS
+# leave it valid
 LINE_EDITS = {
     "none": lambda raw: raw,
     "trials-true": lambda raw: dict(raw, trials=True),
@@ -1911,12 +1925,17 @@ LINE_EDITS = {
     "dense": lambda raw: dict(raw, embedding=dense_list(raw["embedding"])),
     "list": lambda raw: [raw],
 }
+VALID_EDITS = ("dense", "negative-zero", "no-counts", "none", "trials-huge")
+# an id a load rejects, and a check Episode.validate fails, for one line
+ID_EDITS = ("id-empty", "id-evicted", "id-held", "id-repeated")
+CHECK_EDITS = ("norm", "successes-over-trials", "timestamp-negative", "value-nan",
+               "value-negative")
 
 
-def load_outcome(cls, path):
-    """The loaded state of a fresh pool_with_evicted(cls), or the type and
+def load_outcome(path):
+    """The loaded state of a fresh pool_with_evicted(), or the type and
     message of the load's error after checking that it left the pool as it was."""
-    pool = pool_with_evicted(cls)
+    pool = pool_with_evicted()
     before = pool_state(pool)
     try:
         pool.load_episodes(str(path))
@@ -1926,11 +1945,10 @@ def load_outcome(cls, path):
     return pool_state(pool)
 
 
-def assert_column_load_is_the_line_loops(path):
-    """``load_episodes`` on ``path`` gives what the per-line loop alone gives,
-    and accepts the file iff the reference insert loop does, in its state."""
-    got = load_outcome(MemoryPool, path)
-    assert got == load_outcome(LineLoopPool, path)
+def assert_load_matches_the_reference(path):
+    """``load_episodes`` on ``path`` accepts the file iff the reference
+    insert loop does, in its state."""
+    got = load_outcome(path)
     reference = pool_with_evicted()
     if isinstance(got, tuple):
         with pytest.raises((ValueError, KeyError, TypeError, InvalidArgument, DuplicateId)):
@@ -1940,11 +1958,18 @@ def assert_column_load_is_the_line_loops(path):
         assert got == pool_state(reference)
 
 
+def edited(raw, edit):
+    """``raw`` edited by ``edit``, one LINE_EDITS name or several joined by "+"."""
+    for name in edit.split("+"):
+        raw = LINE_EDITS[name](raw)
+    return raw
+
+
 def write_edited(path, vectors, edits, newline="\n", blank=""):
     """A store of ``vectors`` whose line ``i`` is edited by ``edits[i]``,
     a blank line of ``blank`` before the second line when it is not empty."""
     pool_of_vectors(vectors, 16).save_episodes(str(path))
-    lines = [json.dumps(LINE_EDITS[edits.get(i, "none")](json.loads(line)))
+    lines = [json.dumps(edited(json.loads(line), edits.get(i, "none")))
              for i, line in enumerate(path.read_text().splitlines())]
     if blank:
         lines.insert(1, blank)
@@ -1962,15 +1987,99 @@ def negative_zero_vectors(n, dim=16):
     return out
 
 
+def single_edit_file(edit, at):
+    """``write_edited``'s arguments for four lines, line ``at`` edited by
+    ``edit``; with the last line edited, a blank line follows the first and
+    every line ends in CRLF."""
+    return negative_zero_vectors(4), {at: edit}, *(("\n", "") if at == 0 else ("\r\n", " \t"))
+
+
+def seeded_file(seed):
+    """``write_edited``'s arguments for two to four lines with two edits,
+    drawn from ``seed``: vectors with ``+0.0`` and ``-0.0`` entries, the
+    edits, the line ending and the blank line.  A quarter of the files edit
+    one line twice, from ID_EDITS and CHECK_EDITS, so that which of a line's
+    checks runs first shows; the rest edit two lines, each edit drawn from
+    VALID_EDITS half the time, so that about a third of them load."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    vectors = []
+    for _ in range(n):
+        v = rng.standard_normal(16)
+        v[rng.random(16) < 0.3] = 0.0
+        v[rng.random(16) < 0.2] = -0.0
+        vectors.append(v / np.linalg.norm(v))
+    if rng.random() < 0.25:
+        edits = {int(rng.integers(n)): f"{rng.choice(ID_EDITS)}+{rng.choice(CHECK_EDITS)}"}
+    else:
+        edits = {int(at): str(rng.choice(VALID_EDITS if rng.random() < 0.5 else sorted(LINE_EDITS)))
+                 for at in rng.choice(n, 2, replace=False)}
+    return vectors, edits, ("\n", "\r\n")[int(rng.integers(2))], ("", " ")[int(rng.integers(2))]
+
+
+def pinned_files():
+    """name -> ``write_edited``'s arguments for every file whose load outcome
+    ``PINNED`` records: each edit on the first and on the last line, and 400
+    seeded files."""
+    files = {f"{edit}@{at}": single_edit_file(edit, at)
+             for edit in sorted(LINE_EDITS) for at in (0, 3)}
+    files.update((f"seed-{seed:03d}", seeded_file(seed)) for seed in range(400))
+    return files
+
+
+def pinned_outcome(path):
+    """A load of ``path`` as ``PINNED`` records it: the error's type name
+    and message, or digests of the loaded state.  ``state`` leaves out the
+    index's zero entries, which add exact zeros to every bound; ``index``
+    is the index as it is."""
+    got = load_outcome(path)
+    if isinstance(got, tuple):
+        return [got[0].__name__, got[1]]
+    n, row, col, val = got["index"]
+    row, col, val = (np.frombuffer(b, t) for b, t in ((row, np.intp), (col, np.intp),
+                                                      (val, np.float64)))
+    kept = val != 0.0
+    state = dict(got, index=(n, row[kept].tobytes(), col[kept].tobytes(), val[kept].tobytes()),
+                 tombstones=sorted(got["tombstones"]))
+    return {"state": hashlib.sha256(repr(state).encode()).hexdigest(),
+            "index": hashlib.sha256(repr(got["index"]).encode()).hexdigest()}
+
+
+# The outcome of loading each of pinned_files(), recorded from the loader
+# that read a failing file again a line at a time, before loads had one
+# path.  It pins the type and message of every error and the loaded state;
+# rewriting it from the current loader would pin nothing.
+PINNED = json.loads((Path(__file__).parent / "data" / "load_outcomes.json").read_text())
+
+
+def assert_pinned(name, path, edits):
+    """``load_episodes`` on ``path``, written with ``edits``, has the outcome
+    ``PINNED`` records.  A dense line's index row lists its ``-0.0`` entries
+    now, as a sparse line's did, so a file holding one differs in those alone."""
+    got, want = pinned_outcome(path), PINNED[name]
+    if isinstance(want, dict) and "dense" in edits.values():
+        got, want = got["state"], want["state"]
+    assert got == want
+
+
 @pytest.mark.parametrize("at", [0, 3])
 @pytest.mark.parametrize("edit", sorted(LINE_EDITS))
 def test_column_load_equals_the_line_loop_and_the_reference(tmp_path, edit, at):
-    # with the last line edited, a blank line follows the first and every
-    # line ends in CRLF
     path = tmp_path / "episodes.jsonl"
-    write_edited(path, negative_zero_vectors(4), {at: edit},
-                 *(("\n", "") if at == 0 else ("\r\n", " \t")))
-    assert_column_load_is_the_line_loops(path)
+    write_edited(path, *single_edit_file(edit, at))
+    assert_pinned(f"{edit}@{at}", path, {at: edit})
+    assert_load_matches_the_reference(path)
+
+
+def test_loads_of_seeded_files_give_the_pinned_outcomes(tmp_path):
+    files = pinned_files()
+    assert sorted(files) == sorted(PINNED)
+    for name, args in files.items():
+        if name.startswith("seed-"):
+            path = tmp_path / f"{name}.jsonl"
+            write_edited(path, *args)
+            assert_pinned(name, path, args[1])
+            assert_load_matches_the_reference(path)
 
 
 @given(vectors=st.lists(unit_vectors_with_zeros(), min_size=1, max_size=4),
@@ -1980,7 +2089,7 @@ def test_column_load_equals_the_line_loop_on_drawn_files(tmp_path_factory, vecto
                                                          newline, blank):
     path = tmp_path_factory.mktemp("load") / "episodes.jsonl"
     write_edited(path, vectors, edits, newline, blank)
-    assert_column_load_is_the_line_loops(path)
+    assert_load_matches_the_reference(path)
 
 
 def hashing_store(path, n=150):
@@ -1994,24 +2103,40 @@ def hashing_store(path, n=150):
 
 
 def test_a_load_builds_no_dense_embedding_until_one_is_read(tmp_path):
-    # 150 dense 2048-float arrays alone would retain 2.4 MB
-    path = tmp_path / "episodes.jsonl"
-    hashing_store(path)
-    pool = MemoryPool(MemoryConfig())
-    tracemalloc.start()
-    try:
-        assert pool.load_episodes(str(path)) == 150
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert retained < 2 ** 20
+    # 150 dense 2048-float arrays alone would retain 2.4 MB; the dense lines
+    # of an older store are turned sparse as they are decoded
+    sparse, dense = tmp_path / "sparse.jsonl", tmp_path / "dense.jsonl"
+    hashing_store(sparse)
+    dense.write_text(sparse.read_text())
+    densify(dense, "embedding")
     reference = MemoryPool(MemoryConfig())
-    load_line_by_line(reference, path)
-    ep = pool.episode("ep-000042")
-    assert "embedding" not in vars(ep)
-    assert ep.embedding.tobytes() == reference.episode("ep-000042").embedding.tobytes()
-    assert ep.embedding is ep.embedding  # built once, then an instance-dict hit
-    assert sum("embedding" in vars(e) for e in pool.episodes.values()) == 1
+    load_line_by_line(reference, sparse)
+    for path in (sparse, dense):
+        pool = MemoryPool(MemoryConfig())
+        tracemalloc.start()
+        try:
+            assert pool.load_episodes(str(path)) == 150
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 ** 20
+        ep = pool.episode("ep-000042")
+        assert "embedding" not in vars(ep)
+        assert ep.embedding.tobytes() == reference.episode("ep-000042").embedding.tobytes()
+        assert ep.embedding is ep.embedding  # built once, then an instance-dict hit
+        assert sum("embedding" in vars(e) for e in pool.episodes.values()) == 1
+
+
+@pytest.mark.parametrize("text", ["", "\n \r\n\t\n"], ids=["empty", "blank"])
+def test_an_empty_or_blank_file_loads_no_episode_on_the_column_path(tmp_path, monkeypatch,
+                                                                     rng, text):
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(text)
+    pool = stored_pool(rng)
+    before = pool_state(pool)
+    monkeypatch.setattr(MemoryPool, "_first_bad_line", None)  # never called
+    assert pool.load_episodes(str(path)) == 0
+    assert pool_state(pool) == before
 
 
 def test_a_loaded_store_saves_back_byte_for_byte(tmp_path):
