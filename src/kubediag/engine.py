@@ -394,7 +394,8 @@ class Engine:
         edges_confirmed: list[str] = []
         if fb.discovered_relations:
             # edit a copy, then swap atomically so readers never see partial edits;
-            # the copy shares the graph's records and costs four dict copies
+            # the copy shares the graph's records and costs three dict copies,
+            # one entry per node each
             g2 = self.graph.copy()
             for src, rel, dst in fb.discovered_relations:
                 w = g2.confirm_relation(src, rel, dst)

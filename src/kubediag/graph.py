@@ -16,22 +16,23 @@ so it only picks candidates, with a margin wider than any rounding
 difference; each candidate is rebuilt dense, bit for bit, and rescored with
 ``np.dot``.  A label is embedded once and re-embedded only when it changes.
 
-Each node's out-edges are kept sorted by relation, then destination, so
-reading them sorts nothing, and each carries the log of its weight and
-whether its destination is a root cause, so the search reads no edge or node
-record.  The search scores each extension of a path once, from state the path
-carries (its running sum of edge-weight logs and its edge overlap with each
-memory path), with the same float operations in the same order as
-:func:`priority`; only the chains it returns are rescored with
-:func:`path_score`.
+Each edge is stored once, in its source's out-edge tuple, which is kept
+sorted by relation, then destination, so reading it sorts nothing and a
+lookup by ``(src, relation, dst)`` is one bisection.  Each item carries the
+log of the edge's weight and whether its destination is a root cause, so the
+search reads no edge or node record.  The search scores each extension of a
+path once, from state the path carries (its running sum of edge-weight logs
+and its edge overlap with each memory path), with the same float operations
+in the same order as :func:`priority`; only the chains it returns are
+rescored with :func:`path_score`.
 
-Copies of a graph share its node and edge records, so a copy costs four dict
-copies and builds no record.  The graph's methods therefore never change a
-record in place: a reweighted edge, a relabelled node or a node with new
-attributes or category is a new record stored under the same key, and an
-out-edge list is a tuple replaced when an edge is added or reweighted.
-Callers treat the nodes and edges they read from a graph, or pass into one,
-as read-only.
+Copies of a graph share its node and edge records, so a copy costs three
+dict copies, one entry per node each, and builds no record.  The graph's
+methods therefore never change a record in place: a reweighted edge, a
+relabelled node or a node with new attributes or category is a new record
+stored under the same key, and an out-edge tuple is replaced when an edge is
+added or reweighted.  Callers treat the nodes and edges they read from a
+graph, or pass into one, as read-only.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import bisect
 import json
 import math
 import re
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
@@ -289,17 +291,55 @@ def checked_field(raw: dict, key: str, owner: str, default: object = None) -> st
         raise SchemaViolation(f"{owner}: {exc}") from None
 
 
+# an adjacency item: (relation value, dst, relation, log weight, dst is a
+# root cause, edge record)
+_Item = tuple[str, str, Relation, float, bool, GraphEdge]
+
+
+def _find(out: tuple[_Item, ...], value: str, dst: str) -> tuple[int, GraphEdge | None]:
+    """The slot of edge ``(value, dst)`` in the sorted adjacency ``out`` and
+    its record, or where it would go and ``None``."""
+    i = bisect.bisect_left(out, (value, dst))  # never compares past dst
+    if i < len(out) and out[i][0] == value and out[i][1] == dst:
+        return i, out[i][5]
+    return i, None
+
+
+class _EdgeView(Mapping):
+    """Read-only ``(src, relation value, dst) -> GraphEdge`` view of an
+    adjacency: a lookup is one bisection, and nothing is stored per edge."""
+
+    __slots__ = ("_out",)
+
+    def __init__(self, out: dict[str, tuple[_Item, ...]]) -> None:
+        self._out = out
+
+    def __getitem__(self, key: tuple[str, str, str]) -> GraphEdge:
+        src, value, dst = key
+        edge = _find(self._out.get(src, ()), value, dst)[1]
+        if edge is None:
+            raise KeyError(key)
+        return edge
+
+    def __iter__(self) -> Iterator[tuple[str, str, str]]:
+        for src, out in self._out.items():
+            for value, dst, *_ in out:
+                yield src, value, dst
+
+    def __len__(self) -> int:
+        return sum(map(len, self._out.values()))
+
+
 class KnowledgeGraph:
     """Directed typed multigraph keyed by (src, relation, dst) with max-weight dedup."""
 
     def __init__(self) -> None:
         self.nodes: dict[str, GraphNode] = {}
-        self.edges: dict[tuple[str, str, str], GraphEdge] = {}  # (src, relation, dst)
-        # src -> ((relation value, dst, relation, log weight, dst is a root
-        # cause), ...), sorted by (relation value, dst), which is unique per
-        # src; the tuple is replaced when an edge out of src is added or
-        # reweighted.  A node's type never changes, so neither does the flag.
-        self._out: dict[str, tuple[tuple[str, str, Relation, float, bool], ...]] = {}
+        # src -> its out-edge items, each edge's only store, sorted by
+        # (relation value, dst), which is unique per src; the tuple is
+        # replaced when an edge out of src is added or reweighted.  A node's
+        # type never changes, so neither does the root-cause flag.
+        self._out: dict[str, tuple[_Item, ...]] = {}
         # node id -> (index, value) of its label embedding, every entry not +0.0
         self._label_vecs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # built by seed_nodes, shared by copies, never mutated in place;
@@ -309,16 +349,21 @@ class KnowledgeGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    @property
+    def edges(self) -> Mapping[tuple[str, str, str], GraphEdge]:
+        """Every edge by ``(src, relation value, dst)``, read through the
+        adjacency; a view, not a copy."""
+        return _EdgeView(self._out)
+
     def copy(self) -> "KnowledgeGraph":
         """Independent copy that shares this graph's node and edge records.
 
-        Four dict copies and no new record: the graph's methods replace a
-        record rather than change it, so an edit through either graph never
-        shows in the other.
+        Three dict copies, one entry per node each, and no new record: the
+        graph's methods replace a record rather than change it, so an edit
+        through either graph never shows in the other.
         """
         g = KnowledgeGraph()
         g.nodes = dict(self.nodes)
-        g.edges = dict(self.edges)
         g._out = dict(self._out)
         g._label_vecs = dict(self._label_vecs)
         g._label_index = self._label_index
@@ -349,37 +394,31 @@ class KnowledgeGraph:
         edge.validate()
         self.upsert_node(src)
         self.upsert_node(dst)
-        key = (edge.src, edge.relation.value, edge.dst)
-        prior = self.edges.get(key)
-        if prior is None:
-            self._store(key, edge)
-        elif edge.weight > prior.weight:
-            self._store(key, GraphEdge(prior.src, prior.dst, prior.relation, edge.weight))
-
-    def _store(self, key: tuple[str, str, str], edge: GraphEdge) -> None:
-        """Store ``edge`` under ``key`` and put its item into a new
-        ``_out[edge.src]``: in sorted place for a new edge, in place of the
-        old item for a reweighted one.  O(out-degree of ``edge.src``)."""
-        self.edges[key] = edge
-        value, dst = key[1], edge.dst
         out = self._out.get(edge.src, ())
-        i = bisect.bisect_left(out, (value, dst))  # never compares past dst
-        end = i + 1 if i < len(out) and out[i][:2] == (value, dst) else i
-        item = (value, dst, edge.relation, math.log(edge.weight),
-                self.nodes[dst].node_type is NodeType.ROOT_CAUSE)
-        self._out[edge.src] = out[:i] + (item,) + out[end:]
+        i, prior = _find(out, edge.relation.value, edge.dst)
+        if prior is None:
+            self._store(out, i, False, edge)
+        elif edge.weight > prior.weight:
+            self._store(out, i, True, GraphEdge(prior.src, prior.dst, prior.relation, edge.weight))
+
+    def _store(self, out: tuple[_Item, ...], i: int, replace: bool, edge: GraphEdge) -> None:
+        """Make ``_out[edge.src]`` a new tuple: ``out``, the current one,
+        with ``edge``'s item put at slot ``i``, in place of the item there
+        when ``replace``.  O(out-degree of ``edge.src``)."""
+        item = (edge.relation.value, edge.dst, edge.relation, math.log(edge.weight),
+                self.nodes[edge.dst].node_type is NodeType.ROOT_CAUSE, edge)
+        self._out[edge.src] = out[:i] + (item,) + out[i + replace:]
 
     def confirm_relation(self, src: GraphNode, relation: Relation, dst: GraphNode) -> float:
         """Feedback rule: new edges enter at 0.5; each reconfirmation adds 0.1, capped at 1."""
-        key = (src.id, relation.value, dst.id)
-        prior = self.edges.get(key)
-        if prior is None:
-            self.add_triple(src, GraphEdge(src.id, dst.id, relation, 0.5), dst)
-            return 0.5
+        out = self._out.get(src.id, ())
+        i, prior = _find(out, relation.value, dst.id)
+        w = 0.5 if prior is None else min(1.0, prior.weight + 0.1)
+        edge = GraphEdge(src.id, dst.id, relation, w)
+        edge.validate()
         self.upsert_node(src)
         self.upsert_node(dst)
-        w = min(1.0, prior.weight + 0.1)
-        self._store(key, GraphEdge(prior.src, prior.dst, prior.relation, w))
+        self._store(out, i, prior is not None, edge)
         return w
 
     def check_relations(self, relations: Iterable[tuple[GraphNode, Relation, GraphNode]]) -> None:
@@ -399,18 +438,16 @@ class KnowledgeGraph:
                     raise _redefined(node, known)
 
     def edge_weight(self, src: str, relation: Relation, dst: str) -> float:
-        key = (src, relation.value, dst)
-        if key not in self.edges:
+        edge = _find(self._out.get(src, ()), relation.value, dst)[1]
+        if edge is None:
             raise NotFound(f"no edge {src!r} -{relation.value}-> {dst!r}")
-        return self.edges[key].weight
+        return edge.weight
 
     def out_edges(self, src: str) -> list[tuple[Relation, str, float]]:
         """``(relation, dst, weight)`` of every edge out of ``src``, by relation
         value, then dst.  :func:`explore` reads the adjacency itself, which
-        holds each weight's log instead."""
-        edges = self.edges
-        return [(rel, dst, edges[(src, value, dst)].weight)
-                for value, dst, rel, _, _ in self._out.get(src, ())]
+        holds each weight's log as well."""
+        return [(rel, dst, e.weight) for _, dst, rel, _, _, e in self._out.get(src, ())]
 
     def _build_label_index(self, embedder: Embedder) -> _LabelIndex:
         """Embed the labels not yet embedded, then flatten every node's entries."""
@@ -472,9 +509,10 @@ class KnowledgeGraph:
                 }
                 for _, n in sorted(self.nodes.items())
             ],
+            # by (src, relation value, dst): sorted sources, each in item order
             "edges": [
                 {"src": e.src, "dst": e.dst, "relation": e.relation.value, "weight": e.weight}
-                for _, e in sorted(self.edges.items())
+                for src in sorted(self._out) for *_, e in self._out[src]
             ],
         }
 
@@ -647,7 +685,7 @@ def explore(
         grown = []
         for (_, _, ids), rels, logsum, overlaps in frontier:
             tail = ids[-1]
-            for _, dst, rel, log_w, is_root in adjacency.get(tail, ()):
+            for _, dst, rel, log_w, is_root, _ in adjacency.get(tail, ()):
                 if dst in ids:
                     continue  # simple paths only
                 total = logsum + log_w

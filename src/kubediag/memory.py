@@ -1102,9 +1102,14 @@ def _as_sparse(raw: object, dim: int) -> object:
 
 
 def _dense_from_json(raw: list, dim: int) -> np.ndarray:
+    """An older store's dense list, its entries floats as the sparse form's
+    values are: numpy would read ``true`` as 1.0 and parse "0"."""
     out = np.asarray(raw, dtype=np.float64)
     if out.shape != (dim,):
         raise ValueError(f"vector shape {out.shape} != ({dim},)")
+    if not set(map(type, raw)) <= {float}:
+        bad = next(x for x in raw if type(x) is not float)
+        raise ValueError(f"vector value {short_repr(bad)} is not a float")
     return out
 
 

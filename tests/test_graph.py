@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,19 +314,18 @@ def test_copy_and_original_never_see_each_others_edits(case, data):
 
 
 def assert_adjacency_matches_records(g):
-    """Every edge has one adjacency item, sorted by relation value, then dst;
-    an item holds its edge's ``math.log(weight)`` bit for bit and whether
-    its destination is a root cause."""
-    listed = []
+    """A source's items are strictly increasing by relation value, then dst,
+    and each matches the edge record it holds: the record's src, dst and
+    relation, its ``math.log(weight)`` bit for bit and whether its
+    destination is a root cause."""
     for src, out in g._out.items():
-        assert [item[:2] for item in out] == sorted(item[:2] for item in out)
-        for value, dst, rel, log_w, is_root in out:
-            e = g.edges[(src, value, dst)]
+        keys = [item[:2] for item in out]
+        assert out and keys == sorted(set(keys))
+        for value, dst, rel, log_w, is_root, e in out:
+            assert (e.src, e.dst, e.relation.value) == (src, dst, value)
             assert rel is e.relation
             assert log_w.hex() == math.log(e.weight).hex()
             assert is_root is (g.nodes[dst].node_type is NodeType.ROOT_CAUSE)
-            listed.append((src, value, dst))
-    assert sorted(listed) == sorted(g.edges)
 
 
 def reloaded_with_a_heavier_repeat(g, pick):
@@ -359,6 +359,84 @@ def test_adjacency_items_match_the_records_after_any_edits(case, data):
             apply_edit(g, specs, step)
         for each in graphs:
             assert_adjacency_matches_records(each)
+
+
+def model_edit(model, specs, edit):
+    """``edit`` applied to ``model``, a plain dict of every edge's weight by
+    ``(src, relation value, dst)``: a repeated triple keeps the heavier
+    weight, a confirmation enters at 0.5 and then adds 0.1 up to 1."""
+    kind, *args = edit
+    if kind == "add":
+        (i, j, rel, _), w = args
+        key = (specs[i][0], rel.value, specs[j][0])
+        model[key] = max(model.get(key, w), w)
+    elif kind == "confirm":
+        (i, j), rel = args
+        key = (specs[i][0], rel.value, specs[j][0])
+        model[key] = min(1.0, model[key] + 0.1) if key in model else 0.5
+
+
+def assert_edges_equal(g, model, keys):
+    """``g.edges`` reads as the plain dict ``model``: item for item, by
+    ``len``, by ``in`` and ``KeyError`` on each of ``keys``, and as the
+    edge list of the saved payload, byte for byte."""
+    view = g.edges
+    assert {key: e.weight for key, e in view.items()} == model
+    assert all((e.src, e.relation.value, e.dst) == key for key, e in view.items())
+    assert len(view) == len(model)
+    for key in keys:
+        assert (key in view) is (key in model)
+        if key not in model:
+            with pytest.raises(KeyError):
+                view[key]
+    want = [{"src": s, "dst": d, "relation": v, "weight": w}
+            for (s, v, d), w in sorted(model.items())]
+    assert json.dumps(g.to_dict()["edges"], sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@given(triple_lists(), st.data())
+def test_the_edge_view_reads_as_a_plain_dict_of_every_edge(case, data):
+    specs, triples = case
+    model = {}
+    for i, j, rel, w in triples:
+        model_edit(model, specs, ("add", (i, j, rel, w), w))
+    graphs = [(build_graph(specs, triples), model)]
+    keys = [(a[0], rel.value, b[0]) for a in specs for rel in Relation for b in specs]
+    steps = st.one_of(graph_edits(specs, triples), st.sampled_from(["copy", "save and load"]))
+    for step in data.draw(st.lists(steps, min_size=1, max_size=10)):
+        g, model = data.draw(st.sampled_from(graphs))
+        if step == "copy":
+            graphs.append((g.copy(), dict(model)))
+        elif step == "save and load":
+            graphs.append((saved_and_loaded(g), dict(model)))
+        else:
+            apply_edit(g, specs, step)
+            model_edit(model, specs, step)
+        for each in graphs:
+            assert_edges_equal(*each, keys)
+
+
+def test_a_copy_costs_per_node_not_per_edge():
+    # 100 nodes of 30 out-edges each: copying any per-edge dict alone
+    # allocates more than the whole copy may
+    g = KnowledgeGraph()
+    nodes = [node(f"n{i:03d}", NodeType.EVENT) for i in range(100)]
+    for i, a in enumerate(nodes):
+        for k in range(1, 31):
+            b = nodes[(i + k) % 100]
+            g.add_triple(a, edge(a.id, b.id), b)
+    per_edge = dict.fromkeys(g.edges)
+    assert len(per_edge) == 3000
+
+    def peak(make):
+        tracemalloc.start()
+        try:
+            make()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(g.copy) < peak(lambda: dict(per_edge))
 
 
 def test_copy_builds_no_node_or_edge(monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import struct
 import tracemalloc
 from collections import Counter
@@ -1615,6 +1616,49 @@ def test_a_dense_entry_beyond_the_float_range_is_a_schema_violation(tmp_path, rn
         fresh.load_episodes(str(memory))
     with pytest.raises(SchemaViolation, match="int too large"):
         fresh.load_pattern_snapshot(str(snapshot))
+
+
+def dense_unit_store(tmp_path):
+    """An episode store and a snapshot of the unit vector ``e0`` in 16
+    dimensions, written as the dense lists of the older format."""
+    pool = pool_of_vectors([np.eye(16)[0]], 16)
+    memory, snapshot = tmp_path / "episodes.jsonl", tmp_path / "patterns.json"
+    pool.save_episodes(str(memory))
+    pool.save_pattern_snapshot(str(snapshot))
+    densify(memory, "embedding")
+    densify(snapshot, "centroid")
+    return memory, snapshot
+
+
+# each would be read as e0's own entry, 1.0 or 0.0, were it coerced
+NON_FLOAT_ENTRIES = [(0, True), (1, "0"), (1, 0), (1, False)]
+NON_FLOAT_IDS = ["true", "string", "int", "false"]
+
+
+@pytest.mark.parametrize("at,bad", NON_FLOAT_ENTRIES, ids=NON_FLOAT_IDS)
+def test_a_dense_episode_entry_that_is_not_a_float_is_a_schema_violation(tmp_path, at, bad):
+    memory, _ = dense_unit_store(tmp_path)
+    raw = json.loads(memory.read_text())
+    raw["embedding"][at] = bad
+    memory.write_text(json.dumps(raw) + "\n")
+    fresh = small_pool(16)
+    with pytest.raises(SchemaViolation,
+                       match=f"^line 1: vector value {re.escape(repr(bad))} is not a float$"):
+        fresh.load_episodes(str(memory))
+    assert fresh.episodes == {}
+
+
+@pytest.mark.parametrize("at,bad", NON_FLOAT_ENTRIES, ids=NON_FLOAT_IDS)
+def test_a_dense_centroid_entry_that_is_not_a_float_is_a_schema_violation(tmp_path, at, bad):
+    memory, snapshot = dense_unit_store(tmp_path)
+    fresh = small_pool(16)
+    fresh.load_episodes(str(memory))
+    data = json.loads(snapshot.read_text())
+    data["patterns"][0]["centroid"][at] = bad
+    snapshot.write_text(json.dumps(data))
+    with pytest.raises(SchemaViolation, match=f"vector value {re.escape(repr(bad))} is not a float"):
+        fresh.load_pattern_snapshot(str(snapshot))
+    assert fresh.patterns == {}
 
 
 BAD_VECTORS = {
