@@ -2,8 +2,8 @@
 
 The package pairs an episodic/pattern memory with a causal knowledge graph.
 A self-calibrating controller routes each incident either straight from
-memory (fast) or through graph search (deliberate), and confirmed outcomes
-feed back into all three stores.
+memory (fast) or through graph search (deliberate).  Outcomes feed back into
+memory and the controller, and into the graph only as confirmed relations.
 """
 
 from .controller import (
@@ -39,6 +39,7 @@ from .memory import (
     RetrievalResult,
     make_query,
 )
+from . import store  # loaded with the pool, whose load and save methods import it late
 from .scenarios import (
     DEFAULT_MIX,
     FaultScenario,

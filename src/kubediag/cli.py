@@ -21,8 +21,8 @@ import click
 from .controller import MetaController
 from .embedding import HashingEmbedder
 from .engine import DiagnosticQuery, Engine, Feedback
-from .errors import ConfigError, InvalidQuery, KubeDiagError, NoEvidence
-from .files import as_string
+from .errors import ConfigError, InvalidArgument, InvalidQuery, KubeDiagError, NoEvidence
+from .files import as_string, is_finite, short_repr
 from .graph import (
     Category,
     GraphEdge,
@@ -40,16 +40,32 @@ from .simulate import SimulationConfig, evaluate_ablation, run_continuous, write
 from .synthesizer import SynthConfig, TemplateStubClient
 
 
+def _checked(value, default, name: str):
+    """``value`` if it has the JSON type of ``default``: an int field takes
+    an int that is not a bool, a float field a finite number, and a tuple
+    field a list of as many entries, each checked the same way."""
+    if isinstance(default, tuple):
+        if isinstance(value, list) and len(value) == len(default):
+            return tuple(_checked(v, d, name) for v, d in zip(value, default))
+        ok, want = False, f"a list of {len(default)}"
+    elif isinstance(default, int):
+        ok, want = type(value) is int, "an integer"
+    else:
+        ok, want = is_finite(value), "a finite number"
+    if not ok:
+        raise ConfigError(f"config {name} {short_repr(value)} is not {want}")
+    return value
+
+
 def _replace_fields(cfg, overrides: dict, section: str):
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"config section {section} must be a JSON object")
     valid = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     unknown = sorted(set(overrides) - set(valid))
     if unknown:
         raise ConfigError(f"unknown {section} config keys: {', '.join(unknown)}")
-    coerced = {
-        k: tuple(v) if isinstance(valid[k], tuple) and isinstance(v, list) else v
-        for k, v in overrides.items()
-    }
-    return dataclasses.replace(cfg, **coerced)
+    return dataclasses.replace(cfg, **{
+        k: _checked(v, valid[k], f"{section}.{k}") for k, v in overrides.items()})
 
 
 def _load_config(path: str | None) -> dict:
@@ -70,9 +86,15 @@ def _load_config(path: str | None) -> dict:
         memory = _replace_fields(memory, raw.get("memory", {}), "memory")
         search = _replace_fields(search, raw.get("search", {}), "search")
         synth = _replace_fields(synth, raw.get("synth", {}), "synth")
-        tau = raw.get("tau")
-    memory.validate()
-    search.validate()
+        if "tau" in raw:
+            tau = float(_checked(raw["tau"], 0.0, "tau"))
+            if not 0.0 <= tau <= 1.0:
+                raise ConfigError(f"config tau must be in [0, 1], got {tau}")
+    try:
+        for section in (memory, search, synth):
+            section.validate()
+    except InvalidArgument as exc:
+        raise ConfigError(str(exc)) from exc
     return {"memory": memory, "search": search, "synth": synth, "tau": tau}
 
 
@@ -158,7 +180,7 @@ def diagnose(symptoms, contexts, logs_path, memory_path, graph_path, controller_
             else MetaController()
         )
         if cfg["tau"] is not None:
-            controller.state.tau = float(cfg["tau"])
+            controller.state.tau = cfg["tau"]
 
         engine = Engine(
             pool=pool,

@@ -2,9 +2,10 @@
 
 A diagnosis either takes the fast path (memory retrieval straight into
 synthesis) or the deliberate path (retrieval, exploration hints, causal graph
-search, then synthesis).  Confirmed outcomes feed back into every store: a
-new episode is written, source memories are revalued, the controller replays
-its history, and confirmed causal relations strengthen the graph.
+search, then synthesis).  Feedback stores a new episode, revalues the source
+memories and replays the controller's history.  Graph edges are confirmed
+only from ``Feedback.discovered_relations``, which neither ``simulate`` nor
+``diagnose --learn`` passes yet.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class DiagnosisSession:
 class Feedback:
     session_id: str
     outcome: Outcome
-    confirmed_root_cause: str = ""
+    confirmed_root_cause: str = ""  # nothing reads it yet
     discovered_relations: list[tuple[GraphNode, Relation, GraphNode]] = field(default_factory=list)
 
 

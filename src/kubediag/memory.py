@@ -24,44 +24,21 @@ the newest episode to a pattern (most of them on a recurring stream) costs
 one vector addition: the pool keeps each pattern's unnormalised member sum
 and its leading member, so the fields come out bit for bit as reading every
 member would give them.
-
-Episodes persist as JSONL, one object per line; patterns as one JSON
-snapshot.  Each embedding and centroid is stored sparse, as
-``{"dim": D, "index": [...], "value": [...]}`` listing every entry that is
-not ``+0.0`` (a hashing embedding has about 14 of 2048), and is rebuilt bit
-for bit on load.  The dense lists of older stores still load; the next save
-rewrites them sparse.  Every save replaces its file atomically.
-
-Loading an episode file decodes each line, a dense list turned sparse,
-then checks each field a column at a time, over every line at once:
-C-level passes over the values, and array operations over the sparse
-entries of every line, gathered into one flat array that the index takes
-as it is.  A loaded episode keeps its slice of those entries and builds its
-dense embedding when something first reads it, which a read-only diagnosis
-does for a few of them (the rows it scores exactly).  A load is all or
-nothing: when a check fails, the lines are decoded again one at a time to
-name the first invalid one, and the pool is left unchanged.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
-import json
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import DEFAULT_DIM, Embedder, SparseRows, nonzero_index
-from .errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound, SchemaViolation
-from .files import as_count, as_number, as_string, as_strings, short_repr, write_atomic
+from .embedding import DEFAULT_DIM, Embedder, SparseRows
+from .errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound
 from .text import tokenize
 
 SECONDS_PER_DAY = 86_400.0
@@ -143,13 +120,8 @@ def make_query(embedder: Embedder, symptoms: Sequence[str], context: Iterable[st
 
 @dataclass(eq=False)
 class Episode:
-    """One concrete diagnostic trajectory.
-
-    An episode built by its constructor holds its dense ``embedding`` from
-    the start.  One loaded by :meth:`MemoryPool.load_episodes` holds only
-    its sparse entries until ``embedding`` is first read (see
-    :class:`_LoadedEpisode`); a diagnosis reads a few of them.
-    """
+    """One concrete diagnostic trajectory.  A loaded one may build its
+    ``embedding`` when first read (:class:`kubediag.store._LoadedEpisode`)."""
 
     id: str
     symptoms: list[str]
@@ -181,28 +153,6 @@ class Episode:
         norm = _norm(self.embedding)
         if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
             raise InvalidArgument(f"episode {self.id}: embedding norm {norm:.8f} != 1")
-
-
-class _LoadedEpisode(Episode):
-    """An episode read by :meth:`MemoryPool.load_episodes`.
-
-    It keeps its sparse entries as ``_sparse``, ``(dim, col, val, a, b)``:
-    ``val[a:b]`` at ``col[a:b]`` of the load's flat arrays.  The first read
-    of ``embedding`` scatters them into zeros, ``-0.0`` entries included,
-    and keeps the array as an instance attribute.
-    A save before that writes the entries themselves.
-    Each episode gets its own array, which an eviction frees; views of one
-    ``(n, dim)`` block would keep the whole block alive.  The property lives
-    on this subclass alone, so that reading an :class:`Episode`'s embedding
-    stays a plain attribute read.
-    """
-
-    @cached_property
-    def embedding(self) -> np.ndarray:
-        dim, col, val, a, b = self._sparse
-        dense = np.zeros(dim)
-        dense[col[a:b]] = val[a:b]
-        return dense
 
 
 @dataclass(eq=False)
@@ -865,350 +815,38 @@ class MemoryPool:
         order; gated like :meth:`hints` so weak hits cannot bias search."""
         return [list(path) for path in self._gated_paths(result.memories)]
 
-    # -- persistence --------------------------------------------------------
+
+    # -- persistence: the file formats are kubediag.store's ----------------
 
     def save_episodes(self, path: str) -> None:
-        write_atomic(path, lambda fh: fh.writelines(
-            json.dumps(_episode_to_dict(ep), sort_keys=True) + "\n"
-            for ep in self._episodes.values()
-        ))
+        from .store import write_episodes
+        write_episodes(path, self._episodes.values())
 
     def load_episodes(self, path: str) -> int:
-        """Load an episode JSONL file, all or nothing.
-
-        Raises for the first invalid line what inserting the lines one at a
-        time would: ``DuplicateId`` for an id the pool holds or has evicted,
-        else ``SchemaViolation`` naming the line, an id used on an earlier
-        line included.  A file that is not UTF-8 raises ``SchemaViolation``.
-        A failed load leaves the pool unchanged.
-
-        The file is read once and checked a column at a time
-        (:meth:`_read_columns`), and its episodes build their dense
-        embeddings when first read.  Only when a check fails are the lines
-        decoded again one at a time (:meth:`_first_bad_line`), to name the
-        first bad one.
-        """
-        dim = self.config.embedding_dim
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                lines = fh.read().split("\n")
-            except UnicodeDecodeError as exc:
-                raise SchemaViolation(f"episode file is not UTF-8: {exc}") from exc
-        loaded = self._read_columns(lines, dim)
-        if loaded is None:
-            # each column check is one of a line's checks, so some line fails
-            raise self._first_bad_line(lines, dim) or SchemaViolation(
-                "episode file fails a column check that none of its lines fails")
-        eps, sizes, col, val = loaded
+        """Load an episode JSONL file, all or nothing: a failed load raises
+        what :func:`~kubediag.store.read_episodes` names, ``DuplicateId`` for
+        an id the pool holds or has evicted, and leaves the pool unchanged."""
+        from .store import read_episodes
+        eps, sizes, col, val = read_episodes(path, self.config.embedding_dim,
+                                             self._check_unused)
         self._index.extend(sizes, col, val)
         self._admit(eps)
         return len(eps)
 
-    def _read_columns(self, lines: list[str], dim: int) -> _Loaded | None:
-        """The episodes of an episode file's ``lines`` with their sparse
-        entries, flat, if every line passes every check, else None.
-
-        Each line is decoded, a dense embedding turned sparse
-        (:func:`_as_sparse`), then each field is checked over all lines at
-        once by C-level passes, the sparse entries as one flat array.  A
-        check that cannot run fails.  The episodes build their embeddings
-        from the flat arrays when first read (:class:`_LoadedEpisode`)."""
-        try:
-            raws = list(map(json.loads, filter(str.strip, lines)))
-            if not raws:
-                return [], [], np.empty(0, np.intp), np.empty(0)
-            ids, symptoms, context, actions, outcome, stamps, values, vectors, paths = zip(
-                *map(_EPISODE_KEYS, raws))
-            trials = list(map(dict.get, raws, repeat("trials"), repeat(0)))
-            successes = list(map(dict.get, raws, repeat("successes"), repeat(0)))
-            dims, index, value = zip(*map(_VECTOR_KEYS, map(_as_sparse, vectors, repeat(dim))))
-            strings, numbers = symptoms + context + actions + paths, stamps + values
-            if not (set(map(type, ids)) == {str} and all(ids) and len(set(ids)) == len(ids)
-                    and self._tombstones.isdisjoint(ids)
-                    and self._episodes.keys().isdisjoint(ids)
-                    and set(map(type, strings)) == {list}
-                    and set(map(type, chain.from_iterable(strings))) <= {str}
-                    and set(outcome) <= _OUTCOMES.keys()
-                    and set(map(type, numbers)) <= {int, float}
-                    and all(map(math.isfinite, numbers)) and min(numbers) >= 0
-                    and set(map(type, trials + successes)) == {int}
-                    and min(successes) >= 0 and all(map(operator.le, successes, trials))
-                    and set(map(type, dims)) == {int} and set(dims) == {dim}
-                    and set(map(type, index + value)) == {list}
-                    and list(map(len, index)) == list(map(len, value))
-                    and set(map(type, chain.from_iterable(index))) <= {int}
-                    and set(map(type, chain.from_iterable(value))) <= {float}):
-                return None
-            sizes = list(map(len, index))
-            col = np.fromiter(chain.from_iterable(index), np.intp, sum(sizes))
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
-            return None
-        val = np.fromiter(chain.from_iterable(value), np.float64, col.size)
-        # the decoded lines die here, not after the episodes are built: the
-        # collector runs on the count of live containers, and holding them
-        # costs a diagnose call one more collection
-        del raws, vectors, index, value
-        rows = np.repeat(np.arange(len(ids)), sizes)
-        # each row's indices increase within [0, dim) iff the flat keys
-        # row * dim + col increase
-        if col.size and not (col.min() >= 0 and col.max() < dim
-                             and (np.diff(rows * dim + col) > 0).all()):
-            return None
-        eps = list(map(_LoadedEpisode, ids, symptoms, map(set, context), actions,
-                       map(_OUTCOMES.__getitem__, outcome), map(float, stamps),
-                       map(float, values), repeat(None), paths, trials, successes))
-        starts = [0, *accumulate(sizes)]
-        for ep, a, b in zip(eps, starts, starts[1:]):
-            del ep.embedding  # built on first read
-            ep._sparse = dim, col, val, a, b
-        try:
-            for r in _unsure_norms(rows, val, len(eps), dim):
-                eps[r]._check_norm()
-        except InvalidArgument:
-            return None
-        return eps, sizes, col, val
-
-    def _first_bad_line(self, lines: list[str], dim: int) -> DuplicateId | SchemaViolation | None:
-        """What inserting the episodes of ``lines`` one at a time raises
-        first, or None: ``DuplicateId`` for an id the pool holds or has
-        evicted, else ``SchemaViolation`` naming the line.
-
-        Each line is decoded, then checked as :meth:`insert_episode` checks
-        it, with an id used on an earlier line failing too."""
-        first_line: dict[str, int] = {}
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                ep = _episode_from_dict(json.loads(line), dim)
-                self._check_unused(ep.id)
-                if ep.id in first_line:
-                    raise ValueError(
-                        f"episode id {ep.id!r} already used on line {first_line[ep.id]}")
-                ep.validate()
-            except DuplicateId as exc:
-                return exc
-            except (ValueError, KeyError, TypeError, OverflowError, RecursionError,
-                    InvalidArgument) as exc:
-                return SchemaViolation(f"line {line_no}: {exc}")
-            first_line[ep.id] = line_no
-        return None
-
     def save_pattern_snapshot(self, path: str) -> None:
-        payload = {
-            "patterns": [_pattern_to_dict(p) for _, p in sorted(self._patterns.items())],
-            "config": dataclasses.asdict(self.config),
-        }
-        write_atomic(path, lambda fh: json.dump(payload, fh, sort_keys=True, indent=2))
+        from .store import write_patterns
+        write_patterns(path, self._patterns, self.config)
 
     def load_pattern_snapshot(self, path: str) -> int:
         """Load a pattern snapshot; a malformed file raises ``SchemaViolation``
         and leaves the pool's patterns untouched."""
-        dim = self.config.embedding_dim
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if not isinstance(payload, dict) or not isinstance(payload["patterns"], list):
-                raise TypeError("payload must be an object with a 'patterns' list")
-            loaded = [_pattern_from_dict(raw, dim) for raw in payload["patterns"]]
-            seq = self._pattern_seq
-            for pat in loaded:
-                norm = _norm(pat.centroid)
-                if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
-                    raise ValueError(f"{pat.id}: centroid norm {norm:.8f} != 1")
-                if not 0 <= pat.success_members <= len(pat.member_ids):
-                    raise ValueError(f"{pat.id}: success_members {pat.success_members} "
-                                     f"outside [0, {len(pat.member_ids)}]")
-                if pat.id.startswith("pat-"):
-                    seq = max(seq, int(pat.id.rsplit("-", 1)[-1]))
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-            raise SchemaViolation(f"bad pattern snapshot: {exc}") from exc
+        from .store import read_patterns
+        loaded, seq = read_patterns(path, self.config.embedding_dim)
         for pat in loaded:
             # a pattern may replace one of the same id, or an earlier entry
             old = self._patterns.get(pat.id)
             self._remap(pat.id, old.member_ids if old else set(), pat.member_ids)
             self._patterns[pat.id] = pat
             self._folds.pop(pat.id, None)  # its next refresh recomputes
-        self._pattern_seq = seq
+        self._pattern_seq = max(self._pattern_seq, seq)
         return len(loaded)
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers
-
-
-# (episodes, entries per episode, flat indices, flat values) of a loaded file
-_Loaded = tuple[list[Episode], list[int], np.ndarray, np.ndarray]
-
-_EPISODE_KEYS = operator.itemgetter("id", "symptoms", "context", "actions", "outcome",
-                                    "timestamp", "memory_value", "embedding", "resolution_path")
-_VECTOR_KEYS = operator.itemgetter("dim", "index", "value")
-_OUTCOMES = {o.value: o for o in Outcome}
-
-
-def _unsure_norms(rows: np.ndarray, val: np.ndarray, n: int, dim: int) -> list[int]:
-    """The rows among ``n`` whose norm :meth:`Episode._check_norm` must
-    check, given every stored entry's row and value: one ``np.bincount`` of
-    the squared values gives every norm, summed in another order than
-    ``np.dot``'s, and only the norms too near the tolerance or beyond it,
-    NaN included, are left."""
-    norms = np.sqrt(np.bincount(rows, val * val, n))
-    # two summation orders of at most dim squares differ by under
-    # dim * eps of a unit norm, so a norm passing this passes exactly
-    sure = 1e-6 - 2.0 * dim * float(np.finfo(np.float64).eps)
-    return np.flatnonzero(~(np.abs(norms - 1.0) <= sure)).tolist()
-
-
-def _vector_to_json(v: np.ndarray) -> dict:
-    """Sparse form of a dense vector: every entry that is not ``+0.0``.
-
-    ``-0.0`` is kept, so :func:`_vector_from_json` rebuilds the array bit for
-    bit.
-    """
-    index = nonzero_index(v)
-    return {"dim": int(v.size), "index": index.tolist(), "value": v[index].tolist()}
-
-
-def _embedding_to_json(ep: Episode) -> dict:
-    """:func:`_vector_to_json` of ``ep.embedding``.  A loaded episode that
-    has not built its array writes its own entries instead, without any
-    ``+0.0`` one, as the array's would be written."""
-    if "embedding" in vars(ep):
-        return _vector_to_json(ep.embedding)
-    dim, col, val, a, b = ep._sparse
-    keep = nonzero_index(val[a:b])
-    return {"dim": dim, "index": col[a:b][keep].tolist(), "value": val[a:b][keep].tolist()}
-
-
-def _vector_from_json(raw: object, dim: int) -> np.ndarray:
-    """Dense float64 array of length ``dim`` from :func:`_vector_to_json`'s
-    form, or from the dense list that older stores hold.
-
-    The sparse form is checked in full before the array is allocated, so a
-    bogus ``dim`` or index costs nothing.
-    """
-    if isinstance(raw, list):
-        return _dense_from_json(raw, dim)
-    index, value = _sparse_from_json(raw, dim)
-    out = np.zeros(dim, dtype=np.float64)
-    out[np.asarray(index, dtype=np.intp)] = value
-    return out
-
-
-def _as_sparse(raw: object, dim: int) -> object:
-    """A dense vector list of an older store in :func:`_vector_to_json`'s
-    form, anything else as it is."""
-    return _vector_to_json(_dense_from_json(raw, dim)) if isinstance(raw, list) else raw
-
-
-def _dense_from_json(raw: list, dim: int) -> np.ndarray:
-    """An older store's dense list, its entries floats as the sparse form's
-    values are: numpy would read ``true`` as 1.0 and parse "0"."""
-    out = np.asarray(raw, dtype=np.float64)
-    if out.shape != (dim,):
-        raise ValueError(f"vector shape {out.shape} != ({dim},)")
-    if not set(map(type, raw)) <= {float}:
-        bad = next(x for x in raw if type(x) is not float)
-        raise ValueError(f"vector value {short_repr(bad)} is not a float")
-    return out
-
-
-def _sparse_from_json(raw: object, dim: int) -> tuple[list[int], list[float]]:
-    """The checked ``index`` and ``value`` lists of :func:`_vector_to_json`'s
-    form: equal in length, the indices increasing ints in ``[0, dim)``, the
-    values floats."""
-    if not isinstance(raw, dict):
-        raise TypeError(f"vector must be an object or a list, got {type(raw).__name__}")
-    size, index, value = raw["dim"], raw["index"], raw["value"]
-    if type(size) is not int or size != dim:
-        raise ValueError(f"vector dim {short_repr(size)} != {dim}")
-    if not isinstance(index, list) or not isinstance(value, list) or len(index) != len(value):
-        raise ValueError("vector index and value must be lists of equal length")
-    # C-level passes over the lists; the entry loop runs only when one
-    # fails, to name the first bad entry.  bool is an int subclass, and
-    # numpy would cast 1.5 or True to an index.
-    if not (set(map(type, index)) <= {int} and set(map(type, value)) <= {float}
-            and (not index or 0 <= index[0] and index[-1] < dim)
-            and all(map(operator.lt, index, index[1:]))):
-        prev = -1
-        for i, x in zip(index, value):
-            if type(i) is not int or not prev < i < dim:
-                raise ValueError(
-                    f"vector index {short_repr(i)} not an increasing int in [0, {dim})")
-            if type(x) is not float:
-                raise ValueError(f"vector value {short_repr(x)} is not a float")
-            prev = i
-    return index, value
-
-
-def _episode_to_dict(ep: Episode) -> dict:
-    return {
-        "id": ep.id,
-        "symptoms": list(ep.symptoms),
-        "context": sorted(ep.context),
-        "actions": list(ep.actions),
-        "outcome": ep.outcome.value,
-        "timestamp": ep.timestamp,
-        "memory_value": ep.memory_value,
-        "embedding": _embedding_to_json(ep),
-        "resolution_path": list(ep.resolution_path),
-        "trials": ep.trials,
-        "successes": ep.successes,
-    }
-
-
-def _episode_from_dict(raw: dict, dim: int) -> Episode:
-    """Rebuild an episode, checking each field's type like
-    :func:`_pattern_from_dict`."""
-    embedding = _vector_from_json(raw["embedding"], dim)
-    return Episode(
-        id=as_string(raw["id"], "id"),
-        symptoms=as_strings(raw["symptoms"], "symptoms"),
-        context=set(as_strings(raw["context"], "context")),
-        actions=as_strings(raw["actions"], "actions"),
-        outcome=Outcome(raw["outcome"]),
-        timestamp=as_number(raw["timestamp"], "timestamp"),
-        memory_value=as_number(raw["memory_value"], "memory_value"),
-        embedding=embedding,
-        resolution_path=as_strings(raw["resolution_path"], "resolution_path"),
-        trials=as_count(raw.get("trials", 0), "trials"),
-        successes=as_count(raw.get("successes", 0), "successes"),
-    )
-
-
-def _pattern_to_dict(p: Pattern) -> dict:
-    return {
-        "id": p.id,
-        "centroid": _vector_to_json(p.centroid),
-        # grouped on disk as before, so older and newer snapshots read alike
-        "strategy": {
-            "actions": list(p.actions),
-            "resolution_path": list(p.resolution_path),
-            "source_episode_id": p.source_episode_id,
-        },
-        "member_ids": sorted(p.member_ids),
-        "last_updated": p.last_updated,
-        "context_labels": sorted(p.context_labels),
-        "success_members": p.success_members,
-    }
-
-
-def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
-    """Rebuild a pattern, checking each field's type instead of coercing it.
-
-    Older snapshots also carry ``reliability``, ``member_count``, ``seed_id``
-    and ``symptom_tokens``; nothing reads them, so they are skipped and
-    dropped by the next save.
-    """
-    strategy = raw["strategy"]
-    return Pattern(
-        id=as_string(raw["id"], "id"),
-        centroid=_vector_from_json(raw["centroid"], dim),
-        actions=as_strings(strategy["actions"], "actions"),
-        resolution_path=as_strings(strategy["resolution_path"], "resolution_path"),
-        source_episode_id=as_string(strategy["source_episode_id"], "source_episode_id"),
-        member_ids=set(as_strings(raw["member_ids"], "member_ids")),
-        last_updated=as_number(raw["last_updated"], "last_updated"),
-        context_labels=frozenset(as_strings(raw.get("context_labels", []), "context_labels")),
-        success_members=as_count(raw.get("success_members", 0), "success_members"),
-    )

@@ -1,0 +1,360 @@
+"""The memory pool's files: the episode JSONL and the pattern snapshot.
+
+Each episode is one JSON line; the patterns are one JSON snapshot.  Each
+embedding and centroid is stored sparse, as ``{"dim": D, "index": [...],
+"value": [...]}`` listing every entry that is not ``+0.0`` (a hashing
+embedding has about 14 of 2048), and is rebuilt bit for bit on load.  The
+dense lists of older stores still load; the next save rewrites them sparse.
+Every save replaces its file atomically.
+
+An episode file is decoded line by line, each dense list turned sparse,
+then checked a column at a time over every line at once: C-level passes
+over the values, and array operations over every line's sparse entries,
+gathered into the one flat array the pool's index takes.  A loaded episode
+builds its dense embedding when first read, which a read-only diagnosis
+does for a few of them.  Only a failed check decodes the lines again, one
+at a time, to name the first bad one.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+import operator
+from functools import cached_property
+from itertools import accumulate, chain, repeat
+from typing import Callable, Iterable
+
+import numpy as np
+
+from .embedding import nonzero_index
+from .errors import InvalidArgument, SchemaViolation
+from .files import as_count, as_number, as_string, as_strings, short_repr, write_atomic
+from .memory import Episode, MemoryConfig, Outcome, Pattern, _norm
+
+
+class _LoadedEpisode(Episode):
+    """An episode read by :func:`read_episodes`, holding its entries as
+    ``_sparse``, ``(dim, col, val, a, b)``: ``val[a:b]`` at ``col[a:b]`` of
+    the load's flat arrays.  The first read of ``embedding`` scatters them,
+    ``-0.0`` included, into zeros of its own, which an eviction frees (views
+    of one ``(n, dim)`` block would keep the whole block alive); a save
+    before that writes the entries themselves.  The property lives on this
+    subclass alone, so reading an :class:`Episode`'s embedding stays a plain
+    attribute read."""
+
+    @cached_property
+    def embedding(self) -> np.ndarray:
+        dim, col, val, a, b = self._sparse
+        dense = np.zeros(dim)
+        dense[col[a:b]] = val[a:b]
+        return dense
+
+
+# (episodes, entries per episode, flat indices, flat values) of a loaded file
+_Loaded = tuple[list[Episode], list[int], np.ndarray, np.ndarray]
+
+_EPISODE_KEYS = operator.itemgetter("id", "symptoms", "context", "actions", "outcome",
+                                    "timestamp", "memory_value", "embedding", "resolution_path")
+_VECTOR_KEYS = operator.itemgetter("dim", "index", "value")
+_OUTCOMES = {o.value: o for o in Outcome}
+
+
+def write_episodes(path: str, episodes: Iterable[Episode]) -> None:
+    """Replace ``path`` with one line per episode, in the order given."""
+    write_atomic(path, lambda fh: fh.writelines(
+        json.dumps(_episode_to_dict(ep), sort_keys=True) + "\n" for ep in episodes))
+
+
+def read_episodes(path: str, dim: int, check_unused: Callable[[str], None]) -> _Loaded:
+    """The checked episodes of an episode file, and their sparse entries
+    flat.  Raises for the first invalid line what inserting the lines one at
+    a time would: the ``DuplicateId`` that ``check_unused`` raises for its
+    id, else ``SchemaViolation`` naming the line, an id used on an earlier
+    line included.  A file that is not UTF-8 raises ``SchemaViolation``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise SchemaViolation(f"episode file is not UTF-8: {exc}") from exc
+    loaded = _read_columns(lines, dim)
+    if loaded is None:
+        _first_bad_line(lines, dim, check_unused)
+        # each column check is one of a line's checks, so some line fails
+        raise SchemaViolation("episode file fails a column check that none of its lines fails")
+    # every line passes every other check, so the first used id fails first
+    for ep in loaded[0]:
+        check_unused(ep.id)
+    return loaded
+
+
+def _read_columns(lines: list[str], dim: int) -> _Loaded | None:
+    """The episodes of ``lines`` and their sparse entries, flat, if every
+    line passes every check (a check that cannot run fails), else None."""
+    try:
+        raws = list(map(json.loads, filter(str.strip, lines)))
+        if not raws:
+            return [], [], np.empty(0, np.intp), np.empty(0)
+        ids, symptoms, context, actions, outcome, stamps, values, vectors, paths = zip(
+            *map(_EPISODE_KEYS, raws))
+        trials = list(map(dict.get, raws, repeat("trials"), repeat(0)))
+        successes = list(map(dict.get, raws, repeat("successes"), repeat(0)))
+        dims, index, value = zip(*map(_VECTOR_KEYS, map(_as_sparse, vectors, repeat(dim))))
+        strings, numbers = symptoms + context + actions + paths, stamps + values
+        if not (set(map(type, ids)) == {str} and all(ids) and len(set(ids)) == len(ids)
+                and set(map(type, strings)) == {list}
+                and set(map(type, chain.from_iterable(strings))) <= {str}
+                and set(outcome) <= _OUTCOMES.keys()
+                and set(map(type, numbers)) <= {int, float}
+                and all(map(math.isfinite, numbers)) and min(numbers) >= 0
+                and set(map(type, trials + successes)) == {int}
+                and min(successes) >= 0 and all(map(operator.le, successes, trials))
+                and set(map(type, dims)) == {int} and set(dims) == {dim}
+                and set(map(type, index + value)) == {list}
+                and list(map(len, index)) == list(map(len, value))
+                and set(map(type, chain.from_iterable(index))) <= {int}
+                and set(map(type, chain.from_iterable(value))) <= {float}):
+            return None
+        sizes = list(map(len, index))
+        col = np.fromiter(chain.from_iterable(index), np.intp, sum(sizes))
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        return None
+    val = np.fromiter(chain.from_iterable(value), np.float64, col.size)
+    # the decoded lines die here, not after the episodes are built: the
+    # collector runs on the count of live containers, and holding them
+    # costs a diagnose call one more collection
+    del raws, vectors, index, value
+    rows = np.repeat(np.arange(len(ids)), sizes)
+    # each row's indices increase within [0, dim) iff the flat keys
+    # row * dim + col increase
+    if col.size and not (col.min() >= 0 and col.max() < dim
+                         and (np.diff(rows * dim + col) > 0).all()):
+        return None
+    eps = list(map(_LoadedEpisode, ids, symptoms, map(set, context), actions,
+                   map(_OUTCOMES.__getitem__, outcome), map(float, stamps),
+                   map(float, values), repeat(None), paths, trials, successes))
+    starts = [0, *accumulate(sizes)]
+    for ep, a, b in zip(eps, starts, starts[1:]):
+        del ep.embedding  # built on first read
+        ep._sparse = dim, col, val, a, b
+    try:
+        for r in _unsure_norms(rows, val, len(eps), dim):
+            eps[r]._check_norm()
+    except InvalidArgument:
+        return None
+    return eps, sizes, col, val
+
+
+def _first_bad_line(lines: list[str], dim: int, check_unused: Callable[[str], None]) -> None:
+    """Raise what inserting the episodes of ``lines`` one at a time raises
+    first: ``check_unused``'s error, else ``SchemaViolation`` naming the
+    line.  Each line is checked as :meth:`~kubediag.memory.MemoryPool.insert_episode`
+    checks it, an id used on an earlier line failing too."""
+    first_line: dict[str, int] = {}
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            ep = _episode_from_dict(json.loads(line), dim)
+            check_unused(ep.id)
+            if ep.id in first_line:
+                raise ValueError(
+                    f"episode id {ep.id!r} already used on line {first_line[ep.id]}")
+            ep.validate()
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError,
+                InvalidArgument) as exc:
+            raise SchemaViolation(f"line {line_no}: {exc}") from exc
+        first_line[ep.id] = line_no
+
+
+def _unsure_norms(rows: np.ndarray, val: np.ndarray, n: int, dim: int) -> list[int]:
+    """The rows among ``n`` whose norm :meth:`Episode._check_norm` must
+    check, given every stored entry's row and value: one ``np.bincount`` of
+    the squared values gives every norm, summed in another order than
+    ``np.dot``'s, and only the norms too near the tolerance or beyond it,
+    NaN included, are left."""
+    norms = np.sqrt(np.bincount(rows, val * val, n))
+    # two summation orders of at most dim squares differ by under
+    # dim * eps of a unit norm, so a norm passing this passes exactly
+    sure = 1e-6 - 2.0 * dim * float(np.finfo(np.float64).eps)
+    return np.flatnonzero(~(np.abs(norms - 1.0) <= sure)).tolist()
+
+
+def _episode_to_dict(ep: Episode) -> dict:
+    return {
+        "id": ep.id,
+        "symptoms": list(ep.symptoms),
+        "context": sorted(ep.context),
+        "actions": list(ep.actions),
+        "outcome": ep.outcome.value,
+        "timestamp": ep.timestamp,
+        "memory_value": ep.memory_value,
+        "embedding": _embedding_to_json(ep),
+        "resolution_path": list(ep.resolution_path),
+        "trials": ep.trials,
+        "successes": ep.successes,
+    }
+
+
+def _episode_from_dict(raw: dict, dim: int) -> Episode:
+    """Rebuild an episode, checking each field's type like
+    :func:`_pattern_from_dict`."""
+    embedding = _vector_from_json(raw["embedding"], dim)
+    return Episode(
+        id=as_string(raw["id"], "id"),
+        symptoms=as_strings(raw["symptoms"], "symptoms"),
+        context=set(as_strings(raw["context"], "context")),
+        actions=as_strings(raw["actions"], "actions"),
+        outcome=Outcome(raw["outcome"]),
+        timestamp=as_number(raw["timestamp"], "timestamp"),
+        memory_value=as_number(raw["memory_value"], "memory_value"),
+        embedding=embedding,
+        resolution_path=as_strings(raw["resolution_path"], "resolution_path"),
+        trials=as_count(raw.get("trials", 0), "trials"),
+        successes=as_count(raw.get("successes", 0), "successes"),
+    )
+
+
+def write_patterns(path: str, patterns: dict[str, Pattern], config: MemoryConfig) -> None:
+    """Replace ``path`` with a snapshot of ``patterns``, in id order, and
+    the ``config`` they were formed under."""
+    payload = {
+        "patterns": [_pattern_to_dict(p) for _, p in sorted(patterns.items())],
+        "config": dataclasses.asdict(config),
+    }
+    write_atomic(path, lambda fh: json.dump(payload, fh, sort_keys=True, indent=2))
+
+
+def read_patterns(path: str, dim: int) -> tuple[list[Pattern], int]:
+    """The patterns of a snapshot in file order, and the largest ``pat-`` id
+    number among them (0 if none).  A malformed file raises SchemaViolation."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or not isinstance(payload["patterns"], list):
+            raise TypeError("payload must be an object with a 'patterns' list")
+        loaded = [_pattern_from_dict(raw, dim) for raw in payload["patterns"]]
+        seq = 0
+        for pat in loaded:
+            norm = _norm(pat.centroid)
+            if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
+                raise ValueError(f"{pat.id}: centroid norm {norm:.8f} != 1")
+            if not 0 <= pat.success_members <= len(pat.member_ids):
+                raise ValueError(f"{pat.id}: success_members {pat.success_members} "
+                                 f"outside [0, {len(pat.member_ids)}]")
+            if pat.id.startswith("pat-"):
+                seq = max(seq, int(pat.id.rsplit("-", 1)[-1]))
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        raise SchemaViolation(f"bad pattern snapshot: {exc}") from exc
+    return loaded, seq
+
+
+def _pattern_to_dict(p: Pattern) -> dict:
+    return {
+        "id": p.id,
+        "centroid": _vector_to_json(p.centroid),
+        # grouped on disk as before, so older and newer snapshots read alike
+        "strategy": {
+            "actions": list(p.actions),
+            "resolution_path": list(p.resolution_path),
+            "source_episode_id": p.source_episode_id,
+        },
+        "member_ids": sorted(p.member_ids),
+        "last_updated": p.last_updated,
+        "context_labels": sorted(p.context_labels),
+        "success_members": p.success_members,
+    }
+
+
+def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
+    """Rebuild a pattern, checking each field's type instead of coercing it.
+    The ``reliability``, ``member_count``, ``seed_id`` and ``symptom_tokens``
+    of older snapshots are read by nothing, and dropped by the next save."""
+    strategy = raw["strategy"]
+    return Pattern(
+        id=as_string(raw["id"], "id"),
+        centroid=_vector_from_json(raw["centroid"], dim),
+        actions=as_strings(strategy["actions"], "actions"),
+        resolution_path=as_strings(strategy["resolution_path"], "resolution_path"),
+        source_episode_id=as_string(strategy["source_episode_id"], "source_episode_id"),
+        member_ids=set(as_strings(raw["member_ids"], "member_ids")),
+        last_updated=as_number(raw["last_updated"], "last_updated"),
+        context_labels=frozenset(as_strings(raw.get("context_labels", []), "context_labels")),
+        success_members=as_count(raw.get("success_members", 0), "success_members"),
+    )
+
+
+def _vector_to_json(v: np.ndarray) -> dict:
+    """Sparse form of a dense vector: every entry that is not ``+0.0``,
+    ``-0.0`` kept, so that :func:`_vector_from_json` rebuilds it bit for bit."""
+    index = nonzero_index(v)
+    return {"dim": int(v.size), "index": index.tolist(), "value": v[index].tolist()}
+
+
+def _embedding_to_json(ep: Episode) -> dict:
+    """:func:`_vector_to_json` of ``ep.embedding``.  A loaded episode that
+    has not built its array writes its own entries instead, without any
+    ``+0.0`` one, as the array's would be written."""
+    if "embedding" in vars(ep):
+        return _vector_to_json(ep.embedding)
+    dim, col, val, a, b = ep._sparse
+    keep = nonzero_index(val[a:b])
+    return {"dim": dim, "index": col[a:b][keep].tolist(), "value": val[a:b][keep].tolist()}
+
+
+def _vector_from_json(raw: object, dim: int) -> np.ndarray:
+    """Dense float64 array of length ``dim`` from :func:`_vector_to_json`'s
+    form, or from an older store's dense list through :func:`_as_sparse`.
+    The sparse form is checked in full before the array is allocated, so a
+    bogus ``dim`` or index costs nothing."""
+    index, value = _sparse_from_json(_as_sparse(raw, dim), dim)
+    out = np.zeros(dim, dtype=np.float64)
+    out[np.asarray(index, dtype=np.intp)] = value
+    return out
+
+
+def _as_sparse(raw: object, dim: int) -> object:
+    """A dense vector list of an older store in :func:`_vector_to_json`'s
+    form, anything else as it is."""
+    return _vector_to_json(_dense_from_json(raw, dim)) if isinstance(raw, list) else raw
+
+
+def _dense_from_json(raw: list, dim: int) -> np.ndarray:
+    """An older store's dense list, its entries floats as the sparse form's
+    values are: numpy would read ``true`` as 1.0 and parse "0"."""
+    out = np.asarray(raw, dtype=np.float64)
+    if out.shape != (dim,):
+        raise ValueError(f"vector shape {out.shape} != ({dim},)")
+    if not set(map(type, raw)) <= {float}:
+        bad = next(x for x in raw if type(x) is not float)
+        raise ValueError(f"vector value {short_repr(bad)} is not a float")
+    return out
+
+
+def _sparse_from_json(raw: object, dim: int) -> tuple[list[int], list[float]]:
+    """The checked ``index`` and ``value`` lists of :func:`_vector_to_json`'s
+    form: equal in length, the indices increasing ints in ``[0, dim)``, the
+    values floats."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"vector must be an object or a list, got {type(raw).__name__}")
+    size, index, value = raw["dim"], raw["index"], raw["value"]
+    if type(size) is not int or size != dim:
+        raise ValueError(f"vector dim {short_repr(size)} != {dim}")
+    if not isinstance(index, list) or not isinstance(value, list) or len(index) != len(value):
+        raise ValueError("vector index and value must be lists of equal length")
+    # C-level passes over the lists; the entry loop runs only when one
+    # fails, to name the first bad entry.  bool is an int subclass, and
+    # numpy would cast 1.5 or True to an index.
+    if not (set(map(type, index)) <= {int} and set(map(type, value)) <= {float}
+            and (not index or 0 <= index[0] and index[-1] < dim)
+            and all(map(operator.lt, index, index[1:]))):
+        prev = -1
+        for i, x in zip(index, value):
+            if type(i) is not int or not prev < i < dim:
+                raise ValueError(
+                    f"vector index {short_repr(i)} not an increasing int in [0, {dim})")
+            if type(x) is not float:
+                raise ValueError(f"vector value {short_repr(x)} is not a float")
+            prev = i
+    return index, value

@@ -13,13 +13,17 @@ import json
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .errors import InvalidContext, NoEvidence, SynthesisError
+from .errors import InvalidArgument, InvalidContext, NoEvidence, SynthesisError
 
 
 @dataclass
 class SynthConfig:
     token_budget: int = 4096   # whitespace tokens of the rendered context
     max_retries: int = 2
+
+    def validate(self) -> None:
+        if self.max_retries < 0 or self.token_budget < 1:
+            raise InvalidArgument("max_retries must be >= 0 and token_budget >= 1")
 
 
 @dataclass(eq=False)

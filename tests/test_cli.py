@@ -10,10 +10,10 @@ import pytest
 from click.testing import CliRunner
 
 from helpers import NOW, mk_episode
-from kubediag.cli import main
+from kubediag.cli import _load_config, main
 from kubediag.controller import MetaController
 from kubediag.embedding import HashingEmbedder
-from kubediag.errors import SchemaViolation
+from kubediag.errors import ConfigError, SchemaViolation
 from kubediag.graph import GraphEdge, GraphNode, KnowledgeGraph, NodeType, Relation
 from kubediag.memory import MemoryConfig, MemoryPool
 from kubediag.scenarios import FAULT_CATEGORIES, build_world, load_scenarios, scenario_to_dict
@@ -342,6 +342,35 @@ def test_config_rejects_unknown_content(runner, stores, payload):
         main, seeded_diagnose_args(stores, "--config", str(cfg_path))
     )
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [('{"tau": 7}', "tau must be in [0, 1], got 7.0"),
+     ('{"tau": "0.5"}', "tau '0.5' is not a finite number"),
+     ('{"memory": {"pattern_sim_threshold": "0.5"}}', "pattern_sim_threshold '0.5'"),
+     ('{"memory": {"capacity": true}}', "capacity True is not an integer"),
+     ('{"memory": {"mix_weights": [1, 1, 1]}}', "mix_weights [1, 1, 1] is not a list of 2"),
+     ('{"memory": []}', "section memory must be a JSON object"),
+     ('{"search": {"beam": 2.5}}', "beam 2.5 is not an integer"),
+     ('{"search": {"alphas": [0.5, 0.5]}}', "alphas [0.5, 0.5] is not a list of 3"),
+     ('{"search": {"alphas": [0.5, 0.3, null]}}', "alphas None is not a finite number"),
+     ('{"synth": {"max_retries": -1}}', "max_retries must be >= 0"),
+     ('{"synth": {"token_budget": 0}}', "token_budget >= 1")],
+)
+def test_config_values_are_checked_when_the_file_is_loaded(runner, stores, payload, named):
+    cfg_path = stores["dir"] / "bad.json"
+    cfg_path.write_text(payload)
+    with pytest.raises(ConfigError) as caught:
+        _load_config(str(cfg_path))
+    assert named in str(caught.value)
+    controller = stores["dir"] / "controller.json"
+    result = runner.invoke(main, seeded_diagnose_args(
+        stores, "--config", str(cfg_path), "--controller", str(controller),
+        "--feedback", "success", "--learn"))
+    assert_one_error_line(result)
+    assert named in result.stderr
+    assert not controller.exists()  # nothing is learned from a run that cannot start
 
 
 @pytest.mark.parametrize("damage", sorted(UNDECODABLE))

@@ -2,8 +2,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from helpers import DAY, NOW, jitter_unit, mk_episode, mk_query, rand_unit, small_pool, unit
-from kubediag import memory as memory_mod
+from kubediag import memory as memory_mod, store
 from kubediag.embedding import HashingEmbedder, nonzero_index
 from kubediag.errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound, SchemaViolation
 from kubediag.memory import (
@@ -1857,7 +1860,7 @@ def load_line_by_line(pool, path):
     for line in path.read_text().splitlines():
         if not line.strip():
             continue
-        ep = memory_mod._episode_from_dict(json.loads(line), dim)
+        ep = store._episode_from_dict(json.loads(line), dim)
         pool._check_unused(ep.id)
         ep.validate()
         index = nonzero_index(ep.embedding)
@@ -2178,10 +2181,26 @@ def test_an_empty_or_blank_file_loads_no_episode_on_the_column_path(tmp_path, mo
     path.write_text(text)
     pool = stored_pool(rng)
     before = pool_state(pool)
-    monkeypatch.setattr(MemoryPool, "_first_bad_line", None)  # never called
+    monkeypatch.setattr(store, "_first_bad_line", None)  # never called
     assert pool.load_episodes(str(path)) == 0
     assert pool_state(pool) == before
 
+
+
+@pytest.mark.parametrize("module", ["kubediag.store", "kubediag.memory"])
+def test_either_module_imports_first_in_a_fresh_interpreter(tmp_path, module):
+    # an import cycle between the pool and its file formats would show only
+    # in the interpreter that imports one of them first; the save and load
+    # then reach the formats from the pool
+    path = str(tmp_path / "episodes.jsonl")
+    code = (f"import {module}\n"
+            "from kubediag.memory import MemoryPool\n"
+            f"MemoryPool().save_episodes({path!r})\n"
+            f"assert MemoryPool().load_episodes({path!r}) == 0\n")
+    src = str(Path(memory_mod.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 def test_a_loaded_store_saves_back_byte_for_byte(tmp_path):
     first, second, dense = (tmp_path / f"{name}.jsonl" for name in ("first", "second", "dense"))
