@@ -40,32 +40,18 @@ from .simulate import SimulationConfig, evaluate_ablation, run_continuous, write
 from .synthesizer import SynthConfig, TemplateStubClient
 
 
-def _checked(value, default, name: str):
-    """``value`` if it has the JSON type of ``default``: an int field takes
-    an int that is not a bool, a float field a finite number, and a tuple
-    field a list of as many entries, each checked the same way."""
-    if isinstance(default, tuple):
-        if isinstance(value, list) and len(value) == len(default):
-            return tuple(_checked(v, d, name) for v, d in zip(value, default))
-        ok, want = False, f"a list of {len(default)}"
-    elif isinstance(default, int):
-        ok, want = type(value) is int, "an integer"
-    else:
-        ok, want = is_finite(value), "a finite number"
-    if not ok:
-        raise ConfigError(f"config {name} {short_repr(value)} is not {want}")
-    return value
-
-
 def _replace_fields(cfg, overrides: dict, section: str):
     if not isinstance(overrides, dict):
         raise ConfigError(f"config section {section} must be a JSON object")
-    valid = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
-    unknown = sorted(set(overrides) - set(valid))
+    unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(cfg)})
     if unknown:
         raise ConfigError(f"unknown {section} config keys: {', '.join(unknown)}")
-    return dataclasses.replace(cfg, **{
-        k: _checked(v, valid[k], f"{section}.{k}") for k, v in overrides.items()})
+    cfg = dataclasses.replace(cfg, **overrides)
+    try:
+        cfg.validate()
+    except InvalidArgument as exc:
+        raise ConfigError(f"config {section}: {exc}") from exc
+    return cfg
 
 
 def _load_config(path: str | None) -> dict:
@@ -87,14 +73,11 @@ def _load_config(path: str | None) -> dict:
         search = _replace_fields(search, raw.get("search", {}), "search")
         synth = _replace_fields(synth, raw.get("synth", {}), "synth")
         if "tau" in raw:
-            tau = float(_checked(raw["tau"], 0.0, "tau"))
+            if not is_finite(raw["tau"]):
+                raise ConfigError(f"config tau {short_repr(raw['tau'])} is not a finite number")
+            tau = float(raw["tau"])
             if not 0.0 <= tau <= 1.0:
                 raise ConfigError(f"config tau must be in [0, 1], got {tau}")
-    try:
-        for section in (memory, search, synth):
-            section.validate()
-    except InvalidArgument as exc:
-        raise ConfigError(str(exc)) from exc
     return {"memory": memory, "search": search, "synth": synth, "tau": tau}
 
 

@@ -6,36 +6,29 @@ threshold by a finite-difference step against a replayed error/latency loss,
 the weights by gradient steps against how well past confidence predicted
 whether the fast path would have sufficed.
 
-The history is written only through :meth:`MetaController.record`, and a
-stored :class:`SessionRecord` is never mutated after it.  Both steps rely on
-that:
-
-- the threshold step counts the records above each probe by bisecting two
-  sorted lists of ``c_max``, which ``record`` keeps in step with the
-  history once the first step has built them, so a step costs O(log n)
-  instead of two scans;
-- the weight fit computes a record's clamped factors, their logs and y
-  once, at the record's first fit, and keeps them on the record, so each
-  later step costs one weighted product and four sums per record.
-
-Checkpoints still hold three keys per record.
+What the two steps derive from the history is one derived state on the
+controller, built from the history at the first step of either kind: two
+sorted lists of ``c_max``, which the threshold step bisects instead of
+scanning the history, and each record's weight-independent fit constants, in
+history order, so a weight step costs one weighted product and four sums per
+record.  :meth:`MetaController.record` is the only writer of the history and,
+once it is built, of the derived state, so the two stay in step.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import operator
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import EmptyHistory, InvalidArgument, SchemaViolation
-from .files import as_number, is_finite, short_repr, write_atomic
+from .files import as_number, check_fields, is_finite, short_repr, write_atomic
 from .memory import FACTOR_NAMES, _FACTOR_FLOOR
 
 MIN_HISTORY = 10  # records needed before any self-tuning step
@@ -55,10 +48,7 @@ class OptParams:
     weight_lr: float = 0.05
 
     def validate(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not is_finite(value):
-                raise InvalidArgument(f"{f.name} must be a finite number, got {short_repr(value)}")
+        check_fields(self)
         if self.delta_probe <= 0 or self.analytic_cost <= 0:
             raise InvalidArgument("delta_probe and analytic_cost must be > 0")
         if not 0.0 <= self.xi <= 1.0:
@@ -67,14 +57,9 @@ class OptParams:
             raise InvalidArgument("eta_meta and weight_lr must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionRecord:
-    """What the threshold replay and the weight fit read of one session.
-
-    The weight fit keeps its per-record constants in a ``_fit`` attribute
-    set at the record's first fit; it is not a field, so it is neither
-    compared nor saved.
-    """
+    """What the threshold replay and the weight fit read of one session."""
 
     c_max: float
     factors: tuple[float, float, float, float]  # of the most confident memory
@@ -96,14 +81,11 @@ class ControllerState:
     history: deque[SessionRecord] = field(default_factory=lambda: deque(maxlen=1000))
 
     def validate(self) -> None:
+        check_fields(self)
         if not 0.0 <= self.tau <= 1.0:
             raise InvalidArgument(f"tau must be in [0, 1], got {self.tau}")
-        if len(self.factor_weights) != len(FACTOR_NAMES):
-            raise InvalidArgument("factor_weights must match the factor count")
-        if not all(is_finite(w) and w >= 0 for w in self.factor_weights):
-            raise InvalidArgument(
-                f"factor_weights must be finite and >= 0, got {self.factor_weights}"
-            )
+        if min(self.factor_weights) < 0:
+            raise InvalidArgument(f"factor_weights must be >= 0, got {self.factor_weights}")
         self.opt.validate()
 
 
@@ -177,10 +159,10 @@ class MetaController:
     def __init__(self, state: ControllerState | None = None) -> None:
         self.state = state or ControllerState()
         self.state.validate()
-        # the sorted c_max of every record and of every record whose fast
-        # path was not sufficient, NaN left out; built from the history at
-        # the first threshold step, then kept current by record()
-        self._replay: tuple[list[float], list[float]] | None = None
+        # (every, bad, fits): the sorted c_max of every record and of every
+        # record whose fast path was not sufficient, NaN left out, and each
+        # record's _fit_constants in history order; see _derive
+        self._derived: tuple[list[float], list[float], deque[tuple[float, ...]]] | None = None
 
     @property
     def tau(self) -> float:
@@ -197,22 +179,37 @@ class MetaController:
 
     def record(self, rec: SessionRecord) -> None:
         """Append ``rec`` to the history, which is written through this
-        method only: once the replay lists exist it moves them with the
-        history, removing the oldest record's ``c_max`` before a full
-        bounded deque drops that record."""
+        method only.  Once the derived state exists it moves with the
+        history: the oldest record's ``c_max`` leaves the sorted lists before
+        a full bounded deque drops that record, and the bounded ``fits``
+        drops its constants as the new record's are appended."""
         history = self.state.history
-        if self._replay is not None:
+        if self._derived is not None:
             if len(history) == history.maxlen:
                 self._move_replay(history[0], _remove)
             self._move_replay(rec, insort)
+            self._derived[2].append(_fit_constants(rec))
         history.append(rec)
 
     def _move_replay(self, rec: SessionRecord, op: Callable[[list[float], float], None]) -> None:
         if rec.c_max == rec.c_max:  # a NaN never replays intuitive
-            every, bad = self._replay
+            every, bad, _ = self._derived
             op(every, rec.c_max)
             if not rec.fast_sufficient:
                 op(bad, rec.c_max)
+
+    def _derive(self) -> tuple[list[float], list[float], deque[tuple[float, ...]]]:
+        """The derived state, built from the history on the first call, so
+        a controller that never steps (a read-only diagnosis) never builds
+        it; :meth:`record` keeps it current after that."""
+        if self._derived is None:
+            history = self.state.history
+            self._derived = [], [], deque(map(_fit_constants, history), maxlen=history.maxlen)
+            for rec in history:
+                self._move_replay(rec, list.append)
+            self._derived[0].sort()
+            self._derived[1].sort()
+        return self._derived
 
     def adapt_threshold(self) -> tuple[float, float]:
         """One finite-difference descent step on the replayed loss; no-op below
@@ -220,21 +217,14 @@ class MetaController:
 
         The loss at each probe comes from two bisections of the sorted
         ``c_max`` lists, not a scan of the history: the records above a
-        probe replay intuitive.  The first step builds the lists, so a
-        controller that never adapts (a read-only diagnosis) never does.
+        probe replay intuitive.
         """
         st = self.state
         before = st.tau
         n = len(st.history)
         if n < MIN_HISTORY:
             return before, before
-        if self._replay is None:
-            self._replay = [], []
-            for rec in st.history:
-                self._move_replay(rec, list.append)
-            for values in self._replay:
-                values.sort()
-        every, bad = self._replay
+        every, bad, _ = self._derive()
 
         def loss(tau: float) -> float:
             n_fast = len(every) - bisect_right(every, tau)
@@ -252,10 +242,8 @@ class MetaController:
         weighted factor product; steps are averaged over history and weights
         clamped at zero.  Returns (weights_before, weights_after).
 
-        A record's clamped factors, their logs and y depend on the record
-        alone, so they are computed at its first fit and kept on it (records
-        are not mutated after :meth:`record`); each step recomputes only C.
-        The float operations and their order are those of
+        Each step recomputes only C from the derived fit constants.  The
+        float operations and their order are those of
         :func:`_predicted_confidence` and the per-factor sums, so the result
         is bit for bit that of recomputing everything.
         """
@@ -265,12 +253,7 @@ class MetaController:
             return before, before
         z0, z1, z2, z3 = st.factor_weights
         s0 = s1 = s2 = s3 = 0.0
-        for rec in st.history:
-            try:
-                fit = rec._fit
-            except AttributeError:
-                fit = rec._fit = _fit_constants(rec)
-            a0, a1, a2, a3, l0, l1, l2, l3, y = fit
+        for a0, a1, a2, a3, l0, l1, l2, l3, y in self._derive()[2]:
             r = a0 ** z0 * a1 ** z1 * a2 ** z2 * a3 ** z3 - y
             s0 += r * l0
             s1 += r * l1
@@ -290,13 +273,7 @@ class MetaController:
         payload = {
             "tau": st.tau,
             "factor_weights": list(st.factor_weights),
-            "opt_params": {
-                "eta_meta": st.opt.eta_meta,
-                "xi": st.opt.xi,
-                "delta_probe": st.opt.delta_probe,
-                "analytic_cost": st.opt.analytic_cost,
-                "weight_lr": st.opt.weight_lr,
-            },
+            "opt_params": asdict(st.opt),
             "history": [
                 {"c_max": r.c_max, "factors": list(r.factors), "fast_sufficient": r.fast_sufficient}
                 for r in st.history
@@ -338,36 +315,39 @@ _RECORD_KEYS = operator.itemgetter("c_max", "factors", "fast_sufficient")
 
 
 def _records_from_json(history: object) -> list[SessionRecord]:
-    """The records of a checkpoint's history, checked as
-    :func:`_record_from_json` checks each one, but with C-level passes over
-    the whole history.  When a pass fails, or cannot run, the records are
-    read one at a time so that the first bad one is named."""
+    """The records of a checkpoint's history, each column checked by
+    C-level passes over the whole history.  A column that fails its passes
+    is scanned value by value, so that its first bad value is named."""
+    if not isinstance(history, list):  # a dict or string would load as no records
+        raise TypeError(f"history {short_repr(history)} is not a list")
+    rows = list(map(_RECORD_KEYS, history))
+    if not rows:
+        return []
+    c_max, factors, fast = zip(*rows)
+    if not _all_finite(c_max):
+        _name_first(c_max, is_finite, "record c_max {} is not a finite number")
+    if not (set(map(type, factors)) == {list} and set(map(len, factors)) == {len(FACTOR_NAMES)}
+            and _all_finite(flat := list(chain.from_iterable(factors)))):
+        _name_first(factors, _are_factors,
+                    f"record factors {{}} are not {len(FACTOR_NAMES)} finite numbers")
+    if set(map(type, fast)) != {bool}:
+        _name_first(fast, lambda x: type(x) is bool, "record fast_sufficient {} is not a boolean")
+    grouped = zip(*[iter(map(float, flat))] * len(FACTOR_NAMES))
+    return list(map(SessionRecord, map(float, c_max), grouped, fast))
+
+
+def _all_finite(values: Sequence[object]) -> bool:
+    """Whether every value passes :func:`is_finite`, by C-level passes."""
     try:
-        rows = list(map(_RECORD_KEYS, history))
-        if not rows:
-            return []
-        c_max, factors, fast = zip(*rows)
-        flat = list(chain.from_iterable(factors))
-        if (set(map(type, c_max)) <= {int, float} and all(map(math.isfinite, c_max))
-                and set(map(type, factors)) == {list}
-                and set(map(len, factors)) == {len(FACTOR_NAMES)}
-                and set(map(type, flat)) <= {int, float} and all(map(math.isfinite, flat))
-                and set(map(type, fast)) == {bool}):
-            grouped = zip(*[iter(map(float, flat))] * len(FACTOR_NAMES))
-            return list(map(SessionRecord, map(float, c_max), grouped, fast))
-    except (KeyError, TypeError, ValueError, OverflowError):
-        pass
-    return list(map(_record_from_json, history))
+        return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
-def _record_from_json(raw: dict) -> SessionRecord:
-    c_max, factors, fast = raw["c_max"], raw["factors"], raw["fast_sufficient"]
-    if not is_finite(c_max):
-        raise ValueError(f"record c_max {short_repr(c_max)} is not a finite number")
-    if not (isinstance(factors, list) and len(factors) == len(FACTOR_NAMES)
-            and all(map(is_finite, factors))):
-        raise ValueError(f"record factors {short_repr(factors)} are not"
-                         f" {len(FACTOR_NAMES)} finite numbers")
-    if type(fast) is not bool:
-        raise ValueError(f"record fast_sufficient {short_repr(fast)} is not a boolean")
-    return SessionRecord(float(c_max), tuple(float(f) for f in factors), fast)
+def _are_factors(x: object) -> bool:
+    return isinstance(x, list) and len(x) == len(FACTOR_NAMES) and all(map(is_finite, x))
+
+
+def _name_first(values: Sequence[object], ok: Callable[[object], bool], message: str) -> None:
+    bad = next(x for x in values if not ok(x))
+    raise ValueError(message.format(short_repr(bad)))

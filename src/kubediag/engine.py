@@ -170,6 +170,8 @@ class Engine:
             )
         self.search_config = search_config if search_config is not None else SearchConfig()
         self.synth_config = synth_config if synth_config is not None else SynthConfig()
+        self.search_config.validate()
+        self.synth_config.validate()
         self.clock = clock
         self.memory_enabled = memory_enabled
         self.sessions: dict[str, DiagnosisSession] = {}

@@ -1,5 +1,5 @@
 """Crash-safe writing of the package's store files, and the type checks
-their loaders share.
+their loaders and the configs share.
 
 The checks reject a value of the wrong JSON type instead of coercing it: a
 string where a list belongs would otherwise load as its characters, and a
@@ -10,9 +10,12 @@ the message.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from typing import Callable, TextIO
+
+from .errors import InvalidArgument
 
 
 def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
@@ -87,3 +90,27 @@ def as_strings(x: object, name: str) -> list[str]:
     if not (isinstance(x, list) and all(isinstance(s, str) for s in x)):
         raise TypeError(f"{name} {short_repr(x)} is not a list of strings")
     return x
+
+
+def check_fields(cfg: object) -> None:
+    """Raise ``InvalidArgument`` for a field of the dataclass ``cfg`` whose
+    value has not the type of its default.  A bool field takes a bool, an int
+    field an int that is not a bool, a float field a finite number, and a
+    tuple field a list or tuple of as many entries, each checked against the
+    default's entry.  A field without a plain default is not checked."""
+    for f in dataclasses.fields(cfg):
+        value, default = getattr(cfg, f.name), f.default
+        pairs = [(value, default)] if default is not dataclasses.MISSING else []
+        if isinstance(value, (list, tuple)) and isinstance(default, tuple):
+            pairs = zip(value, default) if len(value) == len(default) else pairs
+        for v, d in pairs:
+            if isinstance(d, tuple):
+                ok, want = False, f"a list of {len(d)}"
+            elif isinstance(d, bool):
+                ok, want = type(v) is bool, "a boolean"
+            elif isinstance(d, int):
+                ok, want = type(v) is int, "an integer"
+            else:
+                ok, want = is_finite(v), "a finite number"
+            if not ok:
+                raise InvalidArgument(f"{f.name} {short_repr(v)} is not {want}")

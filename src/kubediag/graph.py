@@ -57,7 +57,7 @@ from .errors import (
     NotFound,
     SchemaViolation,
 )
-from .files import as_number, as_string, write_atomic
+from .files import as_number, as_string, check_fields, write_atomic
 
 # labels embedded per stacked block on the first index build
 _EMBED_CHUNK = 256
@@ -204,6 +204,7 @@ class SearchConfig:
     seed_threshold: float = 0.5
 
     def validate(self) -> None:
+        check_fields(self)
         if abs(sum(self.alphas) - 1.0) > 1e-9:
             raise InvalidArgument(f"alphas must sum to 1, got {self.alphas}")
         if self.max_hops < 1 or self.beam < 1 or self.n_chains < 1:

@@ -39,6 +39,7 @@ import numpy as np
 
 from .embedding import DEFAULT_DIM, Embedder, SparseRows
 from .errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound
+from .files import check_fields
 from .text import tokenize
 
 SECONDS_PER_DAY = 86_400.0
@@ -81,6 +82,7 @@ class MemoryConfig:
     outcome_delta: float = 0.1            # memory value multiplier step on feedback
 
     def validate(self) -> None:
+        check_fields(self)
         if not 0.0 < self.pattern_sim_threshold < 1.0:
             raise InvalidArgument("pattern_sim_threshold must be in (0, 1)")
         if self.pattern_min_members < 2:

@@ -24,6 +24,7 @@ from .controller import MetaController, Pathway
 from .embedding import HashingEmbedder
 from .engine import Engine, DiagnosticQuery, Feedback, MATCH_THRESHOLD
 from .errors import InvalidArgument, NoEvidence
+from .files import check_fields
 from .graph import KnowledgeGraph, SearchConfig
 from .memory import MemoryConfig, MemoryPool, Outcome
 from .scenarios import FaultScenario, build_world
@@ -53,6 +54,7 @@ class SimulationConfig:
     memory_enabled: bool = True
 
     def validate(self) -> None:
+        check_fields(self)
         if self.total_sessions < 1 or self.window < 1 or self.corpus_size < 1:
             raise InvalidArgument("total_sessions, window and corpus_size must be >= 1")
         if not 0.0 <= self.recurrence <= 1.0:

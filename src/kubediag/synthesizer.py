@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from .errors import InvalidArgument, InvalidContext, NoEvidence, SynthesisError
+from .files import check_fields
 
 
 @dataclass
@@ -22,6 +23,7 @@ class SynthConfig:
     max_retries: int = 2
 
     def validate(self) -> None:
+        check_fields(self)
         if self.max_retries < 0 or self.token_budget < 1:
             raise InvalidArgument("max_retries must be >= 0 and token_budget >= 1")
 

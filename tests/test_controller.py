@@ -18,7 +18,6 @@ from kubediag.controller import (
     Pathway,
     SessionRecord,
     _predicted_confidence,
-    _record_from_json,
     calibration_loss,
     mean_calibration_loss,
     replay_loss,
@@ -589,6 +588,7 @@ BAD_RECORDS = {
     "string-factor": {"factors": [0.5, "1", 0.5, 0.5]},
     "inf-factor": {"factors": [0.5, float("inf"), 0.5, 0.5]},
     "five-factors": {"factors": [0.5] * 5},
+    "huge-factor": {"factors": [0.5, 10 ** 400, 0.5, 0.5]},  # math.isfinite overflows
     "factors-string": {"factors": "abcd"},
     "factors-number": {"factors": 4},
     "int-fast-sufficient": {"fast_sufficient": 1},
@@ -596,9 +596,26 @@ BAD_RECORDS = {
 }
 
 
+# the message each case of BAD_RECORDS gets when it is record 2 of 6 and
+# record 4 has five factors: the columns are checked in the order c_max,
+# factors, fast_sufficient, and a failing column names its first bad value
+FIRST_BAD_MESSAGES = {
+    "nan-c-max": "record c_max nan is not a finite number",
+    "bool-c-max": "record c_max True is not a finite number",
+    "string-factor": "record factors [0.5, '1', 0.5, 0.5] are not 4 finite numbers",
+    "inf-factor": "record factors [0.5, inf, 0.5, 0.5] are not 4 finite numbers",
+    "five-factors": "record factors [0.5, 0.5, 0.5, 0.5, 0.5] are not 4 finite numbers",
+    "huge-factor": "record factors [0.5, 1000000000000000000000...000000000000000000, 0.5, 0.5]"
+                   " are not 4 finite numbers",
+    "factors-string": "record factors 'abcd' are not 4 finite numbers",
+    "factors-number": "record factors 4 are not 4 finite numbers",
+    "int-fast-sufficient": "record factors [0.5, 0.5, 0.5, 0.5, 0.5] are not 4 finite numbers",
+    "not-an-object": "list indices must be integers or slices, not str",
+}
+
+
 @pytest.mark.parametrize("first", sorted(BAD_RECORDS))
 def test_load_names_the_first_bad_record_as_the_record_reader_does(tmp_path, first):
-    # the file-wide checks must fall back to the per-record reader's message
     path = tmp_path / "controller.json"
     controller_with([rec(0.5, True)] * 6).save(str(path))
     payload = json.loads(path.read_text())
@@ -607,11 +624,9 @@ def test_load_names_the_first_bad_record_as_the_record_reader_does(tmp_path, fir
         edit = BAD_RECORDS[case]
         history[i] = [1, 2] if edit is None else dict(history[i], **edit)
     path.write_text(json.dumps(payload))
-    with pytest.raises(Exception) as want:
-        _record_from_json(history[2])
     with pytest.raises(SchemaViolation) as got:
         MetaController.load(str(path))
-    assert str(got.value) == f"bad controller checkpoint: {want.value}"
+    assert str(got.value) == f"bad controller checkpoint: {FIRST_BAD_MESSAGES[first]}"
 
 
 def test_load_reads_records_as_the_record_reader_does(tmp_path, rng):
@@ -627,9 +642,23 @@ def test_load_reads_records_as_the_record_reader_does(tmp_path, rng):
     ]
     path.write_text(json.dumps(payload))
     loaded = list(MetaController.load(str(path)).state.history)
-    want = list(map(_record_from_json, payload["history"]))
+    want = [SessionRecord(float(r["c_max"]), tuple(map(float, r["factors"])), r["fast_sufficient"])
+            for r in payload["history"]]
     assert loaded == want
     assert [type(x) for r in loaded for x in (r.c_max, *r.factors)] == [float] * 200
+
+
+def test_records_stay_plain_through_record_and_both_steps(rng):
+    c = MetaController()
+    for _ in range(30):
+        c.record(rec(float(rng.uniform(0, 1)), bool(rng.random() < 0.5),
+                     factors=tuple(float(f) for f in rng.uniform(0, 1, size=4))))
+        c.adapt_threshold()
+        c.update_factor_weights()
+    assert not hasattr(SessionRecord(0.5, W1, True), "__dict__")
+    for r in c.state.history:
+        fresh = SessionRecord(r.c_max, r.factors, r.fast_sufficient)
+        assert r == fresh and type(r) is type(fresh)
 
 
 @pytest.mark.parametrize("bad", [
@@ -648,10 +677,13 @@ def test_load_reads_records_as_the_record_reader_does(tmp_path, rng):
     {"factor_weights": "1111"},
     {"factor_weights": [1.0, 1.0, 1.0]},
     {"factor_weights": [1.0] * 5},
+    {"history": {}},
+    {"history": ""},
 ], ids=["nan-weight", "inf-weight", "tau-above-one", "zero-delta-probe",
         "zero-analytic-cost", "xi-above-one", "negative-eta", "nan-weight-lr",
         "string-delta-probe", "bool-tau", "string-tau", "bool-and-string-weights",
-        "string-weights", "three-weights", "five-weights"])
+        "string-weights", "three-weights", "five-weights", "object-history",
+        "string-history"])
 def test_load_rejects_out_of_range_state(tmp_path, bad):
     path = tmp_path / "controller.json"
     controller_with([rec(0.5, True)] * 3).save(str(path))

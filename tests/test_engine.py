@@ -17,7 +17,7 @@ from kubediag.errors import (
 from kubediag.graph import GraphEdge, GraphNode, KnowledgeGraph, NodeType, Relation, SearchConfig
 from kubediag.memory import MemoryConfig, MemoryPool, Outcome, make_query
 from kubediag.simulate import SimulationConfig, run_continuous
-from kubediag.synthesizer import TemplateStubClient
+from kubediag.synthesizer import SynthConfig, TemplateStubClient
 
 DIM = 256
 EMB = HashingEmbedder(DIM)
@@ -401,6 +401,22 @@ def test_engine_rejects_an_embedder_of_another_dimension():
     # caught at construction, not at the first feedback's insert
     with pytest.raises(InvalidArgument, match="64"):
         Engine(pool=MemoryPool(MemoryConfig()), embedder=HashingEmbedder(64), graph=tiny_graph())
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: Engine(graph=tiny_graph(), search_config=SearchConfig(beam=2.5)),
+     "beam 2.5 is not an integer"),
+    (lambda: Engine(graph=tiny_graph(), search_config=SearchConfig(alphas=(0.5, 0.5))),
+     "alphas (0.5, 0.5) is not a list of 3"),
+    (lambda: Engine(graph=tiny_graph(), synth_config=SynthConfig(max_retries=-1)),
+     "max_retries must be >= 0"),
+    (lambda: MemoryPool(MemoryConfig(retrieval_k=10.5)), "retrieval_k 10.5 is not an integer"),
+], ids=["float-beam", "two-alphas", "negative-retries", "float-retrieval-k"])
+def test_configs_are_checked_when_their_user_is_built(build, named):
+    # not at the first diagnosis, as a failure of the stage that reads them
+    with pytest.raises(InvalidArgument) as caught:
+        build()
+    assert named in str(caught.value)
 
 
 @pytest.mark.parametrize("capacity", [3, 5, 10])
