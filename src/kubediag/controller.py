@@ -11,8 +11,10 @@ controller, built from the history at the first step of either kind: two
 sorted lists of ``c_max``, which the threshold step bisects instead of
 scanning the history, and each record's weight-independent fit constants, in
 history order, so a weight step costs one weighted product and four sums per
-record.  :meth:`MetaController.record` is the only writer of the history and,
-once it is built, of the derived state, so the two stay in step.
+record.  :meth:`MetaController.record` is the only writer of the history,
+which the controller holds privately and shows as a read-only
+:class:`History`, and, once it is built, of the derived state, so the two
+stay in step.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import math
 import operator
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import EmptyHistory, InvalidArgument, SchemaViolation
 from .files import as_number, check_fields, is_finite, short_repr, write_atomic
@@ -73,12 +76,34 @@ class RoutingDecision:
     tau_snapshot: float
 
 
+class History(Sequence):
+    """A read-only view of a controller's session history, oldest first."""
+
+    __slots__ = ("_records", "maxlen")
+
+    def __init__(self, records: deque[SessionRecord]) -> None:
+        self._records, self.maxlen = records, records.maxlen
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, i: int) -> SessionRecord:
+        return self._records[i]
+
+    def __iter__(self) -> Iterator[SessionRecord]:
+        return iter(self._records)
+
+
 @dataclass
 class ControllerState:
+    """Routing state.  A :class:`MetaController` given a state takes a copy
+    of its ``history`` and leaves a :class:`History` view of the copy in its
+    place, so that :meth:`MetaController.record` is the history's only writer."""
+
     tau: float = 0.75
     factor_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     opt: OptParams = field(default_factory=OptParams)
-    history: deque[SessionRecord] = field(default_factory=lambda: deque(maxlen=1000))
+    history: Sequence[SessionRecord] = field(default_factory=lambda: deque(maxlen=1000))
 
     def validate(self) -> None:
         check_fields(self)
@@ -159,6 +184,9 @@ class MetaController:
     def __init__(self, state: ControllerState | None = None) -> None:
         self.state = state or ControllerState()
         self.state.validate()
+        history = self.state.history
+        self._history = deque(history, maxlen=history.maxlen)
+        self.state.history = History(self._history)
         # (every, bad, fits): the sorted c_max of every record and of every
         # record whose fast path was not sufficient, NaN left out, and each
         # record's _fit_constants in history order; see _derive
@@ -183,7 +211,7 @@ class MetaController:
         history: the oldest record's ``c_max`` leaves the sorted lists before
         a full bounded deque drops that record, and the bounded ``fits``
         drops its constants as the new record's are appended."""
-        history = self.state.history
+        history = self._history
         if self._derived is not None:
             if len(history) == history.maxlen:
                 self._move_replay(history[0], _remove)
@@ -203,7 +231,7 @@ class MetaController:
         a controller that never steps (a read-only diagnosis) never builds
         it; :meth:`record` keeps it current after that."""
         if self._derived is None:
-            history = self.state.history
+            history = self._history
             self._derived = [], [], deque(map(_fit_constants, history), maxlen=history.maxlen)
             for rec in history:
                 self._move_replay(rec, list.append)
@@ -221,7 +249,7 @@ class MetaController:
         """
         st = self.state
         before = st.tau
-        n = len(st.history)
+        n = len(self._history)
         if n < MIN_HISTORY:
             return before, before
         every, bad, _ = self._derive()
@@ -249,7 +277,7 @@ class MetaController:
         """
         st = self.state
         before = tuple(st.factor_weights)
-        if len(st.history) < MIN_HISTORY:
+        if len(self._history) < MIN_HISTORY:
             return before, before
         z0, z1, z2, z3 = st.factor_weights
         s0 = s1 = s2 = s3 = 0.0
@@ -259,7 +287,7 @@ class MetaController:
             s1 += r * l1
             s2 += r * l2
             s3 += r * l3
-        n = len(st.history)
+        n = len(self._history)
         lr = st.opt.weight_lr
         st.factor_weights = tuple(
             max(0.0, w - lr * (s / n)) for w, s in zip(st.factor_weights, (s0, s1, s2, s3))
@@ -276,10 +304,11 @@ class MetaController:
             "opt_params": asdict(st.opt),
             "history": [
                 {"c_max": r.c_max, "factors": list(r.factors), "fast_sufficient": r.fast_sufficient}
-                for r in st.history
+                for r in self._history
             ],
         }
-        write_atomic(path, lambda fh: json.dump(payload, fh, sort_keys=True, indent=2))
+        # json.dumps without indent runs the C encoder; json.dump never does
+        write_atomic(path, lambda fh: fh.write(json.dumps(payload, sort_keys=True)))
 
     @classmethod
     def load(cls, path: str) -> "MetaController":

@@ -98,6 +98,9 @@ class MemoryConfig:
             raise InvalidArgument("hint_k must be <= retrieval_k")
         if not 0.0 <= self.hint_min_confidence <= 1.0:
             raise InvalidArgument("hint_min_confidence must be in [0, 1]")
+        if self.embedding_dim > 2 ** 31 - 1:
+            # the store writes each vector index as an int32
+            raise InvalidArgument(f"embedding_dim must be <= 2**31 - 1, got {self.embedding_dim}")
 
 
 @dataclass

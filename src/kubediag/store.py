@@ -1,19 +1,23 @@
 """The memory pool's files: the episode JSONL and the pattern snapshot.
 
 Each episode is one JSON line; the patterns are one JSON snapshot.  Each
-embedding and centroid is stored sparse, as ``{"dim": D, "index": [...],
-"value": [...]}`` listing every entry that is not ``+0.0`` (a hashing
-embedding has about 14 of 2048), and is rebuilt bit for bit on load.  The
-dense lists of older stores still load; the next save rewrites them sparse.
-Every save replaces its file atomically.
+embedding and centroid is stored packed, as ``{"dim": D, "index": "<hex>",
+"value": "<hex>"}``: ``index`` is the lowercase hex of the entry indices as
+little-endian int32, ``value`` that of the entries as little-endian float64.
+The entries are every one that is not ``+0.0`` (a hashing embedding has
+about 14 of 2048), ``-0.0`` kept, so a vector is rebuilt bit for bit on load.
+The older forms still load: a sparse ``index``/``value`` pair of JSON lists,
+and a dense JSON list; the next save rewrites them packed.  Every save
+replaces its file atomically.
 
-An episode file is decoded line by line, each dense list turned sparse,
+An episode file is decoded line by line, each older vector turned packed,
 then checked a column at a time over every line at once: C-level passes
-over the values, and array operations over every line's sparse entries,
-gathered into the one flat array the pool's index takes.  A loaded episode
-builds its dense embedding when first read, which a read-only diagnosis
-does for a few of them.  Only a failed check decodes the lines again, one
-at a time, to name the first bad one.
+over the fields, and one ``bytes.fromhex`` per vector column over the
+joined hex of every line, read by ``np.frombuffer`` into the one flat array
+the pool's index takes.  A loaded episode builds its dense embedding when
+first read, which a read-only diagnosis does for a few of them.  Only a
+failed check decodes the lines again, one at a time, to name the first bad
+one.
 """
 
 from __future__ import annotations
@@ -100,7 +104,8 @@ def _read_columns(lines: list[str], dim: int) -> _Loaded | None:
             *map(_EPISODE_KEYS, raws))
         trials = list(map(dict.get, raws, repeat("trials"), repeat(0)))
         successes = list(map(dict.get, raws, repeat("successes"), repeat(0)))
-        dims, index, value = zip(*map(_VECTOR_KEYS, map(_as_sparse, vectors, repeat(dim))))
+        dims, index, value = zip(*map(_VECTOR_KEYS, map(_as_packed, vectors, repeat(dim))))
+        chars = list(map(len, index))
         strings, numbers = symptoms + context + actions + paths, stamps + values
         if not (set(map(type, ids)) == {str} and all(ids) and len(set(ids)) == len(ids)
                 and set(map(type, strings)) == {list}
@@ -111,16 +116,16 @@ def _read_columns(lines: list[str], dim: int) -> _Loaded | None:
                 and set(map(type, trials + successes)) == {int}
                 and min(successes) >= 0 and all(map(operator.le, successes, trials))
                 and set(map(type, dims)) == {int} and set(dims) == {dim}
-                and set(map(type, index + value)) == {list}
-                and list(map(len, index)) == list(map(len, value))
-                and set(map(type, chain.from_iterable(index))) <= {int}
-                and set(map(type, chain.from_iterable(value))) <= {float}):
+                and set(map(type, index + value)) == {str}
+                and not any(c % 8 for c in chars)
+                and list(map(len, value)) == [2 * c for c in chars]):
             return None
-        sizes = list(map(len, index))
-        col = np.fromiter(chain.from_iterable(index), np.intp, sum(sizes))
+        # each line holds whole entries, so joined, no entry spans two lines
+        col = _unhex("".join(index), "index")
+        val = _unhex("".join(value), "value")
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         return None
-    val = np.fromiter(chain.from_iterable(value), np.float64, col.size)
+    sizes = [c // 8 for c in chars]
     # the decoded lines die here, not after the episodes are built: the
     # collector runs on the count of live containers, and holding them
     # costs a diagnose call one more collection
@@ -223,7 +228,8 @@ def write_patterns(path: str, patterns: dict[str, Pattern], config: MemoryConfig
         "patterns": [_pattern_to_dict(p) for _, p in sorted(patterns.items())],
         "config": dataclasses.asdict(config),
     }
-    write_atomic(path, lambda fh: json.dump(payload, fh, sort_keys=True, indent=2))
+    # json.dumps without indent runs the C encoder; json.dump never does
+    write_atomic(path, lambda fh: fh.write(json.dumps(payload, sort_keys=True)))
 
 
 def read_patterns(path: str, dim: int) -> tuple[list[Pattern], int]:
@@ -286,10 +292,10 @@ def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
 
 
 def _vector_to_json(v: np.ndarray) -> dict:
-    """Sparse form of a dense vector: every entry that is not ``+0.0``,
+    """Packed form of a dense vector: every entry that is not ``+0.0``,
     ``-0.0`` kept, so that :func:`_vector_from_json` rebuilds it bit for bit."""
     index = nonzero_index(v)
-    return {"dim": int(v.size), "index": index.tolist(), "value": v[index].tolist()}
+    return _packed(int(v.size), index, v[index])
 
 
 def _embedding_to_json(ep: Episode) -> dict:
@@ -300,24 +306,75 @@ def _embedding_to_json(ep: Episode) -> dict:
         return _vector_to_json(ep.embedding)
     dim, col, val, a, b = ep._sparse
     keep = nonzero_index(val[a:b])
-    return {"dim": dim, "index": col[a:b][keep].tolist(), "value": val[a:b][keep].tolist()}
+    return _packed(dim, col[a:b][keep], val[a:b][keep])
+
+
+def _packed(dim: int, index: np.ndarray, value: np.ndarray) -> dict:
+    """The stored form of the entries ``value`` at ``index``."""
+    return {"dim": dim, "index": index.astype(_PACKED["index"][0]).tobytes().hex(),
+            "value": value.astype(_PACKED["value"][0]).tobytes().hex()}
 
 
 def _vector_from_json(raw: object, dim: int) -> np.ndarray:
-    """Dense float64 array of length ``dim`` from :func:`_vector_to_json`'s
-    form, or from an older store's dense list through :func:`_as_sparse`.
-    The sparse form is checked in full before the array is allocated, so a
-    bogus ``dim`` or index costs nothing."""
-    index, value = _sparse_from_json(_as_sparse(raw, dim), dim)
+    """Dense float64 array of length ``dim`` from a vector in any stored
+    form, through :func:`_entries`."""
+    index, value = _entries(raw, dim)
     out = np.zeros(dim, dtype=np.float64)
-    out[np.asarray(index, dtype=np.intp)] = value
+    out[index] = value
     return out
 
 
-def _as_sparse(raw: object, dim: int) -> object:
-    """A dense vector list of an older store in :func:`_vector_to_json`'s
-    form, anything else as it is."""
-    return _vector_to_json(_dense_from_json(raw, dim)) if isinstance(raw, list) else raw
+def _as_packed(raw: object, dim: int) -> object:
+    """A vector of an older store in :func:`_vector_to_json`'s form, checked
+    by :func:`_entries`; one whose ``index`` is a string as it is."""
+    if isinstance(raw, dict) and isinstance(raw.get("index"), str):
+        return raw
+    return _packed(dim, *_entries(raw, dim))
+
+
+def _entries(raw: object, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The checked entries of a vector in any stored form, as a native
+    ``intp`` array of indices increasing in ``[0, dim)`` and a ``float64``
+    array of values.  The ``dim`` and the sizes are checked before anything
+    of the claimed dimension is allocated, so a bogus one costs nothing."""
+    if isinstance(raw, list):
+        dense = _dense_from_json(raw, dim)
+        index = nonzero_index(dense)
+        return index, dense[index]
+    if not isinstance(raw, dict):
+        raise TypeError(f"vector must be an object or a list, got {type(raw).__name__}")
+    size, index, value = raw["dim"], raw["index"], raw["value"]
+    if type(size) is not int or size != dim:
+        raise ValueError(f"vector dim {short_repr(size)} != {dim}")
+    if isinstance(index, list) or isinstance(value, list):
+        index, value = _sparse_from_lists(index, value, dim)
+        return np.array(index, dtype=np.intp), np.array(value, dtype=np.float64)
+    if not isinstance(index, str) or not isinstance(value, str):
+        raise TypeError(f"vector index {short_repr(index)} and value {short_repr(value)} "
+                        "must be hex strings")
+    if len(index) % 8 or len(value) != 2 * len(index):
+        raise ValueError(f"vector index and value of {len(index)} and {len(value)} hex digits "
+                         "are not 8 and 16 per entry")
+    index, value = _unhex(index, "index"), _unhex(value, "value")
+    _sparse_from_lists(index.tolist(), value.tolist(), dim)  # the range and order
+    return index, value
+
+
+# the packed form's entry type on disk, and in memory once read, per key
+_PACKED = {"index": ("<i4", np.intp), "value": ("<f8", np.float64)}
+
+
+def _unhex(text: str, key: str) -> np.ndarray:
+    """The native array of ``text``, the hex of ``key``'s packed entries.
+    ``bytes.fromhex`` skips whitespace, so its length is checked too."""
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError:
+        raw = None
+    if raw is None or 2 * len(raw) != len(text):
+        raise ValueError(f"vector {key} {short_repr(text)} is not plain hex")
+    packed, native = _PACKED[key]
+    return np.frombuffer(raw, packed).astype(native)
 
 
 def _dense_from_json(raw: list, dim: int) -> np.ndarray:
@@ -332,15 +389,10 @@ def _dense_from_json(raw: list, dim: int) -> np.ndarray:
     return out
 
 
-def _sparse_from_json(raw: object, dim: int) -> tuple[list[int], list[float]]:
-    """The checked ``index`` and ``value`` lists of :func:`_vector_to_json`'s
-    form: equal in length, the indices increasing ints in ``[0, dim)``, the
-    values floats."""
-    if not isinstance(raw, dict):
-        raise TypeError(f"vector must be an object or a list, got {type(raw).__name__}")
-    size, index, value = raw["dim"], raw["index"], raw["value"]
-    if type(size) is not int or size != dim:
-        raise ValueError(f"vector dim {short_repr(size)} != {dim}")
+def _sparse_from_lists(index: object, value: object, dim: int) -> tuple[list[int], list[float]]:
+    """The checked ``index`` and ``value`` lists of an older store's sparse
+    vector, or of a packed one's decoded entries: equal in length, the
+    indices increasing ints in ``[0, dim)``, the values floats."""
     if not isinstance(index, list) or not isinstance(value, list) or len(index) != len(value):
         raise ValueError("vector index and value must be lists of equal length")
     # C-level passes over the lists; the entry loop runs only when one

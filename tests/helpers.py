@@ -65,3 +65,18 @@ def mk_query(vec, symptoms=("pod crashlooping",), context=()) -> Query:
         context=set(context),
         embedding=np.asarray(vec, dtype=float),
     )
+
+
+def sparse_lists(vec: dict) -> dict:
+    """A stored packed vector in the sparse form of older stores, its
+    ``index`` and ``value`` as JSON lists, decoded here as the format
+    describes it: little-endian int32 indices, little-endian float64 values."""
+    index = np.frombuffer(bytes.fromhex(vec["index"]), "<i4")
+    value = np.frombuffer(bytes.fromhex(vec["value"]), "<f8")
+    return dict(vec, index=index.tolist(), value=value.tolist())
+
+
+def packed(vec: dict) -> dict:
+    """A sparse-list vector in the packed form: :func:`sparse_lists` undone."""
+    return dict(vec, index=np.asarray(vec["index"], "<i4").tobytes().hex(),
+                value=np.asarray(vec["value"], "<f8").tobytes().hex())

@@ -505,6 +505,33 @@ def test_history_is_bounded_fifo():
     assert c.state.history[0].c_max == pytest.approx(5 / 2000)
 
 
+@pytest.mark.parametrize("n", [20, 1000], ids=["below-maxlen", "at-maxlen"])
+def test_the_steps_stay_exact_after_a_direct_append(rng, n):
+    # record() is the history's only writer: the state shows a read-only
+    # view, and the deque the state was built with is no longer the
+    # controller's, so an append to it leaves the derived state exact
+    def drawn():
+        return rec(float(rng.uniform(0, 1)), bool(rng.random() < 0.5),
+                   factors=tuple(float(f) for f in rng.uniform(0, 1, size=4)))
+
+    given_history = deque((drawn() for _ in range(n)), maxlen=1000)
+    c = MetaController(ControllerState(history=given_history))
+    c.update_factor_weights()
+    c.adapt_threshold()  # the derived state is built
+    extra = drawn()
+    with pytest.raises(AttributeError):
+        c.state.history.append(extra)
+    given_history.append(extra)
+    assert len(c.state.history) == n and c.state.history.maxlen == 1000
+    fresh = MetaController(reference_state(c))
+    for _ in range(3):
+        assert bits(c.update_factor_weights()[1]) == bits(fresh.update_factor_weights()[1])
+        assert struct.pack("<d", c.adapt_threshold()[1]) == \
+            struct.pack("<d", fresh.adapt_threshold()[1])
+        c.record(extra)
+        fresh.record(extra)
+
+
 RECORD_KEYS = ["c_max", "factors", "fast_sufficient"]
 
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from helpers import NOW, jitter_unit, mk_episode, rand_unit, small_pool
+from helpers import NOW, jitter_unit, mk_episode, packed, rand_unit, small_pool, sparse_lists
 from kubediag.controller import MetaController, SessionRecord
 from kubediag.errors import SchemaViolation
 from kubediag.files import write_atomic
@@ -151,7 +151,9 @@ def test_earlier_bad_norm_is_named_before_a_huge_timestamp(tmp_path, rng):
     huge_episode_timestamp(path)
     lines = path.read_text().splitlines()
     raw = json.loads(lines[1])
-    raw["embedding"]["value"][0] *= 2.0
+    vec = sparse_lists(raw["embedding"])
+    vec["value"][0] *= 2.0
+    raw["embedding"] = packed(vec)
     lines[1] = json.dumps(raw)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SchemaViolation, match=r"^line 2: episode ep-000001: embedding norm"):

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from helpers import DAY, NOW, jitter_unit, mk_episode, mk_query, rand_unit, small_pool, unit
+from helpers import (DAY, NOW, jitter_unit, mk_episode, mk_query, packed, rand_unit, small_pool,
+                     sparse_lists, unit)
 from kubediag import memory as memory_mod, store
 from kubediag.embedding import HashingEmbedder, nonzero_index
 from kubediag.errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound, SchemaViolation
@@ -56,6 +57,13 @@ def test_config_rejects_hint_k_above_retrieval_k():
     with pytest.raises(InvalidArgument):
         MemoryConfig(retrieval_k=4, hint_k=5).validate()
     MemoryConfig(retrieval_k=4, hint_k=4).validate()
+
+
+def test_config_rejects_an_embedding_dim_beyond_int32():
+    # the store writes each vector index as an int32; validate allocates nothing
+    with pytest.raises(InvalidArgument, match="embedding_dim"):
+        MemoryConfig(embedding_dim=2 ** 31).validate()
+    MemoryConfig(embedding_dim=2 ** 31 - 1).validate()
 
 
 def test_recency_negative_dt_rejected():
@@ -1528,7 +1536,8 @@ def test_store_roundtrip_keeps_negative_zero(tmp_path):
     assert_same_bits(fresh, pool)
     assert np.signbit(fresh.episode("ep-000000").embedding[7])
     stored = json.loads(memory.read_text())["embedding"]
-    assert stored == {"dim": 16, "index": [3, 7, 11], "value": [0.6, -0.0, -0.8]}
+    assert stored == {"dim": 16, "index": "03000000" "07000000" "0b000000",
+                      "value": struct.pack("<3d", 0.6, -0.0, -0.8).hex()}
     assert json.loads(snapshot.read_text())["patterns"][0]["centroid"] == stored
 
 
@@ -1546,7 +1555,7 @@ def test_store_roundtrip_hashing_embeddings(tmp_path_factory, texts):
 
 
 def dense_list(vec):
-    """The dense list of the older store format for a sparse vector."""
+    """The dense list of the older store format for a sparse-list vector."""
     out = [0.0] * vec["dim"]
     for i, x in zip(vec["index"], vec["value"]):
         out[i] = x
@@ -1558,12 +1567,12 @@ def densify(path, key):
     if key == "embedding":
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         for raw in lines:
-            raw[key] = dense_list(raw[key])
+            raw[key] = dense_list(sparse_lists(raw[key]))
         path.write_text("".join(json.dumps(raw, sort_keys=True) + "\n" for raw in lines))
     else:
         data = json.loads(path.read_text())
         for raw in data["patterns"]:
-            raw[key] = dense_list(raw[key])
+            raw[key] = dense_list(sparse_lists(raw[key]))
         path.write_text(json.dumps(data, sort_keys=True, indent=2))
 
 
@@ -1595,9 +1604,9 @@ def test_dense_store_loads_and_is_rewritten_sparse(tmp_path, rng):
         ]
     dense.save_episodes(str(memory))
     dense.save_pattern_snapshot(str(snapshot))
-    assert all(isinstance(json.loads(line)["embedding"], dict)
+    assert all(isinstance(json.loads(line)["embedding"]["index"], str)
                for line in memory.read_text().splitlines())
-    assert all(isinstance(raw["centroid"], dict)
+    assert all(isinstance(raw["centroid"]["index"], str)
                for raw in json.loads(snapshot.read_text())["patterns"])
 
 
@@ -1699,10 +1708,11 @@ def test_corrupt_sparse_vector_rejected(tmp_path, rng, case):
     pool.save_pattern_snapshot(str(snapshot))
 
     lines = [json.loads(line) for line in memory.read_text().splitlines()]
-    lines[0]["embedding"] = BAD_VECTORS[case](lines[0]["embedding"])
+    lines[0]["embedding"] = BAD_VECTORS[case](sparse_lists(lines[0]["embedding"]))
     memory.write_text("".join(json.dumps(raw) + "\n" for raw in lines))
     data = json.loads(snapshot.read_text())
-    data["patterns"][-1]["centroid"] = BAD_VECTORS[case](data["patterns"][-1]["centroid"])
+    data["patterns"][-1]["centroid"] = BAD_VECTORS[case](
+        sparse_lists(data["patterns"][-1]["centroid"]))
     snapshot.write_text(json.dumps(data))
 
     fresh = small_pool(16)
@@ -1792,7 +1802,8 @@ def test_failed_load_leaves_the_pool_unchanged_and_names_the_first_bad_line(tmp_
     source.save_episodes(str(path))
     lines = path.read_text().splitlines()
     bad_norm = json.loads(lines[1])
-    bad_norm["embedding"]["value"] = [2.0 * x for x in bad_norm["embedding"]["value"]]
+    vec = sparse_lists(bad_norm["embedding"])
+    bad_norm["embedding"] = packed(dict(vec, value=[2.0 * x for x in vec["value"]]))
     lines[1] = json.dumps(bad_norm)
     lines[3] = "{not json"
     write_lines(path, lines)
@@ -2012,11 +2023,17 @@ def edited(raw, edit):
     return raw
 
 
+def with_sparse_lists(raw):
+    """A saved line with its vector in the sparse-list form of older stores."""
+    return dict(raw, embedding=sparse_lists(raw["embedding"]))
+
+
 def write_edited(path, vectors, edits, newline="\n", blank=""):
-    """A store of ``vectors`` whose line ``i`` is edited by ``edits[i]``,
-    a blank line of ``blank`` before the second line when it is not empty."""
+    """A store of ``vectors`` in the sparse-list form, whose line ``i`` is
+    edited by ``edits[i]``, a blank line of ``blank`` before the second line
+    when it is not empty."""
     pool_of_vectors(vectors, 16).save_episodes(str(path))
-    lines = [json.dumps(edited(json.loads(line), edits.get(i, "none")))
+    lines = [json.dumps(edited(with_sparse_lists(json.loads(line)), edits.get(i, "none")))
              for i, line in enumerate(path.read_text().splitlines())]
     if blank:
         lines.insert(1, blank)
@@ -2095,7 +2112,8 @@ def pinned_outcome(path):
 # The outcome of loading each of pinned_files(), recorded from the loader
 # that read a failing file again a line at a time, before loads had one
 # path.  It pins the type and message of every error and the loaded state;
-# rewriting it from the current loader would pin nothing.
+# rewriting it from the current loader would pin nothing.  The files are in
+# the sparse-list form, so it pins how older stores load.
 PINNED = json.loads((Path(__file__).parent / "data" / "load_outcomes.json").read_text())
 
 
@@ -2149,16 +2167,43 @@ def hashing_store(path, n=150):
     pool.save_episodes(str(path))
 
 
+def test_part_entries_that_would_join_into_whole_ones_name_their_line(tmp_path):
+    # each line must hold whole entries, though these two lines' hex, joined
+    # over the file, decodes
+    path = tmp_path / "episodes.jsonl"
+    pool_of_vectors(negative_zero_vectors(4), 16).save_episodes(str(path))
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    first, second = lines[0]["embedding"], lines[1]["embedding"]
+    first["index"] += second["index"][:4]
+    first["value"] += second["value"][:8]
+    second["index"], second["value"] = second["index"][4:], second["value"][8:]
+    write_lines(path, map(json.dumps, lines))
+    with pytest.raises(SchemaViolation, match="^line 1: .*not 8 and 16 per entry"):
+        small_pool(16).load_episodes(str(path))
+
+
+# each stored form of a packed vector
+FORMS = {"packed": lambda v: v, "lists": sparse_lists, "dense": lambda v: dense_list(sparse_lists(v))}
+
+
+def in_forms(source, path, *forms):
+    """``source``, an episode file, written to ``path`` with the vector of
+    its line ``i`` in the form ``forms[i % len(forms)]``."""
+    lines = [json.loads(line) for line in source.read_text().splitlines()]
+    write_lines(path, [json.dumps(dict(raw, embedding=FORMS[forms[i % len(forms)]](
+        raw["embedding"])), sort_keys=True) for i, raw in enumerate(lines)])
+
+
 def test_a_load_builds_no_dense_embedding_until_one_is_read(tmp_path):
-    # 150 dense 2048-float arrays alone would retain 2.4 MB; the dense lines
-    # of an older store are turned sparse as they are decoded
-    sparse, dense = tmp_path / "sparse.jsonl", tmp_path / "dense.jsonl"
-    hashing_store(sparse)
-    dense.write_text(sparse.read_text())
-    densify(dense, "embedding")
+    # 150 dense 2048-float arrays alone would retain 2.4 MB; the vectors of
+    # an older store are turned packed as they are decoded
+    source = tmp_path / "source.jsonl"
+    hashing_store(source)
     reference = MemoryPool(MemoryConfig())
-    load_line_by_line(reference, sparse)
-    for path in (sparse, dense):
+    load_line_by_line(reference, source)
+    for form in FORMS:
+        path = tmp_path / f"{form}.jsonl"
+        in_forms(source, path, form)
         pool = MemoryPool(MemoryConfig())
         tracemalloc.start()
         try:
@@ -2186,6 +2231,93 @@ def test_an_empty_or_blank_file_loads_no_episode_on_the_column_path(tmp_path, mo
     assert pool_state(pool) == before
 
 
+def repacked(vec, edit):
+    """``vec``, a packed vector, with ``edit`` made to its sparse lists."""
+    return packed(edit(sparse_lists(vec)))
+
+
+def swapped_first_two(vec):
+    index = list(vec["index"])
+    index[0], index[1] = index[1], index[0]
+    return dict(vec, index=index)
+
+
+# name -> (edit of a packed vector, what the error says of it)
+PACKED_EDITS = {
+    "odd-length": (lambda v: dict(v, value=v["value"][:-1]), "not 8 and 16 per entry"),
+    "part-entry": (lambda v: dict(v, index=v["index"] + "00", value=v["value"] + "0000"),
+                   "not 8 and 16 per entry"),
+    "value-not-twice-index": (lambda v: dict(v, value=v["value"][:-16]),
+                              "not 8 and 16 per entry"),
+    "non-hex": (lambda v: dict(v, index="0g" + v["index"][2:]), "index '0g.* is not plain hex"),
+    # fromhex skips whitespace, so each would decode to one whole entry less
+    "index-whitespace": (lambda v: dict(v, index=v["index"][:-8] + " " * 8), "is not plain hex"),
+    "value-whitespace": (lambda v: dict(v, value="\n" * 16 + v["value"][16:]), "is not plain hex"),
+    "index-negative": (lambda v: repacked(v, lambda s: dict(s, index=[-1] + s["index"][1:])),
+                       r"index -1 not an increasing int in \[0, 16\)"),
+    "index-out-of-range": (lambda v: repacked(v, lambda s: dict(s, index=s["index"][:-1] + [16])),
+                           r"index 16 not an increasing int in \[0, 16\)"),
+    "index-unsorted": (lambda v: repacked(v, swapped_first_two), "not an increasing int"),
+    "index-repeated": (lambda v: repacked(v, lambda s: dict(s, index=s["index"][:1] + s["index"][:-1])),
+                       "not an increasing int"),
+    "dim-mismatch": (lambda v: dict(v, dim=32), "vector dim 32 != 16"),
+    "norm": (lambda v: repacked(v, lambda s: dict(s, value=[2.0 * x for x in s["value"]])),
+             "norm 2.0"),
+    "index-number": (lambda v: dict(v, index=7), "must be hex strings"),
+    "value-number": (lambda v: dict(v, value=0.5), "must be hex strings"),
+}
+
+
+@pytest.mark.parametrize("at", [0, 3])
+@pytest.mark.parametrize("case", sorted(PACKED_EDITS))
+def test_a_bad_packed_vector_is_a_schema_violation_naming_its_line(tmp_path, case, at):
+    edit, says = PACKED_EDITS[case]
+    pool = pool_of_vectors(negative_zero_vectors(4), 16)
+    memory, snapshot = tmp_path / "episodes.jsonl", tmp_path / "patterns.json"
+    pool.save_episodes(str(memory))
+    pool.save_pattern_snapshot(str(snapshot))
+    lines = [json.loads(line) for line in memory.read_text().splitlines()]
+    lines[at]["embedding"] = edit(lines[at]["embedding"])
+    write_lines(memory, map(json.dumps, lines))
+    data = json.loads(snapshot.read_text())
+    data["patterns"][at]["centroid"] = edit(data["patterns"][at]["centroid"])
+    snapshot.write_text(json.dumps(data))
+    fresh = small_pool(16)
+    with pytest.raises(SchemaViolation, match=f"^line {at + 1}: .*{says}"):
+        fresh.load_episodes(str(memory))
+    with pytest.raises(SchemaViolation, match=f"^bad pattern snapshot: .*{says}"):
+        fresh.load_pattern_snapshot(str(snapshot))
+    assert fresh.episodes == {} and fresh.patterns == {}
+    assert_load_matches_the_reference(memory)
+
+
+def negative_zero_store(path):
+    pool_of_vectors(negative_zero_vectors(4), 16).save_episodes(str(path))
+    return 16
+
+
+def hashing_store_dim(path):
+    hashing_store(path)
+    return MemoryConfig().embedding_dim
+
+
+@pytest.mark.parametrize("build", [negative_zero_store, hashing_store_dim],
+                         ids=["negative-zero", "hashing-150"])
+def test_every_form_loads_to_the_packed_state_and_saves_packed(tmp_path, build):
+    # the older forms, alone and mixed line by line, load to the state a
+    # packed store loads to, index bytes included, and save back packed
+    source, path, saved = (tmp_path / f"{name}.jsonl" for name in ("source", "in", "out"))
+    dim = build(source)
+    states = []
+    for forms in (["packed"], ["lists"], ["dense"], ["lists", "packed", "dense"]):
+        in_forms(source, path, *forms)
+        pool = small_pool(dim)
+        assert pool.load_episodes(str(path)) == len(source.read_text().splitlines())
+        pool.save_episodes(str(saved))
+        assert saved.read_bytes() == source.read_bytes()
+        states.append(pool_state(pool))
+    assert all(state == states[0] for state in states)
+
 
 @pytest.mark.parametrize("module", ["kubediag.store", "kubediag.memory"])
 def test_either_module_imports_first_in_a_fresh_interpreter(tmp_path, module):
@@ -2206,16 +2338,17 @@ def test_a_loaded_store_saves_back_byte_for_byte(tmp_path):
     first, second, dense = (tmp_path / f"{name}.jsonl" for name in ("first", "second", "dense"))
     pool_of_vectors(negative_zero_vectors(4), 16).save_episodes(str(first))
     lines = first.read_text().splitlines()
-    stored = [x for line in lines for x in json.loads(line)["embedding"]["value"]]
+    stored = [x for line in lines for x in sparse_lists(json.loads(line)["embedding"])["value"]]
     assert [math.copysign(1.0, x) for x in stored if x == 0.0] == [-1.0] * 8
     # a line written elsewhere may list a +0.0 entry; a save of the dense
     # array drops it, and so must a save of the unbuilt episode
     extra = json.loads(lines[0])
     extra["id"] = "ep-000004"
-    entries = extra["embedding"]
+    entries = sparse_lists(extra["embedding"])
     assert entries["index"][:2] == [0, 2]  # index 1 holds +0.0, so it is not stored
     entries["index"].insert(1, 1)
     entries["value"].insert(1, 0.0)
+    extra["embedding"] = packed(entries)
     first.write_text("\n".join(lines + [json.dumps(extra, sort_keys=True)]) + "\n")
     pool, built = small_pool(16), small_pool(16)
     pool.load_episodes(str(first))
