@@ -144,6 +144,9 @@ def diagnose(symptoms, contexts, logs_path, memory_path, graph_path, controller_
             raise ConfigError("--learn requires --feedback")
         if learn and not memory_path:
             raise ConfigError("--learn requires --memory to persist episodes")
+        if now is not None and not is_finite(now):
+            # a NaN would rule out every episode and print "created": NaN
+            raise ConfigError(f"--now must be a finite number, got {now}")
         cfg = _load_config(config_path)
 
         pool = MemoryPool(cfg["memory"])

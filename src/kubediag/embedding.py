@@ -7,7 +7,8 @@ processes, which the rest of the engine relies on for reproducibility.  Any
 callable with the same signature can be swapped in.
 
 A hashing embedding has a handful of non-zeros (about 14 of 2048 for a
-query), so stores that score many of them against one query keep them as
+query), so everything that keeps one holds it as a :class:`SparseVector`,
+and stores that score many of them against one query keep them as
 :class:`SparseRows`: a product over the stored entries alone gives every
 row's cosine to within a proven margin, and only the rows that margin cannot
 rule out are rescored with the exact dense ``np.dot``.
@@ -16,7 +17,7 @@ rule out are rescored with the exact dense ``np.dot``.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -74,6 +75,30 @@ def nonzero_index(v: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.signbit(v) | (v != 0))
 
 
+class SparseVector(NamedTuple):
+    """A vector of length ``dim`` as ``value`` at the increasing indices
+    ``index``: every entry that is not ``+0.0``, ``-0.0`` kept, so
+    :meth:`dense` rebuilds the array bit for bit, dtype included."""
+
+    dim: int
+    index: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def of(cls, dense: np.ndarray) -> "SparseVector":
+        dense = np.asarray(dense)
+        if dense.ndim != 1:
+            raise InvalidArgument(f"a vector must be 1-D, got shape {dense.shape}")
+        index = nonzero_index(dense)
+        return cls(dense.size, index, dense[index])
+
+    def dense(self) -> np.ndarray:
+        """A new array of the vector: its entries scattered into zeros."""
+        out = np.zeros(self.dim, self.value.dtype)
+        out[self.index] = self.value
+        return out
+
+
 class SparseRows:
     """Sparse vectors of one dimension as the rows of flat ``(row, col, val)``
     arrays, in row order.
@@ -85,18 +110,18 @@ class SparseRows:
     :meth:`extend` adds rows already gathered into flat arrays.
     """
 
-    def __init__(self, dim: int, entries: Sequence[tuple[np.ndarray, np.ndarray]] = ()) -> None:
+    def __init__(self, dim: int, vectors: Iterable[SparseVector] = ()) -> None:
         self.dim = dim
         self.n = 0  # rows in the arrays
         self.row = np.empty(0, dtype=np.intp)
         self.col = np.empty(0, dtype=np.intp)
         self.val = np.empty(0, dtype=np.float64)
-        self._pending = list(entries)  # (col, val) of rows not in the arrays yet
+        self._pending = list(vectors)  # rows not in the arrays yet
         self._flush()
 
-    def append(self, col: np.ndarray, val: np.ndarray) -> None:
-        """Add a row holding ``val`` at the indices ``col``."""
-        self._pending.append((col, val))
+    def append(self, vector: SparseVector) -> None:
+        """Add a row holding ``vector``'s entries."""
+        self._pending.append(vector)
 
     def extend(self, sizes: Sequence[int], col: np.ndarray, val: np.ndarray) -> None:
         """Add ``len(sizes)`` rows with one concatenation: row ``i`` holds
@@ -116,8 +141,8 @@ class SparseRows:
         pending = self._pending
         if pending:
             self._pending = []
-            self._concat([c.size for c, _ in pending], (c for c, _ in pending),
-                         (v for _, v in pending))
+            self._concat([v.index.size for v in pending], (v.index for v in pending),
+                         (v.value for v in pending))
 
     def _concat(self, sizes: Sequence[int], cols: Iterable[np.ndarray],
                 vals: Iterable[np.ndarray]) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .controller import MetaController, Pathway, RoutingDecision, SessionRecord
-from .embedding import Embedder, HashingEmbedder
+from .embedding import Embedder, HashingEmbedder, SparseVector
 from .errors import AlreadyRecorded, InvalidArgument, NoEvidence, NotFound, StageFailure
 from .graph import CausalChain, GraphNode, KnowledgeGraph, Relation, SearchConfig, explore
 from .memory import (
@@ -69,7 +69,7 @@ class DiagnosisSession:
     context: PromptContext
     latency_units: float
     created: float
-    query_embedding: object = None     # reused by feedback; not serialized
+    query_embedding: object = None     # dense; feedback stores its SparseVector, then drops it
 
     def to_trace(self) -> dict:
         return {
@@ -356,7 +356,7 @@ class Engine:
                 outcome=fb.outcome,
                 timestamp=now,
                 memory_value=1.0,
-                embedding=session.query_embedding,
+                vector=SparseVector.of(session.query_embedding),
                 # a failed diagnosis has no trajectory worth recommending
                 resolution_path=[] if fb.outcome is Outcome.FAILURE
                 else self._resolution_path_for(session, cited),
@@ -366,6 +366,7 @@ class Engine:
             # the engine checked the embedder's dimension at construction
             episode.validate()
         self._fed.add(fb.session_id)
+        session.query_embedding = None
 
         if episode is not None:
             self._episode_seq += 1

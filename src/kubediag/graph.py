@@ -8,8 +8,8 @@ best-first over simple paths from query-matched seed nodes, ranked by a blend
 of memory prior, edge strength and per-path node freshness.
 
 Seeding is exact but does not scan dense vectors.  Each node's label
-embedding is kept sparse, as the ``(index, value)`` of every entry that is
-not ``+0.0`` (a hashing label has about 3 of 2048), and one
+embedding is kept as a :class:`~kubediag.embedding.SparseVector` (a hashing
+label has about 3 non-zeros of 2048), and one
 :class:`~kubediag.embedding.SparseRows` over all of them scores every node
 against the query.  That sum can differ from ``np.dot``'s in its last bits,
 so it only picks candidates, with a margin wider than any rounding
@@ -49,7 +49,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .embedding import Embedder, SparseRows, nonzero_index
+from .embedding import Embedder, SparseRows, SparseVector, nonzero_index
 from .errors import (
     ClassificationError,
     InvalidArgument,
@@ -341,8 +341,8 @@ class KnowledgeGraph:
         # replaced when an edge out of src is added or reweighted.  A node's
         # type never changes, so neither does the root-cause flag.
         self._out: dict[str, tuple[_Item, ...]] = {}
-        # node id -> (index, value) of its label embedding, every entry not +0.0
-        self._label_vecs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # node id -> its label embedding
+        self._label_vecs: dict[str, SparseVector] = {}
         # built by seed_nodes, shared by copies, never mutated in place;
         # dropped when a node is added or a node's label changes
         self._label_index: _LabelIndex | None = None
@@ -464,9 +464,9 @@ class KnowledgeGraph:
             bounds = np.searchsorted(rows, np.arange(len(part) + 1)).tolist()
             for i, nid in enumerate(part):
                 a, b = bounds[i], bounds[i + 1]
-                self._label_vecs[nid] = (cols[a:b], vals[a:b])
+                self._label_vecs[nid] = SparseVector(dim, cols[a:b], vals[a:b])
         ids = list(self.nodes)
-        return _LabelIndex(ids, SparseRows(dim, [self._label_vecs[nid] for nid in ids]))
+        return _LabelIndex(ids, SparseRows(dim, map(self._label_vecs.__getitem__, ids)))
 
     def seed_nodes(self, q_embedding: np.ndarray, embedder: Embedder,
                    threshold: float = 0.5) -> list[str]:
@@ -488,10 +488,7 @@ class KnowledgeGraph:
         hits = []
         for r in np.flatnonzero(approx + margin >= threshold).tolist():
             nid = index.ids[r]
-            cols, vals = self._label_vecs[nid]
-            dense = np.zeros(index.rows.dim, dtype=vals.dtype)
-            dense[cols] = vals
-            sim = float(np.dot(dense, q))
+            sim = float(np.dot(self._label_vecs[nid].dense(), q))
             if sim >= threshold:
                 hits.append((-sim, nid))
         return [nid for _, nid in sorted(hits)]

@@ -8,8 +8,10 @@ memory.  Retrieval is exact: it returns what scoring every memory with the
 scalar formulas would, and the confidence, which only breaks ties, is
 computed for the rows at or above the k-th best score alone.
 
-Episode embeddings are also kept as one sparse index
-(:class:`~kubediag.embedding.SparseRows`), one row per stored episode.  One
+Each episode holds its embedding as a
+:class:`~kubediag.embedding.SparseVector` alone, and the pool keeps the
+entries of every stored episode as one sparse index
+(:class:`~kubediag.embedding.SparseRows`), one row per episode.  One
 product per query bounds every episode's cosine within a proven margin; the
 index serves novelty, retrieval and neighbour linking alike, and only the
 rows its bounds cannot rule out are scored with the scalar formulas.  Every
@@ -37,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import DEFAULT_DIM, Embedder, SparseRows
+from .embedding import DEFAULT_DIM, Embedder, SparseRows, SparseVector
 from .errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound
 from .files import check_fields
 from .text import tokenize
@@ -125,8 +127,9 @@ def make_query(embedder: Embedder, symptoms: Sequence[str], context: Iterable[st
 
 @dataclass(eq=False)
 class Episode:
-    """One concrete diagnostic trajectory.  A loaded one may build its
-    ``embedding`` when first read (:class:`kubediag.store._LoadedEpisode`)."""
+    """One concrete diagnostic trajectory.  Its embedding is held as
+    ``vector`` alone; :attr:`embedding` rebuilds the dense array from it,
+    bit for bit, on every read, so a loop reads it once."""
 
     id: str
     symptoms: list[str]
@@ -135,10 +138,14 @@ class Episode:
     outcome: Outcome
     timestamp: float
     memory_value: float
-    embedding: np.ndarray
+    vector: SparseVector
     resolution_path: list[str]
     trials: int = 0      # feedback updates received
     successes: int = 0   # ... of which were successes
+
+    @property
+    def embedding(self) -> np.ndarray:
+        return self.vector.dense()
 
     def validate(self) -> None:
         if not self.id:
@@ -331,8 +338,9 @@ class MemoryPool:
 
     Single writer: nothing is locked, and reads iterate the live dicts, so
     readers must not run concurrently with a writer.  Episodes iterate in
-    insertion order.  An episode's embedding and timestamp must not change
-    once it is inserted: the sparse index holds copies of both.
+    insertion order.  An episode's vector and timestamp must not change once
+    it is inserted: the sparse index holds the vector's entries and a copy
+    of the timestamp.
 
     ``_rows`` holds the stored episodes in the order of the sparse index's
     rows (``_index``, with the timestamps in ``_stamps``): each insert
@@ -427,13 +435,13 @@ class MemoryPool:
     def insert_episode(self, episode: Episode) -> None:
         self._check_unused(episode.id)
         episode.validate()
-        if len(episode.embedding) != self.config.embedding_dim:
+        vector = episode.vector
+        if vector.dim != self.config.embedding_dim:
             raise InvalidArgument(
-                f"episode {episode.id}: embedding dim {len(episode.embedding)}"
+                f"episode {episode.id}: embedding dim {vector.dim}"
                 f" != {self.config.embedding_dim}"
             )
-        cols = np.flatnonzero(episode.embedding)
-        self._index.append(cols, episode.embedding[cols])
+        self._index.append(vector)
         self._admit([episode])
 
     def _check_unused(self, episode_id: str) -> None:
@@ -542,11 +550,12 @@ class MemoryPool:
         th = self.config.pattern_sim_threshold
         nbrs = self._neighbours
         mine = nbrs[ep.id] = set()
-        approx, margin = self._bounds(ep.embedding)
+        vec = ep.embedding
+        approx, margin = self._bounds(vec)
         lo, hi = approx - margin, approx + margin
         for r in np.flatnonzero(hi >= th).tolist():
             other = self._rows[r]
-            if other.id in nbrs and (lo[r] > th or _cos(ep.embedding, other.embedding) > th):
+            if other.id in nbrs and (lo[r] > th or _cos(vec, other.embedding) > th):
                 mine.add(other.id)
                 nbrs[other.id].add(ep.id)
 

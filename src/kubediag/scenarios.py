@@ -11,6 +11,7 @@ apportionment.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -63,6 +64,8 @@ def apportion_largest_remainder(total: int, mix: Sequence[float]) -> list[int]:
         raise InvalidArgument("total must be >= 0")
     if not mix:
         raise InvalidArgument("mix must be non-empty")
+    if not all(map(math.isfinite, mix)):
+        raise InvalidArgument(f"mix weights must be finite, got {list(mix)}")
     if any(m < 0 for m in mix):
         raise InvalidArgument("mix weights must be >= 0")
     if abs(sum(mix) - 1.0) > 1e-9:

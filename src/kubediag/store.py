@@ -14,10 +14,11 @@ An episode file is decoded line by line, each older vector turned packed,
 then checked a column at a time over every line at once: C-level passes
 over the fields, and one ``bytes.fromhex`` per vector column over the
 joined hex of every line, read by ``np.frombuffer`` into the one flat array
-the pool's index takes.  A loaded episode builds its dense embedding when
-first read, which a read-only diagnosis does for a few of them.  Only a
-failed check decodes the lines again, one at a time, to name the first bad
-one.
+the pool's index takes; each loaded episode's
+:class:`~kubediag.embedding.SparseVector` is a slice of it, so a load builds
+no dense array.  A ``+0.0`` entry that a line lists is dropped, as no vector
+holds one.  Only a failed check decodes the lines again, one at a time, to
+name the first bad one.
 """
 
 from __future__ import annotations
@@ -26,34 +27,15 @@ import dataclasses
 import json
 import math
 import operator
-from functools import cached_property
 from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .embedding import nonzero_index
+from .embedding import SparseVector, nonzero_index
 from .errors import InvalidArgument, SchemaViolation
 from .files import as_count, as_number, as_string, as_strings, short_repr, write_atomic
 from .memory import Episode, MemoryConfig, Outcome, Pattern, _norm
-
-
-class _LoadedEpisode(Episode):
-    """An episode read by :func:`read_episodes`, holding its entries as
-    ``_sparse``, ``(dim, col, val, a, b)``: ``val[a:b]`` at ``col[a:b]`` of
-    the load's flat arrays.  The first read of ``embedding`` scatters them,
-    ``-0.0`` included, into zeros of its own, which an eviction frees (views
-    of one ``(n, dim)`` block would keep the whole block alive); a save
-    before that writes the entries themselves.  The property lives on this
-    subclass alone, so reading an :class:`Episode`'s embedding stays a plain
-    attribute read."""
-
-    @cached_property
-    def embedding(self) -> np.ndarray:
-        dim, col, val, a, b = self._sparse
-        dense = np.zeros(dim)
-        dense[col[a:b]] = val[a:b]
-        return dense
 
 
 # (episodes, entries per episode, flat indices, flat values) of a loaded file
@@ -136,13 +118,15 @@ def _read_columns(lines: list[str], dim: int) -> _Loaded | None:
     if col.size and not (col.min() >= 0 and col.max() < dim
                          and (np.diff(rows * dim + col) > 0).all()):
         return None
-    eps = list(map(_LoadedEpisode, ids, symptoms, map(set, context), actions,
-                   map(_OUTCOMES.__getitem__, outcome), map(float, stamps),
-                   map(float, values), repeat(None), paths, trials, successes))
+    keep = nonzero_index(val)
+    if keep.size < val.size:
+        rows, col, val = rows[keep], col[keep], val[keep]
+        sizes = np.bincount(rows, minlength=len(ids)).tolist()
     starts = [0, *accumulate(sizes)]
-    for ep, a, b in zip(eps, starts, starts[1:]):
-        del ep.embedding  # built on first read
-        ep._sparse = dim, col, val, a, b
+    vectors = [SparseVector(dim, col[a:b], val[a:b]) for a, b in zip(starts, starts[1:])]
+    eps = list(map(Episode, ids, symptoms, map(set, context), actions,
+                   map(_OUTCOMES.__getitem__, outcome), map(float, stamps),
+                   map(float, values), vectors, paths, trials, successes))
     try:
         for r in _unsure_norms(rows, val, len(eps), dim):
             eps[r]._check_norm()
@@ -195,7 +179,7 @@ def _episode_to_dict(ep: Episode) -> dict:
         "outcome": ep.outcome.value,
         "timestamp": ep.timestamp,
         "memory_value": ep.memory_value,
-        "embedding": _embedding_to_json(ep),
+        "embedding": _packed(ep.vector),
         "resolution_path": list(ep.resolution_path),
         "trials": ep.trials,
         "successes": ep.successes,
@@ -205,7 +189,7 @@ def _episode_to_dict(ep: Episode) -> dict:
 def _episode_from_dict(raw: dict, dim: int) -> Episode:
     """Rebuild an episode, checking each field's type like
     :func:`_pattern_from_dict`."""
-    embedding = _vector_from_json(raw["embedding"], dim)
+    vector = _vector_from_json(raw["embedding"], dim)
     return Episode(
         id=as_string(raw["id"], "id"),
         symptoms=as_strings(raw["symptoms"], "symptoms"),
@@ -214,7 +198,7 @@ def _episode_from_dict(raw: dict, dim: int) -> Episode:
         outcome=Outcome(raw["outcome"]),
         timestamp=as_number(raw["timestamp"], "timestamp"),
         memory_value=as_number(raw["memory_value"], "memory_value"),
-        embedding=embedding,
+        vector=vector,
         resolution_path=as_strings(raw["resolution_path"], "resolution_path"),
         trials=as_count(raw.get("trials", 0), "trials"),
         successes=as_count(raw.get("successes", 0), "successes"),
@@ -259,7 +243,7 @@ def read_patterns(path: str, dim: int) -> tuple[list[Pattern], int]:
 def _pattern_to_dict(p: Pattern) -> dict:
     return {
         "id": p.id,
-        "centroid": _vector_to_json(p.centroid),
+        "centroid": _packed(SparseVector.of(p.centroid)),
         # grouped on disk as before, so older and newer snapshots read alike
         "strategy": {
             "actions": list(p.actions),
@@ -280,7 +264,7 @@ def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
     strategy = raw["strategy"]
     return Pattern(
         id=as_string(raw["id"], "id"),
-        centroid=_vector_from_json(raw["centroid"], dim),
+        centroid=_vector_from_json(raw["centroid"], dim).dense(),
         actions=as_strings(strategy["actions"], "actions"),
         resolution_path=as_strings(strategy["resolution_path"], "resolution_path"),
         source_episode_id=as_string(strategy["source_episode_id"], "source_episode_id"),
@@ -291,56 +275,29 @@ def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
     )
 
 
-def _vector_to_json(v: np.ndarray) -> dict:
-    """Packed form of a dense vector: every entry that is not ``+0.0``,
-    ``-0.0`` kept, so that :func:`_vector_from_json` rebuilds it bit for bit."""
-    index = nonzero_index(v)
-    return _packed(int(v.size), index, v[index])
-
-
-def _embedding_to_json(ep: Episode) -> dict:
-    """:func:`_vector_to_json` of ``ep.embedding``.  A loaded episode that
-    has not built its array writes its own entries instead, without any
-    ``+0.0`` one, as the array's would be written."""
-    if "embedding" in vars(ep):
-        return _vector_to_json(ep.embedding)
-    dim, col, val, a, b = ep._sparse
-    keep = nonzero_index(val[a:b])
-    return _packed(dim, col[a:b][keep], val[a:b][keep])
-
-
-def _packed(dim: int, index: np.ndarray, value: np.ndarray) -> dict:
-    """The stored form of the entries ``value`` at ``index``."""
-    return {"dim": dim, "index": index.astype(_PACKED["index"][0]).tobytes().hex(),
-            "value": value.astype(_PACKED["value"][0]).tobytes().hex()}
-
-
-def _vector_from_json(raw: object, dim: int) -> np.ndarray:
-    """Dense float64 array of length ``dim`` from a vector in any stored
-    form, through :func:`_entries`."""
-    index, value = _entries(raw, dim)
-    out = np.zeros(dim, dtype=np.float64)
-    out[index] = value
-    return out
+def _packed(v: SparseVector) -> dict:
+    """The stored form of ``v``, which :func:`_vector_from_json` reads back."""
+    return {"dim": v.dim, "index": v.index.astype(_PACKED["index"][0]).tobytes().hex(),
+            "value": v.value.astype(_PACKED["value"][0]).tobytes().hex()}
 
 
 def _as_packed(raw: object, dim: int) -> object:
-    """A vector of an older store in :func:`_vector_to_json`'s form, checked
-    by :func:`_entries`; one whose ``index`` is a string as it is."""
+    """A vector of an older store in :func:`_packed`'s form, checked by
+    :func:`_vector_from_json`; one whose ``index`` is a string as it is."""
     if isinstance(raw, dict) and isinstance(raw.get("index"), str):
         return raw
-    return _packed(dim, *_entries(raw, dim))
+    return _packed(_vector_from_json(raw, dim))
 
 
-def _entries(raw: object, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The checked entries of a vector in any stored form, as a native
-    ``intp`` array of indices increasing in ``[0, dim)`` and a ``float64``
-    array of values.  The ``dim`` and the sizes are checked before anything
-    of the claimed dimension is allocated, so a bogus one costs nothing."""
+def _vector_from_json(raw: object, dim: int) -> SparseVector:
+    """The checked vector of ``dim`` entries in any stored form, its
+    indices a native ``intp`` array, its values ``float64``; a ``+0.0``
+    entry that a sparse form lists is kept here, and dropped by
+    :func:`read_episodes`.  The ``dim`` and the sizes are checked before
+    anything of the claimed dimension is allocated, so a bogus one costs
+    nothing."""
     if isinstance(raw, list):
-        dense = _dense_from_json(raw, dim)
-        index = nonzero_index(dense)
-        return index, dense[index]
+        return SparseVector.of(_dense_from_json(raw, dim))
     if not isinstance(raw, dict):
         raise TypeError(f"vector must be an object or a list, got {type(raw).__name__}")
     size, index, value = raw["dim"], raw["index"], raw["value"]
@@ -348,7 +305,7 @@ def _entries(raw: object, dim: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"vector dim {short_repr(size)} != {dim}")
     if isinstance(index, list) or isinstance(value, list):
         index, value = _sparse_from_lists(index, value, dim)
-        return np.array(index, dtype=np.intp), np.array(value, dtype=np.float64)
+        return SparseVector(dim, np.array(index, dtype=np.intp), np.array(value, dtype=np.float64))
     if not isinstance(index, str) or not isinstance(value, str):
         raise TypeError(f"vector index {short_repr(index)} and value {short_repr(value)} "
                         "must be hex strings")
@@ -357,7 +314,7 @@ def _entries(raw: object, dim: int) -> tuple[np.ndarray, np.ndarray]:
                          "are not 8 and 16 per entry")
     index, value = _unhex(index, "index"), _unhex(value, "value")
     _sparse_from_lists(index.tolist(), value.tolist(), dim)  # the range and order
-    return index, value
+    return SparseVector(dim, index, value)
 
 
 # the packed form's entry type on disk, and in memory once read, per key

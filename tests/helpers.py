@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from kubediag.embedding import SparseVector
 from kubediag.memory import Episode, MemoryConfig, MemoryPool, Outcome, Query
 
 NOW = 1_700_000_000.0
@@ -48,11 +49,22 @@ def mk_episode(
         outcome=outcome,
         timestamp=ts,
         memory_value=value,
-        embedding=np.asarray(embedding, dtype=float),
+        vector=SparseVector.of(np.asarray(embedding, dtype=float)),
         resolution_path=list(path),
         trials=trials,
         successes=successes,
     )
+
+
+def dense_embeddings(obj, dim: int) -> list[np.ndarray]:
+    """The float arrays of shape ``(dim,)`` that ``obj`` refers to through
+    its fields, the items of a tuple field (an episode's vector) or the
+    base of an array among them."""
+    fields = list(vars(obj).values())
+    fields += [x for f in fields if isinstance(f, tuple) for x in f]
+    arrays = [f for f in fields if isinstance(f, np.ndarray)]
+    arrays += [a.base for a in arrays if isinstance(a.base, np.ndarray)]
+    return [a for a in arrays if a.shape == (dim,) and a.dtype.kind == "f"]
 
 
 def small_pool(dim: int = 16, **overrides) -> MemoryPool:

@@ -225,6 +225,18 @@ def test_diagnose_with_an_undecodable_store_reports_error(runner, learned_stores
         learned_stores, "--controller", learned_stores["controller"])))
 
 
+@pytest.mark.parametrize("now", ["nan", "inf", "-inf"])
+def test_diagnose_rejects_a_now_that_is_not_finite(runner, learned_stores, now):
+    # a NaN clock rules out every episode and would print "created": NaN
+    before = Path(learned_stores["memory"]).read_bytes()
+    args = seeded_diagnose_args(learned_stores, "--json", "--feedback", "success", "--learn")
+    args[args.index("--now") + 1] = now
+    result = runner.invoke(main, args)
+    assert_one_error_line(result)
+    assert "--now must be a finite number" in result.stderr
+    assert Path(learned_stores["memory"]).read_bytes() == before
+
+
 def test_feedback_with_zero_delta_probe_reports_error(runner, learned_stores):
     # a checkpoint that would divide by zero in adapt_threshold fails at load
     path = learned_stores["dir"] / "controller.json"
@@ -782,6 +794,15 @@ def test_corpus_writes_reloadable_files_and_prints_counts(runner, tmp_path):
     assert printed == {
         c.value: str(sum(sc.category is c for sc in want)) for c in FAULT_CATEGORIES
     }
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_corpus_rejects_a_mix_weight_that_is_not_finite(runner, tmp_path, weight):
+    res = runner.invoke(main, ["corpus", "--mix", weight, "1", "1", "1", "1", "1",
+                               "--scenarios-out", str(tmp_path / "c.jsonl")])
+    assert_one_error_line(res)
+    assert "finite" in res.stderr
+    assert not (tmp_path / "c.jsonl").exists()
 
 
 def test_corpus_rejects_a_bad_mix(runner, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kubediag.embedding import DEFAULT_DIM, HashingEmbedder
+from kubediag.embedding import DEFAULT_DIM, HashingEmbedder, SparseVector
 from kubediag.errors import InvalidArgument, InvalidQuery
 
 words = st.lists(
@@ -77,3 +77,23 @@ def test_shared_tokens_raise_similarity():
     c = emb.embed("ingress route returns http 503")
     assert float(a @ b) > 0.6
     assert float(a @ b) > float(a @ c)
+
+
+def test_sparse_vector_holds_every_entry_but_positive_zero():
+    dense = np.array([0.0, -0.0, 0.6, 0.0, -0.8])
+    v = SparseVector.of(dense)
+    assert (v.dim, v.index.tolist(), v.value.tolist()) == (5, [1, 2, 4], [-0.0, 0.6, -0.8])
+    assert v.dense().tobytes() == dense.tobytes()
+    assert v.dense() is not v.dense()  # a new array on every call
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 5e-324]), min_size=1, max_size=12))
+def test_sparse_vector_rebuilds_its_array_bit_for_bit(entries):
+    dense = np.array(entries)
+    assert SparseVector.of(dense).dense().tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (1, 4), ()])
+def test_sparse_vector_rejects_an_array_that_is_not_1d(shape):
+    with pytest.raises(InvalidArgument, match="1-D"):
+        SparseVector.of(np.ones(shape))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import NOW, mk_episode
+from helpers import NOW, dense_embeddings, mk_episode
 from kubediag.controller import MetaController, Pathway
 from kubediag.embedding import HashingEmbedder
 from kubediag.engine import DiagnosticQuery, Engine, Feedback
@@ -213,6 +213,8 @@ def test_feedback_inserts_episode_from_session():
     assert episode.actions == session.solution.steps
     assert (episode.trials, episode.successes) == (1, 1)
     assert episode.resolution_path == ["g-mid", "g-rc"]  # copied from the cited memory
+    assert episode.embedding.tobytes() == EMB.embed(SYMPTOM).tobytes()
+    assert session.query_embedding is None  # the episode's vector is all that is kept
 
 
 def test_feedback_failure_stores_no_resolution_path():
@@ -430,3 +432,17 @@ def test_full_pool_accepts_every_feedback(capacity):
         assert len(engine.sessions) == 400 - res.no_evidence
         assert engine._fed == set(engine.sessions)
         assert len(engine.pool.episodes) == capacity
+
+
+def test_no_stored_episode_or_fed_session_keeps_a_dense_embedding():
+    # 2,048 floats are 16 KB, and the engine keeps every session and up to
+    # capacity episodes
+    res, engine = run_continuous(SimulationConfig(total_sessions=400, recurrence=0.5, seed=0))
+    dim = engine.pool.config.embedding_dim
+    assert engine._fed == set(engine.sessions)
+    assert len(engine.pool.episodes) == len(engine.sessions) == 400 - res.no_evidence
+    holders = [*engine.pool.episodes.values(), *engine.sessions.values()]
+    assert [obj for obj in holders if dense_embeddings(obj, dim)] == []
+    embedder = HashingEmbedder(dim)
+    for ep in engine.pool.episodes.values():
+        assert ep.embedding.tobytes() == embedder.embed(" ".join(ep.symptoms)).tobytes()

@@ -76,6 +76,8 @@ def test_apportion_zero_total():
         (10, (0.5, 0.4)),          # does not sum to 1
         (10, (1.2, -0.2)),         # negative share
         (10, ()),                  # empty mix
+        (10, (math.nan, 1.0, 1.0)),  # a NaN sum passes the sum check
+        (10, (math.inf, 1.0, 1.0)),
     ],
 )
 def test_apportion_rejects_bad_input(total, mix):

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from helpers import (DAY, NOW, jitter_unit, mk_episode, mk_query, packed, rand_unit, small_pool,
-                     sparse_lists, unit)
+from helpers import (DAY, NOW, dense_embeddings, jitter_unit, mk_episode, mk_query, packed,
+                     rand_unit, small_pool, sparse_lists, unit)
 from kubediag import memory as memory_mod, store
-from kubediag.embedding import HashingEmbedder, nonzero_index
+from kubediag.embedding import HashingEmbedder, SparseVector
 from kubediag.errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound, SchemaViolation
 from kubediag.memory import (
     MemoryConfig,
@@ -1089,6 +1089,16 @@ def test_insert_nan_embedding_rejected():
     assert pool.episodes == {}
 
 
+def test_insert_rejects_a_column_embedding():
+    # a (dim, 1) column has length dim and norm 1; stored, it broke the next novelty
+    pool = small_pool(8)
+    pool.insert_episode(mk_episode("e0", unit(8)))
+    with pytest.raises(InvalidArgument, match="1-D"):
+        pool.insert_episode(mk_episode("e1", unit(8, 1)[:, None]))
+    assert list(pool.episodes) == ["e0"]
+    assert pool.novelty(mk_query(unit(8, 1))) == 1.0
+
+
 def test_eviction_lowest_value_first():
     pool = small_pool(8, capacity=3)
     pool.insert_episode(mk_episode("keep-a", unit(8, 0), value=1.0))
@@ -1865,18 +1875,11 @@ def test_norm_is_numpys_bit_for_bit(vectors):
 
 
 def load_line_by_line(pool, path):
-    """The reference load: check and insert each line in turn.  Its index
-    rows hold every entry but ``+0.0``, as a line read from a save lists."""
+    """The reference load: check and insert each line in turn."""
     dim = pool.config.embedding_dim
     for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        ep = store._episode_from_dict(json.loads(line), dim)
-        pool._check_unused(ep.id)
-        ep.validate()
-        index = nonzero_index(ep.embedding)
-        pool._index.append(index, ep.embedding[index])
-        pool._admit([ep])
+        if line.strip():
+            pool.insert_episode(store._episode_from_dict(json.loads(line), dim))
 
 
 @given(vectors=st.lists(unit_vectors_with_zeros(), min_size=1, max_size=8),
@@ -2213,10 +2216,11 @@ def test_a_load_builds_no_dense_embedding_until_one_is_read(tmp_path):
             tracemalloc.stop()
         assert retained < 2 ** 20
         ep = pool.episode("ep-000042")
-        assert "embedding" not in vars(ep)
-        assert ep.embedding.tobytes() == reference.episode("ep-000042").embedding.tobytes()
-        assert ep.embedding is ep.embedding  # built once, then an instance-dict hit
-        assert sum("embedding" in vars(e) for e in pool.episodes.values()) == 1
+        first, second = ep.embedding, ep.embedding
+        assert first is not second  # each read builds a fresh array, which nothing keeps
+        assert first.tobytes() == second.tobytes()
+        assert first.tobytes() == reference.episode("ep-000042").embedding.tobytes()
+        assert not any(dense_embeddings(e, 2048) for e in pool.episodes.values())
 
 
 @pytest.mark.parametrize("text", ["", "\n \r\n\t\n"], ids=["empty", "blank"])
@@ -2341,7 +2345,7 @@ def test_a_loaded_store_saves_back_byte_for_byte(tmp_path):
     stored = [x for line in lines for x in sparse_lists(json.loads(line)["embedding"])["value"]]
     assert [math.copysign(1.0, x) for x in stored if x == 0.0] == [-1.0] * 8
     # a line written elsewhere may list a +0.0 entry; a save of the dense
-    # array drops it, and so must a save of the unbuilt episode
+    # array drops it, and so must a save of the loaded episode
     extra = json.loads(lines[0])
     extra["id"] = "ep-000004"
     entries = sparse_lists(extra["embedding"])
@@ -2352,12 +2356,11 @@ def test_a_loaded_store_saves_back_byte_for_byte(tmp_path):
     first.write_text("\n".join(lines + [json.dumps(extra, sort_keys=True)]) + "\n")
     pool, built = small_pool(16), small_pool(16)
     pool.load_episodes(str(first))
-    assert not any("embedding" in vars(ep) for ep in pool.episodes.values())
+    assert not any(dense_embeddings(ep, 16) for ep in pool.episodes.values())
     pool.save_episodes(str(second))
-    assert not any("embedding" in vars(ep) for ep in pool.episodes.values())
-    built.load_episodes(str(first))
-    for ep in built.episodes.values():
-        ep.embedding  # built, so the save writes the dense array
+    for ep in pool.episodes.values():
+        # each vector made afresh from the dense array it reads as
+        built.insert_episode(dataclasses.replace(ep, vector=SparseVector.of(ep.embedding)))
     built.save_episodes(str(dense))
     assert second.read_bytes() == dense.read_bytes()
     assert second.read_text().splitlines() == lines + [
