@@ -92,6 +92,14 @@ class SparseVector(NamedTuple):
         index = nonzero_index(dense)
         return cls(dense.size, index, dense[index])
 
+    @classmethod
+    def split(cls, dim: int, index: np.ndarray, value: np.ndarray,
+              bounds: Sequence[int]) -> list["SparseVector"]:
+        """Vector ``i`` as views of ``index`` and ``value`` over ``[bounds[i], bounds[i + 1])``,
+        each built as ``_make`` builds one, without a Python-level call."""
+        return [tuple.__new__(cls, (dim, index[a:b], value[a:b]))
+                for a, b in zip(bounds, bounds[1:])]
+
     def dense(self) -> np.ndarray:
         """A new array of the vector: its entries scattered into zeros."""
         out = np.zeros(self.dim, self.value.dtype)

@@ -462,9 +462,7 @@ class KnowledgeGraph:
             rows, cols = np.divmod(flat, dim)
             vals = dense.ravel()[flat]
             bounds = np.searchsorted(rows, np.arange(len(part) + 1)).tolist()
-            for i, nid in enumerate(part):
-                a, b = bounds[i], bounds[i + 1]
-                self._label_vecs[nid] = SparseVector(dim, cols[a:b], vals[a:b])
+            self._label_vecs.update(zip(part, SparseVector.split(dim, cols, vals, bounds)))
         ids = list(self.nodes)
         return _LabelIndex(ids, SparseRows(dim, map(self._label_vecs.__getitem__, ids)))
 

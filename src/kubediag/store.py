@@ -122,8 +122,7 @@ def _read_columns(lines: list[str], dim: int) -> _Loaded | None:
     if keep.size < val.size:
         rows, col, val = rows[keep], col[keep], val[keep]
         sizes = np.bincount(rows, minlength=len(ids)).tolist()
-    starts = [0, *accumulate(sizes)]
-    vectors = [SparseVector(dim, col[a:b], val[a:b]) for a, b in zip(starts, starts[1:])]
+    vectors = SparseVector.split(dim, col, val, [0, *accumulate(sizes)])
     eps = list(map(Episode, ids, symptoms, map(set, context), actions,
                    map(_OUTCOMES.__getitem__, outcome), map(float, stamps),
                    map(float, values), vectors, paths, trials, successes))

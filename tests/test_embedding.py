@@ -97,3 +97,12 @@ def test_sparse_vector_rebuilds_its_array_bit_for_bit(entries):
 def test_sparse_vector_rejects_an_array_that_is_not_1d(shape):
     with pytest.raises(InvalidArgument, match="1-D"):
         SparseVector.of(np.ones(shape))
+
+
+def test_sparse_vector_split_gives_views_of_the_flat_entries():
+    index, value = np.array([0, 3, 1, 2, 3]), np.array([0.5, -0.0, 1.0, 2.0, 4.0])
+    vectors = SparseVector.split(4, index, value, [0, 2, 2, 5])
+    assert [type(v) for v in vectors] == [SparseVector] * 3
+    assert [(v.dim, v.index.tolist(), v.value.tolist()) for v in vectors] == [
+        (4, [0, 3], [0.5, -0.0]), (4, [], []), (4, [1, 2, 3], [1.0, 2.0, 4.0])]
+    assert all(v.index.base is index and v.value.base is value for v in vectors)
