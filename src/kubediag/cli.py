@@ -299,8 +299,8 @@ def ingest(inputs, graph_path, docs_out, as_json) -> None:
                         continue
                     try:
                         raw = json.loads(line)
-                        doc_id = str(raw["id"])
-                        text = str(raw["text"])
+                        doc_id = as_string(raw["id"], "id")
+                        text = as_string(raw["text"], "text")
                         triples = list(raw.get("triples", []))
                     except (ValueError, KeyError, TypeError, RecursionError) as exc:
                         failures += 1

@@ -57,7 +57,7 @@ from .errors import (
     NotFound,
     SchemaViolation,
 )
-from .files import as_number, as_string, check_fields, write_atomic
+from .files import as_number, as_string, check_fields, short_repr, write_atomic
 
 # labels embedded per stacked block on the first index build
 _EMBED_CHUNK = 256
@@ -98,6 +98,8 @@ class Category(str, Enum):
     CONFIGURATION = "ConfigurationErrors"
     SYSTEM = "SystemErrors"
 
+
+_CATEGORY_VALUES = (None, *(c.value for c in Category))  # a node's JSON category
 
 #: Six fault categories (everything except general explanations).
 FAULT_CATEGORIES = (
@@ -520,15 +522,19 @@ class KnowledgeGraph:
         g = cls()
         try:
             for raw in payload["nodes"]:
-                g.upsert_node(
-                    GraphNode(
-                        id=as_string(raw["id"], "node id"),
-                        node_type=NodeType(raw["node_type"]),
-                        label=checked_field(raw, "label", f"node {raw['id']!r}", ""),
-                        attributes=dict(raw.get("attributes", {})),
-                        category=Category(raw["category"]) if raw.get("category") else None,
-                    )
-                )
+                name = f"node {as_string(raw['id'], 'node id')!r}"
+                # checked, not coerced: dict() reads [["k", "v"]] as an object,
+                # and a test of truth reads false, 0 and "" as no category
+                attributes, category = raw.get("attributes", {}), raw.get("category")
+                if not isinstance(attributes, dict):
+                    raise SchemaViolation(f"{name}: attributes {short_repr(attributes)}"
+                                          " is not an object")
+                if category not in _CATEGORY_VALUES:  # a tuple: a list is compared, not hashed
+                    raise SchemaViolation(f"{name}: category {short_repr(category)}"
+                                          " is not null or a category")
+                g.upsert_node(GraphNode(raw["id"], NodeType(raw["node_type"]),
+                                        checked_field(raw, "label", name, ""), dict(attributes),
+                                        Category(category) if category else None))
             for raw in payload["edges"]:
                 src = g.nodes[as_string(raw["src"], "edge src")]
                 dst = g.nodes[as_string(raw["dst"], "edge dst")]

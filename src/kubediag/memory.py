@@ -21,11 +21,12 @@ as a scan of every row would use, and is equal to it.
 Pattern formation reads each episode's neighbourhood (the episodes whose
 cosine with it exceeds ``pattern_sim_threshold``) from sets the pool keeps
 current.  They are built on the first formation, then each insert links the
-new episode and each eviction unlinks its victim.  A refresh that only adds
-the newest episode to a pattern (most of them on a recurring stream) costs
-one vector addition: the pool keeps each pattern's unnormalised member sum
-and its leading member, so the fields come out bit for bit as reading every
-member would give them.
+new episode and each eviction unlinks its victim.  One map, from a member id
+to the patterns holding it, finds the patterns a neighbourhood overlaps and
+any that has it exactly.  A refresh that only adds the newest episode to a
+pattern (most of them on a recurring stream) costs one vector addition: the
+pool keeps each pattern's unnormalised member sum and its leading member, so
+the fields come out bit for bit as reading every member would give them.
 """
 
 from __future__ import annotations
@@ -367,18 +368,13 @@ class MemoryPool:
     per stored episode.  The pair cosine is symmetric, so the sets equal a
     per-seed rescan exactly.
 
-    Two maps index the patterns by their members, so formation and outcome
-    updates never scan every pattern:
-
-    - ``_holders`` maps a member id to the ids of the patterns holding it;
-    - ``_set_counts`` maps a member set to how many patterns have exactly
-      that set.
-
-    Invariant: both equal the maps rebuilt from ``patterns`` (an empty
-    member set is in neither).  :meth:`_remap` updates them wherever a
-    pattern's member set is replaced (:meth:`_refresh_pattern`) or a
-    pattern is loaded (:meth:`load_pattern_snapshot`), and nowhere else, so
-    ``patterns`` and each ``Pattern.member_ids`` are read-only to callers.
+    ``_holders`` maps a member id to the ids of the patterns holding it, so
+    formation and outcome updates never scan every pattern.  Invariant: it
+    equals the map rebuilt from ``patterns``.  :meth:`_remap` updates it
+    wherever a pattern's member set is replaced (:meth:`_refresh_pattern`)
+    or a pattern is loaded (:meth:`load_pattern_snapshot`), and nowhere
+    else, so ``patterns`` and each ``Pattern.member_ids`` are read-only to
+    callers.
 
     ``_folds`` keeps, for each pattern refreshed since it was created or
     loaded, a :class:`_Fold`: the float64 sum of its member embeddings in
@@ -402,7 +398,6 @@ class MemoryPool:
         self._pattern_seq = 0
         self._neighbours: dict[str, set[str]] | None = None  # built on first formation
         self._holders: dict[str, set[str]] = {}  # member id -> ids of patterns holding it
-        self._set_counts: Counter[frozenset[str]] = Counter()  # member set -> patterns with it
         self._folds: dict[str, _Fold] = {}  # pattern id -> its fold, since its last recompute
         self._index = SparseRows(self.config.embedding_dim)
         self._rows: list[Episode] = []
@@ -561,6 +556,7 @@ class MemoryPool:
 
     def _form_for_seeds(self, seed_ids: Sequence[str], now: float | None) -> list[str]:
         touched: dict[str, None] = {}  # insertion-ordered de-dup
+        patterns, holders = self._patterns, self._holders
         for sid in seed_ids:
             seed = self._episodes.get(sid)
             if seed is None:
@@ -568,9 +564,13 @@ class MemoryPool:
             members = self._neighborhood(seed)
             if len(members) < self.config.pattern_min_members:
                 continue
-            if self._set_counts[frozenset(members)]:
-                # _best_overlap would return a pattern with exactly these
-                # members (the only overlap fraction of 1), left unchanged
+            # a pattern of exactly these members holds each of them, so it
+            # is among the holders of any one (not always of the seed, whose
+            # self-cosine may miss the threshold); _best_overlap would pick
+            # it (the only overlap fraction of 1) and leave it unchanged, so
+            # every pattern it does pick changes
+            if any(patterns[pid].member_ids == members
+                   for pid in holders.get(next(iter(members)), ())):
                 continue
             target = self._best_overlap(members)
             if target is None:
@@ -584,13 +584,9 @@ class MemoryPool:
                     member_ids=set(),
                     last_updated=0.0,
                 )
-                self._patterns[target.id] = target
-                changed = True
-            else:
-                changed = members != target.member_ids
-            if changed:
-                self._refresh_pattern(target, members)
-                touched[target.id] = None
+                patterns[target.id] = target
+            self._refresh_pattern(target, members)
+            touched[target.id] = None
         return list(touched)
 
     def _best_overlap(self, members: set[str]) -> Pattern | None:
@@ -681,16 +677,7 @@ class MemoryPool:
         pat.source_episode_id = donor.id
 
     def _remap(self, pid: str, old: set[str], new: set[str]) -> None:
-        """Move pattern ``pid`` from member set ``old`` to ``new`` in
-        ``_holders`` and ``_set_counts``; an empty set is in neither."""
-        counts = self._set_counts
-        if old:
-            key = frozenset(old)
-            counts[key] -= 1
-            if not counts[key]:
-                del counts[key]
-        if new:
-            counts[frozenset(new)] += 1
+        """Move pattern ``pid`` from member set ``old`` to ``new`` in ``_holders``."""
         holders = self._holders
         for m in old - new:
             ids = holders[m]

@@ -527,6 +527,10 @@ UNREADABLE_INPUTS = {
     "jsonl-not-utf8": ("docs.jsonl", b'{"id": "d", "text": "dns \xff failed"}\n'),
     "jsonl-line-too-deep": ("docs.jsonl", DEEP_JSON + b"\n"),
     "jsonl-triples-not-a-list": ("docs.jsonl", b'{"id": "d", "text": "dns", "triples": 5}\n'),
+    # coerced with str(), these loaded as document "5" with the text "None",
+    # and with a list's repr as the text
+    "jsonl-int-id-null-text": ("docs.jsonl", b'{"id": 5, "text": null}\n'),
+    "jsonl-list-text": ("docs.jsonl", b'{"id": "d", "text": ["dns", "failed"]}\n'),
     # past the int conversion limit that json.loads enforces
     "jsonl-int-too-long": ("docs.jsonl", b'{"id": ' + b"1" * 5000 + b', "text": "dns"}\n'),
 }
@@ -540,7 +544,7 @@ def test_ingest_skips_an_input_it_cannot_read(runner, tmp_path, case):
     good.write_text("node taint prevents scheduling")
     result = runner.invoke(main, ["ingest", str(tmp_path / name), str(good), "--json"])
     assert result.exit_code == 0, result.output
-    assert result.stderr.startswith("skipped ")
+    assert result.stderr.startswith(f"skipped {name}")
     report = json.loads(result.stdout)
     assert (report["documents"], report["failures"]) == (1, 1)
 

@@ -506,8 +506,16 @@ GOOD_GRAPH = {
     ("edges", {"weight": "0.5"}),
     ("edges", {"weight": True}),
     ("nodes", {"label": None}),
+    ("nodes", {"attributes": [["k", "v"]]}),
+    ("nodes", {"attributes": "ab"}),
+    ("nodes", {"attributes": None}),
+    ("nodes", {"category": False}),
+    ("nodes", {"category": 0}),
+    ("nodes", {"category": ""}),
+    ("nodes", {"category": ["Resource"]}),
 ], ids=["weight-above-one", "nan-weight", "self-loop", "string-weight", "bool-weight",
-        "null-label"])
+        "null-label", "pair-list-attributes", "string-attributes", "null-attributes",
+        "false-category", "zero-category", "empty-category", "list-category"])
 def test_load_rejects_bad_field_naming_it(tmp_path, table, bad):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(GOOD_GRAPH))
@@ -517,6 +525,17 @@ def test_load_rejects_bad_field_naming_it(tmp_path, table, bad):
     path.write_text(json.dumps(payload))
     with pytest.raises(SchemaViolation, match="'a'"):
         KnowledgeGraph.load(str(path))
+
+
+def test_load_reads_missing_node_fields_as_empty(tmp_path):
+    payload = copy.deepcopy(GOOD_GRAPH)
+    del payload["nodes"][0]["attributes"], payload["nodes"][0]["category"]
+    payload["nodes"][1].update(attributes={"k": ["v"]}, category="ResourceErrors")
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload))
+    g = KnowledgeGraph.load(str(path))
+    assert (g.nodes["a"].attributes, g.nodes["a"].category) == ({}, None)
+    assert (g.nodes["b"].attributes, g.nodes["b"].category) == ({"k": ["v"]}, Category.RESOURCE)
 
 
 @pytest.mark.parametrize("value", [None, 5], ids=["null-id", "int-id"])

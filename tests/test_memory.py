@@ -746,14 +746,12 @@ class FullScanPool(MemoryPool):
 
 
 def assert_maps_rebuild(pool):
-    """Both member maps equal the maps rebuilt from ``pool.patterns``."""
+    """The member map equals the map rebuilt from ``pool.patterns``."""
     holders = {}
     for pid, pat in pool.patterns.items():
         for m in pat.member_ids:
             holders.setdefault(m, set()).add(pid)
-    counts = Counter(frozenset(p.member_ids) for p in pool.patterns.values() if p.member_ids)
     assert pool._holders == holders
-    assert dict(pool._set_counts) == dict(counts)
 
 
 @given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(5, 20), steps=st.integers(20, 120))
@@ -811,6 +809,38 @@ def test_member_maps_match_the_full_scan(tmp_path_factory, seed, capacity, steps
         assert pattern_state(pools[0]) == pattern_state(pools[1])
         assert {e: (ep.outcome, ep.trials, ep.memory_value) for e, ep in pools[0].episodes.items()} \
             == {e: (ep.outcome, ep.trials, ep.memory_value) for e, ep in pools[1].episodes.items()}
+
+
+def test_skip_finds_a_pattern_of_a_seed_outside_its_own_set(tmp_path):
+    # Along one axis, e1 falls short of unit norm and e2, e3 exceed it, so
+    # e1's self-cosine misses a threshold that every other pair clears: e1's
+    # neighbourhood is {e2, e3}, without e1.  A loaded pattern of exactly
+    # {e2, e3} is not held by the seed, yet forming from e1 must skip it and
+    # report nothing, as the pool without the skip leaves it unchanged.
+    cfg = MemoryConfig(embedding_dim=16, pattern_sim_threshold=0.9999995, pattern_min_members=2)
+    norms = {"e1": 1 - 9e-7, "e2": 1 + 9e-7, "e3": 1 + 9e-7}
+    pools = [MemoryPool(cfg), FullScanPool(cfg)]
+    for pool in pools:
+        for eid, norm in norms.items():
+            pool.insert_episode(mk_episode(eid, norm * unit(16), ts=NOW, path=(eid,)))
+    assert pools[0]._neighborhood(pools[0].episode("e1")) == {"e2", "e3"}
+    snapshot = tmp_path / "patterns.json"
+    snapshot.write_text(json.dumps({"patterns": [{
+        "id": "pat-000001",
+        "centroid": store._packed(SparseVector.of(unit(16))),
+        "strategy": {"actions": ["from the file"], "resolution_path": ["file"],
+                     "source_episode_id": "e2"},
+        "member_ids": ["e2", "e3"],
+        "last_updated": NOW - DAY,
+        "success_members": 0,
+    }]}))
+    for pool in pools:
+        pool.load_pattern_snapshot(str(snapshot))
+    got, want = (pool._form_for_seeds(["e1"], NOW) for pool in pools)
+    assert got == want == []
+    assert pattern_state(pools[0]) == pattern_state(pools[1])
+    assert pools[0].patterns["pat-000001"].actions == ["from the file"]
+    assert_maps_rebuild(pools[0])
 
 
 # -- pattern refresh: the append step against the full scan ------------------
