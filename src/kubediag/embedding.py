@@ -9,9 +9,16 @@ callable with the same signature can be swapped in.
 A hashing embedding has a handful of non-zeros (about 14 of 2048 for a
 query), so everything that keeps one holds it as a :class:`SparseVector`,
 and stores that score many of them against one query keep them as
-:class:`SparseRows`: a product over the stored entries alone gives every
-row's cosine to within a proven margin, and only the rows that margin cannot
-rule out are rescored with the exact dense ``np.dot``.
+:class:`SparseRows`.
+
+The cosine of a stored vector ``v`` with a dense query ``q`` is defined as
+the products ``v.value[i] * q[v.index[i]]`` added left to right in entry
+order, starting from ``+0.0``; :meth:`SparseRows.cosines` computes it for
+every row with one ``np.bincount``, which adds each bin's weights in that
+order.  A sum started at ``+0.0`` is never ``-0.0`` (``x + -x`` rounds to
+``+0.0``), so adding a zero product leaves it unchanged: the cosine of two
+stored vectors adds the same nonzero products, those of their common
+support, in the same order, whichever of the two is the query.
 """
 
 from __future__ import annotations
@@ -29,9 +36,6 @@ from .text import tokenize
 # used for seeding (0.5) and pattern formation (0.85).
 DEFAULT_DIM = 2048
 
-_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
-_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
-
 
 class Embedder(Protocol):
     """Anything that maps text to a unit vector of a fixed dimension."""
@@ -46,7 +50,10 @@ def _token_hash(token: str) -> int:
 
 
 class HashingEmbedder:
-    """Signed feature hashing over whitespace/punctuation-split tokens."""
+    """Signed feature hashing over whitespace/punctuation-split tokens.
+
+    No entry is ``-0.0``: ``±1.0`` sums from ``+0.0`` cancel to ``+0.0``; others stay nonzero.
+    """
 
     def __init__(self, dim: int = DEFAULT_DIM) -> None:
         if dim < 2:
@@ -113,7 +120,7 @@ class SparseRows:
 
     Rows are appended at the end and deleted by position; the rows after a
     deleted one move up by one.  Appends wait in a list until the next
-    :meth:`bounds`, :meth:`delete` or :meth:`extend` adds them all with one
+    :meth:`cosines`, :meth:`delete` or :meth:`extend` adds them all with one
     concatenation, so appending N rows copies the arrays once, not N times;
     :meth:`extend` adds rows already gathered into flat arrays.
     """
@@ -160,26 +167,15 @@ class SparseRows:
         self.val = np.concatenate((self.val, *vals))
         self.n += len(sizes)
 
-    def bounds(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(approx, margin)`` per row: ``np.dot`` of the dense row with
-        ``q`` lies in ``[approx - margin, approx + margin]``, both rounded.
-
-        ``approx`` sums each row's stored products ``p`` with
-        ``np.bincount``; ``np.dot`` sums the same products plus exact zeros in
-        another order, perhaps with FMA.  Two summation orders of at most
-        ``dim`` terms each lie within ``gamma * sum|p|`` of the true sum
-        (``gamma = dim*u / (1 - dim*u)``, u the unit roundoff), so they differ
-        by at most ``2 * gamma * sum|p|``, plus under one smallest subnormal
-        per term if products underflow.  The margin doubles that to cover the rounding
-        of ``sum|p|`` and of the bounds themselves.  A row sharing no index
-        with ``q`` is exactly 0 both ways.
-        """
+    def cosines(self, q: np.ndarray) -> np.ndarray:
+        """Every row's cosine with the dense ``q`` (see the module
+        docstring): one ``np.bincount`` of the stored products, which adds
+        each row's products in entry order to a ``+0.0``.  A row sharing no
+        index with ``q`` is ``+0.0``."""
         self._flush()
         q = np.asarray(q)
         if q.shape != (self.dim,):
             raise ValueError(f"query shape {q.shape} != row shape ({self.dim},)")
-        p = self.val * q[self.col]
-        approx = np.bincount(self.row, p, self.n)
-        absum = np.bincount(self.row, np.abs(p), self.n)
-        gamma = self.dim * _UNIT_ROUNDOFF / (1.0 - self.dim * _UNIT_ROUNDOFF)
-        return approx, 4.0 * gamma * absum + self.dim * _SUBNORMAL
+        if not self.val.size:  # bincount of no weights gives ints
+            return np.zeros(self.n)
+        return np.bincount(self.row, self.val * q[self.col], self.n)

@@ -7,14 +7,12 @@ rule-based keyword classifier before their triples enter the graph.  Search is
 best-first over simple paths from query-matched seed nodes, ranked by a blend
 of memory prior, edge strength and per-path node freshness.
 
-Seeding is exact but does not scan dense vectors.  Each node's label
-embedding is kept as a :class:`~kubediag.embedding.SparseVector` (a hashing
-label has about 3 non-zeros of 2048), and one
-:class:`~kubediag.embedding.SparseRows` over all of them scores every node
-against the query.  That sum can differ from ``np.dot``'s in its last bits,
-so it only picks candidates, with a margin wider than any rounding
-difference; each candidate is rebuilt dense, bit for bit, and rescored with
-``np.dot``.  A label is embedded once and re-embedded only when it changes.
+Seeding scans no dense vector.  Each node's label embedding is kept as a
+:class:`~kubediag.embedding.SparseVector` (a hashing label has about 3
+non-zeros of 2048), and one :class:`~kubediag.embedding.SparseRows` over all
+of them gives every node's cosine with the query, as
+:mod:`kubediag.embedding` defines it, in one product.  A label is embedded
+once and re-embedded only when it changes.
 
 Each edge is stored once, in its source's out-edge tuple, which is kept
 sorted by relation, then destination, so reading it sorts nothing and a
@@ -294,6 +292,15 @@ def checked_field(raw: dict, key: str, owner: str, default: object = None) -> st
         raise SchemaViolation(f"{owner}: {exc}") from None
 
 
+def _member(enum: type[Enum], raw: dict, key: str, owner: str) -> Enum:
+    """The member of ``enum`` named by ``raw[key]``, a JSON field of ``owner``."""
+    try:
+        return enum(raw[key])
+    except ValueError:
+        pass
+    raise SchemaViolation(f"{owner}: {key} {short_repr(raw[key])} is not a {enum.__name__}")
+
+
 # an adjacency item: (relation value, dst, relation, log weight, dst is a
 # root cause, edge record)
 _Item = tuple[str, str, Relation, float, bool, GraphEdge]
@@ -470,28 +477,19 @@ class KnowledgeGraph:
 
     def seed_nodes(self, q_embedding: np.ndarray, embedder: Embedder,
                    threshold: float = 0.5) -> list[str]:
-        """Nodes whose label embedding has ``np.dot(label, q) >= threshold``,
-        best first, ties by id.
-
-        Exact for any threshold and embedder: every node whose
-        ``approx + margin`` (:meth:`SparseRows.bounds`) reaches the threshold
-        is a candidate, and candidates are rescored with ``np.dot`` on the
-        dense label rebuilt bit for bit.
-        """
+        """Nodes whose label embedding's cosine with ``q_embedding`` is at
+        least ``threshold``, best first, ties by id.  The cosines are one
+        :meth:`SparseRows.cosines` product over every label, so a node
+        sharing no entry with the query has cosine ``0.0``."""
         if not self.nodes:
             return []
         index = self._label_index
         if index is None:
             index = self._label_index = self._build_label_index(embedder)
-        q = np.asarray(q_embedding)
-        approx, margin = index.rows.bounds(q)
-        hits = []
-        for r in np.flatnonzero(approx + margin >= threshold).tolist():
-            nid = index.ids[r]
-            sim = float(np.dot(self._label_vecs[nid].dense(), q))
-            if sim >= threshold:
-                hits.append((-sim, nid))
-        return [nid for _, nid in sorted(hits)]
+        cos = index.rows.cosines(q_embedding)
+        hits = np.flatnonzero(cos >= threshold)
+        ranked = sorted(zip((-cos[hits]).tolist(), map(index.ids.__getitem__, hits.tolist())))
+        return [nid for _, nid in ranked]
 
     # -- persistence --------------------------------------------------------
 
@@ -532,15 +530,18 @@ class KnowledgeGraph:
                 if category not in _CATEGORY_VALUES:  # a tuple: a list is compared, not hashed
                     raise SchemaViolation(f"{name}: category {short_repr(category)}"
                                           " is not null or a category")
-                g.upsert_node(GraphNode(raw["id"], NodeType(raw["node_type"]),
+                g.upsert_node(GraphNode(raw["id"], _member(NodeType, raw, "node_type", name),
                                         checked_field(raw, "label", name, ""), dict(attributes),
                                         Category(category) if category else None))
             for raw in payload["edges"]:
-                src = g.nodes[as_string(raw["src"], "edge src")]
-                dst = g.nodes[as_string(raw["dst"], "edge dst")]
-                name = f"edge {src.id!r} -{raw['relation']}-> {dst.id!r}"
-                edge = GraphEdge(src.id, dst.id, Relation(raw["relation"]),
-                                 checked_field(raw, "weight", name))
+                ends = as_string(raw["src"], "edge src"), as_string(raw["dst"], "edge dst")
+                name = f"edge {ends[0]!r} -{raw['relation']}-> {ends[1]!r}"
+                relation = _member(Relation, raw, "relation", name)
+                for end, nid in zip(("src", "dst"), ends):
+                    if nid not in g.nodes:
+                        raise SchemaViolation(f"{name}: {end} {nid!r} is not a node")
+                src, dst = g.nodes[ends[0]], g.nodes[ends[1]]
+                edge = GraphEdge(src.id, dst.id, relation, checked_field(raw, "weight", name))
                 try:
                     edge.validate()
                 except InvalidArgument as exc:
@@ -548,8 +549,6 @@ class KnowledgeGraph:
                 g.add_triple(src, edge, dst)
         except (KeyError, TypeError) as exc:
             raise SchemaViolation(f"bad graph payload: {exc}") from exc
-        except ValueError as exc:
-            raise SchemaViolation(f"unknown enum value in graph payload: {exc}") from exc
         return g
 
     @classmethod

@@ -8,15 +8,15 @@ memory.  Retrieval is exact: it returns what scoring every memory with the
 scalar formulas would, and the confidence, which only breaks ties, is
 computed for the rows at or above the k-th best score alone.
 
-Each episode holds its embedding as a
-:class:`~kubediag.embedding.SparseVector` alone, and the pool keeps the
-entries of every stored episode as one sparse index
-(:class:`~kubediag.embedding.SparseRows`), one row per episode.  One
-product per query bounds every episode's cosine within a proven margin; the
-index serves novelty, retrieval and neighbour linking alike, and only the
-rows its bounds cannot rule out are scored with the scalar formulas.  Every
-number the pool reports is therefore computed by the same scalar arithmetic
-as a scan of every row would use, and is equal to it.
+Each episode holds its embedding, and each pattern its centroid, as a
+:class:`~kubediag.embedding.SparseVector` alone.  The pool keeps the entries
+of every stored episode as one sparse index
+(:class:`~kubediag.embedding.SparseRows`), one row per episode, and those of
+every pattern centroid as another.  Every cosine the pool uses is the one
+:mod:`kubediag.embedding` defines, and one product per index gives it for
+every row: novelty, retrieval and the confidence factors of one query share
+one episode product and one pattern product, and linking an insert to its
+neighbours takes one episode product.
 
 Pattern formation reads each episode's neighbourhood (the episodes whose
 cosine with it exceeds ``pattern_sim_threshold``) from sets the pool keeps
@@ -52,7 +52,7 @@ FACTOR_NAMES = ("similarity", "temporal", "success", "context")
 
 _FACTOR_FLOOR = 1e-7  # avoids log(0) downstream when weights are fitted
 
-# Absolute slack on vectorised score bounds.  A score is at most about 1 in
+# Absolute slack on vectorised scores.  A score is at most about 1 in
 # magnitude, and the vectorised blend differs from ``raw_score`` only in
 # using ``np.exp`` for ``math.exp`` (each within a few ulps of exp) and in
 # the rounding that follows: a few units of 2**-53, far below 2**-40.
@@ -172,6 +172,8 @@ class Episode:
 class Pattern:
     """Abstraction over a neighborhood of mutually similar episodes.
 
+    ``centroid`` is the unit mean of the members' embeddings, held as a
+    :class:`~kubediag.embedding.SparseVector` like an episode's.
     ``actions`` and ``resolution_path`` are copied from the member with the
     highest memory value, ``source_episode_id``.  ``member_ids`` may name
     evicted episodes, and is read-only outside the pool, which indexes
@@ -181,7 +183,7 @@ class Pattern:
     """
 
     id: str
-    centroid: np.ndarray
+    centroid: SparseVector
     actions: list[str]
     resolution_path: list[str]
     source_episode_id: str
@@ -261,16 +263,12 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def _cos(a: np.ndarray, b: np.ndarray) -> float:
-    # unit vectors by construction; plain dot, scalar on purpose
-    return float(np.dot(a, b))
-
-
-def raw_score(vec: np.ndarray, ts: float, q: Query, now: float, cfg: MemoryConfig) -> float:
-    """Similarity/recency blend for a single memory, before tier scaling."""
+def raw_score(sim: float, ts: float, now: float, cfg: MemoryConfig) -> float:
+    """Similarity/recency blend for a single memory of cosine ``sim`` with
+    the query, before tier scaling."""
     lam = cfg.similarity_weight
     dt = max(0.0, now - ts)
-    return lam * _cos(vec, q.embedding) + (1.0 - lam) * recency(dt, cfg.recency_tau_s)
+    return lam * sim + (1.0 - lam) * recency(dt, cfg.recency_tau_s)
 
 
 def complexity(symptoms: Sequence[str]) -> float:
@@ -313,18 +311,19 @@ def _success_factor(successes: float, trials: float) -> float:
 
 
 def compute_factors(
-    memory: Episode | Pattern, q: Query, now: float, cfg: MemoryConfig
+    memory: Episode | Pattern, sim: float, q: Query, now: float, cfg: MemoryConfig
 ) -> tuple[float, float, float, float]:
-    """The (similarity, temporal, success, context) confidence factors."""
+    """The (similarity, temporal, success, context) confidence factors of a
+    memory whose cosine with the query is ``sim``."""
     if isinstance(memory, Episode):
-        vec, ts = memory.embedding, memory.timestamp
+        ts = memory.timestamp
         f_succ = _success_factor(memory.successes, memory.trials)
         labels: Iterable[str] = memory.context
     else:
-        vec, ts = memory.centroid, memory.last_updated
+        ts = memory.last_updated
         f_succ = _success_factor(memory.success_members, len(memory.member_ids))
         labels = memory.context_labels
-    f_sim = math.exp(-(1.0 - _cos(vec, q.embedding)) / cfg.sim_scale)
+    f_sim = math.exp(-(1.0 - sim) / cfg.sim_scale)
     f_temp = math.exp(-max(0.0, now - ts) / cfg.temporal_tau_s)
     f_ctx = context_overlap(labels, q.context)
     return (f_sim, f_temp, f_succ, f_ctx)
@@ -344,29 +343,25 @@ class MemoryPool:
     of the timestamp.
 
     ``_rows`` holds the stored episodes in the order of the sparse index's
-    rows (``_index``, with the timestamps in ``_stamps``): each insert
-    appends a row and each eviction deletes one.  :meth:`_bounds` gives every
-    row's cosine with a vector as ``approx ± margin``, so with ``hi`` and
-    ``lo`` the rounded ends of that interval the scans keep these rows:
+    rows (``_index``, with the timestamps in the array ``_stamps``): each
+    insert appends a row and each eviction deletes one.  ``_patterns``'
+    centroids are the rows of a second index, rebuilt when a refresh or a
+    load changes a pattern.  :meth:`_cosines` gives every row's cosine with a
+    query from one product per index, memoised per query vector, so
+    :meth:`novelty` and :meth:`retrieve` share them.  Retrieval scores every
+    pattern and, of the episodes, only those whose vectorised score, widened
+    by ``_SCORE_SLACK``, reaches the k-th largest of the episodes' narrowed
+    scores and the patterns' scores; each kept row is scored with the scalar
+    :func:`raw_score`.
 
-    - novelty: ``hi >= max(lo)``, which holds every row of largest cosine,
-      hence of least distance;
-    - retrieval: rows whose score upper bound reaches the k-th largest of
-      the episodes' score lower bounds and the patterns' exact scores, which
-      holds every row scoring at least the k-th best score;
-    - linking: ``hi >= pattern_sim_threshold``.
-
-    Each kept row is scored with the scalar ``_cos``/``raw_score``, and
-    patterns (tens of rows) are always scored that way.
-
-    ``_neighbours`` maps every stored episode id to the ids whose scalar
-    ``_cos`` with it exceeds ``pattern_sim_threshold``, itself included: one
-    id per ordered pair above the threshold (about 8.5k ids after a
-    400-session recurring stream, 184k after 2,000 sessions).  It stays
-    ``None`` until the first pattern formation, so loading a store for a
-    read-only diagnosis never builds it; the build takes one index product
-    per stored episode.  The pair cosine is symmetric, so the sets equal a
-    per-seed rescan exactly.
+    ``_neighbours`` maps every stored episode id to the ids whose cosine with
+    it exceeds ``pattern_sim_threshold``, itself included: one id per
+    ordered pair above the threshold (about 8.5k ids after a 400-session
+    recurring stream, 184k after 2,000 sessions).  It stays ``None`` until
+    the first pattern formation, so loading a store for a read-only
+    diagnosis never builds it; the build takes one index product per stored
+    episode.  The pair cosine is symmetric, so the sets equal a per-seed
+    rescan exactly.
 
     ``_holders`` maps a member id to the ids of the patterns holding it, so
     formation and outcome updates never scan every pattern.  Invariant: it
@@ -401,8 +396,10 @@ class MemoryPool:
         self._folds: dict[str, _Fold] = {}  # pattern id -> its fold, since its last recompute
         self._index = SparseRows(self.config.embedding_dim)
         self._rows: list[Episode] = []
-        self._stamps: list[float] = []
-        # (vector, approx, margin) of the last _bounds call until the rows change
+        self._stamps = np.empty(0)
+        self._pattern_index: SparseRows | None = None  # centroids; None once one changes
+        # what the last _cosines call returned, and for which vector, until
+        # the rows or the patterns change
         self._memo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- basic introspection ------------------------------------------------
@@ -455,7 +452,7 @@ class MemoryPool:
         for ep in episodes:
             self._episodes[ep.id] = ep
         self._rows += episodes
-        self._stamps += [ep.timestamp for ep in episodes]
+        self._stamps = np.append(self._stamps, [ep.timestamp for ep in episodes])
         self._memo = None
         while len(self._episodes) > self.config.capacity:
             self._evict_one()
@@ -471,7 +468,8 @@ class MemoryPool:
         self._tombstones.add(victim.id)
         del self._episodes[victim.id]
         r = self._rows.index(victim)
-        del self._rows[r], self._stamps[r]
+        del self._rows[r]
+        self._stamps = np.delete(self._stamps, r)
         self._index.delete(r)
         self._memo = None
         if self._neighbours is not None:
@@ -539,18 +537,14 @@ class MemoryPool:
         return self._neighbours[seed.id]
 
     def _link(self, ep: Episode) -> None:
-        # links every linked episode, ``ep`` included, whose cosine lower
-        # bound clears the threshold; a scalar cosine decides only the rows
-        # inside the bound's band
-        th = self.config.pattern_sim_threshold
+        # links every linked episode, ``ep`` included, whose cosine with
+        # ``ep`` exceeds the threshold
         nbrs = self._neighbours
         mine = nbrs[ep.id] = set()
-        vec = ep.embedding
-        approx, margin = self._bounds(vec)
-        lo, hi = approx - margin, approx + margin
-        for r in np.flatnonzero(hi >= th).tolist():
+        cos = self._index.cosines(ep.vector.dense())
+        for r in np.flatnonzero(cos > self.config.pattern_sim_threshold).tolist():
             other = self._rows[r]
-            if other.id in nbrs and (lo[r] > th or _cos(vec, other.embedding) > th):
+            if other.id in nbrs:
                 mine.add(other.id)
                 nbrs[other.id].add(ep.id)
 
@@ -577,7 +571,7 @@ class MemoryPool:
                 self._pattern_seq += 1
                 target = Pattern(
                     id=f"pat-{self._pattern_seq:06d}",
-                    centroid=np.zeros(self.config.embedding_dim),
+                    centroid=SparseVector.of(np.zeros(self.config.embedding_dim)),
                     actions=[],
                     resolution_path=[],
                     source_episode_id="",
@@ -612,6 +606,7 @@ class MemoryPool:
         """
         if not self._append(pat, members):
             self._recompute(pat, members)
+        self._pattern_index = self._memo = None
         members = set(members)
         self._remap(pat.id, pat.member_ids, members)
         pat.member_ids = members
@@ -625,7 +620,7 @@ class MemoryPool:
         if norm == 0.0:
             centroid = rows[0].copy()
             norm = 1.0
-        pat.centroid = centroid / norm
+        pat.centroid = SparseVector.of(centroid / norm)
         pat.last_updated = max(e.timestamp for e in eps)
         pat.context_labels = frozenset(set.intersection(*(set(e.context) for e in eps)))
         pat.success_members = sum(e.outcome is Outcome.SUCCESS for e in eps)
@@ -662,7 +657,7 @@ class MemoryPool:
         if best is None:  # the best member fell: rescan the old members once
             best = max(map(self._episodes.__getitem__, pat.member_ids), key=_donor_key)
         donor = max(best, ep, key=_donor_key)
-        pat.centroid = centroid / norm
+        pat.centroid = SparseVector.of(centroid / norm)
         pat.last_updated = max(pat.last_updated, ep.timestamp)
         pat.context_labels = pat.context_labels & ep.context
         pat.success_members += ep.outcome is Outcome.SUCCESS
@@ -689,57 +684,44 @@ class MemoryPool:
 
     # -- retrieval ----------------------------------------------------------
 
-    def _bounds(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The index's ``(approx, margin)`` for ``vec``, one per row of ``_rows``."""
+    def _cosines(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every episode's cosine with ``vec``, one per row of ``_rows``, and
+        every pattern's, in ``patterns`` order."""
         memo = self._memo
         if memo is None or memo[0] is not vec:
-            memo = self._memo = (vec, *self._index.bounds(vec))
+            if self._pattern_index is None:
+                self._pattern_index = SparseRows(self.config.embedding_dim,
+                                                 (p.centroid for p in self._patterns.values()))
+            memo = self._memo = (vec, self._index.cosines(vec), self._pattern_index.cosines(vec))
         return memo[1], memo[2]
 
-    def _closest(self, q: Query) -> list[Episode]:
-        """The episodes the index cannot rule out as having the largest cosine."""
-        if not self._rows:
-            return []
-        approx, margin = self._bounds(q.embedding)
-        lo = approx - margin
-        return [self._rows[r] for r in np.flatnonzero(approx + margin >= lo.max()).tolist()]
-
     def _contenders(self, q: Query, now: float, scale: float, k: int,
-                    pattern_scores: list[float]) -> list[Episode]:
-        """The episodes the index cannot rule out of the top ``k`` scores at
-        tier scale ``scale``, next to patterns scoring ``pattern_scores``.
+                    pattern_scores: list[float]) -> list[tuple[Episode, float]]:
+        """The episodes that may score among the top ``k`` at tier scale
+        ``scale``, next to patterns scoring ``pattern_scores``, each with its
+        cosine.
 
-        The bounds blend ``approx ± margin`` with the recency term as
-        :func:`raw_score` does, then widen by ``_SCORE_SLACK``; the score is
-        monotone in the cosine, so each episode's score lies within them.
-        The k-th largest lower bound is at most the k-th best score.
+        The vectorised score blends the cosine with the recency term as
+        :func:`raw_score` does, but with ``np.exp``, so each episode's score
+        lies within ``_SCORE_SLACK`` of it, and the k-th largest of the
+        narrowed scores is at most the k-th best score.
         """
         if not self._rows:
             return []
         cfg = self.config
         lam = cfg.similarity_weight
-        approx, margin = self._bounds(q.embedding)
-        dt = np.maximum(0.0, now - np.array(self._stamps))
-        fresh = (1.0 - lam) * np.exp(-dt / cfg.recency_tau_s)
-        hi = scale * (lam * (approx + margin) + fresh) + _SCORE_SLACK
-        lows = heapq.nlargest(
-            k, (scale * (lam * (approx - margin) + fresh) - _SCORE_SLACK).tolist() + pattern_scores
-        )
-        floor = lows[-1] if len(lows) == k else -math.inf
-        return [self._rows[r] for r in np.flatnonzero(hi >= floor).tolist()]
+        cos = self._cosines(q.embedding)[0]
+        dt = np.maximum(0.0, now - self._stamps)
+        score = scale * (lam * cos + (1.0 - lam) * np.exp(-dt / cfg.recency_tau_s))
+        lows = np.concatenate((score - _SCORE_SLACK, pattern_scores))
+        floor = np.partition(lows, -k)[-k] if lows.size >= k else -math.inf
+        keep = np.flatnonzero(score + _SCORE_SLACK >= floor)
+        return list(zip(map(self._rows.__getitem__, keep.tolist()), cos[keep].tolist()))
 
     def novelty(self, q: Query) -> float:
         """Minimum cosine distance from the query to any stored memory; 1.0 when empty."""
-        best = None
-        for ep in self._closest(q):
-            d = 1.0 - _cos(ep.embedding, q.embedding)
-            if best is None or d < best:
-                best = d
-        for pat in self._patterns.values():
-            d = 1.0 - _cos(pat.centroid, q.embedding)
-            if best is None or d < best:
-                best = d
-        return 1.0 if best is None else max(0.0, best)
+        best = max(c.max(initial=-math.inf) for c in self._cosines(q.embedding))
+        return 1.0 if best == -math.inf else max(0.0, 1.0 - float(best))
 
     def mixing(self, q: Query) -> tuple[float, float, float]:
         """Pattern-vs-episode attention split; returns (psi, novelty, complexity)."""
@@ -749,9 +731,9 @@ class MemoryPool:
         psi = _sigmoid(w1 * nov + w2 * comp + self.config.mix_bias)
         return psi, nov, comp
 
-    def _scored(self, mem: Episode | Pattern, score: float, q: Query, now: float,
+    def _scored(self, mem: Episode | Pattern, score: float, sim: float, q: Query, now: float,
                 weights: Sequence[float]) -> ScoredMemory:
-        factors = compute_factors(mem, q, now, self.config)
+        factors = compute_factors(mem, sim, q, now, self.config)
         return ScoredMemory(
             ref=mem.id,
             kind="episode" if isinstance(mem, Episode) else "pattern",
@@ -766,7 +748,7 @@ class MemoryPool:
     ) -> RetrievalResult:
         """Top-k memories by tier-scaled score; ties by confidence, then id.
 
-        Scores every pattern and every episode the index cannot rule out
+        Scores every pattern and every episode that may reach the top ``k``
         (:meth:`_contenders`), then computes confidences only for rows
         scoring at least the k-th best score.  That is exact: the rows left
         out score below the cutoff, confidence only breaks ties, and every
@@ -778,17 +760,17 @@ class MemoryPool:
         psi, nov, comp = self.mixing(q)
         ep_scale, pat_scale = (1.0 - psi), psi
         cfg = self.config
-        rows: list[tuple[float, Episode | Pattern]] = [
-            (pat_scale * raw_score(pat.centroid, pat.last_updated, q, now, cfg), pat)
-            for pat in self._patterns.values()
+        rows: list[tuple[float, float, Episode | Pattern]] = [
+            (pat_scale * raw_score(c, pat.last_updated, now, cfg), c, pat)
+            for pat, c in zip(self._patterns.values(), self._cosines(q.embedding)[1].tolist())
         ]
         rows += [
-            (ep_scale * raw_score(ep.embedding, ep.timestamp, q, now, cfg), ep)
-            for ep in self._contenders(q, now, ep_scale, k, [s for s, _ in rows])
+            (ep_scale * raw_score(c, ep.timestamp, now, cfg), c, ep)
+            for ep, c in self._contenders(q, now, ep_scale, k, [s for s, _, _ in rows])
         ]
-        cutoff = min(heapq.nlargest(k, (s for s, _ in rows)), default=0.0)
+        cutoff = min(heapq.nlargest(k, (s for s, _, _ in rows)), default=0.0)
         top = sorted(
-            (self._scored(mem, s, q, now, weights) for s, mem in rows if s >= cutoff),
+            (self._scored(mem, s, c, q, now, weights) for s, c, mem in rows if s >= cutoff),
             key=lambda m: (-m.score, -m.confidence, m.ref),
         )[:k]
         c_max = max((m.confidence for m in top), default=0.0)
@@ -849,5 +831,6 @@ class MemoryPool:
             self._remap(pat.id, old.member_ids if old else set(), pat.member_ids)
             self._patterns[pat.id] = pat
             self._folds.pop(pat.id, None)  # its next refresh recomputes
+        self._pattern_index = self._memo = None
         self._pattern_seq = max(self._pattern_seq, seq)
         return len(loaded)

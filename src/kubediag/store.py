@@ -18,7 +18,8 @@ the pool's index takes; each loaded episode's
 :class:`~kubediag.embedding.SparseVector` is a slice of it, so a load builds
 no dense array.  A ``+0.0`` entry that a line lists is dropped, as no vector
 holds one.  Only a failed check decodes the lines again, one at a time, to
-name the first bad one.
+name the first bad one.  A snapshot's centroids load the same way, each as
+the :class:`~kubediag.embedding.SparseVector` it decodes to.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def read_patterns(path: str, dim: int) -> tuple[list[Pattern], int]:
         loaded = [_pattern_from_dict(raw, dim) for raw in payload["patterns"]]
         seq = 0
         for pat in loaded:
-            norm = _norm(pat.centroid)
+            norm = _norm(pat.centroid.value)
             if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
                 raise ValueError(f"{pat.id}: centroid norm {norm:.8f} != 1")
             if not 0 <= pat.success_members <= len(pat.member_ids):
@@ -242,7 +243,7 @@ def read_patterns(path: str, dim: int) -> tuple[list[Pattern], int]:
 def _pattern_to_dict(p: Pattern) -> dict:
     return {
         "id": p.id,
-        "centroid": _packed(SparseVector.of(p.centroid)),
+        "centroid": _packed(p.centroid),
         # grouped on disk as before, so older and newer snapshots read alike
         "strategy": {
             "actions": list(p.actions),
@@ -259,11 +260,15 @@ def _pattern_to_dict(p: Pattern) -> dict:
 def _pattern_from_dict(raw: dict, dim: int) -> Pattern:
     """Rebuild a pattern, checking each field's type instead of coercing it.
     The ``reliability``, ``member_count``, ``seed_id`` and ``symptom_tokens``
-    of older snapshots are read by nothing, and dropped by the next save."""
+    of older snapshots are read by nothing, and dropped by the next save.
+    A ``+0.0`` entry that the centroid lists is dropped, as in
+    :func:`read_episodes`."""
     strategy = raw["strategy"]
+    listed = _vector_from_json(raw["centroid"], dim)
+    keep = nonzero_index(listed.value)
     return Pattern(
         id=as_string(raw["id"], "id"),
-        centroid=_vector_from_json(raw["centroid"], dim).dense(),
+        centroid=SparseVector(dim, listed.index[keep], listed.value[keep]),
         actions=as_strings(strategy["actions"], "actions"),
         resolution_path=as_strings(strategy["resolution_path"], "resolution_path"),
         source_episode_id=as_string(strategy["source_episode_id"], "source_episode_id"),
@@ -292,9 +297,9 @@ def _vector_from_json(raw: object, dim: int) -> SparseVector:
     """The checked vector of ``dim`` entries in any stored form, its
     indices a native ``intp`` array, its values ``float64``; a ``+0.0``
     entry that a sparse form lists is kept here, and dropped by
-    :func:`read_episodes`.  The ``dim`` and the sizes are checked before
-    anything of the claimed dimension is allocated, so a bogus one costs
-    nothing."""
+    :func:`read_episodes` and :func:`_pattern_from_dict`.  The ``dim`` and
+    the sizes are checked before anything of the claimed dimension is
+    allocated, so a bogus one costs nothing."""
     if isinstance(raw, list):
         return SparseVector.of(_dense_from_json(raw, dim))
     if not isinstance(raw, dict):

@@ -27,6 +27,15 @@ def jitter_unit(rng: np.random.Generator, base: np.ndarray, scale: float) -> np.
     return v / np.linalg.norm(v)
 
 
+def cosine(v: SparseVector, q) -> float:
+    """The cosine of the stored ``v`` with the dense ``q`` as the package
+    defines it: each entry's product, added left to right to a ``+0.0``."""
+    total = 0.0
+    for i, x in zip(v.index.tolist(), v.value.tolist()):
+        total += x * float(q[i])
+    return total
+
+
 def mk_episode(
     eid: str,
     embedding,

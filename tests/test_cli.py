@@ -602,11 +602,14 @@ def test_simulate_traces_one_line_per_session(runner, tmp_path):
 
 
 # SHA-256 of what ``simulate --sessions 600 --recurrence 0.5 --csv --traces``
-# writes: its standard output, the learning-curve CSV and the trace JSONL
+# writes: its standard output, the learning-curve CSV and the trace JSONL.
+# The traces were re-recorded when every cosine became a stored vector's
+# products added in entry order: scores, confidences, novelty, psi and c_max
+# moved by at most 4.4e-16, and no id, order or routing decision changed.
 SIMULATE_600_DIGESTS = {
     "text": "6e4d99e9120a0a8fe72d074ec3abf5aad205aedb394843fb300185fd8c76ed43",
     "csv": "dcdcdd3c2b67b052785065dce46641d432405cd9e07e0d384cc46f852ea4c35e",
-    "traces": "408ce387413875afdc01ffe00c227da988667370035e9ed95ce4b2714170c36c",
+    "traces": "e218fd9cb028bc4d4a386405511d747f6bc973f177b7226be9b764525acad44a",
 }
 
 
@@ -615,7 +618,7 @@ SIMULATE_600_DIGESTS = {
 SIMULATE_CAPACITY_20_DIGESTS = {
     "text": "82c938e2778fdd8a5daab9da28a8035dfc02c1294ed88d1335e4f4cc16e5592a",
     "csv": "d9032bf11cf28aa370b33a0b713047983d962ee7561e1197615dd54e642764b3",
-    "traces": "a18ddb103932b529b156cb9d85427ffc1e1281c6804f00c5a967bb7023f2291a",
+    "traces": "9c7fefae347b8d98d68c197a5c80bbb29cda8f1aea3619e917a5f2d3d42f229d",
 }
 
 
@@ -625,7 +628,7 @@ SIMULATE_CAPACITY_20_DIGESTS = {
 SIMULATE_1100_DIGESTS = {
     "text": "294e8560bb322a7bb4a503e6dd3917e9adc7046f5a2ecd074bb1b439499f2a88",
     "csv": "875657f3f4d9eff64fd7cb5540cde0bff02d833e195c444e2790051f73a4f2aa",
-    "traces": "13581301111f50148616d5fa068f02d6cabbd03f7f972d99faa447f3f1fab282",
+    "traces": "841cc06363e153eecbdd633d8e8127b3a454b0516ebd82a541d050c8ef4d661f",
 }
 
 

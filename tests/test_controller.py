@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import NOW, jitter_unit, mk_episode, mk_query, rand_unit, small_pool
+from helpers import NOW, cosine, jitter_unit, mk_episode, mk_query, rand_unit, small_pool
 from kubediag.controller import (
     MIN_HISTORY,
     ControllerState,
@@ -69,7 +69,8 @@ def test_aggregate_matches_linear_scan(rng):
         pool.insert_episode(mk_episode(f"e{i:02d}", rand_unit(rng, 16), trials=i % 3,
                                        successes=min(i % 2, i % 3)))
     q = mk_query(rand_unit(rng, 16))
-    want = max(confidence_value(compute_factors(ep, q, NOW, pool.config), W1)
+    want = max(confidence_value(compute_factors(ep, cosine(ep.vector, q.embedding), q, NOW,
+                                                pool.config), W1)
                for ep in pool.episodes.values())
     assert pool.retrieve(q, W1, NOW, k=40).c_max == want
 

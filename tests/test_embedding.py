@@ -1,9 +1,14 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kubediag.embedding import DEFAULT_DIM, HashingEmbedder, SparseVector
+from helpers import cosine
+from kubediag.embedding import DEFAULT_DIM, HashingEmbedder, SparseRows, SparseVector, _token_hash
 from kubediag.errors import InvalidArgument, InvalidQuery
+from kubediag.graph import GraphNode, KnowledgeGraph, NodeType
 
 words = st.lists(
     st.text(alphabet="abcdefghij", min_size=1, max_size=6), min_size=1, max_size=8
@@ -106,3 +111,96 @@ def test_sparse_vector_split_gives_views_of_the_flat_entries():
     assert [(v.dim, v.index.tolist(), v.value.tolist()) for v in vectors] == [
         (4, [0, 3], [0.5, -0.0]), (4, [], []), (4, [1, 2, 3], [1.0, 2.0, 4.0])]
     assert all(v.index.base is index and v.value.base is value for v in vectors)
+
+
+# ---------------------------------------------------------------------------
+# the one cosine: a stored vector's products added left to right
+
+
+def test_sparse_rows_cosines_add_each_rows_products_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so left to right the row sums to 0.0;
+    # a pairwise or reordered sum would give 1.0
+    rows = [SparseVector(4, np.array([0, 1, 3]), np.array([1e16, 1.0, -1e16])),
+            SparseVector(4, np.array([1, 2]), np.array([-1.0, 1e-300])),
+            SparseVector(4, np.array([], dtype=np.intp), np.array([]))]
+    q = np.array([1.0, 1.0, 1e-300, 1.0])
+    got = SparseRows(4, rows).cosines(q)
+    assert got.tolist() == [cosine(v, q) for v in rows] == [0.0, -1.0, 0.0]
+    assert not np.signbit(got[got == 0.0]).any()  # sums start at +0.0
+
+
+def test_sparse_rows_cosines_of_no_entries_are_float_zeros():
+    empty = SparseVector(3, np.array([], dtype=np.intp), np.array([]))
+    got = SparseRows(3, [empty, empty]).cosines(np.ones(3))
+    assert got.dtype == np.float64 and got.tolist() == [0.0, 0.0]
+    assert SparseRows(3).cosines(np.ones(3)).dtype == np.float64
+
+
+VALUES = st.one_of(st.floats(-1.0, 1.0, allow_nan=False), st.sampled_from([0.0, -0.0, 1e16, -1e16]))
+
+
+@st.composite
+def stored_vectors(draw, dim=8):
+    dense = np.array(draw(st.lists(VALUES, min_size=dim, max_size=dim)))
+    return SparseVector.of(dense)
+
+
+@given(stored_vectors(), stored_vectors())
+def test_the_cosine_of_two_stored_vectors_is_symmetric(a, b):
+    # what neighbour linking relies on: whichever of the two is the query,
+    # the same products over the common support add in the same order
+    ab = SparseRows(8, [a]).cosines(b.dense())[0]
+    ba = SparseRows(8, [b]).cosines(a.dense())[0]
+    assert struct.pack("d", ab) == struct.pack("d", ba)
+    assert ab == cosine(a, b.dense())
+
+
+def test_seed_nodes_keep_labels_sharing_no_entry_at_exactly_zero():
+    emb = HashingEmbedder(64)
+    g = KnowledgeGraph()
+    for nid, label in [("n0", "pod oomkilled"), ("n1", "dns timeout"), ("n2", "pod")]:
+        g.upsert_node(GraphNode(nid, NodeType.EVENT, label))
+    q = emb.embed("pod")
+    disjoint = [nid for nid in g.nodes
+                if not set(np.flatnonzero(emb.embed(g.nodes[nid].label))) & set(np.flatnonzero(q))]
+    assert disjoint == ["n1"]
+    for threshold in (0.0, -0.0, -0.5):
+        assert "n1" in g.seed_nodes(q, emb, threshold)
+    assert "n1" not in g.seed_nodes(q, emb, math.nextafter(0.0, 1.0))
+    cos = g._label_index.rows.cosines(q)
+    (zero,) = [c for nid, c in zip(g._label_index.ids, cos.tolist()) if nid == "n1"]
+    assert struct.pack("d", zero) == struct.pack("d", 0.0)
+
+
+# ---------------------------------------------------------------------------
+# no -0.0 in a hashing embedding
+
+TOKENS = [f"t{i}" for i in range(12)]
+
+
+def cancelling_pair(dim):
+    """Two tokens hashed to one bucket with opposite signs."""
+    seen = {}
+    for tok in TOKENS:
+        h = _token_hash(tok)
+        bucket, sign = h % dim, (h >> 63) & 1
+        if (bucket, 1 - sign) in seen:
+            return seen[(bucket, 1 - sign)], tok, bucket
+        seen.setdefault((bucket, sign), tok)
+    raise AssertionError("no cancelling pair")
+
+
+def test_a_cancelling_pair_leaves_a_positive_zero():
+    a, b, bucket = cancelling_pair(8)
+    other = next(t for t in TOKENS if _token_hash(t) % 8 != bucket)
+    v = HashingEmbedder(8).embed(f"{a} {b} {other}")
+    assert v[bucket] == 0.0 and not np.signbit(v[bucket])
+
+
+@given(tokens=st.lists(st.sampled_from(TOKENS), min_size=1, max_size=10),
+       pairs=st.integers(0, 3), dim=st.sampled_from([2, 4, 8, 64]))
+def test_hashing_embedder_never_stores_a_negative_zero(tokens, pairs, dim):
+    a, b, _ = cancelling_pair(dim)
+    v = HashingEmbedder(dim).embed(" ".join(tokens + [a, b] * pairs))
+    assert not np.signbit(v[v == 0.0]).any()
+    assert SparseVector.of(v).value.all()  # so every stored entry is nonzero

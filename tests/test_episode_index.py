@@ -4,8 +4,9 @@ returns.
 Each test drives a pool through interleaved inserts, evictions, outcome
 updates and pattern formation, and compares novelty, retrieval and every
 neighbour set with the scalar loops that scanned every row before the index
-existed.  Those loops are kept below verbatim, apart from reading the pool
-through its public views.
+existed.  Those loops are kept below, apart from reading the pool through its
+public views and taking each cosine as the package defines it: a stored
+vector's products added left to right (``helpers.cosine``).
 """
 
 import heapq
@@ -14,14 +15,13 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import NOW, jitter_unit, mk_episode, mk_query, rand_unit
-from kubediag.embedding import HashingEmbedder
+from helpers import NOW, cosine, jitter_unit, mk_episode, mk_query, rand_unit
+from kubediag.embedding import HashingEmbedder, SparseVector
 from kubediag.memory import (
     MemoryConfig,
     MemoryPool,
     Outcome,
     RetrievalResult,
-    _cos,
     _sigmoid,
     complexity,
     raw_score,
@@ -34,11 +34,11 @@ from kubediag.memory import (
 def scalar_novelty(pool, q):
     best = None
     for ep in pool.episodes.values():
-        d = 1.0 - _cos(ep.embedding, q.embedding)
+        d = 1.0 - cosine(ep.vector, q.embedding)
         if best is None or d < best:
             best = d
     for pat in pool.patterns.values():
-        d = 1.0 - _cos(pat.centroid, q.embedding)
+        d = 1.0 - cosine(pat.centroid, q.embedding)
         if best is None or d < best:
             best = d
     return 1.0 if best is None else max(0.0, best)
@@ -57,17 +57,16 @@ def scalar_retrieve(pool, q, weights, now, k=None):
     psi, nov, comp = scalar_mixing(pool, q)
     ep_scale, pat_scale = (1.0 - psi), psi
     cfg = pool.config
-    rows = [
-        (ep_scale * raw_score(ep.embedding, ep.timestamp, q, now, cfg), ep)
-        for ep in pool.episodes.values()
-    ]
-    rows += [
-        (pat_scale * raw_score(pat.centroid, pat.last_updated, q, now, cfg), pat)
-        for pat in pool.patterns.values()
-    ]
-    cutoff = min(heapq.nlargest(k, (s for s, _ in rows)), default=0.0)
+    rows = []
+    for ep in pool.episodes.values():
+        c = cosine(ep.vector, q.embedding)
+        rows.append((ep_scale * raw_score(c, ep.timestamp, now, cfg), c, ep))
+    for pat in pool.patterns.values():
+        c = cosine(pat.centroid, q.embedding)
+        rows.append((pat_scale * raw_score(c, pat.last_updated, now, cfg), c, pat))
+    cutoff = min(heapq.nlargest(k, (s for s, _, _ in rows)), default=0.0)
     top = sorted(
-        (pool._scored(mem, s, q, now, weights) for s, mem in rows if s >= cutoff),
+        (pool._scored(mem, s, c, q, now, weights) for s, c, mem in rows if s >= cutoff),
         key=lambda m: (-m.score, -m.confidence, m.ref),
     )[:k]
     c_max = max((m.confidence for m in top), default=0.0)
@@ -81,7 +80,7 @@ def scalar_neighbours(pool):
     for ep in pool.episodes.values():
         mine = nbrs[ep.id] = set()
         for oid in nbrs:
-            if _cos(ep.embedding, pool.episodes[oid].embedding) > th:
+            if cosine(pool.episodes[oid].vector, ep.embedding) > th:
                 mine.add(oid)
                 nbrs[oid].add(ep.id)
     return nbrs
@@ -129,7 +128,7 @@ def threshold_near(vectors, pick, shift):
     """An exact pair cosine of ``vectors`` moved by ``shift`` floats, or the
     default threshold when that is not in (0, 1)."""
     i, j = pick
-    c = _cos(vectors[i % len(vectors)], vectors[j % len(vectors)])
+    c = cosine(SparseVector.of(vectors[i % len(vectors)]), vectors[j % len(vectors)])
     for _ in range(abs(shift)):
         c = math.nextafter(c, math.inf if shift > 0 else -math.inf)
     return c if 0.0 < c < 1.0 else 0.85
@@ -230,7 +229,7 @@ def test_thresholds_at_an_exact_cosine_link_as_the_scan_does():
     rng = np.random.default_rng(5)
     base = rand_unit(rng, 16)
     vectors = [jitter_unit(rng, base, 0.05) for _ in range(6)]
-    c = _cos(vectors[0], vectors[1])
+    c = cosine(SparseVector.of(vectors[0]), vectors[1])
     for th in (math.nextafter(c, -1.0), c, math.nextafter(c, 2.0)):
         pool = drive(vectors, ["pod oom"] * 6, [0] * 6,
                      MemoryConfig(embedding_dim=16, pattern_sim_threshold=th), (1.0,) * 4, None, 60.0)

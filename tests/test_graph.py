@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kubediag.graph as graph_module
-from helpers import rand_unit
-from kubediag.embedding import HashingEmbedder
+from helpers import cosine, rand_unit
+from kubediag.embedding import HashingEmbedder, SparseVector
 from kubediag.errors import (
     ClassificationError,
     InvalidArgument,
@@ -527,6 +527,35 @@ def test_load_rejects_bad_field_naming_it(tmp_path, table, bad):
         KnowledgeGraph.load(str(path))
 
 
+def load_edited(tmp_path, table, bad):
+    """``KnowledgeGraph.load`` of ``GOOD_GRAPH`` with ``bad`` set in the first
+    record of ``table``."""
+    payload = copy.deepcopy(GOOD_GRAPH)
+    payload[table][0].update(bad)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload))
+    return KnowledgeGraph.load(str(path))
+
+
+def test_load_names_the_node_of_an_unknown_node_type(tmp_path):
+    with pytest.raises(SchemaViolation,
+                       match=r"^node 'a': node_type 'Gremlin' is not a NodeType$"):
+        load_edited(tmp_path, "nodes", {"node_type": "Gremlin"})
+
+
+def test_load_names_the_edge_of_an_unknown_relation(tmp_path):
+    with pytest.raises(SchemaViolation,
+                       match=r"^edge 'a' -zz-> 'b': relation 'zz' is not a Relation$"):
+        load_edited(tmp_path, "edges", {"relation": "zz"})
+
+
+@pytest.mark.parametrize("end,name", [("src", "edge 'zz' -causes-> 'b'"),
+                                      ("dst", "edge 'a' -causes-> 'zz'")])
+def test_load_names_the_edge_and_the_missing_node_of_an_end(tmp_path, end, name):
+    with pytest.raises(SchemaViolation, match=f"^{name}: {end} 'zz' is not a node$"):
+        load_edited(tmp_path, "edges", {end: "zz"})
+
+
 def test_load_reads_missing_node_fields_as_empty(tmp_path):
     payload = copy.deepcopy(GOOD_GRAPH)
     del payload["nodes"][0]["attributes"], payload["nodes"][0]["category"]
@@ -591,10 +620,11 @@ labels = st.lists(st.sampled_from(VOCAB), max_size=4).map(" ".join)
 
 
 def scan_seeds(g, q, embedder, threshold):
-    """The per-node scan the index replaced: one dense np.dot per label."""
+    """The per-node scan the index replaced: each label embedded again and
+    its cosine taken as a left-to-right loop over its entries."""
     hits = []
     for nid in g.nodes:
-        sim = float(np.dot(embedder.embed(g.nodes[nid].label or nid), q))
+        sim = cosine(SparseVector.of(embedder.embed(g.nodes[nid].label or nid)), q)
         if sim >= threshold:
             hits.append((-sim, nid))
     return [nid for _, nid in sorted(hits)]
@@ -617,7 +647,7 @@ def seed_cases(draw):
         q = embedder.embed(draw(labels.filter(bool)))
     else:
         q = rand_unit(np.random.default_rng(draw(st.integers(0, 2**32))), embedder.dim)
-    sims = [float(np.dot(embedder.embed(n.label or n.id), q)) for n in g.nodes.values()]
+    sims = [cosine(SparseVector.of(embedder.embed(n.label or n.id)), q) for n in g.nodes.values()]
     threshold = draw(st.one_of(
         st.sampled_from([-1.0, -0.25, 0.0, 0.5, 1.0]),
         st.floats(-1.0, 1.0),

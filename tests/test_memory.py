@@ -15,17 +15,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from helpers import (DAY, NOW, dense_embeddings, jitter_unit, mk_episode, mk_query, packed,
-                     rand_unit, small_pool, sparse_lists, unit)
+from helpers import (DAY, NOW, cosine, dense_embeddings, jitter_unit, mk_episode, mk_query,
+                     packed, rand_unit, small_pool, sparse_lists, unit)
 from kubediag import memory as memory_mod, store
-from kubediag.embedding import HashingEmbedder, SparseVector
+from kubediag.embedding import HashingEmbedder, SparseRows, SparseVector
 from kubediag.errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound, SchemaViolation
 from kubediag.memory import (
     MemoryConfig,
     MemoryPool,
     Outcome,
     Pattern,
-    _cos,
     complexity,
     compute_factors,
     confidence_value,
@@ -84,14 +83,14 @@ def test_recency_strictly_decreasing(ratio, delta, tau):
 
 def test_raw_score_identity_case():
     cfg = MemoryConfig(embedding_dim=8)
-    q = mk_query(unit(8))
-    assert raw_score(unit(8), NOW, q, NOW, cfg) == pytest.approx(1.0, abs=1e-12)
+    sim = cosine(SparseVector.of(unit(8)), unit(8))
+    assert raw_score(sim, NOW, NOW, cfg) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_raw_score_orthogonal_and_ancient():
     cfg = MemoryConfig(embedding_dim=8)
-    q = mk_query(unit(8, 0))
-    got = raw_score(unit(8, 1), NOW - 100 * cfg.recency_tau_s, q, NOW, cfg)
+    sim = cosine(SparseVector.of(unit(8, 1)), unit(8, 0))
+    got = raw_score(sim, NOW - 100 * cfg.recency_tau_s, NOW, cfg)
     assert abs(got) < 1e-9
 
 
@@ -103,7 +102,7 @@ def test_raw_score_matches_straight_line_formula(data):
     cfg = MemoryConfig(embedding_dim=8, similarity_weight=lam)
     v, qv = rand_unit(rng, 8), rand_unit(rng, 8)
     want = lam * float(v @ qv) + (1 - lam) * math.exp(-dt / cfg.recency_tau_s)
-    got = raw_score(v, NOW - dt, mk_query(qv), NOW, cfg)
+    got = raw_score(float(v @ qv), NOW - dt, NOW, cfg)
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -192,7 +191,8 @@ def test_compute_factors_episode_hand_case():
         "e1", vec, ts=NOW - 3 * DAY, context={"ns:a", "app:b"}, trials=4, successes=3
     )
     q = mk_query(dim8, context={"ns:a"})
-    f_sim, f_temp, f_succ, f_ctx = compute_factors(ep, q, NOW, cfg)
+    sim = cosine(ep.vector, q.embedding)
+    f_sim, f_temp, f_succ, f_ctx = compute_factors(ep, sim, q, NOW, cfg)
     cos = 1 / math.sqrt(2)
     assert f_sim == pytest.approx(math.exp(-(1 - cos) / cfg.sim_scale), abs=1e-9)
     assert f_temp == pytest.approx(math.exp(-3 * DAY / cfg.temporal_tau_s), abs=1e-9)
@@ -203,7 +203,7 @@ def test_compute_factors_episode_hand_case():
 def test_compute_factors_fresh_episode_half_reliability():
     cfg = MemoryConfig(embedding_dim=8)
     ep = mk_episode("e1", unit(8))
-    _, _, f_succ, f_ctx = compute_factors(ep, mk_query(unit(8)), NOW, cfg)
+    _, _, f_succ, f_ctx = compute_factors(ep, 1.0, mk_query(unit(8)), NOW, cfg)
     assert f_succ == 0.5  # Laplace smoothing with no recorded trials
     assert f_ctx == 1.0  # both context sets empty
 
@@ -267,12 +267,14 @@ def scan_oracle(pool, q, weights, now, k):
     psi, _, _ = pool.mixing(q)
     rows = []
     for eid, ep in pool.episodes.items():
-        s = (1.0 - psi) * raw_score(ep.embedding, ep.timestamp, q, now, pool.config)
-        c = confidence_value(compute_factors(ep, q, now, pool.config), weights)
+        sim = cosine(ep.vector, q.embedding)
+        s = (1.0 - psi) * raw_score(sim, ep.timestamp, now, pool.config)
+        c = confidence_value(compute_factors(ep, sim, q, now, pool.config), weights)
         rows.append((eid, "episode", s, c))
     for pid, pat in pool.patterns.items():
-        s = psi * raw_score(pat.centroid, pat.last_updated, q, now, pool.config)
-        c = confidence_value(compute_factors(pat, q, now, pool.config), weights)
+        sim = cosine(pat.centroid, q.embedding)
+        s = psi * raw_score(sim, pat.last_updated, now, pool.config)
+        c = confidence_value(compute_factors(pat, sim, q, now, pool.config), weights)
         rows.append((pid, "pattern", s, c))
     rows.sort(key=lambda r: (-r[2], -r[3], r[0]))
     return rows[:k]
@@ -424,7 +426,7 @@ def test_form_patterns_degenerate_cluster():
     assert len(created) == 1
     pat = pool.patterns[created[0]]
     assert pat.member_ids == {"e0", "e1", "e2"}
-    np.testing.assert_allclose(pat.centroid, v, atol=1e-9)
+    np.testing.assert_allclose(pat.centroid.dense(), v, atol=1e-9)
     assert pat.success_members == 2
     # actions and path donated by the highest-value member
     assert pat.source_episode_id == "e1"
@@ -460,12 +462,12 @@ def test_form_patterns_idempotent(rng):
         pool.insert_episode(mk_episode(f"e{i}", jitter_unit(rng, base, 0.05)))
     pool.form_patterns(now=NOW)
     snapshot = {
-        pid: (p.member_ids, tuple(p.centroid), p.success_members)
+        pid: (p.member_ids, tuple(p.centroid.dense()), p.success_members)
         for pid, p in pool.patterns.items()
     }
     assert pool.form_patterns(now=NOW) == []
     again = {
-        pid: (p.member_ids, tuple(p.centroid), p.success_members)
+        pid: (p.member_ids, tuple(p.centroid.dense()), p.success_members)
         for pid, p in pool.patterns.items()
     }
     assert again == snapshot
@@ -496,7 +498,7 @@ def neighborhood_oracle(pool, seed):
     return {
         other.id
         for other in pool.episodes.values()
-        if _cos(seed.embedding, other.embedding) > th
+        if cosine(other.vector, seed.embedding) > th
     }
 
 
@@ -529,7 +531,7 @@ def interleave(pool, seed, check=lambda: None):
 
 def pattern_state(pool):
     return {
-        pid: (sorted(p.member_ids), p.centroid.tobytes(), p.source_episode_id,
+        pid: (sorted(p.member_ids), p.centroid.dense().tobytes(), p.source_episode_id,
               p.success_members, list(p.actions), p.last_updated, sorted(p.context_labels))
         for pid, p in pool.patterns.items()
     }
@@ -561,6 +563,20 @@ def test_neighbour_sets_match_rescan_under_interleaving(seed, monkeypatch):
     assert pool.patterns and pattern_state(pool) == pattern_state(rescan)
 
 
+def counting_cosines(monkeypatch, counter, count=lambda rows, cos: cos.size):
+    """Adds ``count(index, cosines)`` to ``counter["n"]`` for every product a
+    sparse index computes while ``counter["on"]`` is set."""
+    inner = SparseRows.cosines
+
+    def cosines(self, q):
+        cos = inner(self, q)
+        if counter["on"]:
+            counter["n"] += count(self, cos)
+        return cos
+
+    monkeypatch.setattr(SparseRows, "cosines", cosines)
+
+
 def test_feedback_computes_one_cosine_per_stored_episode(monkeypatch):
     # Once the neighbour sets exist, a feedback (insert plus incremental
     # formation) scans the pool once; a rescan per neighbour fails this on a
@@ -573,10 +589,6 @@ def test_feedback_computes_one_cosine_per_stored_episode(monkeypatch):
     engine = make_engine(graph)
     pool = engine.pool
     counter = {"on": False, "n": 0}
-
-    def counting_cos(a, b):
-        counter["n"] += counter["on"]
-        return _cos(a, b)
 
     def counted(method):
         def run(*args, **kwargs):
@@ -596,7 +608,7 @@ def test_feedback_computes_one_cosine_per_stored_episode(monkeypatch):
             feedbacks.append((counter["n"], len(pool.episodes), report.episode_id))
         return report
 
-    monkeypatch.setattr(memory_mod, "_cos", counting_cos)
+    counting_cosines(monkeypatch, counter)
     monkeypatch.setattr(pool, "insert_episode", counted(pool.insert_episode))
     monkeypatch.setattr(pool, "form_patterns_incremental", counted(pool.form_patterns_incremental))
     monkeypatch.setattr(engine, "feedback", feedback)
@@ -609,9 +621,10 @@ def test_feedback_computes_one_cosine_per_stored_episode(monkeypatch):
 
 
 def test_diagnosis_scores_few_episodes_of_a_growing_pool(monkeypatch):
-    # Novelty and retrieval compute a scalar cosine only for the episodes the
-    # sparse index cannot rule out; a full scan in either (two cosines per
-    # stored episode before the index) fails this once the pool has grown.
+    # Novelty and retrieval share one product over the episode index, and
+    # score with the scalar formulas only the episodes that may reach the top
+    # k; a full scan (a score per stored episode) fails this once the pool
+    # has grown.
     from kubediag.scenarios import build_world
     from kubediag.simulate import SimulationConfig, build_stream, make_engine, run_stream
 
@@ -620,31 +633,35 @@ def test_diagnosis_scores_few_episodes_of_a_growing_pool(monkeypatch):
     engine = make_engine(graph)
     pool = engine.pool
     counter = {"on": False, "n": 0}
+    products = {"on": False, "n": 0}
+    inner_score = memory_mod.raw_score
 
-    def counting_cos(a, b):
-        # pattern centroids are always scored; count episode cosines only
-        if counter["on"] and not any(a is p.centroid or b is p.centroid
-                                     for p in pool.patterns.values()):
-            counter["n"] += 1
-        return _cos(a, b)
+    def counting_score(*args):
+        counter["n"] += counter["on"]
+        return inner_score(*args)
 
     diagnoses = []
 
     def diagnose(*args, _inner=engine.diagnose, **kwargs):
         counter["on"], counter["n"] = True, 0
+        products["on"], products["n"] = True, 0
         try:
             return _inner(*args, **kwargs)
         finally:
-            counter["on"] = False
-            diagnoses.append((counter["n"], len(pool.episodes)))
+            counter["on"] = products["on"] = False
+            # every pattern is scored; count the episodes scored
+            diagnoses.append((counter["n"] - len(pool.patterns), len(pool.episodes),
+                              products["n"]))
 
-    monkeypatch.setattr(memory_mod, "_cos", counting_cos)
+    monkeypatch.setattr(memory_mod, "raw_score", counting_score)
+    counting_cosines(monkeypatch, products, lambda rows, cos: rows is pool._index)
     monkeypatch.setattr(engine, "diagnose", diagnose)
     run_stream(engine, build_stream(scenarios, cfg), cfg.window)
 
-    grown = [(n, stored) for n, stored in diagnoses if stored >= 60]
+    grown = [(n, stored) for n, stored, _ in diagnoses if stored >= 60]
     assert len(grown) >= 50
     assert all(n <= stored / 2 for n, stored in grown), grown
+    assert {n for _, _, n in diagnoses} == {1}  # one episode product per diagnosis
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +684,7 @@ class FullScanPool(MemoryPool):
         centroid = centroid / norm
         eps = [self._episodes[m] for m in sorted(members)]
         donor = max(eps, key=lambda e: (e.memory_value, e.id))
-        pat.centroid = centroid
+        pat.centroid = SparseVector.of(centroid)
         pat.actions = list(donor.actions)
         pat.resolution_path = list(donor.resolution_path)
         pat.source_episode_id = donor.id
@@ -698,10 +715,8 @@ class FullScanPool(MemoryPool):
         th = self.config.pattern_sim_threshold
         nbrs = self._neighbours
         mine = nbrs[ep.id] = set()
-        approx, margin = self._bounds(ep.embedding)
-        for r in np.flatnonzero(approx + margin >= th).tolist():
-            other = self._rows[r]
-            if other.id in nbrs and _cos(ep.embedding, other.embedding) > th:
+        for other in self._rows:
+            if other.id in nbrs and cosine(other.vector, ep.embedding) > th:
                 mine.add(other.id)
                 nbrs[other.id].add(ep.id)
 
@@ -719,7 +734,7 @@ class FullScanPool(MemoryPool):
                 self._pattern_seq += 1
                 target = Pattern(
                     id=f"pat-{self._pattern_seq:06d}",
-                    centroid=np.zeros(self.config.embedding_dim),
+                    centroid=SparseVector.of(np.zeros(self.config.embedding_dim)),
                     actions=[],
                     resolution_path=[],
                     source_episode_id="",
@@ -869,7 +884,7 @@ def refresh_palette(rng):
 def refresh_state(pool):
     """Every field a refresh writes, floats by their bits."""
     return {
-        pid: (sorted(p.member_ids), p.centroid.tobytes(), p.source_episode_id,
+        pid: (sorted(p.member_ids), p.centroid.dense().tobytes(), p.source_episode_id,
               list(p.actions), list(p.resolution_path), p.success_members,
               struct.pack("d", p.last_updated), sorted(p.context_labels))
         for pid, p in pool.patterns.items()
@@ -881,7 +896,8 @@ def refresh_to(pool, pid, members):
     blank first when the pool has none of that id."""
     pat = pool.patterns.get(pid)
     if pat is None:
-        pat = pool.patterns[pid] = Pattern(id=pid, centroid=np.zeros(REFRESH_DIM), actions=[],
+        pat = pool.patterns[pid] = Pattern(id=pid, centroid=SparseVector.of(np.zeros(REFRESH_DIM)),
+                                           actions=[],
                                            resolution_path=[], source_episode_id="",
                                            member_ids=set(), last_updated=0.0)
     pool._refresh_pattern(pat, set(members))
@@ -1022,53 +1038,60 @@ def test_formation_compares_overlaps_once_per_touched_pattern(monkeypatch):
     assert eligible > 3 * sum(n for n, _, _ in calls)
 
 
-def counting_link_cos(monkeypatch):
-    """Counts the scalar cosines ``_link`` computes while ``on`` is set."""
-    counter = {"on": False, "n": 0}
+def densified_vectors(monkeypatch):
+    """Records every vector whose dense array is built while ``on`` is set."""
+    record = {"on": False, "vectors": []}
+    inner = SparseVector.dense
 
-    def counting_cos(a, b):
-        counter["n"] += counter["on"]
-        return _cos(a, b)
+    def dense(self):
+        if record["on"]:
+            record["vectors"].append(self)
+        return inner(self)
 
-    monkeypatch.setattr(memory_mod, "_cos", counting_cos)
-    return counter
+    monkeypatch.setattr(SparseVector, "dense", dense)
+    return record
 
 
 def test_link_skips_the_cosine_of_recurring_embeddings(monkeypatch, rng):
-    # identical embeddings have cosine lower bounds far above the threshold
+    # one index product links each insert: no stored row is rebuilt dense
     pool = small_pool(16)
     bases = [rand_unit(rng, 16) for _ in range(3)]
     pool.insert_episode(mk_episode("e000", bases[0]))
     pool.form_patterns(now=NOW)  # builds the neighbour sets
-    counter = counting_link_cos(monkeypatch)
-    counter["on"] = True
+    record = densified_vectors(monkeypatch)
+    record["on"] = True
+    inserted = []
     for i in range(1, 45):
-        pool.insert_episode(mk_episode(f"e{i:03d}", bases[i % 3], ts=NOW + i))
-    assert counter["n"] == 0
+        inserted.append(mk_episode(f"e{i:03d}", bases[i % 3], ts=NOW + i))
+        pool.insert_episode(inserted[-1])
+    record["on"] = False
+    assert record["vectors"] and all(any(v is ep.vector for ep in inserted)
+                                     for v in record["vectors"])
     for eid, ep in pool.episodes.items():
         assert pool._neighborhood(ep) == neighborhood_oracle(pool, ep)
         assert len(pool._neighborhood(ep)) == 15
 
 
 @pytest.mark.parametrize("shift", [0, 1])
-def test_link_rescores_only_the_rows_in_the_band(monkeypatch, shift):
-    # a threshold equal to a pair's cosine puts that row inside the bound's
-    # band: it is rescored, and linked iff its cosine exceeds the threshold
+def test_link_builds_no_dense_row_but_its_own_query(monkeypatch, shift):
+    # a threshold at a pair's cosine, or one float below it: the pair links
+    # iff its cosine exceeds the threshold, and the only dense array built
+    # is the new episode's own
     a = unit(16, 0)
     b = np.zeros(16)
     b[0], b[1] = 0.9, math.sqrt(1 - 0.81)
-    th = float(np.dot(b, a))
+    th = cosine(SparseVector.of(a), b)
     for _ in range(shift):
         th = math.nextafter(th, 0.0)
     pool = small_pool(16, pattern_sim_threshold=th)
     pool.insert_episode(mk_episode("a", a))
     pool.form_patterns(now=NOW)
-    counter = counting_link_cos(monkeypatch)
-    counter["on"] = True
+    record = densified_vectors(monkeypatch)
+    record["on"] = True
     pool.insert_episode(mk_episode("b", b))
-    approx, margin = pool._index.bounds(b)
-    band = int(np.count_nonzero((approx + margin >= th) & ~(approx - margin > th)))
-    assert counter["n"] == band == 1
+    record["on"] = False
+    mine = pool.episode("b").vector
+    assert record["vectors"] and all(v is mine for v in record["vectors"])
     assert ("a" in pool._neighborhood(pool.episode("b"))) == bool(shift)
     for ep in pool.episodes.values():
         assert pool._neighborhood(ep) == neighborhood_oracle(pool, ep)
@@ -1369,7 +1392,7 @@ def test_pattern_snapshot_roundtrip(tmp_path, rng):
         other = fresh.patterns[pid]
         assert other.member_ids == pat.member_ids
         assert other.success_members == pat.success_members
-        np.testing.assert_allclose(other.centroid, pat.centroid, atol=1e-12)
+        np.testing.assert_allclose(other.centroid.dense(), pat.centroid.dense(), atol=1e-12)
     data = json.loads(path.read_text())
     # the snapshot records every field of the producing configuration
     assert set(data["config"]) == {f.name for f in dataclasses.fields(MemoryConfig)}
@@ -1520,7 +1543,7 @@ def pool_of_vectors(vectors, dim):
         pool.insert_episode(mk_episode(f"ep-{i:06d}", vec, ts=NOW - i * DAY))
         pool.patterns[f"pat-{i + 1:06d}"] = Pattern(
             id=f"pat-{i + 1:06d}",
-            centroid=np.asarray(vec, dtype=np.float64),
+            centroid=SparseVector.of(np.asarray(vec, dtype=np.float64)),
             actions=["restart the pod"],
             resolution_path=[f"n{i}"],
             source_episode_id=f"ep-{i:06d}",
@@ -1547,7 +1570,7 @@ def assert_same_bits(fresh, pool):
         assert fresh.episode(eid).embedding.tobytes() == ep.embedding.tobytes()
     assert set(fresh.patterns) == set(pool.patterns)
     for pid, pat in pool.patterns.items():
-        assert fresh.patterns[pid].centroid.tobytes() == pat.centroid.tobytes()
+        assert fresh.patterns[pid].centroid.dense().tobytes() == pat.centroid.dense().tobytes()
 
 
 ENTRY = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0, allow_nan=False))
@@ -1814,7 +1837,7 @@ def pool_state(pool):
     return {
         "rows": [ep.id for ep in pool._rows],
         "episodes": list(pool.episodes),
-        "stamps": list(pool._stamps),
+        "stamps": pool._stamps.tolist(),
         "index": (idx.n, idx.row.tobytes(), idx.col.tobytes(), idx.val.tobytes()),
         "embeddings": [ep.embedding.tobytes() for ep in pool._rows],
         "fields": [repr((ep.id, ep.symptoms, sorted(ep.context), ep.actions, ep.outcome,
