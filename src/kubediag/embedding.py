@@ -118,11 +118,13 @@ class SparseRows:
     """Sparse vectors of one dimension as the rows of flat ``(row, col, val)``
     arrays, in row order.
 
-    Rows are appended at the end and deleted by position; the rows after a
-    deleted one move up by one.  Appends wait in a list until the next
-    :meth:`cosines`, :meth:`delete` or :meth:`extend` adds them all with one
-    concatenation, so appending N rows copies the arrays once, not N times;
-    :meth:`extend` adds rows already gathered into flat arrays.
+    Rows are appended at the end, replaced in place and deleted by
+    position; the rows after a deleted one move up by one.  Appends wait in
+    a list until the next :meth:`cosines`, :meth:`delete` or :meth:`extend`
+    adds them all with one concatenation, so appending N rows copies the
+    arrays once, not N times; :meth:`extend` adds rows already gathered into
+    flat arrays.  A replace writes over the row's entries when their count
+    is unchanged and copies the arrays once otherwise.
     """
 
     def __init__(self, dim: int, vectors: Iterable[SparseVector] = ()) -> None:
@@ -134,9 +136,29 @@ class SparseRows:
         self._pending = list(vectors)  # rows not in the arrays yet
         self._flush()
 
+    def __len__(self) -> int:
+        return self.n + len(self._pending)
+
     def append(self, vector: SparseVector) -> None:
         """Add a row holding ``vector``'s entries."""
         self._pending.append(vector)
+
+    def replace(self, r: int, vector: SparseVector) -> None:
+        """Make row ``r`` hold ``vector``'s entries, as if built with it."""
+        if not 0 <= r < len(self):
+            raise IndexError(f"row {r} of {len(self)}")
+        if r >= self.n:
+            self._pending[r - self.n] = vector
+            return
+        a, b = np.searchsorted(self.row, (r, r + 1)).tolist()
+        size = vector.index.size
+        if size == b - a:
+            self.col[a:b] = vector.index
+            self.val[a:b] = vector.value
+            return
+        self.row = np.concatenate((self.row[:a], np.full(size, r, self.row.dtype), self.row[b:]))
+        self.col = np.concatenate((self.col[:a], vector.index, self.col[b:]))
+        self.val = np.concatenate((self.val[:a], vector.value, self.val[b:]))
 
     def extend(self, sizes: Sequence[int], col: np.ndarray, val: np.ndarray) -> None:
         """Add ``len(sizes)`` rows with one concatenation: row ``i`` holds

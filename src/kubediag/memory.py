@@ -23,10 +23,13 @@ cosine with it exceeds ``pattern_sim_threshold``) from sets the pool keeps
 current.  They are built on the first formation, then each insert links the
 new episode and each eviction unlinks its victim.  One map, from a member id
 to the patterns holding it, finds the patterns a neighbourhood overlaps and
-any that has it exactly.  A refresh that only adds the newest episode to a
-pattern (most of them on a recurring stream) costs one vector addition: the
-pool keeps each pattern's unnormalised member sum and its leading member, so
-the fields come out bit for bit as reading every member would give them.
+any that has it exactly.  A formation call refreshes each pattern it
+touches once, at its end, and replaces that pattern's row of the pattern
+index in place.  A refresh that only adds the newest episode to a pattern
+(most of them on a recurring stream) adds that episode's entries to the
+pattern's kept member sum: the pool keeps each pattern's unnormalised member
+sum and its leading member, so the fields come out bit for bit as reading
+every member would give them.
 """
 
 from __future__ import annotations
@@ -204,6 +207,7 @@ class _Fold:
     pool beside the pattern since its last full recompute."""
 
     total: np.ndarray      # float64 axis-0 sum of the member embeddings, in id order
+    stored: np.ndarray     # bool per column: whether some member stores an entry there
     last: str              # the largest member id
     best: Episode | None   # the member of largest _donor_key; None once it fell
 
@@ -345,14 +349,17 @@ class MemoryPool:
     ``_rows`` holds the stored episodes in the order of the sparse index's
     rows (``_index``, with the timestamps in the array ``_stamps``): each
     insert appends a row and each eviction deletes one.  ``_patterns``'
-    centroids are the rows of a second index, rebuilt when a refresh or a
-    load changes a pattern.  :meth:`_cosines` gives every row's cosine with a
-    query from one product per index, memoised per query vector, so
-    :meth:`novelty` and :meth:`retrieve` share them.  Retrieval scores every
-    pattern and, of the episodes, only those whose vectorised score, widened
-    by ``_SCORE_SLACK``, reaches the k-th largest of the episodes' narrowed
-    scores and the patterns' scores; each kept row is scored with the scalar
-    :func:`raw_score`.
+    centroids are the rows of a second index (``_pattern_index``), in
+    ``patterns`` order, built on the first read: formation appends the row
+    of each pattern it creates and replaces in place the row of each it
+    refreshes (:meth:`_reindex`), and only a snapshot load drops the index,
+    as patterns are never deleted.  :meth:`_cosines` gives every row's
+    cosine with a query from one product per index, memoised per query
+    vector, so :meth:`novelty` and :meth:`retrieve` share them.  Retrieval
+    scores every pattern and, of the episodes, only those whose vectorised
+    score, widened by ``_SCORE_SLACK``, reaches the k-th largest of the
+    episodes' narrowed scores and the patterns' scores; each kept row is
+    scored with the scalar :func:`raw_score`.
 
     ``_neighbours`` maps every stored episode id to the ids whose cosine with
     it exceeds ``pattern_sim_threshold``, itself included: one id per
@@ -366,22 +373,28 @@ class MemoryPool:
     ``_holders`` maps a member id to the ids of the patterns holding it, so
     formation and outcome updates never scan every pattern.  Invariant: it
     equals the map rebuilt from ``patterns``.  :meth:`_remap` updates it
-    wherever a pattern's member set is replaced (:meth:`_refresh_pattern`)
+    wherever a pattern's member set is replaced (:meth:`_move`)
     or a pattern is loaded (:meth:`load_pattern_snapshot`), and nowhere
     else, so ``patterns`` and each ``Pattern.member_ids`` are read-only to
     callers.
 
-    ``_folds`` keeps, for each pattern refreshed since it was created or
-    loaded, a :class:`_Fold`: the float64 sum of its member embeddings in
-    id order (what ``mean`` divides), its largest member id, and its member
-    of largest ``(memory_value, id)``.  A refresh to the old members plus
-    one id sorting after them all reads the fold and the new member only
-    (:meth:`_append`); any other refresh reads every member and replaces the
-    fold (:meth:`_recompute`).  A loaded pattern has no fold, so loading a
-    snapshot builds no sums.  The leading member stays exact because an
-    episode's ``memory_value`` changes only through :meth:`update_outcome`,
-    which promotes a member that rises past the leader and drops the leader
-    that falls, so that the next append rescans the members once.
+    A formation call moves member sets alone while it walks its seeds, then
+    refreshes each pattern it touched once, from the member set of that
+    pattern's last refresh (:meth:`_form_for_seeds`).  ``_folds`` keeps, for
+    each pattern refreshed since it was created or loaded, a :class:`_Fold`:
+    the float64 sum of its member embeddings in id order (what ``mean``
+    divides), the columns where some member stores an entry, its largest
+    member id, and its member of largest ``(memory_value, id)``.  A refresh
+    to the old members plus one id sorting after them all adds the new
+    member's sparse entries to the fold (:meth:`_append`); any other refresh
+    sums every member's entries with one ``np.bincount`` and replaces the
+    fold (:meth:`_recompute`).  Neither rebuilds a member's dense embedding,
+    nor scans a dense centroid for its entries.  A loaded pattern has no
+    fold, so loading a snapshot builds no sums.  The leading member stays
+    exact because an episode's ``memory_value`` changes only through
+    :meth:`update_outcome`, which promotes a member that rises past the
+    leader and drops the leader that falls, so that the next append rescans
+    the members once.
     """
 
     def __init__(self, config: MemoryConfig | None = None) -> None:
@@ -397,7 +410,8 @@ class MemoryPool:
         self._index = SparseRows(self.config.embedding_dim)
         self._rows: list[Episode] = []
         self._stamps = np.empty(0)
-        self._pattern_index: SparseRows | None = None  # centroids; None once one changes
+        # the centroids' rows; built on the first read, dropped by a load
+        self._pattern_index: SparseRows | None = None
         # what the last _cosines call returned, and for which vector, until
         # the rows or the patterns change
         self._memo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -516,7 +530,7 @@ class MemoryPool:
         Re-running on an unchanged pool is a no-op apart from refreshing the
         same pattern contents (idempotent end state).
         """
-        return self._form_for_seeds(sorted(self._episodes), now)
+        return self._reindex(self._form_for_seeds(sorted(self._episodes), now))
 
     def form_patterns_incremental(self, new_episode_id: str, now: float | None = None) -> list[str]:
         """Re-cluster only the neighborhoods affected by one new episode.
@@ -526,7 +540,7 @@ class MemoryPool:
         ``insert_episode`` afterwards), so no cosine is computed here.
         """
         ep = self.episode(new_episode_id)
-        return self._form_for_seeds(sorted(self._neighborhood(ep) | {ep.id}), now)
+        return self._reindex(self._form_for_seeds(sorted(self._neighborhood(ep) | {ep.id}), now))
 
     def _neighborhood(self, seed: Episode) -> set[str]:
         """The live neighbour set of ``seed``; callers must not keep or mutate it."""
@@ -549,7 +563,17 @@ class MemoryPool:
                 nbrs[other.id].add(ep.id)
 
     def _form_for_seeds(self, seed_ids: Sequence[str], now: float | None) -> list[str]:
-        touched: dict[str, None] = {}  # insertion-ordered de-dup
+        """Move the member sets of the patterns the seeds' neighbourhoods
+        form, then refresh each such pattern once; returns their ids in the
+        order first moved.
+
+        Inside the loop only ``member_ids`` and ``_holders`` move, as they
+        are all that the skip and :meth:`_best_overlap` read.  The refreshed
+        fields are a function of the final member set and of episode state,
+        which formation does not change, so one refresh from the member set
+        of a pattern's last refresh gives the fields a refresh per move would.
+        """
+        touched: dict[str, set[str]] = {}  # pattern id -> its members at its last refresh
         patterns, holders = self._patterns, self._holders
         for sid in seed_ids:
             seed = self._episodes.get(sid)
@@ -571,7 +595,8 @@ class MemoryPool:
                 self._pattern_seq += 1
                 target = Pattern(
                     id=f"pat-{self._pattern_seq:06d}",
-                    centroid=SparseVector.of(np.zeros(self.config.embedding_dim)),
+                    centroid=SparseVector(self.config.embedding_dim, np.empty(0, np.intp),
+                                          np.empty(0)),
                     actions=[],
                     resolution_path=[],
                     source_episode_id="",
@@ -579,8 +604,10 @@ class MemoryPool:
                     last_updated=0.0,
                 )
                 patterns[target.id] = target
-            self._refresh_pattern(target, members)
-            touched[target.id] = None
+            touched.setdefault(target.id, target.member_ids)
+            self._move(target, members)
+        for pid, old in touched.items():
+            self._refresh(patterns[pid], old)
         return list(touched)
 
     def _best_overlap(self, members: set[str]) -> Pattern | None:
@@ -597,72 +624,126 @@ class MemoryPool:
         return best
 
     def _refresh_pattern(self, pat: Pattern, members: set[str]) -> None:
-        """Make ``pat`` the pattern of ``members``, every one of them stored.
+        """Make ``pat`` the pattern of ``members``, every one of them stored:
+        one formation step for one pattern."""
+        old = pat.member_ids
+        self._move(pat, members)
+        self._refresh(pat, old)
+        self._reindex([pat.id])
 
-        By its newest member alone when ``members`` is the old member set
-        plus one id sorting after every old one (:meth:`_append`), else by
-        reading every member (:meth:`_recompute`).  Both give the same
-        fields, bit for bit.
-        """
-        if not self._append(pat, members):
-            self._recompute(pat, members)
-        self._pattern_index = self._memo = None
+    def _reindex(self, touched: list[str]) -> list[str]:
+        """Bring the pattern index up to date after the patterns ``touched``
+        were created or refreshed, and return ``touched``: a created
+        pattern's row is appended, in ``patterns`` order, and a refreshed
+        one's replaced in place."""
+        if touched:
+            self._memo = None
+            index = self._pattern_index
+            if index is not None:
+                changed = set(touched)
+                for r, pat in enumerate(self._patterns.values()):
+                    if r >= len(index):
+                        index.append(pat.centroid)
+                    elif pat.id in changed:
+                        index.replace(r, pat.centroid)
+        return touched
+
+    def _move(self, pat: Pattern, members: set[str]) -> None:
+        """Give ``pat`` the member set ``members``, its fields unrefreshed."""
         members = set(members)
         self._remap(pat.id, pat.member_ids, members)
         pat.member_ids = members
 
-    def _recompute(self, pat: Pattern, members: set[str]) -> None:
-        eps = [self._episodes[m] for m in sorted(members)]
-        rows = np.stack([e.embedding for e in eps])
-        total = rows.sum(axis=0)  # what rows.mean(axis=0) divides
-        centroid = total / len(eps)
-        norm = _norm(centroid)
+    def _refresh(self, pat: Pattern, old: set[str]) -> None:
+        """Refresh ``pat``'s fields to its member set, ``old`` at its last
+        refresh.
+
+        By its newest member alone when the members are ``old`` plus one id
+        sorting after every old one (:meth:`_append`), else by reading every
+        member (:meth:`_recompute`).  Both give the same fields, bit for bit.
+        """
+        if not self._append(pat, old):
+            self._recompute(pat)
+
+    @staticmethod
+    def _centroid(total: np.ndarray, stored: np.ndarray, n: int) -> SparseVector | None:
+        """The unit mean of ``n`` members summing to ``total``, as
+        ``SparseVector.of`` of the dense unit mean gives it, reading only the
+        columns ``stored`` marks (elsewhere the sum is ``+0.0``); None if the
+        mean has no norm."""
+        centroid = total / n
+        norm = _norm(centroid)  # dense: dot pairs the terms by position
         if norm == 0.0:
-            centroid = rows[0].copy()
-            norm = 1.0
-        pat.centroid = SparseVector.of(centroid / norm)
+            return None
+        support = np.flatnonzero(stored)
+        unit = centroid[support] / norm
+        keep = np.signbit(unit) | (unit != 0)
+        return SparseVector(total.size, support[keep], unit[keep])
+
+    def _recompute(self, pat: Pattern) -> None:
+        """Refresh ``pat`` from every member.
+
+        The member sum is one ``np.bincount`` of the members' entries in
+        member order.  Like numpy's axis-0 sum of the dense rows, it starts
+        each column at ``+0.0`` and adds the column's entries in member
+        order, so it gives the same bits: a sum started at ``+0.0`` is never
+        ``-0.0``, so the ``+0.0`` entries it skips change nothing, and a
+        column where every member stores ``-0.0`` sums to ``+0.0`` either way.
+        """
+        eps = [self._episodes[m] for m in sorted(pat.member_ids)]
+        index = np.concatenate([e.vector.index for e in eps])
+        value = np.concatenate([e.vector.value for e in eps])
+        total = np.bincount(index, value, self.config.embedding_dim)
+        stored = np.zeros(total.size, bool)
+        stored[index] = True
+        pat.centroid = self._centroid(total, stored, len(eps)) or eps[0].vector
         pat.last_updated = max(e.timestamp for e in eps)
         pat.context_labels = frozenset(set.intersection(*(set(e.context) for e in eps)))
         pat.success_members = sum(e.outcome is Outcome.SUCCESS for e in eps)
         donor = max(eps, key=_donor_key)
         self._set_donor(pat, donor)
-        self._folds[pat.id] = _Fold(total, eps[-1].id, donor)
+        self._folds[pat.id] = _Fold(total, stored, eps[-1].id, donor)
 
-    def _append(self, pat: Pattern, members: set[str]) -> bool:
-        """Refresh ``pat`` from its fold and its one new member, if
-        ``members`` is its member set plus one id sorting after every old
-        one; else return False and leave ``pat`` as it is.
+    def _append(self, pat: Pattern, old: set[str]) -> bool:
+        """Refresh ``pat`` from its fold and its one new member, if its
+        members are ``old`` plus one id sorting after every old one; else
+        return False and leave ``pat`` as it is.
 
         numpy's axis-0 sum adds the rows one after another in member order,
-        so the next row is the old sum plus the new member's embedding.  A
-        zero norm is left to :meth:`_recompute`, which takes the first
-        member's embedding instead.
+        so the next sum is the old one plus the new member's dense row: its
+        entries where it stores them, and ``+0.0``, which changes no sum
+        (see :meth:`_recompute`), elsewhere.  A zero norm is left to
+        :meth:`_recompute`, which takes the first member's vector instead.
         """
         fold = self._folds.get(pat.id)
-        if fold is None or len(members) != len(pat.member_ids) + 1:
+        members = pat.member_ids
+        if fold is None or len(members) != len(old) + 1:
             return False
-        added = members - pat.member_ids
+        added = members - old
         if len(added) != 1:
             return False
         (eid,) = added
         if not eid > fold.last:
             return False
         ep = self._episodes[eid]
-        total = fold.total + ep.embedding
-        centroid = total / len(members)
-        norm = _norm(centroid)
-        if norm == 0.0:
+        index, value = ep.vector.index, ep.vector.value
+        total = fold.total.copy()
+        total[index] += value  # one vector's indices are unique
+        stored = fold.stored.copy()
+        stored[index] = True
+        centroid = self._centroid(total, stored, len(members))
+        if centroid is None:
             return False
         best = fold.best
         if best is None:  # the best member fell: rescan the old members once
-            best = max(map(self._episodes.__getitem__, pat.member_ids), key=_donor_key)
+            best = max(map(self._episodes.__getitem__, old), key=_donor_key)
         donor = max(best, ep, key=_donor_key)
-        pat.centroid = SparseVector.of(centroid / norm)
+        pat.centroid = centroid
         pat.last_updated = max(pat.last_updated, ep.timestamp)
         pat.context_labels = pat.context_labels & ep.context
         pat.success_members += ep.outcome is Outcome.SUCCESS
         self._set_donor(pat, donor)
-        fold.total, fold.last, fold.best = total, eid, donor
+        fold.total, fold.stored, fold.last, fold.best = total, stored, eid, donor
         return True
 
     @staticmethod

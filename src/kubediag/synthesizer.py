@@ -120,15 +120,16 @@ class SynthesisClient(Protocol):
 
 
 def _rendered_tokens(ctx: PromptContext) -> int:
+    """The whitespace-split tokens of every rendered field: the texts joined
+    by spaces (which splits none of them differently) and split once, plus
+    one token per ``.6f`` float, a memory's score and confidence and a
+    chain's priority, as one holds no whitespace (``nan`` and ``inf`` too)."""
     parts = [ctx.mode, *ctx.symptoms, *ctx.context_labels, ctx.logs]
     for m in ctx.memories:
-        parts.extend([m.id, f"{m.score:.6f}", f"{m.confidence:.6f}", m.root_cause_hint])
-        parts.extend(m.actions)
-        parts.extend(m.resolution_path)
+        parts += (m.id, m.root_cause_hint, *m.actions, *m.resolution_path)
     for c in ctx.chains:
-        parts.extend([c.id, f"{c.priority:.6f}", c.terminal_label])
-        parts.extend(c.hops)
-    return sum(len(p.split()) for p in parts)
+        parts += (c.id, c.terminal_label, *c.hops)
+    return len(" ".join(parts).split()) + 2 * len(ctx.memories) + len(ctx.chains)
 
 
 def build_context(

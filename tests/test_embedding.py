@@ -136,6 +136,73 @@ def test_sparse_rows_cosines_of_no_entries_are_float_zeros():
     assert SparseRows(3).cosines(np.ones(3)).dtype == np.float64
 
 
+def assert_rows_as_built(rows, vectors):
+    """``rows`` holds ``vectors`` as a ``SparseRows`` built with them does:
+    the same cosines, bit for bit, and the same arrays, byte for byte."""
+    fresh = SparseRows(rows.dim, vectors)
+    assert len(rows) == len(fresh) == len(vectors)
+    for q in (np.arange(1.0, rows.dim + 1), np.linspace(-1.0, 1e16, rows.dim)):
+        assert rows.cosines(q).tobytes() == fresh.cosines(q).tobytes()
+    for name in ("row", "col", "val"):
+        got, want = getattr(rows, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def some_vectors(n, dim=8, seed=0):
+    """``n`` vectors of 1 to 4 entries, with -0.0 among the values."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        index = np.sort(rng.choice(dim, int(rng.integers(1, 5)), replace=False))
+        value = rng.choice([-0.0, 0.5, -1.5, 1e16, 3.0], index.size)
+        out.append(SparseVector(dim, index, value))
+    return out
+
+
+EMPTY_8 = SparseVector(8, np.array([], dtype=np.intp), np.array([]))
+
+
+@pytest.mark.parametrize("r", [0, 2, 4])
+@pytest.mark.parametrize("size", [0, 1, "same", 6])
+def test_sparse_rows_replace_gives_the_rows_built_with_the_new_vector(r, size):
+    vectors = some_vectors(5)
+    rows = SparseRows(8, vectors)
+    rows.cosines(np.ones(8))  # the rows are in the arrays
+    if size == 0:
+        new = EMPTY_8
+    else:
+        n = vectors[r].index.size if size == "same" else size
+        new = SparseVector(8, np.arange(n) + 1, np.linspace(-2.0, 2.0, n))
+    rows.replace(r, new)
+    vectors[r] = new
+    assert_rows_as_built(rows, vectors)
+
+
+def test_sparse_rows_replace_while_appends_are_pending():
+    vectors = some_vectors(6, seed=1)
+    rows = SparseRows(8, vectors[:3])
+    rows.append(vectors[3])
+    rows.append(vectors[4])
+    new = some_vectors(3, seed=2)
+    rows.replace(4, new[0])  # a pending row
+    rows.replace(1, new[1])  # a row in the arrays, appends still pending
+    rows.append(vectors[5])
+    rows.replace(5, EMPTY_8)
+    vectors[4], vectors[1], vectors[5] = new[0], new[1], EMPTY_8
+    assert_rows_as_built(rows, vectors)
+    rows.replace(0, new[2])  # after the flush
+    vectors[0] = new[2]
+    assert_rows_as_built(rows, vectors)
+
+
+@pytest.mark.parametrize("r", [-1, 3])
+def test_sparse_rows_replace_rejects_a_row_it_does_not_hold(r):
+    rows = SparseRows(8, some_vectors(2))
+    rows.append(EMPTY_8)
+    with pytest.raises(IndexError):
+        rows.replace(r, EMPTY_8)
+
+
 VALUES = st.one_of(st.floats(-1.0, 1.0, allow_nan=False), st.sampled_from([0.0, -0.0, 1e16, -1e16]))
 
 

@@ -769,6 +769,21 @@ def assert_maps_rebuild(pool):
     assert pool._holders == holders
 
 
+def assert_pattern_index_rebuilds(pool, q):
+    """A built pattern index holds, byte for byte, the rows of a fresh one
+    of ``pool.patterns``, and the pool's pattern cosines with ``q`` are the
+    fresh index's, bit for bit (building the index if it was not)."""
+    fresh = SparseRows(pool.config.embedding_dim, [p.centroid for p in pool.patterns.values()])
+    index = pool._pattern_index
+    if index is not None:
+        index.cosines(q)  # adds the pending rows to the arrays
+        assert len(index) == len(fresh)
+        for name in ("row", "col", "val"):
+            got, want = getattr(index, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert pool._cosines(q)[1].tobytes() == fresh.cosines(q).tobytes()
+
+
 @given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(5, 20), steps=st.integers(20, 120))
 def test_member_maps_match_the_full_scan(tmp_path_factory, seed, capacity, steps):
     # Seeded random inserts, outcome updates, formations and reloads.  Three
@@ -776,7 +791,8 @@ def test_member_maps_match_the_full_scan(tmp_path_factory, seed, capacity, steps
     # several patterns and ties between overlaps.  A small capacity evicts
     # members that patterns keep.  A reload loads the previous snapshot and
     # then the current one over it, so patterns replace patterns of the same
-    # id with other members.
+    # id with other members.  After every step the pattern index, kept row
+    # by row, equals one built afresh.
     tmp = tmp_path_factory.mktemp("maps")
     rng = np.random.default_rng(seed)
     common = rand_unit(rng, 16)
@@ -824,6 +840,8 @@ def test_member_maps_match_the_full_scan(tmp_path_factory, seed, capacity, steps
         assert pattern_state(pools[0]) == pattern_state(pools[1])
         assert {e: (ep.outcome, ep.trials, ep.memory_value) for e, ep in pools[0].episodes.items()} \
             == {e: (ep.outcome, ep.trials, ep.memory_value) for e, ep in pools[1].episodes.items()}
+        for pool in pools:
+            assert_pattern_index_rebuilds(pool, common)
 
 
 def test_skip_finds_a_pattern_of_a_seed_outside_its_own_set(tmp_path):
@@ -992,13 +1010,107 @@ def test_most_refreshes_on_a_recurring_stream_append(monkeypatch):
 
         monkeypatch.setattr(MemoryPool, name, counted)
 
-    count("_refresh_pattern")
+    count("_refresh")
     count("_recompute")
     cfg = SimulationConfig(total_sessions=400, recurrence=0.5, seed=3)
     scenarios, graph = build_world(cfg.seed, cfg.corpus_size)
     run_stream(make_engine(graph), build_stream(scenarios, cfg), cfg.window)
-    assert calls["_refresh_pattern"] >= 300
-    assert calls["_recompute"] <= 0.1 * calls["_refresh_pattern"], calls
+    assert calls["_refresh"] >= 300
+    assert calls["_recompute"] <= 0.1 * calls["_refresh"], calls
+
+
+def test_formation_refreshes_each_touched_pattern_once(monkeypatch):
+    # Jittered copies of three close bases give neighbourhoods that differ
+    # from seed to seed, so one call moves a pattern's member set many
+    # times.  The refresh is deferred to the end of the call: each (call,
+    # pattern) pair is refreshed once, in the order returned.  A refresh per
+    # move fails the count.
+    calls = Counter()
+    refreshed = []
+
+    def count(name):
+        inner = getattr(MemoryPool, name)
+
+        def counted(self, pat, *args):
+            calls[name] += 1
+            if name == "_refresh":
+                refreshed[-1].append(pat.id)
+            return inner(self, pat, *args)
+        monkeypatch.setattr(MemoryPool, name, counted)
+
+    count("_move")
+    count("_refresh")
+    rng = np.random.default_rng(0)
+    common = rand_unit(rng, 16)
+    bases = [jitter_unit(rng, common, 0.1) for _ in range(3)]
+    pool = small_pool(16)
+    for step in range(150):
+        eid = f"ep-{step:06d}"
+        base = bases[int(rng.integers(3))]
+        pool.insert_episode(mk_episode(eid, jitter_unit(rng, base, 0.06), ts=NOW + step))
+        refreshed.append([])
+        assert pool.form_patterns_incremental(eid, now=NOW + step) == refreshed[-1]
+    assert calls["_refresh"] == sum(map(len, refreshed)) >= 300
+    assert calls["_move"] >= 5 * calls["_refresh"], calls  # the stream has teeth
+
+
+def test_pattern_refresh_reads_no_dense_embedding(monkeypatch):
+    # The member sums come from the members' sparse entries: neither an
+    # append nor a recompute rebuilds a member's 2,048-float embedding.
+    from kubediag.scenarios import build_world
+    from kubediag.simulate import SimulationConfig, build_stream, make_engine, run_stream
+
+    reads, calls = Counter(), Counter()
+    inside = []
+
+    def embedding(self, _inner=memory_mod.Episode.embedding.fget):
+        reads["in refresh" if inside else "elsewhere"] += 1
+        return _inner(self)
+
+    def counted(name):
+        inner = getattr(MemoryPool, name)
+
+        def run(self, *args):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return inner(self, *args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(MemoryPool, name, run)
+
+    monkeypatch.setattr(memory_mod.Episode, "embedding", property(embedding))
+    counted("_append")
+    counted("_recompute")
+    cfg = SimulationConfig(total_sessions=200, recurrence=0.5, seed=3, corpus_size=60)
+    scenarios, graph = build_world(cfg.seed, cfg.corpus_size)
+    run_stream(make_engine(graph), build_stream(scenarios, cfg), cfg.window)
+    assert calls["_append"] >= 100 and calls["_recompute"] >= 10, calls
+    assert reads["in refresh"] == 0, reads
+
+
+def test_a_column_every_member_stores_as_negative_zero_sums_as_the_dense_rows_do():
+    # numpy's axis-0 sum starts each column at +0.0, so a column where every
+    # member stores -0.0 sums to +0.0; the sparse sums (a recompute's
+    # bincount, an append's addition) must give the same bits, and so must
+    # the centroid taken from them.
+    palette = refresh_palette(np.random.default_rng(7))[:4]  # column 4 is -0.0 in each
+    pool = small_pool(REFRESH_DIM)
+    for i, vec in enumerate(palette):
+        pool.insert_episode(mk_episode(f"ep-{i:06d}", vec))
+    ids = sorted(pool.episodes)
+    for members in (ids[:1], ids[:3], ids):  # a recompute, another, then an append
+        refresh_to(pool, "p1", members)
+        rows = np.stack([pool.episode(m).embedding for m in members])
+        assert np.signbit(rows[:, 4]).all() and (rows[:, 4] == 0).all()
+        total = pool._folds["p1"].total
+        assert total.tobytes() == rows.sum(axis=0).tobytes()
+        assert total[4] == 0 and not np.signbit(total[4])
+        mean = rows.mean(axis=0)
+        want = SparseVector.of(mean / np.linalg.norm(mean))
+        got = pool.patterns["p1"].centroid
+        assert got.index.tolist() == want.index.tolist()
+        assert got.value.tobytes() == want.value.tobytes()
 
 
 def test_formation_compares_overlaps_once_per_touched_pattern(monkeypatch):

@@ -1,11 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kubediag.errors import InvalidContext, NoEvidence, SynthesisError
 from kubediag.synthesizer import (
     ChainCard,
     MemoryCard,
+    PromptContext,
     TemplateStubClient,
     build_context,
     synthesize,
@@ -36,6 +38,39 @@ def intuitive_ctx(*memories, symptoms=("pod restarting",), labels=("prod", "batc
 
 # ---------------------------------------------------------------------------
 # context assembly
+
+
+def per_part_tokens(ctx):
+    """The context's tokens counted part by part, each float rendered."""
+    parts = [ctx.mode, *ctx.symptoms, *ctx.context_labels, ctx.logs]
+    for m in ctx.memories:
+        parts.extend([m.id, f"{m.score:.6f}", f"{m.confidence:.6f}", m.root_cause_hint])
+        parts.extend(m.actions)
+        parts.extend(m.resolution_path)
+    for c in ctx.chains:
+        parts.extend([c.id, f"{c.priority:.6f}", c.terminal_label])
+        parts.extend(c.hops)
+    return sum(len(p.split()) for p in parts)
+
+
+# words, Unicode whitespace (str.split splits at each) and empty parts
+TEXT = st.lists(st.sampled_from(["", "a", "pod", "x-y", " ", "\t", "\n", "\x1c", "\x85",
+                                 "\u3000", "\u00a0", "\u200b"]), max_size=6).map("".join)
+TEXTS = st.lists(TEXT, max_size=3)
+SCORE = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(mode=st.sampled_from(["intuitive", "analytical"]), symptoms=TEXTS, labels=TEXTS,
+       logs=TEXT, memories=st.lists(st.builds(
+           MemoryCard, id=TEXT, score=SCORE, confidence=SCORE, actions=TEXTS,
+           resolution_path=TEXTS, root_cause_hint=TEXT), max_size=3),
+       chains=st.lists(st.builds(
+           ChainCard, id=TEXT, hops=TEXTS, terminal_label=TEXT, priority=SCORE,
+           prior=SCORE), max_size=3))
+def test_rendered_tokens_match_the_per_part_count(mode, symptoms, labels, logs, memories, chains):
+    ctx = PromptContext(mode=mode, symptoms=symptoms, context_labels=labels, logs=logs,
+                        memories=memories, chains=chains)
+    assert _rendered_tokens(ctx) == per_part_tokens(ctx)
 
 
 def test_build_context_single_memory():
