@@ -5,7 +5,9 @@ synthesis) or the deliberate path (retrieval, exploration hints, causal graph
 search, then synthesis).  Feedback stores a new episode, revalues the source
 memories and replays the controller's history.  Graph edges are confirmed
 only from ``Feedback.discovered_relations``, which neither ``simulate`` nor
-``diagnose --learn`` passes yet.
+``diagnose --learn`` passes yet.  An accepted feedback drops the session's
+query embedding, which marks it fed; the pool's insert checks the episode
+first, so a rejected one leaves every store and the session as they were.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ class DiagnosisSession:
     context: PromptContext
     latency_units: float
     created: float
-    query_embedding: object = None     # dense; feedback stores its SparseVector, then drops it
+    # dense, set by diagnose; feedback stores its SparseVector, and None marks it fed
+    query_embedding: object = None
 
     def to_trace(self) -> dict:
         return {
@@ -175,7 +178,6 @@ class Engine:
         self.clock = clock
         self.memory_enabled = memory_enabled
         self.sessions: dict[str, DiagnosisSession] = {}
-        self._fed: set[str] = set()
         self._session_seq = 0
         self._episode_seq = _last_episode_seq(self.pool)
 
@@ -329,18 +331,16 @@ class Engine:
         session = self.sessions.get(fb.session_id)
         if session is None:
             raise NotFound(f"unknown session {fb.session_id!r}")
-        if fb.session_id in self._fed:
+        if session.query_embedding is None:
             raise AlreadyRecorded(f"session {fb.session_id!r} already has feedback")
         # reject a bad relation or episode before any store changes, so a
         # corrected feedback for the same session can still be applied
         self.graph.check_relations(fb.discovered_relations)
 
         now = self.clock()
-        success = fb.outcome is Outcome.SUCCESS
         value_updates: dict[str, float] = {}
         patterns_touched: list[str] = []
         episode_id: str | None = None
-        episode: Episode | None = None
 
         if self.memory_enabled:
             # a cited source is a memory iff this diagnosis retrieved it; the
@@ -361,28 +361,25 @@ class Engine:
                 resolution_path=[] if fb.outcome is Outcome.FAILURE
                 else self._resolution_path_for(session, cited),
                 trials=1,
-                successes=1 if success else 0,
+                successes=int(fb.outcome is Outcome.SUCCESS),
             )
-            # the engine checked the embedder's dimension at construction
-            episode.validate()
-        self._fed.add(fb.session_id)
+            # checks the episode before it changes anything
+            self.pool.insert_episode(episode)
+            self._episode_seq += 1
         session.query_embedding = None
 
-        if episode is not None:
-            self._episode_seq += 1
-            self.pool.insert_episode(episode)
-
+        if self.memory_enabled:
             for mem in cited:
                 target = mem.id if isinstance(mem, Episode) else mem.source_episode_id
                 try:
-                    self.pool.update_outcome(target, fb.outcome, success)
+                    self.pool.update_outcome(target, fb.outcome)
                     value_updates[target] = self.pool.episode(target).memory_value
                 except NotFound:
                     continue
 
             # the insert may have evicted the new episode itself
             if episode_id in self.pool.episodes:
-                patterns_touched = self.pool.form_patterns_incremental(episode_id, now)
+                patterns_touched = self.pool.form_patterns_incremental(episode_id)
 
         best = max(
             session.retrieval.memories, key=lambda m: m.confidence, default=None

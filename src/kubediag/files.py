@@ -10,9 +10,11 @@ the message.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
+import stat
 from typing import Callable, TextIO
 
 from .errors import InvalidArgument
@@ -24,7 +26,8 @@ def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
     The content goes to a temporary file in the target's directory, is synced,
     then renamed over the target, so a failure or a crash part way through
     leaves the previous file as it was.  On failure the temporary file is
-    removed.  A new file gets the permissions ``open(path, "w")`` would give.
+    removed.  Like ``open(path, "w")``, the replacement keeps an existing
+    file's permission bits, and a new file gets the permissions it would give.
     """
     tmp = os.path.join(
         os.path.dirname(os.path.abspath(path)),
@@ -32,6 +35,8 @@ def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
     )
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        with contextlib.suppress(FileNotFoundError):  # before any content is written
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         with open(fd, "w", encoding="utf-8") as fh:
             write(fh)
             fh.flush()

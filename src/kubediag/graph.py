@@ -171,7 +171,6 @@ class GraphEdge:
 @dataclass(eq=False)
 class Document:
     id: str
-    raw_text: str
     cleaned_text: str
     category: Category
     metadata: dict = field(default_factory=dict)  # source, timestamp, confidence
@@ -256,7 +255,6 @@ def classify_document(
         raise ClassificationError(doc_id, f"classifier returned non-category {category!r}")
     return Document(
         id=doc_id,
-        raw_text=raw_text,
         cleaned_text=cleaned,
         category=category,
         metadata={"source": source, "timestamp": timestamp, "confidence": float(conf)},

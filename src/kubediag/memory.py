@@ -16,7 +16,8 @@ every pattern centroid as another.  Every cosine the pool uses is the one
 :mod:`kubediag.embedding` defines, and one product per index gives it for
 every row: novelty, retrieval and the confidence factors of one query share
 one episode product and one pattern product, and linking an insert to its
-neighbours takes one episode product.
+neighbours takes one episode product.  An insert checks the episode, its
+norm from its stored entries alone, before it changes anything.
 
 Pattern formation reads each episode's neighbourhood (the episodes whose
 cosine with it exceeds ``pattern_sim_threshold``) from sets the pool keeps
@@ -28,8 +29,9 @@ touches once, at its end, and replaces that pattern's row of the pattern
 index in place.  A refresh that only adds the newest episode to a pattern
 (most of them on a recurring stream) adds that episode's entries to the
 pattern's kept member sum: the pool keeps each pattern's unnormalised member
-sum and its leading member, so the fields come out bit for bit as reading
-every member would give them.
+sum, whose non-zero columns are the centroid's entries, and its leading
+member, so the fields come out bit for bit as reading every member would
+give them.
 """
 
 from __future__ import annotations
@@ -132,8 +134,8 @@ def make_query(embedder: Embedder, symptoms: Sequence[str], context: Iterable[st
 @dataclass(eq=False)
 class Episode:
     """One concrete diagnostic trajectory.  Its embedding is held as
-    ``vector`` alone; :attr:`embedding` rebuilds the dense array from it,
-    bit for bit, on every read, so a loop reads it once."""
+    ``vector`` alone; ``vector.dense()`` rebuilds the dense array from it,
+    bit for bit."""
 
     id: str
     symptoms: list[str]
@@ -146,10 +148,6 @@ class Episode:
     resolution_path: list[str]
     trials: int = 0      # feedback updates received
     successes: int = 0   # ... of which were successes
-
-    @property
-    def embedding(self) -> np.ndarray:
-        return self.vector.dense()
 
     def validate(self) -> None:
         if not self.id:
@@ -166,7 +164,7 @@ class Episode:
             raise InvalidArgument(f"episode {self.id}: timestamp must be finite and >= 0")
 
     def _check_norm(self) -> None:
-        norm = _norm(self.embedding)
+        norm = _norm(self.vector.value)
         if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
             raise InvalidArgument(f"episode {self.id}: embedding norm {norm:.8f} != 1")
 
@@ -207,7 +205,6 @@ class _Fold:
     pool beside the pattern since its last full recompute."""
 
     total: np.ndarray      # float64 axis-0 sum of the member embeddings, in id order
-    stored: np.ndarray     # bool per column: whether some member stores an entry there
     last: str              # the largest member id
     best: Episode | None   # the member of largest _donor_key; None once it fell
 
@@ -350,12 +347,12 @@ class MemoryPool:
     rows (``_index``, with the timestamps in the array ``_stamps``): each
     insert appends a row and each eviction deletes one.  ``_patterns``'
     centroids are the rows of a second index (``_pattern_index``), in
-    ``patterns`` order, built on the first read: formation appends the row
-    of each pattern it creates and replaces in place the row of each it
-    refreshes (:meth:`_reindex`), and only a snapshot load drops the index,
-    as patterns are never deleted.  :meth:`_cosines` gives every row's
-    cosine with a query from one product per index, memoised per query
-    vector, so :meth:`novelty` and :meth:`retrieve` share them.  Retrieval
+    ``patterns`` order: formation appends the row of each pattern it creates
+    and replaces in place the row of each it refreshes (:meth:`_reindex`),
+    and a snapshot load rebuilds the index from every pattern, as patterns
+    are never deleted.  :meth:`_cosines` gives every row's cosine with a
+    query from one product per index, memoised per query vector, so
+    :meth:`novelty` and :meth:`retrieve` share them.  Retrieval
     scores every pattern and, of the episodes, only those whose vectorised
     score, widened by ``_SCORE_SLACK``, reaches the k-th largest of the
     episodes' narrowed scores and the patterns' scores; each kept row is
@@ -383,14 +380,14 @@ class MemoryPool:
     pattern's last refresh (:meth:`_form_for_seeds`).  ``_folds`` keeps, for
     each pattern refreshed since it was created or loaded, a :class:`_Fold`:
     the float64 sum of its member embeddings in id order (what ``mean``
-    divides), the columns where some member stores an entry, its largest
-    member id, and its member of largest ``(memory_value, id)``.  A refresh
-    to the old members plus one id sorting after them all adds the new
-    member's sparse entries to the fold (:meth:`_append`); any other refresh
-    sums every member's entries with one ``np.bincount`` and replaces the
-    fold (:meth:`_recompute`).  Neither rebuilds a member's dense embedding,
-    nor scans a dense centroid for its entries.  A loaded pattern has no
-    fold, so loading a snapshot builds no sums.  The leading member stays
+    divides), its largest member id, and its member of largest
+    ``(memory_value, id)``.  A refresh to the old members plus one id sorting
+    after them all adds the new member's sparse entries to the fold
+    (:meth:`_append`); any other refresh sums every member's entries with one
+    ``np.bincount`` and replaces the fold (:meth:`_recompute`).  Neither
+    rebuilds a member's dense embedding, nor scans a dense centroid for its
+    entries.  A loaded pattern has no fold, so loading a snapshot builds no
+    sums.  The leading member stays
     exact because an episode's ``memory_value`` changes only through
     :meth:`update_outcome`, which promotes a member that rises past the
     leader and drops the leader that falls, so that the next append rescans
@@ -410,8 +407,8 @@ class MemoryPool:
         self._index = SparseRows(self.config.embedding_dim)
         self._rows: list[Episode] = []
         self._stamps = np.empty(0)
-        # the centroids' rows; built on the first read, dropped by a load
-        self._pattern_index: SparseRows | None = None
+        # the centroids' rows, in ``patterns`` order
+        self._pattern_index = SparseRows(self.config.embedding_dim)
         # what the last _cosines call returned, and for which vector, until
         # the rows or the patterns change
         self._memo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -439,6 +436,8 @@ class MemoryPool:
     # -- mutation -----------------------------------------------------------
 
     def insert_episode(self, episode: Episode) -> None:
+        """Store ``episode``, then evict down to ``capacity``.  Every check
+        runs first, so a rejected episode leaves the pool as it was."""
         self._check_unused(episode.id)
         episode.validate()
         vector = episode.vector
@@ -492,15 +491,17 @@ class MemoryPool:
                 if nid != victim.id:
                     self._neighbours[nid].discard(victim.id)
 
-    def update_outcome(self, episode_id: str, outcome: Outcome, success: bool) -> None:
-        """Record a feedback trial and scale the episode's retention value.
+    def update_outcome(self, episode_id: str, outcome: Outcome) -> None:
+        """Record a feedback trial and scale the episode's retention value,
+        up on a success and down otherwise.
 
         Each pattern holding the episode moves ``success_members`` by the
         change in the episode's last outcome, so members evicted earlier,
         or before the store was reloaded, keep counting as they last did.
         """
         ep = self.episode(episode_id)
-        change = int(outcome is Outcome.SUCCESS) - int(ep.outcome is Outcome.SUCCESS)
+        success = outcome is Outcome.SUCCESS
+        change = int(success) - int(ep.outcome is Outcome.SUCCESS)
         ep.outcome = outcome
         ep.trials += 1
         ep.successes += int(success)
@@ -528,11 +529,12 @@ class MemoryPool:
         """Full clustering pass; returns ids of patterns created or updated.
 
         Re-running on an unchanged pool is a no-op apart from refreshing the
-        same pattern contents (idempotent end state).
+        same pattern contents (idempotent end state).  ``now`` is not read:
+        a pattern's ``last_updated`` is its newest member's timestamp.
         """
-        return self._reindex(self._form_for_seeds(sorted(self._episodes), now))
+        return self._reindex(self._form_for_seeds(sorted(self._episodes)))
 
-    def form_patterns_incremental(self, new_episode_id: str, now: float | None = None) -> list[str]:
+    def form_patterns_incremental(self, new_episode_id: str) -> list[str]:
         """Re-cluster only the neighborhoods affected by one new episode.
 
         The seeds are the new episode and its neighbours, read from the
@@ -540,7 +542,7 @@ class MemoryPool:
         ``insert_episode`` afterwards), so no cosine is computed here.
         """
         ep = self.episode(new_episode_id)
-        return self._reindex(self._form_for_seeds(sorted(self._neighborhood(ep) | {ep.id}), now))
+        return self._reindex(self._form_for_seeds(sorted(self._neighborhood(ep) | {ep.id})))
 
     def _neighborhood(self, seed: Episode) -> set[str]:
         """The live neighbour set of ``seed``; callers must not keep or mutate it."""
@@ -562,7 +564,7 @@ class MemoryPool:
                 mine.add(other.id)
                 nbrs[other.id].add(ep.id)
 
-    def _form_for_seeds(self, seed_ids: Sequence[str], now: float | None) -> list[str]:
+    def _form_for_seeds(self, seed_ids: Sequence[str]) -> list[str]:
         """Move the member sets of the patterns the seeds' neighbourhoods
         form, then refresh each such pattern once; returns their ids in the
         order first moved.
@@ -639,13 +641,12 @@ class MemoryPool:
         if touched:
             self._memo = None
             index = self._pattern_index
-            if index is not None:
-                changed = set(touched)
-                for r, pat in enumerate(self._patterns.values()):
-                    if r >= len(index):
-                        index.append(pat.centroid)
-                    elif pat.id in changed:
-                        index.replace(r, pat.centroid)
+            changed = set(touched)
+            for r, pat in enumerate(self._patterns.values()):
+                if r >= len(index):
+                    index.append(pat.centroid)
+                elif pat.id in changed:
+                    index.replace(r, pat.centroid)
         return touched
 
     def _move(self, pat: Pattern, members: set[str]) -> None:
@@ -666,16 +667,17 @@ class MemoryPool:
             self._recompute(pat)
 
     @staticmethod
-    def _centroid(total: np.ndarray, stored: np.ndarray, n: int) -> SparseVector | None:
+    def _centroid(total: np.ndarray, n: int) -> SparseVector | None:
         """The unit mean of ``n`` members summing to ``total``, as
-        ``SparseVector.of`` of the dense unit mean gives it, reading only the
-        columns ``stored`` marks (elsewhere the sum is ``+0.0``); None if the
-        mean has no norm."""
+        ``SparseVector.of`` of the dense unit mean gives it; None if the mean
+        has no norm.  Only the sum's non-zero columns are read: a member sum
+        is never ``-0.0``, and a ``+0.0`` column, whether no member stores it
+        or its entries cancel, gives a ``+0.0`` unit entry, which is dropped."""
         centroid = total / n
         norm = _norm(centroid)  # dense: dot pairs the terms by position
         if norm == 0.0:
             return None
-        support = np.flatnonzero(stored)
+        support = np.flatnonzero(total)
         unit = centroid[support] / norm
         keep = np.signbit(unit) | (unit != 0)
         return SparseVector(total.size, support[keep], unit[keep])
@@ -694,15 +696,13 @@ class MemoryPool:
         index = np.concatenate([e.vector.index for e in eps])
         value = np.concatenate([e.vector.value for e in eps])
         total = np.bincount(index, value, self.config.embedding_dim)
-        stored = np.zeros(total.size, bool)
-        stored[index] = True
-        pat.centroid = self._centroid(total, stored, len(eps)) or eps[0].vector
+        pat.centroid = self._centroid(total, len(eps)) or eps[0].vector
         pat.last_updated = max(e.timestamp for e in eps)
         pat.context_labels = frozenset(set.intersection(*(set(e.context) for e in eps)))
         pat.success_members = sum(e.outcome is Outcome.SUCCESS for e in eps)
         donor = max(eps, key=_donor_key)
         self._set_donor(pat, donor)
-        self._folds[pat.id] = _Fold(total, stored, eps[-1].id, donor)
+        self._folds[pat.id] = _Fold(total, eps[-1].id, donor)
 
     def _append(self, pat: Pattern, old: set[str]) -> bool:
         """Refresh ``pat`` from its fold and its one new member, if its
@@ -729,9 +729,7 @@ class MemoryPool:
         index, value = ep.vector.index, ep.vector.value
         total = fold.total.copy()
         total[index] += value  # one vector's indices are unique
-        stored = fold.stored.copy()
-        stored[index] = True
-        centroid = self._centroid(total, stored, len(members))
+        centroid = self._centroid(total, len(members))
         if centroid is None:
             return False
         best = fold.best
@@ -743,7 +741,7 @@ class MemoryPool:
         pat.context_labels = pat.context_labels & ep.context
         pat.success_members += ep.outcome is Outcome.SUCCESS
         self._set_donor(pat, donor)
-        fold.total, fold.stored, fold.last, fold.best = total, stored, eid, donor
+        fold.total, fold.last, fold.best = total, eid, donor
         return True
 
     @staticmethod
@@ -770,9 +768,6 @@ class MemoryPool:
         every pattern's, in ``patterns`` order."""
         memo = self._memo
         if memo is None or memo[0] is not vec:
-            if self._pattern_index is None:
-                self._pattern_index = SparseRows(self.config.embedding_dim,
-                                                 (p.centroid for p in self._patterns.values()))
             memo = self._memo = (vec, self._index.cosines(vec), self._pattern_index.cosines(vec))
         return memo[1], memo[2]
 
@@ -912,6 +907,8 @@ class MemoryPool:
             self._remap(pat.id, old.member_ids if old else set(), pat.member_ids)
             self._patterns[pat.id] = pat
             self._folds.pop(pat.id, None)  # its next refresh recomputes
-        self._pattern_index = self._memo = None
+        self._pattern_index = SparseRows(self.config.embedding_dim,
+                                         (p.centroid for p in self._patterns.values()))
+        self._memo = None
         self._pattern_seq = max(self._pattern_seq, seq)
         return len(loaded)

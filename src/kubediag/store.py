@@ -160,9 +160,9 @@ def _first_bad_line(lines: list[str], dim: int, check_unused: Callable[[str], No
 def _unsure_norms(rows: np.ndarray, val: np.ndarray, n: int, dim: int) -> list[int]:
     """The rows among ``n`` whose norm :meth:`Episode._check_norm` must
     check, given every stored entry's row and value: one ``np.bincount`` of
-    the squared values gives every norm, summed in another order than
-    ``np.dot``'s, and only the norms too near the tolerance or beyond it,
-    NaN included, are left."""
+    the squared values gives every norm, summed in another order than the
+    ``np.dot`` of an episode's stored values that the check takes, and only
+    the norms too near the tolerance or beyond it, NaN included, are left."""
     norms = np.sqrt(np.bincount(rows, val * val, n))
     # two summation orders of at most dim squares differ by under
     # dim * eps of a unit norm, so a norm passing this passes exactly

@@ -213,7 +213,7 @@ def test_feedback_inserts_episode_from_session():
     assert episode.actions == session.solution.steps
     assert (episode.trials, episode.successes) == (1, 1)
     assert episode.resolution_path == ["g-mid", "g-rc"]  # copied from the cited memory
-    assert episode.embedding.tobytes() == EMB.embed(SYMPTOM).tobytes()
+    assert episode.vector.dense().tobytes() == EMB.embed(SYMPTOM).tobytes()
     assert session.query_embedding is None  # the episode's vector is all that is kept
 
 
@@ -381,7 +381,7 @@ def test_feedback_whose_episode_fails_its_check_changes_no_store():
             eng.feedback(Feedback(session_id=session.id, outcome=Outcome.SUCCESS))
         assert _store_state(eng) == before
         assert eng._episode_seq == seq
-        assert session.id not in eng._fed
+        assert session.query_embedding is not None
 
 
 def test_feedback_whose_episode_its_own_insert_evicts():
@@ -430,7 +430,7 @@ def test_full_pool_accepts_every_feedback(capacity):
         res, engine = run_continuous(sim, MemoryConfig(capacity=capacity))
         assert res.sessions == 400
         assert len(engine.sessions) == 400 - res.no_evidence
-        assert engine._fed == set(engine.sessions)
+        assert all(s.query_embedding is None for s in engine.sessions.values())
         assert len(engine.pool.episodes) == capacity
 
 
@@ -439,10 +439,10 @@ def test_no_stored_episode_or_fed_session_keeps_a_dense_embedding():
     # capacity episodes
     res, engine = run_continuous(SimulationConfig(total_sessions=400, recurrence=0.5, seed=0))
     dim = engine.pool.config.embedding_dim
-    assert engine._fed == set(engine.sessions)
+    assert all(s.query_embedding is None for s in engine.sessions.values())
     assert len(engine.pool.episodes) == len(engine.sessions) == 400 - res.no_evidence
     holders = [*engine.pool.episodes.values(), *engine.sessions.values()]
     assert [obj for obj in holders if dense_embeddings(obj, dim)] == []
     embedder = HashingEmbedder(dim)
     for ep in engine.pool.episodes.values():
-        assert ep.embedding.tobytes() == embedder.embed(" ".join(ep.symptoms)).tobytes()
+        assert ep.vector.dense().tobytes() == embedder.embed(" ".join(ep.symptoms)).tobytes()

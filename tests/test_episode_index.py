@@ -80,7 +80,7 @@ def scalar_neighbours(pool):
     for ep in pool.episodes.values():
         mine = nbrs[ep.id] = set()
         for oid in nbrs:
-            if cosine(pool.episodes[oid].vector, ep.embedding) > th:
+            if cosine(pool.episodes[oid].vector, ep.vector.dense()) > th:
                 mine.add(oid)
                 nbrs[oid].add(ep.id)
     return nbrs
@@ -144,17 +144,16 @@ def drive(vectors, texts, draw_ops, cfg, weights, k, step):
                                        symptoms=(texts[i],), context=(f"ns{op % 3}",)))
         if op % 4 == 1 and pool.episodes:
             target = sorted(pool.episodes)[op % len(pool.episodes)]
-            pool.update_outcome(target, Outcome.SUCCESS if op % 3 else Outcome.FAILURE,
-                                success=bool(op % 3))
+            pool.update_outcome(target, Outcome.SUCCESS if op % 3 else Outcome.FAILURE)
         if op % 5 < 2 and eid in pool.episodes:
-            pool.form_patterns_incremental(eid, now=NOW + step * i)
+            pool.form_patterns_incremental(eid)
         if op % 5 == 2:
             pool.form_patterns(now=NOW + step * i)
         stored = list(pool.episodes.values())
         queries = [mk_query(vectors[(op * 7) % len(vectors)], symptoms=[texts[i]],
                             context=[f"ns{op % 2}"])]
         if stored:  # an exact match: novelty 0 and ties at the top
-            queries.append(mk_query(stored[op % len(stored)].embedding))
+            queries.append(mk_query(stored[op % len(stored)].vector.dense()))
         check_pool(pool, queries, weights, NOW + step * i + (op % 3) * 3600.0, k)
     return pool
 

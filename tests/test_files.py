@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import pytest
 
@@ -74,6 +75,24 @@ def test_failed_save_keeps_previous_file(tmp_path, rng, store):
     assert path.read_bytes() == before
     load(str(path))
     assert os.listdir(tmp_path) == [f"{store}.json"]
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+def test_save_keeps_an_existing_files_permissions(tmp_path, rng, store):
+    # a private store stays private through a save, as with open(path, "w");
+    # a new file gets the mode open(path, "w") gives it
+    build, save, _, load = STORES[store]
+    path, plain = tmp_path / f"{store}.json", tmp_path / "plain"
+    plain.write_text("")
+    obj = build(rng)
+    save(obj, str(path))
+    assert path.stat().st_mode == plain.stat().st_mode
+    for mode in (0o600, 0o640):
+        path.chmod(mode)
+        save(obj, str(path))
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        load(str(path))
+    assert sorted(os.listdir(tmp_path)) == sorted([f"{store}.json", "plain"])
 
 
 def test_write_atomic_creates_and_replaces(tmp_path):

@@ -482,7 +482,7 @@ def test_pattern_members_similar_to_seed(rng):
     assert pool.patterns
     th = pool.config.pattern_sim_threshold
     for pat in pool.patterns.values():
-        vecs = [pool.episode(mid).embedding for mid in pat.member_ids]
+        vecs = [pool.episode(mid).vector.dense() for mid in pat.member_ids]
         # the seed whose neighbourhood formed the pattern is such a member
         assert any(all(float(a @ b) > th for b in vecs) for a in vecs)
 
@@ -498,7 +498,7 @@ def neighborhood_oracle(pool, seed):
     return {
         other.id
         for other in pool.episodes.values()
-        if cosine(other.vector, seed.embedding) > th
+        if cosine(other.vector, seed.vector.dense()) > th
     }
 
 
@@ -517,12 +517,12 @@ def interleave(pool, seed, check=lambda: None):
         check()
         if rng.random() < 0.3:
             target = sorted(pool.episodes)[int(rng.integers(len(pool.episodes)))]
-            pool.update_outcome(target, Outcome.FAILURE, success=False)
+            pool.update_outcome(target, Outcome.FAILURE)
         if i < 25:
             continue
         r = rng.random()
         if r < 0.6 and eid in pool.episodes:
-            reported.append(pool.form_patterns_incremental(eid, now=NOW + i))
+            reported.append(pool.form_patterns_incremental(eid))
         elif r < 0.75:
             reported.append(pool.form_patterns(now=NOW + i))
         check()
@@ -675,7 +675,7 @@ class FullScanPool(MemoryPool):
     of the refresh that read every member, before the append step."""
 
     def _refresh_pattern(self, pat, members):
-        rows = np.stack([self._episodes[m].embedding for m in sorted(members)])
+        rows = np.stack([self._episodes[m].vector.dense() for m in sorted(members)])
         centroid = rows.mean(axis=0)
         norm = float(np.linalg.norm(centroid))
         if norm == 0.0:
@@ -696,9 +696,10 @@ class FullScanPool(MemoryPool):
         pat.context_labels = frozenset(set.intersection(*ctx_sets)) if ctx_sets else frozenset()
         pat.success_members = sum(e.outcome is Outcome.SUCCESS for e in eps)
 
-    def update_outcome(self, episode_id, outcome, success):
+    def update_outcome(self, episode_id, outcome):
         ep = self.episode(episode_id)
-        change = int(outcome is Outcome.SUCCESS) - int(ep.outcome is Outcome.SUCCESS)
+        success = outcome is Outcome.SUCCESS
+        change = int(success) - int(ep.outcome is Outcome.SUCCESS)
         ep.outcome = outcome
         ep.trials += 1
         ep.successes += int(success)
@@ -716,11 +717,11 @@ class FullScanPool(MemoryPool):
         nbrs = self._neighbours
         mine = nbrs[ep.id] = set()
         for other in self._rows:
-            if other.id in nbrs and cosine(other.vector, ep.embedding) > th:
+            if other.id in nbrs and cosine(other.vector, ep.vector.dense()) > th:
                 mine.add(other.id)
                 nbrs[other.id].add(ep.id)
 
-    def _form_for_seeds(self, seed_ids, now):
+    def _form_for_seeds(self, seed_ids):
         touched = {}
         for sid in seed_ids:
             seed = self._episodes.get(sid)
@@ -770,17 +771,16 @@ def assert_maps_rebuild(pool):
 
 
 def assert_pattern_index_rebuilds(pool, q):
-    """A built pattern index holds, byte for byte, the rows of a fresh one
-    of ``pool.patterns``, and the pool's pattern cosines with ``q`` are the
-    fresh index's, bit for bit (building the index if it was not)."""
+    """The pattern index holds, byte for byte, the rows of a fresh one of
+    ``pool.patterns``, and the pool's pattern cosines with ``q`` are the
+    fresh index's, bit for bit."""
     fresh = SparseRows(pool.config.embedding_dim, [p.centroid for p in pool.patterns.values()])
     index = pool._pattern_index
-    if index is not None:
-        index.cosines(q)  # adds the pending rows to the arrays
-        assert len(index) == len(fresh)
-        for name in ("row", "col", "val"):
-            got, want = getattr(index, name), getattr(fresh, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    index.cosines(q)  # adds the pending rows to the arrays
+    assert len(index) == len(fresh)
+    for name in ("row", "col", "val"):
+        got, want = getattr(index, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert pool._cosines(q)[1].tobytes() == fresh.cosines(q).tobytes()
 
 
@@ -816,10 +816,10 @@ def test_member_maps_match_the_full_scan(tmp_path_factory, seed, capacity, steps
         elif r < 0.65:
             outcome = list(Outcome)[int(rng.integers(3))]
             for pool in pools:
-                pool.update_outcome(pick, outcome, success=outcome is Outcome.SUCCESS)
+                pool.update_outcome(pick, outcome)
         elif r < 0.95:
             incremental = rng.random() < 0.7
-            got, want = (pool.form_patterns_incremental(pick, now=NOW + step) if incremental
+            got, want = (pool.form_patterns_incremental(pick) if incremental
                          else pool.form_patterns(now=NOW + step) for pool in pools)
             assert got == want
         else:
@@ -869,7 +869,7 @@ def test_skip_finds_a_pattern_of_a_seed_outside_its_own_set(tmp_path):
     }]}))
     for pool in pools:
         pool.load_pattern_snapshot(str(snapshot))
-    got, want = (pool._form_for_seeds(["e1"], NOW) for pool in pools)
+    got, want = (pool._form_for_seeds(["e1"]) for pool in pools)
     assert got == want == []
     assert pattern_state(pools[0]) == pattern_state(pools[1])
     assert pools[0].patterns["pat-000001"].actions == ["from the file"]
@@ -956,7 +956,7 @@ def test_refresh_matches_the_full_scan(tmp_path_factory, data, seed, capacity, i
             eid = data.draw(st.sampled_from(live))
             outcome = data.draw(st.sampled_from(list(Outcome)))
             for pool in pools:
-                pool.update_outcome(eid, outcome, success=outcome is Outcome.SUCCESS)
+                pool.update_outcome(eid, outcome)
         elif op == "refresh":
             pid = data.draw(st.sampled_from(["p1", "p2", "p3"]))
             pat = pools[0].patterns.get(pid)
@@ -1049,26 +1049,29 @@ def test_formation_refreshes_each_touched_pattern_once(monkeypatch):
         base = bases[int(rng.integers(3))]
         pool.insert_episode(mk_episode(eid, jitter_unit(rng, base, 0.06), ts=NOW + step))
         refreshed.append([])
-        assert pool.form_patterns_incremental(eid, now=NOW + step) == refreshed[-1]
+        assert pool.form_patterns_incremental(eid) == refreshed[-1]
     assert calls["_refresh"] == sum(map(len, refreshed)) >= 300
     assert calls["_move"] >= 5 * calls["_refresh"], calls  # the stream has teeth
 
 
 def test_pattern_refresh_reads_no_dense_embedding(monkeypatch):
     # The member sums come from the members' sparse entries: neither an
-    # append nor a recompute rebuilds a member's 2,048-float embedding.
+    # append nor a recompute rebuilds a member's 2,048-float embedding.  A
+    # feedback rebuilds one dense array, the query that links its episode
+    # to its neighbours: the insert checks the norm on the stored entries.
+    from kubediag.engine import Engine
     from kubediag.scenarios import build_world
     from kubediag.simulate import SimulationConfig, build_stream, make_engine, run_stream
 
-    reads, calls = Counter(), Counter()
+    builds, calls = Counter(), Counter()
     inside = []
 
-    def embedding(self, _inner=memory_mod.Episode.embedding.fget):
-        reads["in refresh" if inside else "elsewhere"] += 1
+    def dense(self, _inner=SparseVector.dense):
+        builds[inside[-1] if inside else "elsewhere"] += 1
         return _inner(self)
 
-    def counted(name):
-        inner = getattr(MemoryPool, name)
+    def counted(cls, name):
+        inner = getattr(cls, name)
 
         def run(self, *args):
             calls[name] += 1
@@ -1077,16 +1080,18 @@ def test_pattern_refresh_reads_no_dense_embedding(monkeypatch):
                 return inner(self, *args)
             finally:
                 inside.pop()
-        monkeypatch.setattr(MemoryPool, name, run)
+        monkeypatch.setattr(cls, name, run)
 
-    monkeypatch.setattr(memory_mod.Episode, "embedding", property(embedding))
-    counted("_append")
-    counted("_recompute")
+    monkeypatch.setattr(SparseVector, "dense", dense)
+    for name in ("_append", "_recompute", "_link"):
+        counted(MemoryPool, name)
+    counted(Engine, "feedback")
     cfg = SimulationConfig(total_sessions=200, recurrence=0.5, seed=3, corpus_size=60)
     scenarios, graph = build_world(cfg.seed, cfg.corpus_size)
     run_stream(make_engine(graph), build_stream(scenarios, cfg), cfg.window)
     assert calls["_append"] >= 100 and calls["_recompute"] >= 10, calls
-    assert reads["in refresh"] == 0, reads
+    assert calls["feedback"] == calls["_link"] >= 190, calls
+    assert builds == {"_link": calls["feedback"]}, builds
 
 
 def test_a_column_every_member_stores_as_negative_zero_sums_as_the_dense_rows_do():
@@ -1101,7 +1106,7 @@ def test_a_column_every_member_stores_as_negative_zero_sums_as_the_dense_rows_do
     ids = sorted(pool.episodes)
     for members in (ids[:1], ids[:3], ids):  # a recompute, another, then an append
         refresh_to(pool, "p1", members)
-        rows = np.stack([pool.episode(m).embedding for m in members])
+        rows = np.stack([pool.episode(m).vector.dense() for m in members])
         assert np.signbit(rows[:, 4]).all() and (rows[:, 4] == 0).all()
         total = pool._folds["p1"].total
         assert total.tobytes() == rows.sum(axis=0).tobytes()
@@ -1111,6 +1116,47 @@ def test_a_column_every_member_stores_as_negative_zero_sums_as_the_dense_rows_do
         got = pool.patterns["p1"].centroid
         assert got.index.tolist() == want.index.tolist()
         assert got.value.tobytes() == want.value.tobytes()
+
+
+def test_a_column_whose_member_entries_cancel_leaves_no_centroid_entry(monkeypatch):
+    # Two members store +a and -a in column 0, which sums to +0.0: the one
+    # column that members store and the sum's non-zeros still leave out.
+    # The centroid lists no entry there, as SparseVector.of of the dense
+    # unit mean does not, whether a recompute or an append made the sum.
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(MemoryPool, name)
+
+        def run(self, *args):
+            calls[name] += 1
+            return inner(self, *args)
+        monkeypatch.setattr(MemoryPool, name, run)
+
+    counted("_append")
+    counted("_recompute")
+    pool = small_pool(REFRESH_DIM)
+    for eid, vec in (("e0", [0.6, 0.8, 0, 0, 0, 0]), ("e1", [-0.6, 0, 0.8, 0, 0, 0]),
+                     ("e2", [0, 0.6, 0.8, 0, 0, 0])):
+        pool.insert_episode(mk_episode(eid, np.array(vec)))
+    # p1 cancels on an append, p2 on a recompute and keeps it through an append
+    steps = [("p1", ["e0"], "_recompute"), ("p1", ["e0", "e1"], "_append"),
+             ("p2", ["e0", "e1"], "_recompute"), ("p2", ["e0", "e1", "e2"], "_append")]
+    for pid, members, path in steps:
+        before = calls[path]
+        refresh_to(pool, pid, members)
+        assert calls[path] == before + 1, (pid, members, calls)
+        rows = np.stack([pool.episode(m).vector.dense() for m in members])
+        total = pool._folds[pid].total
+        assert total.tobytes() == rows.sum(axis=0).tobytes()
+        mean = rows.mean(axis=0)
+        want = SparseVector.of(mean / np.linalg.norm(mean))
+        got = pool.patterns[pid].centroid
+        assert got.index.tolist() == want.index.tolist()
+        assert got.value.tobytes() == want.value.tobytes()
+        if "e1" in members:
+            assert total[0] == 0 and not np.signbit(total[0])
+            assert 0 not in got.index.tolist()
 
 
 def test_formation_compares_overlaps_once_per_touched_pattern(monkeypatch):
@@ -1131,9 +1177,9 @@ def test_formation_compares_overlaps_once_per_touched_pattern(monkeypatch):
         counter["n"] += 1
         return _inner(members)
 
-    def form(eid, now=None, _inner=pool.form_patterns_incremental):
+    def form(eid, _inner=pool.form_patterns_incremental):
         counter["n"] = 0
-        touched = _inner(eid, now)
+        touched = _inner(eid)
         seeds = pool._neighborhood(pool.episode(eid))
         calls.append((counter["n"], len(touched), len(seeds)))
         return touched
@@ -1219,7 +1265,7 @@ def test_snapshot_loaded_over_existing_ids_keeps_the_maps(tmp_path, rng):
     pool.save_pattern_snapshot(early)
     for i in range(4, 8):
         pool.insert_episode(mk_episode(f"e{i}", jitter_unit(rng, base, 0.02)))
-        pool.form_patterns_incremental(f"e{i}", now=NOW)
+        pool.form_patterns_incremental(f"e{i}")
     assert_maps_rebuild(pool)
     before = {pid: set(p.member_ids) for pid, p in pool.patterns.items()}
     pool.load_pattern_snapshot(early)
@@ -1294,7 +1340,7 @@ def test_insert_then_retrieve_is_top_hit(rng):
 def test_update_outcome_success_multiplier():
     pool = small_pool(8)
     pool.insert_episode(mk_episode("e1", unit(8), value=1.0))
-    pool.update_outcome("e1", Outcome.SUCCESS, success=True)
+    pool.update_outcome("e1", Outcome.SUCCESS)
     assert pool.episode("e1").memory_value == pytest.approx(1.1, abs=1e-12)
     assert (pool.episode("e1").trials, pool.episode("e1").successes) == (1, 1)
 
@@ -1302,13 +1348,13 @@ def test_update_outcome_success_multiplier():
 def test_update_outcome_failure_clamped_at_zero():
     pool = small_pool(8)
     pool.insert_episode(mk_episode("e1", unit(8), value=0.0))
-    pool.update_outcome("e1", Outcome.FAILURE, success=False)
+    pool.update_outcome("e1", Outcome.FAILURE)
     assert pool.episode("e1").memory_value == 0.0
 
 
 def test_update_outcome_unknown_id():
     with pytest.raises(NotFound):
-        small_pool(8).update_outcome("nope", Outcome.SUCCESS, success=True)
+        small_pool(8).update_outcome("nope", Outcome.SUCCESS)
 
 
 def test_update_outcome_refreshes_pattern_reliability():
@@ -1318,7 +1364,7 @@ def test_update_outcome_refreshes_pattern_reliability():
         pool.insert_episode(mk_episode(f"e{i}", v, outcome=Outcome.SUCCESS))
     (pid,) = pool.form_patterns(now=NOW)
     assert pool.patterns[pid].success_members == 3
-    pool.update_outcome("e1", Outcome.FAILURE, success=False)
+    pool.update_outcome("e1", Outcome.FAILURE)
     # recount oracle: member outcomes are now S, F, S
     want = sum(pool.episode(e).outcome is Outcome.SUCCESS for e in pool.patterns[pid].member_ids)
     assert pool.patterns[pid].success_members == want == 2
@@ -1346,7 +1392,7 @@ def test_reloaded_store_counts_evicted_members_as_the_live_pool_does(tmp_path):
         and not set(p.member_ids) <= set(live.episodes)
     )
     for pool in (live, loaded):
-        pool.update_outcome(member, Outcome.SUCCESS, success=True)
+        pool.update_outcome(member, Outcome.SUCCESS)
     assert {pid: p.success_members for pid, p in loaded.patterns.items()} == \
         {pid: p.success_members for pid, p in live.patterns.items()}
     assert 0 < live.patterns[pat.id].success_members <= len(pat.member_ids)
@@ -1439,7 +1485,7 @@ def test_episode_roundtrip(tmp_path, rng):
         assert other.outcome == ep.outcome
         assert other.resolution_path == ep.resolution_path
         assert (other.trials, other.successes) == (ep.trials, ep.successes)
-        np.testing.assert_allclose(other.embedding, ep.embedding, atol=1e-12)
+        np.testing.assert_allclose(other.vector.dense(), ep.vector.dense(), atol=1e-12)
 
 
 def test_load_rejects_bad_line(tmp_path):
@@ -1497,7 +1543,7 @@ def test_pattern_snapshot_roundtrip(tmp_path, rng):
     pool.save_pattern_snapshot(str(path))
     fresh = small_pool(16)
     for i in range(4):
-        fresh.insert_episode(mk_episode(f"e{i}", pool.episode(f"e{i}").embedding))
+        fresh.insert_episode(mk_episode(f"e{i}", pool.episode(f"e{i}").vector.dense()))
     fresh.load_pattern_snapshot(str(path))
     assert set(fresh.patterns) == set(pool.patterns)
     for pid, pat in pool.patterns.items():
@@ -1535,7 +1581,7 @@ def test_pattern_snapshot_ignores_retired_keys(tmp_path, rng):
     path.write_text(json.dumps(data))
     fresh = small_pool(16)
     for i in range(4):
-        fresh.insert_episode(mk_episode(f"e{i}", pool.episode(f"e{i}").embedding))
+        fresh.insert_episode(mk_episode(f"e{i}", pool.episode(f"e{i}").vector.dense()))
     assert fresh.load_pattern_snapshot(str(path)) == len(pool.patterns)
     q = mk_query(base)
     assert [(m.ref, m.score, m.confidence) for m in fresh.retrieve(q, W1, NOW).memories] == [
@@ -1557,7 +1603,7 @@ def _snapshot_with(tmp_path, rng, edit):
     path.write_text(json.dumps(edit(data)))
     fresh = small_pool(16)
     for i in range(4):
-        fresh.insert_episode(mk_episode(f"e{i}", pool.episode(f"e{i}").embedding))
+        fresh.insert_episode(mk_episode(f"e{i}", pool.episode(f"e{i}").vector.dense()))
     return fresh, path
 
 
@@ -1679,7 +1725,7 @@ def save_and_reload(pool, tmp_path):
 def assert_same_bits(fresh, pool):
     assert list(fresh.episodes) == list(pool.episodes)
     for eid, ep in pool.episodes.items():
-        assert fresh.episode(eid).embedding.tobytes() == ep.embedding.tobytes()
+        assert fresh.episode(eid).vector.dense().tobytes() == ep.vector.dense().tobytes()
     assert set(fresh.patterns) == set(pool.patterns)
     for pid, pat in pool.patterns.items():
         assert fresh.patterns[pid].centroid.dense().tobytes() == pat.centroid.dense().tobytes()
@@ -1709,7 +1755,7 @@ def test_store_roundtrip_keeps_negative_zero(tmp_path):
     pool = pool_of_vectors([vec], 16)
     fresh, memory, snapshot = save_and_reload(pool, tmp_path)
     assert_same_bits(fresh, pool)
-    assert np.signbit(fresh.episode("ep-000000").embedding[7])
+    assert np.signbit(fresh.episode("ep-000000").vector.dense()[7])
     stored = json.loads(memory.read_text())["embedding"]
     assert stored == {"dim": 16, "index": "03000000" "07000000" "0b000000",
                       "value": struct.pack("<3d", 0.6, -0.0, -0.8).hex()}
@@ -1951,7 +1997,7 @@ def pool_state(pool):
         "episodes": list(pool.episodes),
         "stamps": pool._stamps.tolist(),
         "index": (idx.n, idx.row.tobytes(), idx.col.tobytes(), idx.val.tobytes()),
-        "embeddings": [ep.embedding.tobytes() for ep in pool._rows],
+        "embeddings": [ep.vector.dense().tobytes() for ep in pool._rows],
         "fields": [repr((ep.id, ep.symptoms, sorted(ep.context), ep.actions, ep.outcome,
                          ep.timestamp, ep.memory_value, ep.resolution_path, ep.trials,
                          ep.successes)) for ep in pool._rows],
@@ -2381,10 +2427,10 @@ def test_a_load_builds_no_dense_embedding_until_one_is_read(tmp_path):
             tracemalloc.stop()
         assert retained < 2 ** 20
         ep = pool.episode("ep-000042")
-        first, second = ep.embedding, ep.embedding
+        first, second = ep.vector.dense(), ep.vector.dense()
         assert first is not second  # each read builds a fresh array, which nothing keeps
         assert first.tobytes() == second.tobytes()
-        assert first.tobytes() == reference.episode("ep-000042").embedding.tobytes()
+        assert first.tobytes() == reference.episode("ep-000042").vector.dense().tobytes()
         assert not any(dense_embeddings(e, 2048) for e in pool.episodes.values())
 
 
@@ -2525,7 +2571,7 @@ def test_a_loaded_store_saves_back_byte_for_byte(tmp_path):
     pool.save_episodes(str(second))
     for ep in pool.episodes.values():
         # each vector made afresh from the dense array it reads as
-        built.insert_episode(dataclasses.replace(ep, vector=SparseVector.of(ep.embedding)))
+        built.insert_episode(dataclasses.replace(ep, vector=SparseVector.of(ep.vector.dense())))
     built.save_episodes(str(dense))
     assert second.read_bytes() == dense.read_bytes()
     assert second.read_text().splitlines() == lines + [
@@ -2547,7 +2593,7 @@ def test_retrieval_matches_oracle_after_interleaving(rng):
         pool.form_patterns(now=NOW)
         victim = f"e{rng.integers(0, n):03d}"
         if victim in pool.episodes:
-            pool.update_outcome(victim, Outcome.FAILURE, success=False)
+            pool.update_outcome(victim, Outcome.FAILURE)
         q = mk_query(rand_unit(rng, 16))
         got = pool.retrieve(q, W1, NOW)
         want = scan_oracle(pool, q, W1, NOW, pool.config.retrieval_k)
