@@ -7,9 +7,11 @@ processes, which the rest of the engine relies on for reproducibility.  Any
 callable with the same signature can be swapped in.
 
 A hashing embedding has a handful of non-zeros (about 14 of 2048 for a
-query), so everything that keeps one holds it as a :class:`SparseVector`,
-and stores that score many of them against one query keep them as
-:class:`SparseRows`.
+query), so everything that keeps one (an episode, a pattern centroid, a
+graph label) holds it as a :class:`SparseVector`, made from the dense array
+by :meth:`SparseVector.of` and its one rule, :func:`nonzero_index`; stores
+that score many of them against one query keep them as :class:`SparseRows`.
+Wherever the package takes one vector's norm, it is :func:`_norm`.
 
 The cosine of a stored vector ``v`` with a dense query ``q`` is defined as
 the products ``v.value[i] * q[v.index[i]]`` added left to right in entry
@@ -24,6 +26,7 @@ support, in the same order, whichever of the two is the query.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
@@ -49,6 +52,15 @@ def _token_hash(token: str) -> int:
     return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a real 1-D vector, bit for bit: the same
+    ``sqrt(v.dot(v))`` without the wrapper's dispatch.  Like it, this reads
+    a strided vector through a contiguous copy, as ``dot`` may sum a
+    strided one in another order."""
+    v = v.ravel(order="K")
+    return math.sqrt(float(v.dot(v)))
+
+
 class HashingEmbedder:
     """Signed feature hashing over whitespace/punctuation-split tokens.
 
@@ -69,7 +81,7 @@ class HashingEmbedder:
             h = _token_hash(tok)
             sign = 1.0 if (h >> 63) & 1 else -1.0
             out[h % self.dim] += sign
-        norm = float(np.linalg.norm(out))
+        norm = _norm(out)
         if norm == 0.0:  # opposing tokens can cancel; keep a deterministic unit vector
             out[0] = 1.0
             norm = 1.0
@@ -118,13 +130,12 @@ class SparseRows:
     """Sparse vectors of one dimension as the rows of flat ``(row, col, val)``
     arrays, in row order.
 
-    Rows are appended at the end, replaced in place and deleted by
-    position; the rows after a deleted one move up by one.  Appends wait in
-    a list until the next :meth:`cosines`, :meth:`delete` or :meth:`extend`
-    adds them all with one concatenation, so appending N rows copies the
-    arrays once, not N times; :meth:`extend` adds rows already gathered into
-    flat arrays.  A replace writes over the row's entries when their count
-    is unchanged and copies the arrays once otherwise.
+    A row is written into the arrays when it is added: :meth:`append` adds
+    one, :meth:`extend` adds rows already gathered into flat arrays with one
+    concatenation, and the constructor concatenates its vectors once.  Rows
+    are replaced in place and deleted by position; the rows after a deleted
+    one move up by one.  A replace writes over the row's entries when their
+    count is unchanged and copies the arrays once otherwise.
     """
 
     def __init__(self, dim: int, vectors: Iterable[SparseVector] = ()) -> None:
@@ -133,23 +144,22 @@ class SparseRows:
         self.row = np.empty(0, dtype=np.intp)
         self.col = np.empty(0, dtype=np.intp)
         self.val = np.empty(0, dtype=np.float64)
-        self._pending = list(vectors)  # rows not in the arrays yet
-        self._flush()
+        vectors = list(vectors)
+        if vectors:  # every CLI call builds empty indexes; concatenate nothing for them
+            self._concat([v.index.size for v in vectors], (v.index for v in vectors),
+                         (v.value for v in vectors))
 
     def __len__(self) -> int:
-        return self.n + len(self._pending)
+        return self.n
 
     def append(self, vector: SparseVector) -> None:
         """Add a row holding ``vector``'s entries."""
-        self._pending.append(vector)
+        self._concat((vector.index.size,), (vector.index,), (vector.value,))
 
     def replace(self, r: int, vector: SparseVector) -> None:
         """Make row ``r`` hold ``vector``'s entries, as if built with it."""
-        if not 0 <= r < len(self):
-            raise IndexError(f"row {r} of {len(self)}")
-        if r >= self.n:
-            self._pending[r - self.n] = vector
-            return
+        if not 0 <= r < self.n:
+            raise IndexError(f"row {r} of {self.n}")
         a, b = np.searchsorted(self.row, (r, r + 1)).tolist()
         size = vector.index.size
         if size == b - a:
@@ -163,23 +173,14 @@ class SparseRows:
     def extend(self, sizes: Sequence[int], col: np.ndarray, val: np.ndarray) -> None:
         """Add ``len(sizes)`` rows with one concatenation: row ``i`` holds
         the next ``sizes[i]`` entries of ``col`` and ``val``."""
-        self._flush()
         self._concat(sizes, (col,), (val,))
 
     def delete(self, r: int) -> None:
-        self._flush()
         a, b = np.searchsorted(self.row, (r, r + 1)).tolist()
         self.row = np.concatenate((self.row[:a], self.row[b:] - 1))
         self.col = np.concatenate((self.col[:a], self.col[b:]))
         self.val = np.concatenate((self.val[:a], self.val[b:]))
         self.n -= 1
-
-    def _flush(self) -> None:
-        pending = self._pending
-        if pending:
-            self._pending = []
-            self._concat([v.index.size for v in pending], (v.index for v in pending),
-                         (v.value for v in pending))
 
     def _concat(self, sizes: Sequence[int], cols: Iterable[np.ndarray],
                 vals: Iterable[np.ndarray]) -> None:
@@ -194,7 +195,6 @@ class SparseRows:
         docstring): one ``np.bincount`` of the stored products, which adds
         each row's products in entry order to a ``+0.0``.  A row sharing no
         index with ``q`` is ``+0.0``."""
-        self._flush()
         q = np.asarray(q)
         if q.shape != (self.dim,):
             raise ValueError(f"query shape {q.shape} != row shape ({self.dim},)")

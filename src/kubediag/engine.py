@@ -136,9 +136,11 @@ class LearningReport:
 
 
 def _last_episode_seq(pool: MemoryPool) -> int:
-    """Highest ``ep-NNNNNN`` number among the pool's episodes and its patterns'
-    members (which may name evicted episodes), so new ids never collide."""
-    ids = set(pool.episodes).union(*(p.member_ids for p in pool.patterns.values()))
+    """Highest ``ep-NNNNNN`` number among the pool's episodes, the ids it
+    has evicted and its patterns' members (which may name episodes evicted
+    before a reload), so new ids never collide."""
+    ids = set(pool.episodes).union(pool._tombstones,
+                                   *(p.member_ids for p in pool.patterns.values()))
     return max((int(m[1]) for m in map(_EPISODE_ID.fullmatch, ids) if m), default=0)
 
 

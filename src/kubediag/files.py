@@ -26,11 +26,14 @@ def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
     The content goes to a temporary file in the target's directory, is synced,
     then renamed over the target, so a failure or a crash part way through
     leaves the previous file as it was.  On failure the temporary file is
-    removed.  Like ``open(path, "w")``, the replacement keeps an existing
-    file's permission bits, and a new file gets the permissions it would give.
+    removed.  Like ``open(path, "w")``, the replacement writes through a
+    symbolic link (the temporary file goes beside the link's target and
+    replaces the target, not the link), keeps an existing file's permission
+    bits, and a new file gets the permissions it would give.
     """
+    path = os.path.realpath(path)
     tmp = os.path.join(
-        os.path.dirname(os.path.abspath(path)),
+        os.path.dirname(path),
         f".{os.path.basename(path)}.{os.urandom(4).hex()}.tmp",
     )
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

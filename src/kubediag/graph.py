@@ -7,11 +7,12 @@ rule-based keyword classifier before their triples enter the graph.  Search is
 best-first over simple paths from query-matched seed nodes, ranked by a blend
 of memory prior, edge strength and per-path node freshness.
 
-Seeding scans no dense vector.  Each node's label embedding is kept as a
-:class:`~kubediag.embedding.SparseVector` (a hashing label has about 3
-non-zeros of 2048), and one :class:`~kubediag.embedding.SparseRows` over all
-of them gives every node's cosine with the query, as
-:mod:`kubediag.embedding` defines it, in one product.  A label is embedded
+Seeding scans no dense vector.  Each node's label embedding is kept, as
+every stored vector is, by :meth:`~kubediag.embedding.SparseVector.of` (a
+hashing label has about 3 non-zeros of 2048), and one
+:class:`~kubediag.embedding.SparseRows` over all of them gives every node's
+cosine with the query, as :mod:`kubediag.embedding` defines it, in one
+product.  A label is embedded
 once and re-embedded only when it changes.
 
 Each edge is stored once, in its source's out-edge tuple, which is kept
@@ -47,7 +48,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .embedding import Embedder, SparseRows, SparseVector, nonzero_index
+from .embedding import Embedder, SparseRows, SparseVector
 from .errors import (
     ClassificationError,
     InvalidArgument,
@@ -56,9 +57,6 @@ from .errors import (
     SchemaViolation,
 )
 from .files import as_number, as_string, check_fields, short_repr, write_atomic
-
-# labels embedded per stacked block on the first index build
-_EMBED_CHUNK = 256
 
 
 class NodeType(str, Enum):
@@ -458,20 +456,15 @@ class KnowledgeGraph:
         return [(rel, dst, e.weight) for _, dst, rel, _, _, e in self._out.get(src, ())]
 
     def _build_label_index(self, embedder: Embedder) -> _LabelIndex:
-        """Embed the labels not yet embedded, then flatten every node's entries."""
-        missing = [nid for nid in self.nodes if nid not in self._label_vecs]
-        dim = embedder.dim
-        for start in range(0, len(missing), _EMBED_CHUNK):
-            part = missing[start:start + _EMBED_CHUNK]
-            dense = np.array([embedder.embed(self.nodes[nid].label or nid) for nid in part])
-            dim = dense.shape[1]
-            flat = nonzero_index(dense.ravel())
-            rows, cols = np.divmod(flat, dim)
-            vals = dense.ravel()[flat]
-            bounds = np.searchsorted(rows, np.arange(len(part) + 1)).tolist()
-            self._label_vecs.update(zip(part, SparseVector.split(dim, cols, vals, bounds)))
+        """Embed each label not yet embedded and keep it as
+        :meth:`SparseVector.of` keeps every vector, then put every node's
+        entries, in node order, into one :class:`SparseRows`."""
+        vecs = self._label_vecs
+        for nid, node in self.nodes.items():
+            if nid not in vecs:
+                vecs[nid] = SparseVector.of(embedder.embed(node.label or nid))
         ids = list(self.nodes)
-        return _LabelIndex(ids, SparseRows(dim, map(self._label_vecs.__getitem__, ids)))
+        return _LabelIndex(ids, SparseRows(embedder.dim, map(vecs.__getitem__, ids)))
 
     def seed_nodes(self, q_embedding: np.ndarray, embedder: Embedder,
                    threshold: float = 0.5) -> list[str]:

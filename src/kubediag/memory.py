@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import DEFAULT_DIM, Embedder, SparseRows, SparseVector
+from .embedding import DEFAULT_DIM, Embedder, SparseRows, SparseVector, _norm, nonzero_index
 from .errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound
 from .files import check_fields
 from .text import tokenize
@@ -253,15 +253,6 @@ def _sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
-
-
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)`` of a real 1-D vector, bit for bit: the same
-    ``sqrt(v.dot(v))`` without the wrapper's dispatch.  Like it, this reads
-    a strided vector through a contiguous copy, as ``dot`` may sum a
-    strided one in another order."""
-    v = v.ravel(order="K")
-    return math.sqrt(float(v.dot(v)))
 
 
 def raw_score(sim: float, ts: float, now: float, cfg: MemoryConfig) -> float:
@@ -679,7 +670,7 @@ class MemoryPool:
             return None
         support = np.flatnonzero(total)
         unit = centroid[support] / norm
-        keep = np.signbit(unit) | (unit != 0)
+        keep = nonzero_index(unit)
         return SparseVector(total.size, support[keep], unit[keep])
 
     def _recompute(self, pat: Pattern) -> None:

@@ -33,10 +33,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .embedding import SparseVector, nonzero_index
+from .embedding import SparseVector, _norm, nonzero_index
 from .errors import InvalidArgument, SchemaViolation
 from .files import as_count, as_number, as_string, as_strings, short_repr, write_atomic
-from .memory import Episode, MemoryConfig, Outcome, Pattern, _norm
+from .memory import Episode, MemoryConfig, Outcome, Pattern
 
 
 # (episodes, entries per episode, flat indices, flat values) of a loaded file

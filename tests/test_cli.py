@@ -147,6 +147,22 @@ def test_learn_survives_an_insert_that_evicts_the_new_episode(runner, stores):
     assert pool.episode("e1").memory_value == pytest.approx(1.1)
 
 
+def test_learn_survives_a_load_that_evicts_to_a_lower_capacity(runner, stores):
+    # two episodes form no pattern, so only the pool remembers the id that
+    # the load at capacity 1 evicts (ep-000002); the next id must pass it
+    stores["memory"] = str(stores["dir"] / "fresh.jsonl")
+    learn = seeded_diagnose_args(stores, "--feedback", "success", "--learn")
+    for _ in range(2):
+        assert runner.invoke(main, learn).exit_code == 0
+    config = stores["dir"] / "cap1.json"
+    config.write_text(json.dumps({"memory": {"capacity": 1}}))
+    result = runner.invoke(main, [*learn, "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "recorded    success as ep-000003 (evicted: store at capacity)" in result.output
+    result = runner.invoke(main, [*learn, "--config", str(config)])
+    assert result.exit_code == 0, result.output
+
+
 STORE_LOADERS = {
     "memory": lambda path: MemoryPool(MemoryConfig()).load_episodes(path),
     "snapshot": lambda path: MemoryPool(MemoryConfig()).load_pattern_snapshot(path),

@@ -178,19 +178,31 @@ def test_sparse_rows_replace_gives_the_rows_built_with_the_new_vector(r, size):
     assert_rows_as_built(rows, vectors)
 
 
-def test_sparse_rows_replace_while_appends_are_pending():
+def test_sparse_rows_writes_a_row_when_it_is_appended():
+    vectors = some_vectors(4, seed=3) + [EMPTY_8]
+    rows = SparseRows(8)
+    for n in range(1, len(vectors) + 1):
+        rows.append(vectors[n - 1])
+        fresh = SparseRows(8, vectors[:n])
+        assert rows.n == len(rows) == n
+        for name in ("row", "col", "val"):  # before any cosines call
+            got, want = getattr(rows, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_sparse_rows_replace_between_appends():
     vectors = some_vectors(6, seed=1)
     rows = SparseRows(8, vectors[:3])
     rows.append(vectors[3])
     rows.append(vectors[4])
     new = some_vectors(3, seed=2)
-    rows.replace(4, new[0])  # a pending row
-    rows.replace(1, new[1])  # a row in the arrays, appends still pending
+    rows.replace(4, new[0])  # an appended row
+    rows.replace(1, new[1])  # a row the constructor wrote
     rows.append(vectors[5])
     rows.replace(5, EMPTY_8)
     vectors[4], vectors[1], vectors[5] = new[0], new[1], EMPTY_8
     assert_rows_as_built(rows, vectors)
-    rows.replace(0, new[2])  # after the flush
+    rows.replace(0, new[2])
     vectors[0] = new[2]
     assert_rows_as_built(rows, vectors)
 

@@ -95,6 +95,26 @@ def test_save_keeps_an_existing_files_permissions(tmp_path, rng, store):
     assert sorted(os.listdir(tmp_path)) == sorted([f"{store}.json", "plain"])
 
 
+@pytest.mark.parametrize("store", sorted(STORES))
+def test_save_writes_through_a_symbolic_link(tmp_path, rng, store):
+    # as open(path, "w") does: the link stays a link, its target gets the
+    # new content and keeps its permission bits
+    build, save, _, load = STORES[store]
+    (tmp_path / "real").mkdir()
+    target, link = tmp_path / "real" / f"{store}.json", tmp_path / "link.json"
+    target.write_text("old")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    obj = build(rng)
+    save(obj, str(link))
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    load(str(link))
+    save(obj, str(tmp_path / "plain.json"))
+    assert target.read_bytes() == (tmp_path / "plain.json").read_bytes()
+    assert os.listdir(tmp_path / "real") == [f"{store}.json"]
+
+
 def test_write_atomic_creates_and_replaces(tmp_path):
     path = tmp_path / "store.json"
     write_atomic(str(path), lambda fh: fh.write("one\n"))

@@ -776,7 +776,6 @@ def assert_pattern_index_rebuilds(pool, q):
     fresh index's, bit for bit."""
     fresh = SparseRows(pool.config.embedding_dim, [p.centroid for p in pool.patterns.values()])
     index = pool._pattern_index
-    index.cosines(q)  # adds the pending rows to the arrays
     assert len(index) == len(fresh)
     for name in ("row", "col", "val"):
         got, want = getattr(index, name), getattr(fresh, name)
@@ -1991,7 +1990,6 @@ def test_load_rejects_impossible_counts_and_values(tmp_path, bad):
 def pool_state(pool):
     """Everything a load writes: episodes, index rows, tombstones, neighbours."""
     idx = pool._index
-    idx._flush()
     return {
         "rows": [ep.id for ep in pool._rows],
         "episodes": list(pool.episodes),
