@@ -187,13 +187,13 @@ def diagnose(symptoms, contexts, logs_path, memory_path, graph_path, controller_
         )
         session = engine.diagnose(query)
 
+        trace = session.to_trace() if trace_path or as_json else None
         if trace_path:
             Path(trace_path).write_text(
-                json.dumps(session.to_trace(), sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
+                json.dumps(trace, sort_keys=True, indent=2) + "\n", encoding="utf-8",
             )
         if as_json:
-            _echo(json.dumps(session.to_trace(), sort_keys=True))
+            _echo(json.dumps(trace, sort_keys=True))
         else:
             sol = session.solution
             _echo(f"pathway     {session.decision.pathway.value}")
@@ -301,7 +301,9 @@ def ingest(inputs, graph_path, docs_out, as_json) -> None:
                         raw = json.loads(line)
                         doc_id = as_string(raw["id"], "id")
                         text = as_string(raw["text"], "text")
-                        triples = list(raw.get("triples", []))
+                        triples = raw.get("triples", [])
+                        if not isinstance(triples, list):  # list() reads "" or {} as no triples
+                            raise TypeError(f"triples {short_repr(triples)} is not a list")
                     except (ValueError, KeyError, TypeError, RecursionError) as exc:
                         failures += 1
                         _echo(f"skipped {p.name}:{line_no}: {exc}", err=True)

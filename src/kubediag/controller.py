@@ -11,10 +11,10 @@ controller, built from the history at the first step of either kind: two
 sorted lists of ``c_max``, which the threshold step bisects instead of
 scanning the history, and each record's weight-independent fit constants, in
 history order, so a weight step costs one weighted product and four sums per
-record.  :meth:`MetaController.record` is the only writer of the history,
-which the controller holds privately and shows as a read-only
-:class:`History`, and, once it is built, of the derived state, so the two
-stay in step.
+record.  :meth:`MetaController.record` is the only writer of a built
+controller's history, which the controller holds privately and shows as a
+read-only :class:`History`, and, once it exists, of the derived state, so
+the two stay in step.
 """
 
 from __future__ import annotations
@@ -330,10 +330,14 @@ class MetaController:
                 factor_weights=tuple(as_number(w, "factor weight") for w in weights),
                 opt=opt,
             )
-            state.history.extend(_records_from_json(payload["history"]))
-            return cls(state)
+            records = _records_from_json(payload["history"])
+            controller = cls(state)
         except (KeyError, TypeError, ValueError, RecursionError, InvalidArgument) as exc:
             raise SchemaViolation(f"bad controller checkpoint: {exc}") from exc
+        # the records go into the controller's own history, not through a
+        # copy; it has not stepped, so there is no derived state to move
+        controller._history.extend(records)
+        return controller
 
 
 def _remove(values: list[float], x: float) -> None:

@@ -181,7 +181,9 @@ class Engine:
         self.memory_enabled = memory_enabled
         self.sessions: dict[str, DiagnosisSession] = {}
         self._session_seq = 0
-        self._episode_seq = _last_episode_seq(self.pool)
+        # the last ep-NNNNNN number used, scanned for at the first feedback
+        # that writes memory, which a read-only diagnosis never makes
+        self._episode_seq: int | None = None
 
     # -- diagnosis ----------------------------------------------------------
 
@@ -349,7 +351,10 @@ class Engine:
             # other sources are chain cards
             retrieved = {m.ref: m.memory for m in session.retrieval.memories}
             cited = [retrieved[ref] for ref in session.solution.sources if ref in retrieved]
-            episode_id = f"ep-{self._episode_seq + 1:06d}"
+            seq = self._episode_seq
+            if seq is None:
+                seq = _last_episode_seq(self.pool)
+            episode_id = f"ep-{seq + 1:06d}"
             episode = Episode(
                 id=episode_id,
                 symptoms=list(session.query.symptoms),
@@ -367,7 +372,7 @@ class Engine:
             )
             # checks the episode before it changes anything
             self.pool.insert_episode(episode)
-            self._episode_seq += 1
+            self._episode_seq = seq + 1
         session.query_embedding = None
 
         if self.memory_enabled:

@@ -56,7 +56,7 @@ from .errors import (
     NotFound,
     SchemaViolation,
 )
-from .files import as_number, as_string, check_fields, short_repr, write_atomic
+from .files import as_number, as_string, check_fields, is_finite, short_repr, write_atomic
 
 
 class NodeType(str, Enum):
@@ -96,6 +96,10 @@ class Category(str, Enum):
 
 
 _CATEGORY_VALUES = (None, *(c.value for c in Category))  # a node's JSON category
+# each enum's members by JSON value, which a loaded graph looks up
+_NODE_TYPES = {t.value: t for t in NodeType}
+_RELATIONS = {r.value: r for r in Relation}
+_CATEGORIES = {c.value: c for c in Category}
 
 #: Six fault categories (everything except general explanations).
 FAULT_CATEGORIES = (
@@ -288,13 +292,14 @@ def checked_field(raw: dict, key: str, owner: str, default: object = None) -> st
         raise SchemaViolation(f"{owner}: {exc}") from None
 
 
-def _member(enum: type[Enum], raw: dict, key: str, owner: str) -> Enum:
-    """The member of ``enum`` named by ``raw[key]``, a JSON field of ``owner``."""
-    try:
-        return enum(raw[key])
-    except ValueError:
-        pass
-    raise SchemaViolation(f"{owner}: {key} {short_repr(raw[key])} is not a {enum.__name__}")
+def _bad(owner: str, key: str, value: object, want: str) -> SchemaViolation:
+    """The error for field ``key`` of record ``owner`` holding ``value``,
+    which is not ``want``."""
+    return SchemaViolation(f"{owner}: {key} {short_repr(value)} is not {want}")
+
+
+def _edge_name(src: str, relation: object, dst: str) -> str:
+    return f"edge {src!r} -{relation}-> {dst!r}"
 
 
 # an adjacency item: (relation value, dst, relation, log weight, dst is a
@@ -508,36 +513,53 @@ class KnowledgeGraph:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "KnowledgeGraph":
+        """The graph of a :meth:`to_dict` payload, each record checked once,
+        in order; a repeated node is merged by :meth:`upsert_node`, and a
+        repeated edge keeps its largest weight.  A record's name is built
+        only for the message of a check it fails."""
         g = cls()
+        nodes = g.nodes
         try:
             for raw in payload["nodes"]:
-                name = f"node {as_string(raw['id'], 'node id')!r}"
+                nid = as_string(raw["id"], "node id")
                 # checked, not coerced: dict() reads [["k", "v"]] as an object,
                 # and a test of truth reads false, 0 and "" as no category
                 attributes, category = raw.get("attributes", {}), raw.get("category")
                 if not isinstance(attributes, dict):
-                    raise SchemaViolation(f"{name}: attributes {short_repr(attributes)}"
-                                          " is not an object")
+                    raise _bad(f"node {nid!r}", "attributes", attributes, "an object")
                 if category not in _CATEGORY_VALUES:  # a tuple: a list is compared, not hashed
-                    raise SchemaViolation(f"{name}: category {short_repr(category)}"
-                                          " is not null or a category")
-                g.upsert_node(GraphNode(raw["id"], _member(NodeType, raw, "node_type", name),
-                                        checked_field(raw, "label", name, ""), dict(attributes),
-                                        Category(category) if category else None))
+                    raise _bad(f"node {nid!r}", "category", category, "null or a category")
+                value = raw["node_type"]
+                node_type = _NODE_TYPES.get(value) if isinstance(value, str) else None
+                if node_type is None:
+                    raise _bad(f"node {nid!r}", "node_type", value, "a NodeType")
+                label = raw.get("label", "")
+                if not isinstance(label, str):
+                    raise _bad(f"node {nid!r}", "label", label, "a string")
+                g.upsert_node(GraphNode(nid, node_type, label, dict(attributes),
+                                        _CATEGORIES.get(category)))
             for raw in payload["edges"]:
-                ends = as_string(raw["src"], "edge src"), as_string(raw["dst"], "edge dst")
-                name = f"edge {ends[0]!r} -{raw['relation']}-> {ends[1]!r}"
-                relation = _member(Relation, raw, "relation", name)
-                for end, nid in zip(("src", "dst"), ends):
-                    if nid not in g.nodes:
-                        raise SchemaViolation(f"{name}: {end} {nid!r} is not a node")
-                src, dst = g.nodes[ends[0]], g.nodes[ends[1]]
-                edge = GraphEdge(src.id, dst.id, relation, checked_field(raw, "weight", name))
+                src, dst = as_string(raw["src"], "edge src"), as_string(raw["dst"], "edge dst")
+                value = raw["relation"]
+                relation = _RELATIONS.get(value) if isinstance(value, str) else None
+                if relation is None:
+                    raise _bad(_edge_name(src, value, dst), "relation", value, "a Relation")
+                if src not in nodes or dst not in nodes:
+                    end, nid = ("src", src) if src not in nodes else ("dst", dst)
+                    raise SchemaViolation(f"{_edge_name(src, value, dst)}: {end} {nid!r}"
+                                          " is not a node")
+                weight = raw["weight"]
+                if not is_finite(weight):
+                    raise _bad(_edge_name(src, value, dst), "weight", weight, "a finite number")
+                edge = GraphEdge(src, dst, relation, float(weight))
                 try:
                     edge.validate()
                 except InvalidArgument as exc:
-                    raise SchemaViolation(f"{name}: {exc}") from exc
-                g.add_triple(src, edge, dst)
+                    raise SchemaViolation(f"{_edge_name(src, value, dst)}: {exc}") from exc
+                out = g._out.get(src, ())
+                i, prior = _find(out, value, dst)
+                if prior is None or edge.weight > prior.weight:
+                    g._store(out, i, prior is not None, edge)
         except (KeyError, TypeError) as exc:
             raise SchemaViolation(f"bad graph payload: {exc}") from exc
         return g

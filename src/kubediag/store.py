@@ -10,16 +10,23 @@ The older forms still load: a sparse ``index``/``value`` pair of JSON lists,
 and a dense JSON list; the next save rewrites them packed.  Every save
 replaces its file atomically.
 
-An episode file is decoded line by line, each older vector turned packed,
-then checked a column at a time over every line at once: C-level passes
-over the fields, and one ``bytes.fromhex`` per vector column over the
-joined hex of every line, read by ``np.frombuffer`` into the one flat array
-the pool's index takes; each loaded episode's
-:class:`~kubediag.embedding.SparseVector` is a slice of it, so a load builds
-no dense array.  A ``+0.0`` entry that a line lists is dropped, as no vector
-holds one.  Only a failed check decodes the lines again, one at a time, to
-name the first bad one.  A snapshot's centroids load the same way, each as
-the :class:`~kubediag.embedding.SparseVector` it decodes to.
+An episode file is decoded line by line by the C scanner that ``json.loads``
+runs, without its Python wrapper: each line, less JSON whitespace, must be
+one value that the scan takes whole, so a line is accepted exactly when
+``json.loads`` accepts it.  Each older vector is turned packed, then the
+lines are checked a column at a time: C-level passes over the fields, and
+:func:`_vector_columns`, which decodes each vector column with one
+``bytes.fromhex`` over the joined hex of every line, read by
+``np.frombuffer`` into the one flat array the pool's index takes; each
+loaded episode's :class:`~kubediag.embedding.SparseVector` is a slice of
+it, so a load builds no dense array.  A ``+0.0`` entry that a line lists is
+dropped, as no vector holds one.  Only a failed check decodes the lines
+again, one at a time with ``json.loads``, to name the first bad one.
+
+A snapshot is checked the same way, a column at a time over every pattern,
+its centroids through :func:`_vector_columns`.  Only a failed check, or a
+centroid in an older form, reads the patterns one at a time, which names
+the first bad one.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ import json
 import math
 import operator
 from itertools import accumulate, chain, repeat
-from typing import Callable, Iterable
+from json.scanner import make_scanner
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,11 +49,18 @@ from .memory import Episode, MemoryConfig, Outcome, Pattern
 
 # (episodes, entries per episode, flat indices, flat values) of a loaded file
 _Loaded = tuple[list[Episode], list[int], np.ndarray, np.ndarray]
+# (entries per vector, and each entry's vector, index and value, flat; the vectors)
+_Columns = tuple[list[int], np.ndarray, np.ndarray, np.ndarray, list[SparseVector]]
 
 _EPISODE_KEYS = operator.itemgetter("id", "symptoms", "context", "actions", "outcome",
                                     "timestamp", "memory_value", "embedding", "resolution_path")
 _VECTOR_KEYS = operator.itemgetter("dim", "index", "value")
+_PATTERN_KEYS = operator.itemgetter("id", "centroid", "strategy", "member_ids", "last_updated")
+_STRATEGY_KEYS = operator.itemgetter("actions", "resolution_path", "source_episode_id")
 _OUTCOMES = {o.value: o for o in Outcome}
+# the C scanner that json.loads runs, and the whitespace it skips around a value
+_SCAN = make_scanner(json.JSONDecoder())
+_JSON_SPACE = " \t\n\r"
 
 
 def write_episodes(path: str, episodes: Iterable[Episode]) -> None:
@@ -80,15 +95,23 @@ def _read_columns(lines: list[str], dim: int) -> _Loaded | None:
     """The episodes of ``lines`` and their sparse entries, flat, if every
     line passes every check (a check that cannot run fails), else None."""
     try:
-        raws = list(map(json.loads, filter(str.strip, lines)))
-        if not raws:
+        texts = list(map(str.strip, filter(str.strip, lines), repeat(_JSON_SPACE)))
+        if not texts:
             return [], [], np.empty(0, np.intp), np.empty(0)
+        # json.loads of each line, less its Python wrapper: the scan must
+        # take the whole line.  The scanner signals no value (a BOM, say)
+        # with StopIteration, which ends the map early, leaving fewer ends.
+        scans = list(map(_SCAN, texts, repeat(0)))
+        raws, ends = zip(*scans)
+        if list(ends) != list(map(len, texts)):
+            return None
         ids, symptoms, context, actions, outcome, stamps, values, vectors, paths = zip(
             *map(_EPISODE_KEYS, raws))
         trials = list(map(dict.get, raws, repeat("trials"), repeat(0)))
         successes = list(map(dict.get, raws, repeat("successes"), repeat(0)))
-        dims, index, value = zip(*map(_VECTOR_KEYS, map(_as_packed, vectors, repeat(dim))))
-        chars = list(map(len, index))
+        if not (set(map(type, vectors)) == {dict}
+                and set(map(type, map(dict.get, vectors, repeat("index")))) == {str}):
+            vectors = list(map(_as_packed, vectors, repeat(dim)))
         strings, numbers = symptoms + context + actions + paths, stamps + values
         if not (set(map(type, ids)) == {str} and all(ids) and len(set(ids)) == len(ids)
                 and set(map(type, strings)) == {list}
@@ -97,33 +120,18 @@ def _read_columns(lines: list[str], dim: int) -> _Loaded | None:
                 and set(map(type, numbers)) <= {int, float}
                 and all(map(math.isfinite, numbers)) and min(numbers) >= 0
                 and set(map(type, trials + successes)) == {int}
-                and min(successes) >= 0 and all(map(operator.le, successes, trials))
-                and set(map(type, dims)) == {int} and set(dims) == {dim}
-                and set(map(type, index + value)) == {str}
-                and not any(c % 8 for c in chars)
-                and list(map(len, value)) == [2 * c for c in chars]):
+                and min(successes) >= 0 and all(map(operator.le, successes, trials))):
             return None
-        # each line holds whole entries, so joined, no entry spans two lines
-        col = _unhex("".join(index), "index")
-        val = _unhex("".join(value), "value")
+        # the decoded lines die here, not after the episodes are built: the
+        # collector runs on the count of live containers, and holding them
+        # costs a diagnose call one more collection
+        del scans, raws
+        columns = _vector_columns(vectors, dim)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         return None
-    sizes = [c // 8 for c in chars]
-    # the decoded lines die here, not after the episodes are built: the
-    # collector runs on the count of live containers, and holding them
-    # costs a diagnose call one more collection
-    del raws, vectors, index, value
-    rows = np.repeat(np.arange(len(ids)), sizes)
-    # each row's indices increase within [0, dim) iff the flat keys
-    # row * dim + col increase
-    if col.size and not (col.min() >= 0 and col.max() < dim
-                         and (np.diff(rows * dim + col) > 0).all()):
+    if columns is None:
         return None
-    keep = nonzero_index(val)
-    if keep.size < val.size:
-        rows, col, val = rows[keep], col[keep], val[keep]
-        sizes = np.bincount(rows, minlength=len(ids)).tolist()
-    vectors = SparseVector.split(dim, col, val, [0, *accumulate(sizes)])
+    sizes, rows, col, val, vectors = columns
     eps = list(map(Episode, ids, symptoms, map(set, context), actions,
                    map(_OUTCOMES.__getitem__, outcome), map(float, stamps),
                    map(float, values), vectors, paths, trials, successes))
@@ -133,6 +141,39 @@ def _read_columns(lines: list[str], dim: int) -> _Loaded | None:
     except InvalidArgument:
         return None
     return eps, sizes, col, val
+
+
+def _vector_columns(vectors: Sequence[dict], dim: int) -> _Columns | None:
+    """The packed ``vectors``, one per row, as sparse entries, if every one
+    passes every check of :func:`_vector_from_json`, else None or, for a
+    check that cannot run, ``KeyError``, ``TypeError`` or ``ValueError``.
+    C-level passes check their ``dim``s and hex lengths, one
+    ``bytes.fromhex`` per column decodes the joined hex of every row, and
+    one pass checks every row's index range and order.  A ``+0.0`` entry
+    that a row lists is dropped, as no stored vector holds one."""
+    dims, index, value = zip(*map(_VECTOR_KEYS, vectors))
+    if not (set(map(type, dims)) == {int} and set(dims) == {dim}
+            and set(map(type, index + value)) == {str}):
+        return None
+    chars = list(map(len, index))
+    if (any(map(operator.mod, chars, repeat(8)))
+            or list(map(len, value)) != list(map(operator.mul, chars, repeat(2)))):
+        return None
+    # each row holds whole entries, so joined, no entry spans two rows
+    col = _unhex("".join(index), "index")
+    val = _unhex("".join(value), "value")
+    sizes = list(map(operator.floordiv, chars, repeat(8)))
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    # each row's indices increase within [0, dim) iff the flat keys
+    # row * dim + col increase
+    if col.size and not (col.min() >= 0 and col.max() < dim
+                         and (np.diff(rows * dim + col) > 0).all()):
+        return None
+    keep = nonzero_index(val)
+    if keep.size < val.size:
+        rows, col, val = rows[keep], col[keep], val[keep]
+        sizes = np.bincount(rows, minlength=len(sizes)).tolist()
+    return sizes, rows, col, val, SparseVector.split(dim, col, val, [0, *accumulate(sizes)])
 
 
 def _first_bad_line(lines: list[str], dim: int, check_unused: Callable[[str], None]) -> None:
@@ -158,11 +199,12 @@ def _first_bad_line(lines: list[str], dim: int, check_unused: Callable[[str], No
 
 
 def _unsure_norms(rows: np.ndarray, val: np.ndarray, n: int, dim: int) -> list[int]:
-    """The rows among ``n`` whose norm :meth:`Episode._check_norm` must
-    check, given every stored entry's row and value: one ``np.bincount`` of
-    the squared values gives every norm, summed in another order than the
-    ``np.dot`` of an episode's stored values that the check takes, and only
-    the norms too near the tolerance or beyond it, NaN included, are left."""
+    """The rows among ``n`` whose unit-norm check (an episode's
+    :meth:`Episode._check_norm`, or a centroid's) must run, given every
+    stored entry's row and value: one ``np.bincount`` of the squared values
+    gives every norm, summed in another order than the ``np.dot`` of a
+    row's stored values that the check takes, and only the norms too near
+    the tolerance or beyond it, NaN included, are left."""
     norms = np.sqrt(np.bincount(rows, val * val, n))
     # two summation orders of at most dim squares differ by under
     # dim * eps of a unit norm, so a norm passing this passes exactly
@@ -218,25 +260,70 @@ def write_patterns(path: str, patterns: dict[str, Pattern], config: MemoryConfig
 
 def read_patterns(path: str, dim: int) -> tuple[list[Pattern], int]:
     """The patterns of a snapshot in file order, and the largest ``pat-`` id
-    number among them (0 if none).  A malformed file raises SchemaViolation."""
+    number among them (0 if none).  A malformed file raises SchemaViolation.
+    The patterns are checked a column at a time (:func:`_pattern_columns`);
+    only a failed check, or a centroid in an older form, reads them one at a
+    time, to name the first bad one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict) or not isinstance(payload["patterns"], list):
             raise TypeError("payload must be an object with a 'patterns' list")
-        loaded = [_pattern_from_dict(raw, dim) for raw in payload["patterns"]]
-        seq = 0
-        for pat in loaded:
-            norm = _norm(pat.centroid.value)
-            if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
-                raise ValueError(f"{pat.id}: centroid norm {norm:.8f} != 1")
-            if not 0 <= pat.success_members <= len(pat.member_ids):
-                raise ValueError(f"{pat.id}: success_members {pat.success_members} "
-                                 f"outside [0, {len(pat.member_ids)}]")
-            if pat.id.startswith("pat-"):
-                seq = max(seq, int(pat.id.rsplit("-", 1)[-1]))
+        return (_pattern_columns(payload["patterns"], dim)
+                or _pattern_rows(payload["patterns"], dim))
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise SchemaViolation(f"bad pattern snapshot: {exc}") from exc
+
+
+def _pattern_columns(raws: list, dim: int) -> tuple[list[Pattern], int] | None:
+    """What :func:`_pattern_rows` returns for ``raws``, if every pattern
+    passes every check and its centroid is packed, else None: C-level
+    passes over each field, the centroids through :func:`_vector_columns`."""
+    if not raws:
+        return [], 0
+    try:
+        ids, centroids, strategies, members, stamps = zip(*map(_PATTERN_KEYS, raws))
+        actions, paths, sources = zip(*map(_STRATEGY_KEYS, strategies))
+        labels = tuple(map(dict.get, raws, repeat("context_labels"), repeat([])))
+        wins = list(map(dict.get, raws, repeat("success_members"), repeat(0)))
+        lists = actions + paths + members + labels
+        if not (set(map(type, ids + sources)) == {str}
+                and set(map(type, lists)) == {list}
+                and set(map(type, chain.from_iterable(lists))) <= {str}
+                and set(map(type, stamps)) <= {int, float} and all(map(math.isfinite, stamps))
+                and set(map(type, wins)) == {int}):
+            return None
+        member_sets = list(map(set, members))
+        if not (min(wins) >= 0 and all(map(operator.le, wins, map(len, member_sets)))):
+            return None
+        seq = max([0] + [int(i.rsplit("-", 1)[-1]) for i in ids if i.startswith("pat-")])
+        columns = _vector_columns(centroids, dim)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if columns is None:
+        return None
+    _, rows, _, val, vectors = columns
+    for r in _unsure_norms(rows, val, len(ids), dim):
+        if not abs(_norm(vectors[r].value) - 1.0) <= 1e-6:  # NaN fails too
+            return None
+    return list(map(Pattern, ids, vectors, actions, paths, sources, member_sets,
+                    map(float, stamps), map(frozenset, labels), wins)), seq
+
+
+def _pattern_rows(raws: list, dim: int) -> tuple[list[Pattern], int]:
+    """The patterns of ``raws`` and the largest ``pat-`` id number among
+    them, read one at a time; raises for the first bad one."""
+    loaded = [_pattern_from_dict(raw, dim) for raw in raws]
+    seq = 0
+    for pat in loaded:
+        norm = _norm(pat.centroid.value)
+        if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
+            raise ValueError(f"{pat.id}: centroid norm {norm:.8f} != 1")
+        if not 0 <= pat.success_members <= len(pat.member_ids):
+            raise ValueError(f"{pat.id}: success_members {pat.success_members} "
+                             f"outside [0, {len(pat.member_ids)}]")
+        if pat.id.startswith("pat-"):
+            seq = max(seq, int(pat.id.rsplit("-", 1)[-1]))
     return loaded, seq
 
 

@@ -543,6 +543,11 @@ UNREADABLE_INPUTS = {
     "jsonl-not-utf8": ("docs.jsonl", b'{"id": "d", "text": "dns \xff failed"}\n'),
     "jsonl-line-too-deep": ("docs.jsonl", DEEP_JSON + b"\n"),
     "jsonl-triples-not-a-list": ("docs.jsonl", b'{"id": "d", "text": "dns", "triples": 5}\n'),
+    # read with list(), "" loaded as a document without triples, and an
+    # object as its keys, which failed naming the document, not the line
+    "jsonl-triples-empty-string": ("docs.jsonl", b'{"id": "d", "text": "dns", "triples": ""}\n'),
+    "jsonl-triples-object": ("docs.jsonl",
+                             b'{"id": "d", "text": "dns", "triples": {"src": 1}}\n'),
     # coerced with str(), these loaded as document "5" with the text "None",
     # and with a list's repr as the text
     "jsonl-int-id-null-text": ("docs.jsonl", b'{"id": 5, "text": null}\n'),

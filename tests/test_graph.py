@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kubediag.graph as graph_module
-from helpers import cosine, rand_unit
+from helpers import cosine, graph_from_dict_one_by_one, rand_unit
 from kubediag.embedding import HashingEmbedder, SparseVector
 from kubediag.errors import (
     ClassificationError,
@@ -499,23 +499,24 @@ GOOD_GRAPH = {
 }
 
 
-@pytest.mark.parametrize("table,bad", [
-    ("edges", {"weight": 2.0}),
-    ("edges", {"weight": float("nan")}),
-    ("edges", {"dst": "a"}),
-    ("edges", {"weight": "0.5"}),
-    ("edges", {"weight": True}),
-    ("nodes", {"label": None}),
-    ("nodes", {"attributes": [["k", "v"]]}),
-    ("nodes", {"attributes": "ab"}),
-    ("nodes", {"attributes": None}),
-    ("nodes", {"category": False}),
-    ("nodes", {"category": 0}),
-    ("nodes", {"category": ""}),
-    ("nodes", {"category": ["Resource"]}),
-], ids=["weight-above-one", "nan-weight", "self-loop", "string-weight", "bool-weight",
-        "null-label", "pair-list-attributes", "string-attributes", "null-attributes",
-        "false-category", "zero-category", "empty-category", "list-category"])
+BAD_FIELDS = {
+    "weight-above-one": ("edges", {"weight": 2.0}),
+    "nan-weight": ("edges", {"weight": float("nan")}),
+    "self-loop": ("edges", {"dst": "a"}),
+    "string-weight": ("edges", {"weight": "0.5"}),
+    "bool-weight": ("edges", {"weight": True}),
+    "null-label": ("nodes", {"label": None}),
+    "pair-list-attributes": ("nodes", {"attributes": [["k", "v"]]}),
+    "string-attributes": ("nodes", {"attributes": "ab"}),
+    "null-attributes": ("nodes", {"attributes": None}),
+    "false-category": ("nodes", {"category": False}),
+    "zero-category": ("nodes", {"category": 0}),
+    "empty-category": ("nodes", {"category": ""}),
+    "list-category": ("nodes", {"category": ["Resource"]}),
+}
+
+
+@pytest.mark.parametrize("table,bad", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
 def test_load_rejects_bad_field_naming_it(tmp_path, table, bad):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(GOOD_GRAPH))
@@ -580,6 +581,123 @@ def test_load_rejects_non_string_node_ids(tmp_path, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(SchemaViolation, match="edge dst"):
         KnowledgeGraph.load(str(path))
+
+
+# -- from_dict against the loop that adds each edge through add_triple --------
+
+
+def graph_load(payload, loader):
+    """``loader``'s graph of ``payload``: its ``to_dict`` and, in order, its
+    nodes and each source's adjacency items, or its error's type and
+    message."""
+    try:
+        g = loader(payload)
+    except SchemaViolation as exc:
+        return type(exc), str(exc)
+    items = [(src, [(value, dst, rel, log_w.hex(), is_root, e.src, e.dst, e.relation, e.weight)
+                    for value, dst, rel, log_w, is_root, e in out])
+             for src, out in g._out.items()]
+    return g.to_dict(), list(g.nodes), items
+
+
+def _with(table, *records):
+    payload = copy.deepcopy(GOOD_GRAPH)
+    payload[table].extend(records)
+    return payload
+
+
+def _edited(table, bad):
+    payload = copy.deepcopy(GOOD_GRAPH)
+    payload[table][0].update(bad)
+    return payload
+
+
+GRAPH_PAYLOADS = {
+    "good": GOOD_GRAPH,
+    **{name: _edited(*case) for name, case in BAD_FIELDS.items()},
+    "unknown-node-type": _edited("nodes", {"node_type": "Gremlin"}),
+    "unknown-relation": _edited("edges", {"relation": "zz"}),
+    "list-relation": _edited("edges", {"relation": ["causes"]}),
+    "missing-src": _edited("edges", {"src": "zz"}),
+    "missing-dst": _edited("edges", {"dst": "zz"}),
+    "missing-ends": _edited("edges", {"src": "yy", "dst": "zz"}),
+    "repeated-node": _with("nodes", {"id": "a", "node_type": "Pod", "label": "",
+                                     "attributes": {"k": 1}, "category": "NetworkErrors"}),
+    "repeated-node-relabelled": _with("nodes", {"id": "b", "node_type": "RootCause",
+                                                "label": "renamed"}),
+    "repeated-node-retyped": _with("nodes", {"id": "a", "node_type": "Service"}),
+    "repeated-edge-heavier": _with("edges", {"src": "a", "dst": "b", "relation": "causes",
+                                             "weight": 0.9}),
+    "repeated-edge-lighter": _with("edges", {"src": "a", "dst": "b", "relation": "causes",
+                                             "weight": 0.1}),
+    "another-relation": _with("edges", {"src": "a", "dst": "b", "relation": "depends_on",
+                                        "weight": 1.0},
+                              {"src": "b", "dst": "a", "relation": "evicts", "weight": 0.2}),
+}
+
+
+@pytest.mark.parametrize("payload", GRAPH_PAYLOADS.values(), ids=GRAPH_PAYLOADS.keys())
+def test_from_dict_matches_the_loop_through_add_triple(payload):
+    assert graph_load(payload, KnowledgeGraph.from_dict) == graph_load(
+        payload, graph_from_dict_one_by_one)
+
+
+def _mostly(valid, invalid):
+    """``valid``, or one time in 40 ``invalid``, so that most drawn payloads
+    load and hold edges."""
+    return st.integers(0, 39).flatmap(lambda k: invalid if k == 23 else valid)
+
+
+def _dropping(records, keys):
+    """``records`` with one of ``keys`` dropped, one time in 40 each."""
+    drops = _mostly(st.none(), st.sampled_from(keys))
+    return st.tuples(records, drops).map(lambda rd: {k: v for k, v in rd[0].items()
+                                                     if k != rd[1]})
+
+
+_TYPES = {"a": "Pod", "b": "Service", "c": "Pod", "rc": "RootCause"}
+
+
+def _node_record(nid):
+    return _dropping(st.fixed_dictionaries(
+        {"id": _mostly(st.just(nid), st.sampled_from([5, None])),
+         "node_type": _mostly(st.just(_TYPES[nid]),
+                              st.sampled_from(["Pod", "Gremlin", 3, ["Pod"]]))},
+        optional={"label": _mostly(st.sampled_from(["", "pod a", "b"]),
+                                   st.sampled_from([None, 1])),
+                  "attributes": _mostly(st.dictionaries(st.sampled_from(["k", "seen"]),
+                                                        st.integers(0, 3), max_size=2),
+                                        st.sampled_from([[["k", "v"]], None, "ab"])),
+                  "category": _mostly(st.sampled_from([None, "ResourceErrors", "NetworkErrors"]),
+                                      st.sampled_from(["", 0, False, "Nope", ["NetworkErrors"]]))}),
+        ["id", "node_type"])
+
+
+def _edge_record(ends):
+    src, dst = ends
+    return _dropping(st.fixed_dictionaries(
+        {"src": _mostly(st.just(src), st.sampled_from(["zz", 7, dst])),
+         "dst": _mostly(st.just(dst), st.sampled_from(["zz", src])),
+         "relation": _mostly(st.sampled_from(["causes", "depends_on", "evicts"]),
+                             st.sampled_from(["zz", 1, ["causes"]])),
+         "weight": _mostly(st.floats(0.05, 1.0), st.one_of(st.floats(-0.5, 1.5), st.sampled_from(
+             [float("nan"), "0.5", True, 10 ** 400])))}),
+        ["src", "dst", "relation", "weight"])
+
+
+# every node once, then repeats; edges between distinct nodes, often repeated
+_NODE_LISTS = st.tuples(*map(_node_record, _TYPES)).flatmap(
+    lambda once: st.lists(st.sampled_from(list(_TYPES)).flatmap(_node_record), max_size=3)
+    .map(lambda repeats: [*once, *repeats]))
+_EDGE_LISTS = st.lists(st.permutations(list(_TYPES)).map(lambda ids: ids[:2])
+                       .flatmap(_edge_record), max_size=10)
+
+
+@given(nodes=_NODE_LISTS, edges=_EDGE_LISTS)
+def test_from_dict_matches_the_loop_through_add_triple_on_drawn_payloads(nodes, edges):
+    payload = {"nodes": nodes, "edges": edges}
+    assert graph_load(payload, KnowledgeGraph.from_dict) == graph_load(
+        payload, graph_from_dict_one_by_one)
 
 
 def test_schema_enums_are_closed():

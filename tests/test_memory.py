@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from helpers import (DAY, NOW, cosine, dense_embeddings, jitter_unit, mk_episode, mk_query,
-                     packed, rand_unit, small_pool, sparse_lists, unit)
+                     packed, rand_unit, read_patterns_one_by_one, small_pool, sparse_lists,
+                     unit)
 from kubediag import memory as memory_mod, store
 from kubediag.embedding import HashingEmbedder, SparseRows, SparseVector
 from kubediag.errors import DuplicateId, InvalidArgument, InvalidQuery, NotFound, SchemaViolation
@@ -1611,19 +1613,17 @@ def _set_centroid(data, centroid):
     return data
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda d: d["patterns"],                              # not an object
-        lambda d: {"patterns": 7},
-        lambda d: _set_centroid(d, [0.6, 0.8]),               # unit, but 2-dim
-        lambda d: _set_centroid(d, [0.5] + [0.0] * 15),       # 16-dim, norm 0.5
-        lambda d: _set_centroid(d, [float("nan")] * 16),
-        lambda d: {"patterns": [dict(d["patterns"][0], id="pat-x")]},
-    ],
-    ids=["list-root", "patterns-not-list", "short-centroid", "non-unit-centroid", "nan-centroid",
-         "bad-id-number"],
-)
+BAD_PAYLOADS = {
+    "list-root": lambda d: d["patterns"],                              # not an object
+    "patterns-not-list": lambda d: {"patterns": 7},
+    "short-centroid": lambda d: _set_centroid(d, [0.6, 0.8]),          # unit, but 2-dim
+    "non-unit-centroid": lambda d: _set_centroid(d, [0.5] + [0.0] * 15),  # norm 0.5
+    "nan-centroid": lambda d: _set_centroid(d, [float("nan")] * 16),
+    "bad-id-number": lambda d: {"patterns": [dict(d["patterns"][0], id="pat-x")]},
+}
+
+
+@pytest.mark.parametrize("edit", BAD_PAYLOADS.values(), ids=BAD_PAYLOADS.keys())
 def test_pattern_snapshot_rejects_bad_payload(tmp_path, rng, edit):
     fresh, path = _snapshot_with(tmp_path, rng, edit)
     with pytest.raises(SchemaViolation):
@@ -1638,15 +1638,14 @@ def _set_counts(data, **fields):
     return data
 
 
-@pytest.mark.parametrize(
-    "fields",
-    [
-        {"member_count": 1, "success_members": 9},
-        {"success_members": lambda n: n + 1},
-        {"success_members": -1},
-    ],
-    ids=["count-1-wins-9", "wins-above-count", "negative-wins"],
-)
+IMPOSSIBLE_COUNTS = {
+    "count-1-wins-9": {"member_count": 1, "success_members": 9},
+    "wins-above-count": {"success_members": lambda n: n + 1},
+    "negative-wins": {"success_members": -1},
+}
+
+
+@pytest.mark.parametrize("fields", IMPOSSIBLE_COUNTS.values(), ids=IMPOSSIBLE_COUNTS.keys())
 def test_pattern_snapshot_rejects_impossible_counts(tmp_path, rng, fields):
     fresh, path = _snapshot_with(tmp_path, rng, lambda d: _set_counts(d, **fields))
     with pytest.raises(SchemaViolation):
@@ -1661,25 +1660,22 @@ def _set_field(data, key, value):
     return data
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("context_labels", "prod"),
-        ("member_ids", lambda ids: ids[:-1] + [7]),
-        ("actions", "restart the pod"),
-        ("resolution_path", [None]),
-        ("success_members", True),
-        ("success_members", 0.5),
-        ("last_updated", "0"),
-        ("last_updated", float("nan")),
-        ("last_updated", float("inf")),
-        ("id", 5),
-        ("source_episode_id", 3),
-    ],
-    ids=["labels-string", "member-id-int", "actions-string",
-         "path-null", "wins-bool", "wins-fraction", "updated-string", "updated-nan",
-         "updated-inf", "id-int", "source-id-int"],
-)
+WRONG_TYPES = {
+    "labels-string": ("context_labels", "prod"),
+    "member-id-int": ("member_ids", lambda ids: ids[:-1] + [7]),
+    "actions-string": ("actions", "restart the pod"),
+    "path-null": ("resolution_path", [None]),
+    "wins-bool": ("success_members", True),
+    "wins-fraction": ("success_members", 0.5),
+    "updated-string": ("last_updated", "0"),
+    "updated-nan": ("last_updated", float("nan")),
+    "updated-inf": ("last_updated", float("inf")),
+    "id-int": ("id", 5),
+    "source-id-int": ("source_episode_id", 3),
+}
+
+
+@pytest.mark.parametrize("key, value", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
 def test_pattern_snapshot_rejects_wrong_types(tmp_path, rng, key, value):
     # coerced, each would load as something else: a string as its
     # characters, 0.5 wins as 0, an id 5 as "5"
@@ -1687,6 +1683,177 @@ def test_pattern_snapshot_rejects_wrong_types(tmp_path, rng, key, value):
     with pytest.raises(SchemaViolation):
         fresh.load_pattern_snapshot(str(path))
     assert fresh.patterns == {}
+
+
+# -- the snapshot loader against the per-pattern loop -------------------------
+
+
+def snapshot_load(path, reader, dim=16):
+    """A fresh pool's load of the snapshot at ``path`` with ``reader`` in
+    place of ``store.read_patterns``: the error's type and message, or
+    every loaded pattern's fields, the pattern index's bytes and the
+    pattern id counter."""
+    pool = small_pool(dim)
+    with mock.patch.object(store, "read_patterns", reader):
+        try:
+            pool.load_pattern_snapshot(str(path))
+        except SchemaViolation as exc:
+            return type(exc), str(exc)
+    fields = [(p.id, p.centroid.dim, *(a.dtype.str + a.tobytes().hex()
+                                       for a in (p.centroid.index, p.centroid.value)),
+               p.actions, p.resolution_path, p.source_episode_id, sorted(p.member_ids),
+               p.last_updated.hex(), sorted(p.context_labels), p.success_members,
+               *map(type, (p.centroid, p.member_ids, p.context_labels, p.success_members)))
+              for p in pool.patterns.values()]
+    index = pool._pattern_index
+    return (fields, index.n, [a.dtype.str + a.tobytes().hex()
+                              for a in (index.row, index.col, index.val)], pool._pattern_seq)
+
+
+def _edit_packed_centroid(data, edit):
+    pat = data["patterns"][0]
+    pat["centroid"] = repacked(pat["centroid"], edit)
+    return data
+
+
+def _with_plus_zero(vec):
+    """``vec``'s sparse lists, its first entry ``+0.0`` and the rest rescaled."""
+    value = np.array(vec["value"])
+    value[0] = 0.0
+    return dict(vec, value=(value / np.linalg.norm(value)).tolist())
+
+
+SNAPSHOT_EDITS = {
+    "unedited": lambda d: d,
+    "updated-int": lambda d: _set_field(d, "last_updated", 5),
+    "ids-without-number": lambda d: _set_field(d, "id", "custom"),
+    "older-fields": lambda d: {"patterns": [{k: v for k, v in raw.items()
+                                            if k not in ("context_labels", "success_members")}
+                                           for raw in d["patterns"]]},
+    "packed-non-unit-centroid": lambda d: _edit_packed_centroid(
+        d, lambda v: dict(v, value=[2.0 * x for x in v["value"]])),
+    "packed-centroid-within-tolerance": lambda d: _edit_packed_centroid(
+        d, lambda v: dict(v, value=[(1.0 + 4e-7) * x for x in v["value"]])),
+    "packed-plus-zero-entry": lambda d: _edit_packed_centroid(d, _with_plus_zero),
+    **BAD_PAYLOADS,
+    **{name: lambda d, f=fields: _set_counts(d, **f) for name, fields in IMPOSSIBLE_COUNTS.items()},
+    **{name: lambda d, kv=kv: _set_field(d, *kv) for name, kv in WRONG_TYPES.items()},
+}
+
+
+@pytest.mark.parametrize("edit", SNAPSHOT_EDITS.values(), ids=SNAPSHOT_EDITS.keys())
+def test_snapshot_loader_matches_the_per_pattern_loop(tmp_path, rng, edit):
+    _, path = _snapshot_with(tmp_path, rng, edit)
+    assert snapshot_load(path, store.read_patterns) == snapshot_load(
+        path, read_patterns_one_by_one)
+
+
+def _stored_patterns(dim=16):
+    """Four patterns of 2 to 5 entries, with and without context labels
+    and wins, in the order a snapshot lists them."""
+    rng = np.random.default_rng(5)
+    pats = []
+    for i in range(4):
+        dense = np.zeros(dim)
+        dense[rng.choice(dim, i + 2, replace=False)] = rng.standard_normal(i + 2)
+        pats.append(Pattern(
+            id=f"pat-{i + 1:06d}", centroid=SparseVector.of(dense / np.linalg.norm(dense)),
+            actions=["restart the pod"], resolution_path=[f"n{i}", "rc"],
+            source_episode_id=f"ep-{i:06d}", member_ids={f"ep-{j:06d}" for j in range(i + 1)},
+            last_updated=NOW + i, context_labels=frozenset({"prod"} if i % 2 else ()),
+            success_members=i % 2))
+    return pats
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2 ** 70), st.just(10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(["", "pat-7", "pat-x", "ep-1"]),
+    st.lists(st.sampled_from(["ep-000001", "ep-000002", "prod"]), max_size=4),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.just("dim"), st.integers(15, 16)),
+)
+PATTERN_KEYS = ["id", "centroid", "strategy", "member_ids", "last_updated", "context_labels",
+                "success_members", "actions", "resolution_path", "source_episode_id"]
+CENTROID_EDITS = ["dim", "scale", "nudge", "plus-zero", "minus-zero", "swap", "out-of-range",
+                  "int-value", "bad-hex", "space-hex", "upper-hex", "short-hex"]
+
+
+def _centroid_form(index, value, dim, form, hex_edit=None):
+    """A centroid's entries stored in ``form``: packed, sparse lists or
+    dense, the last only when the entries fit a dense list."""
+    if form == "dense" and type(dim) is int and all(type(i) is int for i in index) and \
+            all(0 <= a < b < dim for a, b in zip(index, index[1:] + [dim])):
+        dense = [0.0] * dim
+        for i, x in zip(index, value):
+            dense[i] = x
+        return dense
+    if form != "packed" or not all(type(x) is float for x in value):
+        return {"dim": dim, "index": index, "value": value}
+    vec = {"dim": dim, "index": np.asarray(index, "<i4").tobytes().hex(),
+           "value": np.asarray(value, "<f8").tobytes().hex()}
+    if hex_edit == "bad-hex":
+        vec["value"] = "g" + vec["value"][1:]
+    elif hex_edit == "space-hex":
+        vec["index"] = " " + vec["index"][1:]
+    elif hex_edit == "upper-hex":
+        vec["value"] = vec["value"].upper()
+    elif hex_edit == "short-hex":
+        vec["index"] = vec["index"][:-8]
+    return vec
+
+
+def _edit_centroid(centroid, edit, dim=16):
+    """The entries, dimension and hex edit of ``centroid`` after ``edit``."""
+    index, value = centroid.index.tolist(), centroid.value.tolist()
+    free = next(i for i in range(dim) if i not in index)
+    if edit == "dim":
+        dim = 17
+    elif edit == "scale":
+        value = [2.0 * x for x in value]
+    elif edit == "nudge":  # within the norm tolerance
+        value = [x * (1.0 + 4e-7) for x in value]
+    elif edit in ("plus-zero", "minus-zero"):
+        at = sorted(index + [free]).index(free)
+        index.insert(at, free)
+        value.insert(at, 0.0 if edit == "plus-zero" else -0.0)
+    elif edit == "swap":
+        index[0], index[1] = index[1], index[0]
+        value[0], value[1] = value[1], value[0]
+    elif edit == "out-of-range":
+        index[-1] = dim
+    elif edit == "int-value":
+        value[0] = 1
+    return index, value, dim, edit if edit.endswith("-hex") else None
+
+
+@given(forms=st.lists(st.sampled_from(["packed", "lists", "dense"]), min_size=4, max_size=4),
+       edits=st.lists(st.tuples(st.integers(0, 3), st.one_of(
+           st.tuples(st.sampled_from(PATTERN_KEYS), JSON_VALUES),
+           st.tuples(st.just("drop"), st.sampled_from(PATTERN_KEYS)),
+           st.tuples(st.just("centroid-edit"), st.sampled_from(CENTROID_EDITS)))), max_size=3))
+def test_snapshot_loader_matches_the_per_pattern_loop_on_drawn_edits(tmp_path_factory, forms,
+                                                                     edits):
+    pats = _stored_patterns()
+    centroid_edits = {i: e for i, (kind, e) in edits if kind == "centroid-edit"}
+    raws = []
+    for i, (pat, form) in enumerate(zip(pats, forms)):
+        raw = store._pattern_to_dict(pat)
+        index, value, dim, hex_edit = _edit_centroid(pat.centroid, centroid_edits.get(i, ""))
+        raw["centroid"] = _centroid_form(index, value, dim, form, hex_edit)
+        raws.append(raw)
+    for i, (key, value) in edits:
+        raw = raws[i]
+        strategy = raw["strategy"] if isinstance(raw.get("strategy"), dict) else {}
+        if key == "drop":
+            (strategy if value in strategy else raw).pop(value, None)
+        elif key != "centroid-edit":
+            (strategy if key in strategy else raw)[key] = value
+    path = tmp_path_factory.getbasetemp() / "drawn.patterns.json"
+    path.write_text(json.dumps({"patterns": raws}))
+    loaded = snapshot_load(path, read_patterns_one_by_one)
+    assert snapshot_load(path, store.read_patterns) == loaded
+    if forms == ["packed"] * 4 and loaded[0] is not SchemaViolation:
+        # a packed snapshot that loads never takes the per-pattern loop
+        assert store._pattern_columns(raws, 16) is not None
 
 
 # -- store format: sparse vectors ---------------------------------------------
@@ -2367,6 +2534,38 @@ def test_column_load_equals_the_line_loop_on_drawn_files(tmp_path_factory, vecto
     path = tmp_path_factory.mktemp("load") / "episodes.jsonl"
     write_edited(path, vectors, edits, newline, blank)
     assert_load_matches_the_reference(path)
+
+
+# line edits that a line's JSON decoding alone accepts or rejects
+LINE_WRAPS = {
+    "json-space": lambda line: " \t" + line + " \r",
+    "bom": lambda line: "\ufeff" + line,
+    "trailing-data": lambda line: line + " {}",
+    "trailing-comma": lambda line: line + ",",
+    "form-feed": lambda line: line + "\x0c",
+    "nbsp": lambda line: "\xa0" + line,
+    "two-values": lambda line: line + line,
+}
+
+
+@pytest.mark.parametrize("at", [0, 2])
+@pytest.mark.parametrize("wrap", LINE_WRAPS.values(), ids=LINE_WRAPS.keys())
+def test_each_line_is_decoded_as_json_loads_decodes_it(tmp_path, monkeypatch, wrap, at):
+    path = tmp_path / "episodes.jsonl"
+    pool_of_vectors(negative_zero_vectors(4), 16).save_episodes(str(path))
+    lines = path.read_text().splitlines()
+    lines[at] = wrap(lines[at])
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    pool = small_pool(16)
+    try:
+        raws = [json.loads(line) for line in lines]
+    except ValueError as exc:
+        with pytest.raises(SchemaViolation, match=f"^line {at + 1}: {re.escape(str(exc))}$"):
+            pool.load_episodes(str(path))
+        return
+    monkeypatch.setattr(store, "_first_bad_line", None)  # the column path takes it
+    assert pool.load_episodes(str(path)) == 4
+    assert list(pool.episodes) == [raw["id"] for raw in raws]
 
 
 def hashing_store(path, n=150):
